@@ -14,7 +14,6 @@ from .lattice import (
     TorsionPoint,
     reduce_modular,
     sublattice_basis,
-    torsion_order,
     torus_reduce,
 )
 from .elliptic import (
@@ -51,9 +50,9 @@ from .funcalg import (
     c2c2_constants,
     character_project,
     fit_lambda_mu,
-    fit_wpoly,
-    p_big,
+    fit_in_ring,
     p_small,
+    p_system,
     residue_at,
 )
 from .intertwine import MatrixFunction, check_intertwining, phi, psi

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .elliptic import invariants_scaled, j_invariant
 from .lattice import ModularClass, reduce_modular
 from .normalform import (
@@ -28,7 +26,7 @@ from .normalform import (
     structure_polynomial,
     verify_brackets,
 )
-from .torusgroup import GroupEmbedding, branch_points, quotient_scaled, translation_subgroup
+from .torusgroup import GroupEmbedding, branch_points, translation_subgroup
 
 __all__ = [
     "Classification",

@@ -19,12 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import classify, cross_validate
-from .elliptic import invariants, wp_both
-from .funcalg import c2c2_constants, fit_lambda_mu
+from .classify import cross_validate
+from .elliptic import invariants
+from .funcalg import c2c2_constants, fit_lambda_mu, torus_distance
 from .intertwine import phi, psi
-from .lattice import Lattice, TorsionPoint
-from .normalform import normal_form, structure_polynomial, verify_brackets, invariance_residual
+from .lattice import Lattice, ScaledLattice, TorsionPoint
+from .normalform import (
+    _h_projection, invariance_residual, normal_form, structure_polynomial, verify_brackets,
+)
 from .torusgroup import GroupEmbedding, UnsupportedEmbeddingError, catalog, make_embedding
 
 __all__ = ["RunConfig", "main"]
@@ -84,7 +86,7 @@ def _jsonable(obj):
 def _emit(report: dict, cfg: RunConfig) -> None:
     report = _jsonable(report)
     if cfg.as_json:
-        text = json.dumps(report, indent=2, sort_keys=True)
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     else:
         lines = []
 
@@ -204,12 +206,13 @@ def cmd_constants(cfg: RunConfig) -> int:
 def cmd_eval(cfg: RunConfig, z: complex) -> int:
     emb = _embedding(cfg)
     gens = normal_form(emb, j=cfg.char_j)
+    slat = ScaledLattice(emb.tau)
     for p in gens.poles:
-        if abs(complex(p) - z) < 1e-8:
+        if torus_distance(z, p, slat) < 1e-8:
             raise ValueError(f"evaluation point {z} is on the pole divisor")
     e, f, h = gens.E(z), gens.F(z), gens.H(z)
     comm = e @ f - f @ e
-    p_point = 0.5 * np.trace(comm @ h)
+    p_point = _h_projection(comm, h)
     report = {
         "command": "eval",
         "config": _config_dict(cfg),
@@ -301,11 +304,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--torsion", type=_parse_torsion, default=None, metavar="a/b/n")
         p.add_argument("--char-j", type=int, default=1)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--trunc", type=int, default=None)
         p.add_argument("--samples", type=int, default=60)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--json", action="store_true")
         p.add_argument("--out", default=None)
+        if name == "constants":
+            p.add_argument("--trunc", type=int, default=None, help="series terms for the invariants")
         if name == "eval":
             p.add_argument("--z-re", type=float, default=0.23)
             p.add_argument("--z-im", type=float, default=0.31)
@@ -328,7 +332,7 @@ def main(argv=None) -> int:
         torsion=args.torsion,
         char_j=args.char_j,
         tol=args.tol if args.tol is not None else _default_tol(),
-        trunc=args.trunc,
+        trunc=getattr(args, "trunc", None),
         samples=args.samples,
         seed=args.seed,
         as_json=args.json,

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, ScaledLattice, reduce_modular
+from .lattice import Lattice, ScaledLattice, reduce_modular, torus_reduce_centered
 
 __all__ = [
     "EllipticInvariants",
@@ -33,8 +33,6 @@ __all__ = [
     "wp_both",
     "wp_both_scaled",
     "wp_prime",
-    "wp_prime_scaled",
-    "wp_scaled",
 ]
 
 _PI = math.pi
@@ -105,15 +103,6 @@ def _cell(tau: complex, trunc: int | None = None) -> _Cell:
     return _Cell(tau, tau_r, m, complex(q), ks, denom, s1, g2r, g3r, discr)
 
 
-def _center(z: np.ndarray, tau: complex) -> np.ndarray:
-    """Reduce to coordinates s, t in [-1/2, 1/2) over (1, tau)."""
-    t = z.imag / tau.imag
-    s = z.real - t * tau.real
-    s -= np.floor(s + 0.5)
-    t -= np.floor(t + 0.5)
-    return s + t * tau.real + 1j * (t * tau.imag)
-
-
 def _wp_series(zc: np.ndarray, cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
     """wp and wp' on the reduced lattice at centred arguments."""
     dist = np.abs(zc)
@@ -162,7 +151,7 @@ def wp_both(z, lattice: Lattice, trunc: int | None = None):
     cell = _cell(lattice.tau, trunc)
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
-    zc = _center(np.atleast_1d(zz) / cell.m, cell.tau_r)
+    zc = torus_reduce_centered(np.atleast_1d(zz) / cell.m, cell.tau_r)
     wpv, wppv = _wp_series(zc, cell)
     with np.errstate(invalid="ignore"):
         wpv = wpv / cell.m ** 2
@@ -190,14 +179,6 @@ def wp_both_scaled(z, slat: ScaledLattice, trunc: int | None = None):
     return a / s ** 2, b / s ** 3
 
 
-def wp_scaled(z, slat: ScaledLattice, trunc: int | None = None):
-    return wp_both_scaled(z, slat, trunc)[0]
-
-
-def wp_prime_scaled(z, slat: ScaledLattice, trunc: int | None = None):
-    return wp_both_scaled(z, slat, trunc)[1]
-
-
 @lru_cache(maxsize=256)
 def invariants(lattice: Lattice, trunc: int | None = None) -> EllipticInvariants:
     """g2, g3, half-period values, discriminant and j for Z + Z*tau.
@@ -221,7 +202,9 @@ def invariants_scaled(slat: ScaledLattice, trunc: int | None = None) -> Elliptic
     s = slat.scale
     g2 = base.g2 / s ** 4
     g3 = base.g3 / s ** 6
-    disc = g2 ** 3 - 27.0 * g3 ** 2
+    # rescale the eta-product discriminant: g2^3 - 27 g3^2 recomputed here
+    # would cancel catastrophically on elongated lattices
+    disc = base.discriminant / s ** 12
     return EllipticInvariants(
         g2, g3, base.e1 / s ** 2, base.e2 / s ** 2, base.e3 / s ** 2, disc, base.j
     )

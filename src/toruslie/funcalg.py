@@ -18,22 +18,21 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .elliptic import invariants_scaled, wp_both_scaled
+from .elliptic import invariants, invariants_scaled, wp_both_scaled
 from .lattice import (
     Lattice,
     ScaledLattice,
-    TorsionPoint,
+    is_hexagonal_class,
     shortest_period,
     torus_reduce_centered,
 )
 from .torusgroup import GroupEmbedding, inverse
-from .sl2rep import c2c2_labels, cyclic_labels
+from .sl2rep import characters
 
 __all__ = [
     "C2C2Constants",
@@ -48,9 +47,8 @@ __all__ = [
     "character_project",
     "fit_in_ring",
     "fit_lambda_mu",
-    "fit_wpoly",
-    "p_big",
     "p_small",
+    "p_system",
     "residue_at",
     "sample_points",
     "torus_distance",
@@ -176,16 +174,6 @@ class WPoly:
 
     __rmul__ = __mul__
 
-    def chop(self, tol=1e-9):
-        # noise threshold shared between the two parts, so a pure-noise
-        # y-part does not survive on its own scale
-        lim = tol * max(
-            [abs(c) for c in self.a] + [abs(c) for c in self.b], default=0.0
-        )
-        a = tuple(0j if abs(c) <= lim else c for c in self.a)
-        b = tuple(0j if abs(c) <= lim else c for c in self.b)
-        return WPoly(_poly_trim(a), _poly_trim(b), self.g2, self.g3)
-
     def eval_xy(self, x, y=None):
         out = _poly_eval(self.a, x)
         if self.b:
@@ -210,11 +198,7 @@ class WPoly:
 def torus_distance(z, p, slat: ScaledLattice) -> np.ndarray:
     """Distance from z to p modulo the scaled lattice."""
     zz = (np.asarray(z, dtype=complex) - p) / slat.scale
-    t = zz.imag / slat.tau.imag
-    s = zz.real - t * slat.tau.real
-    s -= np.floor(s + 0.5)
-    t -= np.floor(t + 0.5)
-    return np.abs(slat.scale) * np.abs(s + t * slat.tau.real + 1j * t * slat.tau.imag)
+    return np.abs(slat.scale) * np.abs(torus_reduce_centered(zz, slat.tau))
 
 
 @dataclass
@@ -303,23 +287,12 @@ def sample_points(
 # character projections and the P_j system
 
 
-def _char_values(emb: GroupEmbedding, chi):
-    if emb.kind in ("CN_translation", "Cl_rotation"):
-        labels = cyclic_labels(emb)
-        w = cmath.exp(2j * math.pi / emb.order)
-        return {g: w ** (int(chi) * k) for g, k in labels.items()}
-    if emb.kind == "C2xC2_translation":
-        ci, cj = chi
-        return {g: (-1.0) ** (ci * b1 + cj * b2) for g, (b1, b2) in c2c2_labels(emb).items()}
-    raise ValueError("character projection needs an abelian embedding")
-
-
 def character_project(f: TorusFunction, emb: GroupEmbedding, chi) -> TorusFunction:
     """Averaging projection of f onto the chi-isotypical component.
 
     Evaluates z -> (1/|G|) sum conj(chi(g)) f(sigma(g)^-1 z).
     """
-    char = _char_values(emb, chi)
+    char = characters(emb, chi)
     pairs = [(np.conj(char[g]), inverse(g)) for g in emb.elements]
     norm = 1.0 / emb.order
 
@@ -390,21 +363,12 @@ class PSystem:
         )
 
 
-def _shift_fractions(emb: GroupEmbedding) -> tuple[Fraction, Fraction]:
-    r = emb.generators[-1] if emb.kind == "DN" else emb.generators[0]
-    return r.shift.fractions
-
-
 def p_system(emb: GroupEmbedding) -> PSystem:
+    """The P_j family of a C_N translation or of the translations of D_N."""
     if emb.kind not in ("CN_translation", "DN"):
         raise ValueError("P functions are attached to cyclic translations")
     n = emb.order_param
-    return PSystem(ScaledLattice(emb.tau), _shift_fractions(emb), n)
-
-
-def p_big(emb: GroupEmbedding, j: int) -> TorusFunction:
-    """The function P_j of a C_N translation embedding."""
-    return p_system(emb).pj(j)
+    return PSystem(ScaledLattice(emb.tau), emb.cyclic_generator.shift.fractions, n)
 
 
 def fit_lambda_mu(
@@ -503,6 +467,14 @@ def residue_at(f: TorusFunction, p: complex, n_nodes: int = 128, radius: float |
 # the C2 x C2 quartet and its constants
 
 
+def _half_periods(emb: GroupEmbedding) -> tuple[complex, complex]:
+    """Shifts (s1, s2) of the two generators of a C2 x C2 translation embedding."""
+    if emb.kind != "C2xC2_translation":
+        raise ValueError("half-period data needs a C2 x C2 translation embedding")
+    r1, r2 = emb.generators[:2]
+    return complex(r1.shift.to_complex(emb.tau)), complex(r2.shift.to_complex(emb.tau))
+
+
 def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFunction]:
     """(p0, p1, p2): signed half-period averages of 1/wp'.
 
@@ -510,12 +482,8 @@ def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFun
     reverse, p0 odd under both; all three are odd in z with simple poles on
     the four half-period points.
     """
-    if emb.kind != "C2xC2_translation":
-        raise ValueError("the half-period quartet needs a C2 x C2 translation embedding")
     slat = ScaledLattice(emb.tau)
-    r1, r2 = emb.generators[:2]
-    s1 = complex(r1.shift.to_complex(emb.tau))
-    s2 = complex(r2.shift.to_complex(emb.tau))
+    s1, s2 = _half_periods(emb)
     shifts = (0.0, s1, s2, s1 + s2)
     signs = {
         "p2": (1.0, 1.0, -1.0, -1.0),
@@ -581,9 +549,6 @@ def _constants_from_e(e1, e2, e3, hexagonal: bool) -> C2C2Constants:
 
 def c2c2_constants(lattice: Lattice) -> C2C2Constants:
     """Constants for the standard Klein generators (shifts 1/2 and tau/2)."""
-    from .elliptic import invariants
-    from .lattice import is_hexagonal_class
-
     inv = invariants(lattice)
     return _constants_from_e(inv.e1, inv.e2, inv.e3, is_hexagonal_class(lattice.tau))
 
@@ -597,14 +562,8 @@ def c2c2_constants_for(emb: GroupEmbedding) -> C2C2Constants:
     hexagonal basis with permuted half-period labels) permute the values
     accordingly; for the standard generators this is c2c2_constants.
     """
-    from .lattice import is_hexagonal_class
-
-    if emb.kind != "C2xC2_translation":
-        raise ValueError("half-period constants need a C2 x C2 translation embedding")
     slat = ScaledLattice(emb.tau)
-    r1, r2 = emb.generators[:2]
-    s1 = complex(r1.shift.to_complex(emb.tau))
-    s2 = complex(r2.shift.to_complex(emb.tau))
+    s1, s2 = _half_periods(emb)
     e1 = complex(wp_both_scaled(s1, slat)[0])
     e2 = complex(wp_both_scaled(s2, slat)[0])
     e3 = complex(wp_both_scaled(s1 + s2, slat)[0])
@@ -716,18 +675,3 @@ def fit_in_ring(
     b = tuple(coeff[da + 1 + i] / c ** (1.5 + i) for i in range(db + 1)) if db >= 0 else ()
     return WPoly(_poly_trim(a), _poly_trim(b), inv.g2, inv.g3)
 
-
-def fit_wpoly(
-    f: TorusFunction,
-    lattice_of_ring,
-    degree_bound: int,
-    *,
-    seed: int = 0,
-    tol: float = 1e-6,
-) -> WPoly:
-    """Fit f as a(x) + b(x) y over wp, wp' of the given (possibly scaled) lattice."""
-    if isinstance(lattice_of_ring, Lattice):
-        slat = ScaledLattice.from_lattice(lattice_of_ring)
-    else:
-        slat = lattice_of_ring
-    return fit_in_ring(f, InvariantRing(slat, "full"), degree_bound, seed=seed, tol=tol)

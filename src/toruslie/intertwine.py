@@ -21,15 +21,15 @@ radical-free in the p's and has unit determinant.
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .funcalg import PSystem, _fit_lambda_mu_ps, c2c2_constants_for, p_small
-from .lattice import ScaledLattice, TorsionPoint, torus_reduce_centered
+from .funcalg import (
+    PSystem, _fit_lambda_mu_ps, c2c2_constants_for, p_small, p_system, sample_points,
+)
+from .lattice import ScaledLattice
 from .torusgroup import GroupEmbedding, UnsupportedEmbeddingError
 
 __all__ = [
@@ -72,7 +72,7 @@ def double_cover(emb: GroupEmbedding):
     n = emb.order_param
     if n % 2:
         raise ValueError("double cover applies to even order")
-    r = emb.generators[-1] if emb.kind == "DN" else emb.generators[0]
+    r = emb.cyclic_generator
     a, b = r.shift.a, r.shift.b
     assert r.shift.n == n
     tau = emb.tau
@@ -93,8 +93,7 @@ def _psystem_for(emb: GroupEmbedding):
     if n % 2 == 0:
         slat, shift, m = double_cover(emb)
         return PSystem(slat, shift, m), m
-    r = emb.generators[-1] if emb.kind == "DN" else emb.generators[0]
-    return PSystem(ScaledLattice(emb.tau), r.shift.fractions, n), n
+    return p_system(emb), n
 
 
 def phi(
@@ -170,11 +169,12 @@ def psi(emb: GroupEmbedding) -> MatrixFunction:
     """The 3x3 intertwiner of the Klein translation group over (h, e, f).
 
     Unit determinant; Psi(r.z) = rho(r) Psi(z) for the quaternion-cover
-    action of C2 x C2 on sl2.  For the tetrahedral group the signs of the
-    half-period branch constants are calibrated so that the Cartan column
-    is invariant under the order-3 rotation (sign changes commute with
-    the Klein action but not with the rotation, and the correct pair
-    depends on how the basis labels the half periods).
+    action of C2 x C2 on sl2.  For the tetrahedral group the Klein part is
+    (r1, r2) with r2 := r1 (s r1 s^-1), so on every basis the rotation s
+    cycles the half periods s1 -> s1 + s2 -> s2.  The shift-matched
+    constants therefore need no sign change: with them the Cartan column
+    is invariant under s (cross_validate certifies this through its
+    invariance check).
     """
     if emb.kind not in ("C2xC2_translation", "A4"):
         raise ValueError("psi is attached to the Klein translation group")
@@ -186,37 +186,6 @@ def psi(emb: GroupEmbedding) -> MatrixFunction:
         klein = emb
     p0, p1, p2 = p_small(klein)
     cc = c2c2_constants_for(klein)
-
-    if emb.kind == "A4":
-        from dataclasses import replace
-
-        from .sl2rep import standard_rep
-        from .funcalg import sample_points
-
-        rep = standard_rep(emb)
-        s = emb.generators[0]
-        rho_s = rep.mats[s]
-        rng = np.random.default_rng(0)
-        z = sample_points(p0.lattice, 6, rng, avoid=p0.poles, margin=0.15)
-        chosen = None
-        for sa in (1.0, -1.0):
-            for sb in (1.0, -1.0):
-                cand = replace(cc, A1=sa * cc.A1, B1=sb * cc.B1,
-                               sqrt_a2b2=sa * sb * cc.sqrt_a2b2)
-                fn = _psi_fn(p0, p1, p2, cand)
-                h_col = fn(z)[..., :, 0]
-                res = np.max(np.abs(
-                    np.einsum("ab,zb->za", rho_s, h_col) - fn(s.apply(z))[..., :, 0]
-                ))
-                if res < 1e-8:
-                    chosen = cand
-                    break
-            if chosen is not None:
-                break
-        if chosen is None:
-            raise RuntimeError("no branch choice makes the Cartan column rotation-invariant")
-        cc = chosen
-
     return MatrixFunction(
         _psi_fn(p0, p1, p2, cc), 3, p0.lattice, p0.poles,
         meta={"constants": cc, "kind": "psi"},
@@ -237,8 +206,6 @@ def check_intertwining(
     rho and rho_tilde map group elements to d x d matrices; rho_tilde None
     means the trivial action on the right.
     """
-    from .funcalg import sample_points
-
     rng = np.random.default_rng(seed)
     z = sample_points(m.lattice, n_samples, rng, avoid=m.poles, margin=margin)
     worst = 0.0

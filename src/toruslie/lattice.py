@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 __all__ = [
     "DegenerateLatticeError",
     "HEX_TAU",
@@ -32,7 +34,6 @@ __all__ = [
     "shortest_period",
     "sublattice_basis",
     "sublattice_vectors",
-    "torsion_order",
     "torus_reduce",
     "torus_reduce_centered",
     "transport_torsion",
@@ -78,10 +79,6 @@ class ScaledLattice:
             raise ValueError("lattice scale must be nonzero")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "scale", scale)
-
-    @classmethod
-    def from_lattice(cls, lattice: Lattice) -> "ScaledLattice":
-        return cls(lattice.tau, 1.0 + 0.0j)
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,6 @@ class TorsionPoint:
     def __neg__(self) -> "TorsionPoint":
         return TorsionPoint(-self.a, -self.b, self.n)
 
-    def scalar_mul(self, k: int) -> "TorsionPoint":
-        return TorsionPoint(k * self.a, k * self.b, self.n)
-
     def matrix_apply(self, m: tuple[tuple[int, int], tuple[int, int]]) -> "TorsionPoint":
         """Apply an integer matrix to the (a, b) coordinates."""
         (p, q), (r, s) = m
@@ -142,11 +136,6 @@ class TorsionPoint:
 
     def to_complex(self, tau: complex, scale: complex = 1.0) -> complex:
         return scale * (self.a + self.b * tau) / self.n
-
-
-def torsion_order(p: TorsionPoint) -> int:
-    """Smallest m >= 1 with m*p = 0 on the torus."""
-    return p.n
 
 
 @dataclass(frozen=True)
@@ -231,13 +220,17 @@ def torus_reduce(z: complex, lattice: Lattice) -> complex:
     return complex(s + t * tau.real, t * tau.imag)
 
 
-def torus_reduce_centered(z: complex, tau: complex) -> complex:
-    """Representative with coordinates s, t in [-1/2, 1/2)."""
+def torus_reduce_centered(z, tau: complex):
+    """Representative with coordinates s, t in [-1/2, 1/2) over (1, tau).
+
+    Accepts scalars or arrays.
+    """
+    z = np.asarray(z, dtype=complex)
     t = z.imag / tau.imag
     s = z.real - t * tau.real
-    s -= math.floor(s + 0.5)
-    t -= math.floor(t + 0.5)
-    return complex(s + t * tau.real, t * tau.imag)
+    s -= np.floor(s + 0.5)
+    t -= np.floor(t + 0.5)
+    return s + t * tau.real + 1j * (t * tau.imag)
 
 
 def _hnf_2col(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -302,12 +295,6 @@ def sublattice_basis(generators, n: int, tau: complex) -> Lattice:
     """
     w1, w2 = sublattice_vectors(generators, n, tau)
     return Lattice(w2 / w1)
-
-
-def sublattice_scaled(generators, n: int, tau: complex) -> ScaledLattice:
-    """Like :func:`sublattice_basis` but keeping the true scale."""
-    w1, w2 = sublattice_vectors(generators, n, tau)
-    return ScaledLattice(w2 / w1, w1)
 
 
 def transport_torsion(

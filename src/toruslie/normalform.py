@@ -23,14 +23,14 @@ polynomial is unchanged).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .elliptic import wp_both_scaled
-from .funcalg import InvariantRing, TorusFunction, WPoly, fit_in_ring, sample_points
+from .funcalg import FitError, InvariantRing, TorusFunction, WPoly, fit_in_ring, sample_points
 from .intertwine import MatrixFunction, phi, psi
-from .lattice import ScaledLattice, torus_reduce_centered
+from .lattice import ScaledLattice, shortest_period, torus_reduce_centered
 from .sl2rep import B_E, B_F, B_H, GroupRepresentation, coeffs, standard_rep
 from .torusgroup import GroupEmbedding, inverse, quotient_scaled
 
@@ -52,6 +52,15 @@ _STRUCTURE_BOUND = {
     "Cl_rotation:6": 12,
     "C2xC2_translation": 0,
     "A4": 6,
+}
+
+#: rotation normal forms: the factors of e and f as functions of
+#: (wp, wp'), and the variable of the invariant ring
+_ROTATION_TABLE = {
+    2: (lambda x, y: y, lambda x, y: y, "wp"),
+    3: (lambda x, y: x, lambda x, y: x ** 2, "wp_prime"),
+    4: (lambda x, y: y, lambda x, y: x * y, "wp2"),
+    6: (lambda x, y: x * y, lambda x, y: x ** 2 * y, "wp3"),
 }
 
 
@@ -80,11 +89,13 @@ def _const_mat(x: np.ndarray, slat: ScaledLattice, poles=()) -> MatrixFunction:
     return MatrixFunction(fn, 2, slat, poles)
 
 
-def _scaled_mat(x: np.ndarray, factor, slat: ScaledLattice, poles) -> MatrixFunction:
-    def fn(z):
-        return factor(z)[..., None, None] * x
+def _times(factor, frame: MatrixFunction) -> MatrixFunction:
+    """z -> factor(z) * frame(z) for a scalar-valued factor."""
 
-    return MatrixFunction(fn, 2, slat, poles)
+    def fn(z):
+        return factor(z)[..., None, None] * frame.fn(z)
+
+    return MatrixFunction(fn, 2, frame.lattice, frame.poles)
 
 
 def _conjugated(phi_m: MatrixFunction, x: np.ndarray) -> MatrixFunction:
@@ -138,63 +149,34 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
     base = ScaledLattice(emb.tau)
     orbit = _orbit_points(emb)
 
-    if kind == "CN_translation":
-        if emb.order_param == 1:
-            ring = InvariantRing(base, "full")
-            e, f, h = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
-            gens = GeneratorTriple(e, f, h, ring, emb, rep, j, orbit)
-        else:
-            ph = phi(emb, j)
-            ring = InvariantRing(quotient_scaled(emb), "full")
-            gens = GeneratorTriple(
-                _conjugated(ph, B_E),
-                _conjugated(ph, B_F),
-                _conjugated(ph, B_H),
-                ring,
-                emb,
-                rep,
-                j,
-                orbit,
-            )
-    elif kind == "DN":
-        ring_slat = quotient_scaled(emb)
-        ring = InvariantRing(ring_slat, "wp")
+    if kind in ("CN_translation", "DN"):
         if emb.order_param == 1:
             e0, f0, h0 = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
         else:
             ph = phi(emb, j)
             e0, f0, h0 = (_conjugated(ph, x) for x in (B_E, B_F, B_H))
+        ring_slat = quotient_scaled(emb)
+        if kind == "CN_translation":
+            ring = InvariantRing(ring_slat, "full")
+            gens = GeneratorTriple(e0, f0, h0, ring, emb, rep, j, orbit)
+        else:
+            ring = InvariantRing(ring_slat, "wp")
 
-        def wpp(z):
-            return wp_both_scaled(z, ring_slat)[1]
+            def wpp(z):
+                return wp_both_scaled(z, ring_slat)[1]
 
-        def times_wpp(m):
-            return MatrixFunction(lambda z: wpp(z)[..., None, None] * m.fn(z), 2, base, orbit)
-
-        gens = GeneratorTriple(times_wpp(e0), times_wpp(f0), h0, ring, emb, rep, j, orbit)
+            gens = GeneratorTriple(_times(wpp, e0), _times(wpp, f0), h0, ring, emb, rep, j, orbit)
     elif kind == "Cl_rotation":
         ell = emb.order_param
         if j != 1:
             raise ValueError("rotation normal forms are tabulated for character index 1")
-
-        def wpf(z):
-            return wp_both_scaled(z, base)[0]
-
-        def wppf(z):
-            return wp_both_scaled(z, base)[1]
-
-        table = {
-            2: (lambda z: wppf(z), lambda z: wppf(z), "wp"),
-            3: (lambda z: wpf(z), lambda z: wpf(z) ** 2, "wp_prime"),
-            4: (lambda z: wppf(z), lambda z: wpf(z) * wppf(z), "wp2"),
-            6: (lambda z: wpf(z) * wppf(z), lambda z: wpf(z) ** 2 * wppf(z), "wp3"),
-        }
-        fe, ff, var = table[ell]
+        fe, ff, var = _ROTATION_TABLE[ell]
         ring = InvariantRing(base, var)
+        e0, f0, h0 = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
         gens = GeneratorTriple(
-            _scaled_mat(B_E, fe, base, orbit),
-            _scaled_mat(B_F, ff, base, orbit),
-            _const_mat(B_H, base, orbit),
+            _times(lambda z: fe(*wp_both_scaled(z, base)), e0),
+            _times(lambda z: ff(*wp_both_scaled(z, base)), f0),
+            h0,
             ring,
             emb,
             rep,
@@ -214,31 +196,12 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
             def wph(z):
                 return wp_both_scaled(z, half)[0]
 
-            # under the order-3 rotation the e-column picks up a cube root
-            # of unity and wp of the half lattice picks up its square:
-            # pair each column with the power that cancels its character
-            # (which root appears depends on the basis labelling)
-            s = emb.generators[0]
-            zp = base.scale * (0.23 + 0.31 * base.tau)
-            probe = np.atleast_1d(np.asarray(zp, dtype=complex))
-            pulled = np.einsum(
-                "ab,zb->za", rep.mats[s], coeffs(e0.fn(inverse(s).apply(probe)))
-            )
-            ratio = pulled / coeffs(e0.fn(probe))
-            w3 = np.exp(2j * np.pi / 3)
-            if abs(ratio[0, 1] - w3) < 1e-6:
-                pow_e, pow_f = 1, 2
-            elif abs(ratio[0, 1] - w3 ** 2) < 1e-6:
-                pow_e, pow_f = 2, 1
-            else:
-                raise RuntimeError("e-column does not transform by a cube root of unity")
-
-            e1 = MatrixFunction(
-                lambda z: (wph(z) ** pow_e)[..., None, None] * e0.fn(z), 2, base, orbit
-            )
-            f1 = MatrixFunction(
-                lambda z: (wph(z) ** pow_f)[..., None, None] * f0.fn(z), 2, base, orbit
-            )
+            # a4_group makes the rotation s cycle the half periods
+            # s1 -> s1 + s2 -> s2 on every basis, so under s the e-column
+            # picks up w^2 and the f-column w, w = exp(2 pi i/3), while wp
+            # of the half lattice picks up w^2: wp^2 e and wp f are invariant
+            e1 = _times(lambda z: wph(z) ** 2, e0)
+            f1 = _times(wph, f0)
             gens = GeneratorTriple(e1, f1, h0, ring, emb, rep, j, orbit)
     else:
         raise ValueError(f"unknown embedding kind {kind!r}")
@@ -266,41 +229,39 @@ def _bracket_margin(gens: GeneratorTriple) -> float:
     return 0.15
 
 
-def _probe(gens: GeneratorTriple, n_samples: int, seed: int, margin: float | None = None) -> np.ndarray:
-    from .funcalg import FitError
+def _backed_off(attempt, margin: float):
+    """attempt(margin), retried at shrinking margins while sampling starves.
 
-    rng = np.random.default_rng(seed)
-    if margin is None:
-        margin = _bracket_margin(gens)
-    # spread-out orbits can exhaust the cell at the preferred margin;
-    # back off rather than fail (the residual targets are calibrated for
-    # the catalogued shifts, wider orbits simply report what they get)
+    Spread-out orbits can exhaust the cell at the preferred margin; back
+    off rather than fail (the residual targets are calibrated for the
+    catalogued shifts, wider orbits simply report what they get).
+    """
     for factor in (1.0, 0.75, 0.55, 0.4, 0.25):
         try:
-            return sample_points(
-                ScaledLattice(gens.emb.tau),
-                n_samples,
-                rng,
-                avoid=gens.poles,
-                margin=margin * factor,
-            )
+            return attempt(margin * factor)
         except FitError:
             continue
-    raise FitError("no probe margin admits samples away from the pole orbit")
+    raise FitError("no sampling margin admits points away from the pole orbit")
+
+
+def _probe(gens: GeneratorTriple, n_samples: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    slat = ScaledLattice(gens.emb.tau)
+    return _backed_off(
+        lambda m: sample_points(slat, n_samples, rng, avoid=gens.poles, margin=m),
+        _bracket_margin(gens),
+    )
 
 
 def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0, tol: float = 1e-6) -> WPoly:
     """Fit the invariant p with [E, F] = H tensor p and attach it.
 
-    The scalar function is recovered as tr([E, F] H)/2 (the trace form of
-    sl2 normalises tr(H^2) = 2 for conjugated frames) and expanded in the
-    case's invariant ring.  The sampling margin is the case's bracket
-    margin converted to the ring cell: the invariant lattice can be much
-    finer than the original one, and the frames blow up near the pole
-    orbit in absolute distance.
+    The scalar function is recovered as the projection of [E, F] onto H
+    and expanded in the case's invariant ring.  The sampling margin is the
+    case's bracket margin converted to the ring cell: the invariant
+    lattice can be much finer than the original one, and the frames blow
+    up near the pole orbit in absolute distance.
     """
-    from .funcalg import FitError
-    from .lattice import shortest_period
 
     def p_fn(z):
         e = gens.E.fn(z)
@@ -314,20 +275,13 @@ def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0, tol: float = 1
     slat = gens.ring.slat
     short_ring = shortest_period(slat.tau) * abs(slat.scale)
     margin = _bracket_margin(gens) * short_orig / short_ring
-    w = None
-    for factor in (1.0, 0.75, 0.55, 0.4, 0.25):
-        try:
-            w = fit_in_ring(
-                tf, gens.ring, gens.structure_bound, seed=seed, tol=tol,
-                margin=margin * factor,
-            )
-            break
-        except FitError:  # sampling starved at this margin
-            continue
-    if w is None:
-        raise FitError("no sampling margin admits points away from the pole orbit")
-    gens.structure_poly = w
-    return w
+    gens.structure_poly = _backed_off(
+        lambda m: fit_in_ring(
+            tf, gens.ring, gens.structure_bound, seed=seed, tol=tol, margin=m
+        ),
+        margin,
+    )
+    return gens.structure_poly
 
 
 def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:

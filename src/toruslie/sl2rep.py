@@ -34,6 +34,7 @@ __all__ = [
     "GroupRepresentation",
     "ad",
     "bracket",
+    "characters",
     "coeffs",
     "from_coeffs",
     "isotypical_projection",
@@ -159,7 +160,7 @@ def standard_rep(emb: GroupEmbedding, j: int = 1) -> GroupRepresentation:
             return GroupRepresentation(emb, {emb.elements[0]: np.eye(3, dtype=complex)})
         if math.gcd(j, n) != 1:
             raise ValueError(f"character index {j} is not coprime to {n}")
-        r = next(g for g in emb.generators)
+        r = emb.cyclic_generator
         return GroupRepresentation(emb, _extend(emb, {r: _cyclic_eigen(n, j)}))
     if kind == "Cl_rotation":
         ell = emb.order_param
@@ -187,8 +188,8 @@ def standard_rep(emb: GroupEmbedding, j: int = 1) -> GroupRepresentation:
 
 
 def cyclic_labels(emb: GroupEmbedding) -> dict:
-    """element -> exponent k for a cyclic embedding generated by emb.generators[0]."""
-    gen = emb.generators[-1] if emb.kind == "DN" else emb.generators[0]
+    """element -> exponent k for a cyclic embedding generated by its cyclic generator."""
+    gen = emb.cyclic_generator
     labels = {}
     g = next(e for e in emb.elements if e.is_identity)
     for k in range(emb.order):
@@ -213,26 +214,31 @@ def c2c2_labels(emb: GroupEmbedding) -> dict:
     return out
 
 
+def characters(emb: GroupEmbedding, chi) -> dict:
+    """element -> chi(element) for an abelian embedding.
+
+    chi is either an integer character index for a cyclic embedding
+    (chi_j(r^k) = w^(jk), w = exp(2*pi*i/|G|)) or a pair (i, j) for
+    C2 x C2.
+    """
+    if emb.kind in ("CN_translation", "Cl_rotation"):
+        w = cmath.exp(2j * math.pi / emb.order)
+        return {g: w ** (int(chi) * k) for g, k in cyclic_labels(emb).items()}
+    if emb.kind == "C2xC2_translation":
+        ci, cj = chi
+        return {g: (-1.0) ** (ci * b1 + cj * b2) for g, (b1, b2) in c2c2_labels(emb).items()}
+    raise ValueError("characters need an abelian embedding")
+
+
 def isotypical_projection(rep: GroupRepresentation, chi) -> list[np.ndarray]:
     """Basis of the chi-isotypical component of sl2 under an abelian action.
 
-    chi is either an integer character index for a cyclic embedding
-    (chi_j(r^k) = w^(jk)) or a pair (i, j) for C2 x C2.  Returns a list of
+    chi is a character as in :func:`characters`.  Returns a list of
     coordinate vectors over (h, e, f); the image of the averaging
     projector (1/|G|) sum conj(chi(g)) rho(g).
     """
     emb = rep.emb
-    if emb.kind in ("CN_translation", "Cl_rotation"):
-        labels = cyclic_labels(emb)
-        n = emb.order
-        w = cmath.exp(2j * math.pi / n)
-        char = {g: w ** (int(chi) * k) for g, k in labels.items()}
-    elif emb.kind == "C2xC2_translation":
-        bits = c2c2_labels(emb)
-        ci, cj = chi
-        char = {g: (-1.0) ** (ci * b1 + cj * b2) for g, (b1, b2) in bits.items()}
-    else:
-        raise ValueError("isotypical projection needs an abelian embedding")
+    char = characters(emb, chi)
     proj = sum(np.conj(char[g]) * rep.mats[g] for g in emb.elements) / emb.order
     u, s, _ = np.linalg.svd(proj)
     rank = int(np.sum(s > 1e-10))

@@ -24,11 +24,11 @@ from math import gcd
 
 from .lattice import (
     Lattice,
+    ScaledLattice,
     TorsionPoint,
     is_hexagonal_class,
     is_square_class,
-    sublattice_basis,
-    sublattice_scaled,
+    sublattice_vectors,
 )
 
 __all__ = [
@@ -197,6 +197,11 @@ class GroupEmbedding:
     @property
     def tau(self) -> complex:
         return self.lattice.tau
+
+    @property
+    def cyclic_generator(self) -> AffineAutomorphism:
+        """Generator of the cyclic part: the translation r of D_N, else the first."""
+        return self.generators[-1] if self.kind == "DN" else self.generators[0]
 
 
 def _require(cond: bool, msg: str):
@@ -379,14 +384,7 @@ def translation_subgroup(emb: GroupEmbedding):
     corresponds to the lattice spanned by the original one and the shifts.
     """
     trans = [g for g in emb.elements if g.is_translation]
-    shifts = [g.shift for g in trans if not g.shift.is_zero()]
-    n = 1
-    for s in shifts:
-        n = n * s.n // gcd(n, s.n)
-    gens = [(n, 0), (0, n)]
-    gens += [(s.a * n // s.n, s.b * n // s.n) for s in shifts]
-    quotient = sublattice_basis(gens, n, emb.tau)
-
+    quotient = Lattice(quotient_scaled(emb).tau)
     lattice = emb.lattice
     if len(trans) == 1:
         sub = GroupEmbedding(
@@ -411,4 +409,5 @@ def quotient_scaled(emb: GroupEmbedding):
         n = n * g.shift.n // gcd(n, g.shift.n)
     gens = [(n, 0), (0, n)]
     gens += [(g.shift.a * n // g.shift.n, g.shift.b * n // g.shift.n) for g in trans]
-    return sublattice_scaled(gens, n, emb.tau)
+    w1, w2 = sublattice_vectors(gens, n, emb.tau)
+    return ScaledLattice(w2 / w1, w1)

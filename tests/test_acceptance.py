@@ -10,7 +10,9 @@ import pytest
 from toruslie.classify import KIND_BY_BRANCH_COUNT, classify, cross_validate
 from toruslie.elliptic import invariants, wp_both
 from toruslie.funcalg import (
+    InvariantRing,
     c2c2_constants,
+    fit_in_ring,
     fit_lambda_mu,
     p_small,
     p_system,
@@ -335,14 +337,12 @@ def test_criterion_11_klein_constants():
 
     # p0^2 = (wp_half - 4 e3) / ((e1-e3)^2 (e2-e3)^2) with the stated
     # coefficients, on all three reference lattices
-    from toruslie.funcalg import fit_wpoly
-
     coeff_res = 0.0
     for lat in THREE:
         emb = c2c2_translation(lat)
         p0, _, _ = p_small(emb)
         inv = invariants(lat)
-        w = fit_wpoly(p0 * p0, ScaledLattice(lat.tau, 0.5), 2)
+        w = fit_in_ring(p0 * p0, InvariantRing(ScaledLattice(lat.tau, 0.5)), 2)
         c0 = 1.0 / ((inv.e1 - inv.e3) ** 2 * (inv.e2 - inv.e3) ** 2)
         coeff_res = max(
             coeff_res,

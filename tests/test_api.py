@@ -1,0 +1,45 @@
+"""Every exported name resolves, and so does every layer the benchmark traces."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import toruslie
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(toruslie.__path__))
+SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+
+
+def _traced_targets():
+    """(module, attribute) pairs of the TARGETS tuple in bench/spans.py."""
+    tree = ast.parse(SPANS.read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [(module, attr) for module, attr, *_ in ast.literal_eval(node.value)]
+    raise AssertionError("bench/spans.py defines no TARGETS tuple")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_resolve(module):
+    mod = importlib.import_module(f"toruslie.{module}")
+    names = mod.__all__
+    assert len(names) == len(set(names)), "duplicate __all__ entries"
+    missing = [n for n in names if not hasattr(mod, n)]
+    assert not missing
+
+
+@pytest.mark.skipif(not SPANS.is_file(), reason="benchmark sources not present")
+def test_traced_targets_resolve():
+    targets = _traced_targets()
+    assert targets
+    for module, attr in targets:
+        obj = importlib.import_module(f"toruslie.{module}")
+        for part in attr.split("."):
+            assert hasattr(obj, part), f"toruslie.{module}.{attr}"
+            obj = getattr(obj, part)
+        assert callable(obj), f"toruslie.{module}.{attr}"

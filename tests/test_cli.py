@@ -121,6 +121,17 @@ class TestEval:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    def test_lattice_point_rejected(self, capsys, fmt):
+        # z = 1 is the origin of the torus modulo the lattice
+        rc, out, err = run(
+            capsys, "eval", "--group", "cn", "--order", "3",
+            "--z-re", "1", "--z-im", "0", *fmt,
+        )
+        assert rc == 2
+        assert out == ""
+        assert "pole divisor" in err
+
 
 class TestVerify:
     def test_default_passes(self, capsys):
@@ -170,6 +181,13 @@ class TestPlumbing:
     def test_malformed_torsion(self, capsys):
         with pytest.raises(SystemExit):
             main(["classify", "--torsion", "1/2"])
+
+    def test_trunc_only_on_constants(self, capsys):
+        rc, out, _ = run(capsys, "constants", "--trunc", "5", "--json")
+        assert rc == 0 and json.loads(out)["command"] == "constants"
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", "--trunc", "5"])
+        assert exc.value.code == 2
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

@@ -100,6 +100,17 @@ class TestInvariants:
             assert abs(s.g2 - inv.g2 / alpha ** 4) <= 1e-8 * abs(inv.g2)
             assert abs(s.g3 - inv.g3 / alpha ** 6) <= 1e-8 * abs(inv.g3)
 
+    @pytest.mark.parametrize("tau", [8j, 12j])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_scaled_discriminant_on_tall_lattices(self, tau, scale):
+        # g2^3 - 27 g3^2 cancels to 0 here; the eta-product value survives
+        inv = invariants(Lattice(tau))
+        s = invariants_scaled(ScaledLattice(tau, scale))
+        assert s.discriminant != 0
+        expect = inv.discriminant / scale ** 12
+        assert abs(s.discriminant - expect) <= 1e-12 * abs(expect)
+        assert abs(1728.0 * s.g2 ** 3 / s.discriminant - inv.j) <= 1e-9 * abs(inv.j)
+
 
 class TestWeierstrass:
     @pytest.mark.parametrize("lat", LATTICES, ids=["square", "hex", "generic"])

@@ -12,8 +12,6 @@ from toruslie.funcalg import (
     character_project,
     fit_in_ring,
     fit_lambda_mu,
-    fit_wpoly,
-    p_big,
     p_small,
     p_system,
     residue_at,
@@ -140,7 +138,7 @@ class TestCharacterProject:
 class TestPBig:
     def test_p0_vanishes(self):
         emb = cn_translation(L_GEN, 4)
-        p0 = p_big(emb, 0)
+        p0 = p_system(emb).pj(0)
         rng = np.random.default_rng(6)
         z = sample_points(p0.lattice, 50, rng, margin=0.0)
         assert np.max(np.abs(p0(z))) < 1e-9
@@ -149,7 +147,7 @@ class TestPBig:
     def test_residues_at_origin(self, n):
         emb = cn_translation(L_GEN, n)
         for j in range(1, n):
-            pj = p_big(emb, j)
+            pj = p_system(emb).pj(j)
             res = residue_at(pj, 0.0)
             expect = -2.0 + 2.0 * np.cos(2 * np.pi * j / n)
             assert abs(res - expect) < 1e-6
@@ -167,7 +165,7 @@ class TestPBig:
     def test_character_twist(self):
         n = 3
         emb = cn_translation(L_GEN, n)
-        p1 = p_big(emb, 1)
+        p1 = p_system(emb).pj(1)
         alpha = 1.0 / 3.0
         rng = np.random.default_rng(8)
         z = sample_points(p1.lattice, 30, rng, avoid=p1.poles, margin=0.08)
@@ -176,7 +174,7 @@ class TestPBig:
 
     def test_poles_are_simple(self):
         emb = cn_translation(L_GEN, 3)
-        p1 = p_big(emb, 1)
+        p1 = p_system(emb).pj(1)
         for r in (1e-3, 1e-4):
             z = np.array([r, r * 1j, -r])
             assert np.max(np.abs(z * p1(z))) < 10.0
@@ -185,7 +183,7 @@ class TestPBig:
         # the twist moves residues by the character; poles sit on the
         # whole orbit with equal magnitude
         emb = cn_translation(L_GEN, 4)
-        p1 = p_big(emb, 1)
+        p1 = p_system(emb).pj(1)
         r0 = residue_at(p1, 0.0)
         r1 = residue_at(p1, 0.25)
         assert abs(r1 - (-1j) * r0) < 1e-6
@@ -359,7 +357,7 @@ class TestFitWPoly:
     def test_wp_squared(self):
         f = wp_function(L_GEN)
         g = f * f
-        w = fit_wpoly(g, L_GEN, 4)
+        w = fit_in_ring(g, InvariantRing(ScaledLattice(L_GEN.tau)), 4)
         assert len(w.b) == 0
         assert np.allclose(w.a, (0, 0, 1), atol=1e-8)
 
@@ -374,7 +372,7 @@ class TestFitWPoly:
             2,
         )
         ring = quotient_scaled(emb)
-        w = fit_wpoly(prod, ring, 2)
+        w = fit_in_ring(prod, InvariantRing(ring), 2)
         assert len(w.b) == 0
         assert len(w.a) == 2 and abs(w.a[1]) > 1e-6
 
@@ -385,7 +383,7 @@ class TestFitWPoly:
             p0, _, _ = p_small(emb)
             inv = invariants(lat)
             half = ScaledLattice(lat.tau, 0.5)
-            w = fit_wpoly(p0 * p0, half, 2)
+            w = fit_in_ring(p0 * p0, InvariantRing(half), 2)
             c0 = 1.0 / ((inv.e1 - inv.e3) ** 2 * (inv.e2 - inv.e3) ** 2)
             assert len(w.a) == 2
             assert abs(w.a[1] - c0) < 1e-7 * max(1, abs(c0))

@@ -11,7 +11,6 @@ from toruslie.lattice import (
     shortest_period,
     sublattice_basis,
     sublattice_vectors,
-    torsion_order,
     torus_reduce,
     transport_torsion,
 )
@@ -156,9 +155,9 @@ class TestTorusReduce:
 
 class TestTorsionPoint:
     def test_orders(self):
-        assert torsion_order(TorsionPoint(0, 0, 1)) == 1
-        assert torsion_order(TorsionPoint(1, 0, 2)) == 2
-        assert torsion_order(TorsionPoint(2, 0, 4)) == 2  # reduces to (1,0,2)
+        assert TorsionPoint(0, 0, 1).n == 1
+        assert TorsionPoint(1, 0, 2).n == 2
+        assert TorsionPoint(2, 0, 4).n == 2  # reduces to (1,0,2)
 
     def test_normalisation(self):
         p = TorsionPoint(2, 0, 4)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from toruslie.elliptic import invariants, invariants_scaled, wp_both, wp_both_scaled
+from toruslie.classify import cross_validate
 from toruslie.funcalg import sample_points
+from toruslie.intertwine import psi
 from toruslie.lattice import HEX_TAU, Lattice, ScaledLattice, TorsionPoint, transport_torsion
 from toruslie.normalform import (
     abelianization_dim,
@@ -20,6 +22,7 @@ from toruslie.torusgroup import (
     cl_rotation,
     cn_translation,
     dn_group,
+    inverse,
 )
 
 GENERIC = complex(0.31, 1.07)
@@ -260,22 +263,73 @@ class TestAbelianization:
         assert abs(ring_inv.discriminant) > 1.0
 
 
+def _hex_image(m):
+    (a, b), (c, d) = m
+    return (a * HEX_TAU + b) / (c * HEX_TAU + d)
+
+
+W3 = np.exp(2j * np.pi / 3)
+
+# eleven SL2(Z) images of the hexagonal parameter, each a basis of the
+# same lattice with its own labelling of the half periods
+HEX_BASES = [
+    ("shifted", HEX_TAU + 1),
+    ("left-corner", np.exp(2j * np.pi / 3)),
+    ("moebius", (2 * HEX_TAU + 1) / (HEX_TAU + 1)),
+    ("canonical", HEX_TAU),
+    ("plus-two", _hex_image(((1, 2), (0, 1)))),
+    ("minus-two", _hex_image(((1, -2), (0, 1)))),
+    ("st", _hex_image(((0, -1), (1, 1)))),
+    ("lower", _hex_image(((1, 0), (1, 1)))),
+    ("lower-two", _hex_image(((1, 0), (2, 1)))),
+    ("narrow", _hex_image(((1, 1), (1, 2)))),
+    ("flat", _hex_image(((1, 2), (1, 3)))),
+]
+FLAT_DEFECT = (
+    "flat basis (w+2)/(w+3): ef 6.3e-7 above 1e-7 at frame_scale 4.9e5, "
+    "the conditioning defect of skewed lattices"
+)
+
+
 class TestNonCanonicalBases:
     @pytest.mark.parametrize(
         "tau",
-        [HEX_TAU + 1, np.exp(2j * np.pi / 3), (2 * HEX_TAU + 1) / (HEX_TAU + 1)],
-        ids=["shifted", "left-corner", "moebius"],
+        [
+            pytest.param(
+                tau,
+                id=name,
+                marks=[pytest.mark.xfail(strict=True, reason=FLAT_DEFECT)] if name == "flat" else [],
+            )
+            for name, tau in HEX_BASES
+        ],
     )
     def test_a4_works_on_any_hexagonal_basis(self, tau):
         # the half-period labels permute with the basis; the adapted
         # generators and shift-matched constants must compensate
-        emb = a4_group(Lattice(tau))
-        gens = normal_form(emb)
-        structure_polynomial(gens)
-        br = verify_brackets(gens)
+        cv = cross_validate(a4_group(Lattice(tau)))
+        br = cv.bracket_residuals
         assert max(br["he"], br["hf"], br["ef"]) < 1e-7
-        assert invariance_residual(gens) < 1e-8
-        assert abelianization_dim(gens) == 2
+        assert cv.invariance < 1e-8
+        assert cv.abel_dim == 2
+        assert cv.passed
+
+    @pytest.mark.parametrize("tau", [t for _, t in HEX_BASES], ids=[n for n, _ in HEX_BASES])
+    def test_a4_choices_forced_by_group(self, tau):
+        # r2 := r1 (s r1 s^-1) fixes how s permutes the half periods, so
+        # the shift-matched constants need no sign flip and the e-column
+        # always picks up w^2 under s (the normal form pairs it with wp^2)
+        emb = a4_group(Lattice(tau))
+        s = emb.generators[0]
+        rho_s = standard_rep(emb).mats[s]
+        m = psi(emb)
+        z = sample_points(m.lattice, 6, np.random.default_rng(0), avoid=m.poles, margin=0.15)
+        at_z = m(z)
+        h_moved = np.einsum("ab,zb->za", rho_s, at_z[..., :, 0])
+        assert np.max(np.abs(h_moved - m(s.apply(z))[..., :, 0])) < 1e-8
+        pulled = np.einsum("ab,zbc->zac", rho_s, m(inverse(s).apply(z)))
+        scale = max(1.0, float(np.max(np.abs(at_z))))
+        assert np.max(np.abs(pulled[..., :, 1] - W3 ** 2 * at_z[..., :, 1])) < 1e-6 * scale
+        assert np.max(np.abs(pulled[..., :, 2] - W3 * at_z[..., :, 2])) < 1e-6 * scale
 
 
 class TestHomothety:
