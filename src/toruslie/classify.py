@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from .elliptic import invariants_scaled, j_invariant
 from .lattice import ModularClass, reduce_modular
 from .normalform import (
+    GeneratorTriple,
     abelianization_dim,
     invariance_residual,
     normal_form,
@@ -84,6 +85,9 @@ def classify(emb: GroupEmbedding) -> Classification:
 
 @dataclass(frozen=True)
 class CrossValidation:
+    """Checks of one normal form; ``triple`` is the triple they were run on,
+    with its structure polynomial attached."""
+
     classification: Classification
     bracket_residuals: dict
     invariance: float
@@ -93,6 +97,7 @@ class CrossValidation:
     checks: dict
     passed: bool
     notes: tuple = ()
+    triple: GeneratorTriple | None = field(default=None, compare=False, repr=False)
 
 
 def _poly_root_shape(kind: str, abel_dim: int, is_const: bool) -> bool:
@@ -206,4 +211,5 @@ def cross_validate(
         checks,
         all(checks.values()),
         tuple(notes),
+        gens,
     )

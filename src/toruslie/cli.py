@@ -24,9 +24,7 @@ from .elliptic import invariants
 from .funcalg import c2c2_constants, fit_lambda_mu, torus_distance
 from .intertwine import phi, psi
 from .lattice import Lattice, ScaledLattice, TorsionPoint
-from .normalform import (
-    _h_projection, invariance_residual, normal_form, structure_polynomial, verify_brackets,
-)
+from .normalform import _h_projection, invariance_residual, normal_form, verify_brackets
 from .torusgroup import GroupEmbedding, UnsupportedEmbeddingError, catalog, make_embedding
 
 __all__ = ["RunConfig", "main"]
@@ -238,15 +236,16 @@ def _mat(m: np.ndarray) -> list:
 
 def cmd_verify(cfg: RunConfig) -> int:
     emb = _embedding(cfg)
-    gens = normal_form(emb, j=cfg.char_j)
-    structure_polynomial(gens, seed=cfg.seed)
+    # cross_validate fits the structure polynomial on the unperturbed
+    # triple; --perturb-f then scales F of that triple against it
+    cv = cross_validate(emb, cfg.char_j, seed=cfg.seed)
+    gens = cv.triple
     if cfg.perturb:
         f0 = gens.F.fn
         factor = 1.0 + cfg.perturb
         gens.F.fn = lambda z: factor * f0(z)
     br = verify_brackets(gens, cfg.samples, seed=cfg.seed + 1)
     inv_res = invariance_residual(gens, max(20, cfg.samples // 2), seed=cfg.seed + 2)
-    cv = cross_validate(emb, cfg.char_j, seed=cfg.seed)
     checks = {
         "he": br["he"] < cfg.tol,
         "hf": br["hf"] < cfg.tol,

@@ -8,6 +8,10 @@ double-precision roundoff.  The defining lattice sum, which converges far
 too slowly for tight tolerances, is kept in the test suite as an
 independent oracle.
 
+wp_both takes a scalar or an array of any shape; callers batch every
+point set they need (all shifts of all probes) into one call, since the
+per-call overhead dwarfs the per-point cost at small batches.
+
 Values very close to a lattice point are delegated to the Laurent
 expansion 1/z^2 + (g2/20) z^2 + (g3/28) z^4 + ...; on a lattice point the
 functions return complex infinity rather than raising.
@@ -120,11 +124,17 @@ def _wp_series(zc: np.ndarray, cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
 
     ks = cell.ks
     # |q^k u^{+-k}| <= |q|^(k/2) for t in [-1/2, 1/2): no overflow.
-    ea = np.exp(_TWO_PI_I * np.multiply.outer(ks, cell.tau_r - zs))
-    eb = np.exp(_TWO_PI_I * np.multiply.outer(ks, cell.tau_r + zs))
+    # the K x Z terms are formed in place: stacked callers pass thousands
+    # of points, and every extra K x Z temporary shows in peak memory
+    ea = np.multiply.outer(ks, cell.tau_r - zs)
+    np.exp(np.multiply(_TWO_PI_I, ea, out=ea), out=ea)
+    eb = np.multiply.outer(ks, cell.tau_r + zs)
+    np.exp(np.multiply(_TWO_PI_I, eb, out=eb), out=eb)
     w = (ks / cell.denom)[:, None]
-    sum_p = np.sum(w * (ea + eb), axis=0)
-    sum_q = np.sum((ks[:, None] * w) * (eb - ea), axis=0)
+    terms = np.add(ea, eb)
+    sum_p = np.sum(np.multiply(w, terms, out=terms), axis=0)
+    np.subtract(eb, ea, out=terms)
+    sum_q = np.sum(np.multiply(ks[:, None] * w, terms, out=terms), axis=0)
 
     wpv = _PI ** 2 * (head_p - 1.0 / 3.0 + 8.0 * cell.s1 - 4.0 * sum_p)
     wppv = -8j * _PI ** 3 * (head_q + sum_q)
@@ -145,13 +155,14 @@ def _wp_series(zc: np.ndarray, cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
 def wp_both(z, lattice: Lattice, trunc: int | None = None):
     """Evaluate (wp(z), wp'(z)) for the lattice Z + Z*tau.
 
-    Accepts scalars or arrays.  On lattice points both values are complex
-    infinity.
+    Accepts a scalar or an array of any shape; arrays come back in the
+    shape they came in, with values equal to those of the flattened call.
+    On lattice points both values are complex infinity.
     """
     cell = _cell(lattice.tau, trunc)
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
-    zc = torus_reduce_centered(np.atleast_1d(zz) / cell.m, cell.tau_r)
+    zc = torus_reduce_centered(zz.reshape(-1) / cell.m, cell.tau_r)
     wpv, wppv = _wp_series(zc, cell)
     with np.errstate(invalid="ignore"):
         wpv = wpv / cell.m ** 2

@@ -195,6 +195,34 @@ class WPoly:
 # numeric functions on the torus
 
 
+def _shifted(z: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """z - s for every shift s, stacked on a new leading axis."""
+    return z[None, ...] - shifts.reshape((-1,) + (1,) * z.ndim)
+
+
+def _last_points_memo(fn):
+    """fn remembering its value at the last point array it was called on.
+
+    Evaluators that run in turn on the same points (the three generators
+    of a triple, the three half-period functions of Psi) share one such
+    base evaluation.  The key is the array's dtype, shape and bytes, never
+    its identity, so a reused buffer with new contents misses.  Callers
+    must not write into the returned value.
+    """
+    last_key = None
+    last_value = None
+
+    def memo(z):
+        nonlocal last_key, last_value
+        key = (z.dtype.str, z.shape, z.tobytes())
+        if key != last_key:
+            last_value = fn(z)
+            last_key = key
+        return last_value
+
+    return memo
+
+
 def torus_distance(z, p, slat: ScaledLattice) -> np.ndarray:
     """Distance from z to p modulo the scaled lattice."""
     zz = (np.asarray(z, dtype=complex) - p) / slat.scale
@@ -331,21 +359,27 @@ class PSystem:
         )
 
     def _v_stack(self, z: np.ndarray) -> np.ndarray:
-        rows = []
-        for k in range(self.n):
-            wpv, wppv = wp_both_scaled(z - k * self.alpha, self.slat)
-            rows.append(wppv / (wpv - self.wp_alpha))
-        return np.stack(rows)
+        """v(z - k alpha) for k = 0..n-1, stacked on a leading axis."""
+        wpv, wppv = wp_both_scaled(_shifted(z, np.arange(self.n) * self.alpha), self.slat)
+        return wppv / (wpv - self.wp_alpha)
 
     def values(self, z, js) -> dict:
-        """P_j(z) for each j in js, sharing the shifted evaluations."""
+        """P_j(z) for each j in js, sharing the shifted evaluations.
+
+        The phase sum is accumulated shift by shift, elementwise, so a
+        point's value does not depend on which other points share the call
+        (a BLAS contraction would round differently with the batch size).
+        """
         zz = np.atleast_1d(np.asarray(z, dtype=complex))
         stack = self._v_stack(zz)
         ks = np.arange(self.n)
         out = {}
         for j in js:
             phases = self.w ** (-(ks * (j % self.n)))
-            out[j] = np.tensordot(phases, stack, axes=(0, 0))
+            acc = phases[0] * stack[0]
+            for c, row in zip(phases[1:], stack[1:]):
+                acc += c * row
+            out[j] = acc
         return out
 
     def pj(self, j: int) -> TorusFunction:
@@ -484,7 +518,7 @@ def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFun
     """
     slat = ScaledLattice(emb.tau)
     s1, s2 = _half_periods(emb)
-    shifts = (0.0, s1, s2, s1 + s2)
+    shifts = np.array([0.0, s1, s2, s1 + s2])
     signs = {
         "p2": (1.0, 1.0, -1.0, -1.0),
         "p1": (1.0, -1.0, 1.0, -1.0),
@@ -494,12 +528,17 @@ def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFun
         complex(torus_reduce_centered(s, emb.tau)) for s in shifts
     )
 
+    # p0, p1 and p2 are evaluated together (by psi) on the same points:
+    # one wp' evaluation at the four shifts serves all three
+    inv_wpp = _last_points_memo(
+        lambda z: 1.0 / wp_both_scaled(_shifted(z, shifts), slat)[1]
+    )
+
     def make(sgn):
         def fn(z):
             acc = np.zeros_like(z, dtype=complex)
-            for c, s in zip(sgn, shifts):
-                wpv, wppv = wp_both_scaled(z - s, slat)
-                acc += c / wppv
+            for c, row in zip(sgn, inv_wpp(z)):
+                acc += c * row
             return acc
 
         return fn

@@ -28,7 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elliptic import wp_both_scaled
-from .funcalg import FitError, InvariantRing, TorusFunction, WPoly, fit_in_ring, sample_points
+from .funcalg import (
+    FitError, InvariantRing, TorusFunction, WPoly, _last_points_memo, fit_in_ring, sample_points,
+)
 from .intertwine import MatrixFunction, phi, psi
 from .lattice import ScaledLattice, shortest_period, torus_reduce_centered
 from .sl2rep import B_E, B_F, B_H, GroupRepresentation, coeffs, standard_rep
@@ -98,6 +100,11 @@ def _times(factor, frame: MatrixFunction) -> MatrixFunction:
     return MatrixFunction(fn, 2, frame.lattice, frame.poles)
 
 
+def _shared(m: MatrixFunction) -> MatrixFunction:
+    """m evaluated once per point set for all generators built on it."""
+    return MatrixFunction(_last_points_memo(lambda z: m.fn(z)), m.d, m.lattice, m.poles, m.meta)
+
+
 def _conjugated(phi_m: MatrixFunction, x: np.ndarray) -> MatrixFunction:
     """z -> Phi(z) x Phi(z)^-1.
 
@@ -142,7 +149,11 @@ def _orbit_points(emb: GroupEmbedding) -> tuple:
 
 
 def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: int = 1) -> GeneratorTriple:
-    """Construct the invariant generator triple for a catalog embedding."""
+    """Construct the invariant generator triple for a catalog embedding.
+
+    E, F and H share their base (Phi, Psi or the wp factor): evaluated in
+    turn on one point array, the three of them evaluate it once.
+    """
     if rep is None:
         rep = standard_rep(emb, j)
     kind = emb.kind
@@ -153,7 +164,7 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
         if emb.order_param == 1:
             e0, f0, h0 = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
         else:
-            ph = phi(emb, j)
+            ph = _shared(phi(emb, j))
             e0, f0, h0 = (_conjugated(ph, x) for x in (B_E, B_F, B_H))
         ring_slat = quotient_scaled(emb)
         if kind == "CN_translation":
@@ -162,9 +173,7 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
         else:
             ring = InvariantRing(ring_slat, "wp")
 
-            def wpp(z):
-                return wp_both_scaled(z, ring_slat)[1]
-
+            wpp = _last_points_memo(lambda z: wp_both_scaled(z, ring_slat)[1])
             gens = GeneratorTriple(_times(wpp, e0), _times(wpp, f0), h0, ring, emb, rep, j, orbit)
     elif kind == "Cl_rotation":
         ell = emb.order_param
@@ -173,9 +182,10 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
         fe, ff, var = _ROTATION_TABLE[ell]
         ring = InvariantRing(base, var)
         e0, f0, h0 = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
+        wpb = _last_points_memo(lambda z: wp_both_scaled(z, base))
         gens = GeneratorTriple(
-            _times(lambda z: fe(*wp_both_scaled(z, base)), e0),
-            _times(lambda z: ff(*wp_both_scaled(z, base)), f0),
+            _times(lambda z: fe(*wpb(z)), e0),
+            _times(lambda z: ff(*wpb(z)), f0),
             h0,
             ring,
             emb,
@@ -184,7 +194,7 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
             orbit,
         )
     elif kind in ("C2xC2_translation", "A4"):
-        ps = psi(emb)
+        ps = _shared(psi(emb))
         half = quotient_scaled(emb)
         h0, e0, f0 = (_psi_column(ps, c) for c in (0, 1, 2))
         if kind == "C2xC2_translation":
@@ -193,9 +203,7 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
         else:
             ring = InvariantRing(half, "wp_prime")
 
-            def wph(z):
-                return wp_both_scaled(z, half)[0]
-
+            wph = _last_points_memo(lambda z: wp_both_scaled(z, half)[0])
             # a4_group makes the rotation s cycle the half periods
             # s1 -> s1 + s2 -> s2 on every basis, so under s the e-column
             # picks up w^2 and the f-column w, w = exp(2 pi i/3), while wp
@@ -337,17 +345,25 @@ def verify_brackets(gens: GeneratorTriple, n_samples: int = 60, seed: int = 1) -
 
 
 def invariance_residual(gens: GeneratorTriple, n_samples: int = 40, seed: int = 2) -> float:
-    """Worst deviation from rho(g) X(g^-1 z) = X(z) over the group and probes."""
+    """Worst deviation from rho(g) X(g^-1 z) = X(z) over the group and probes.
+
+    The preimages g^-1 z of all group elements are stacked into one point
+    array, so the triple is evaluated twice in all: at the probes and at
+    the preimages.
+    """
     z = _probe(gens, n_samples, seed)
-    emb, rep = gens.emb, gens.rep
+    elements = gens.emb.elements
+    zi = np.concatenate([inverse(g).apply(z) for g in elements])
+    r = np.stack([gens.rep.mats[g] for g in elements])
+    frames = (gens.E, gens.F, gens.H)
+    # all three at the probes first, then all three at the preimages: the
+    # shared base is evaluated once per point array
+    at_probes = [coeffs(m.fn(z)) for m in frames]
     worst = 0.0
-    for g in emb.elements:
-        zi = inverse(g).apply(z)
-        r = rep.mats[g]
-        for m in (gens.E, gens.F, gens.H):
-            v = coeffs(m.fn(zi))
-            pulled = np.einsum("ab,zb->za", r, v)
-            worst = max(worst, float(np.max(np.abs(pulled - coeffs(m.fn(z))))))
+    for m, v0 in zip(frames, at_probes):
+        v = coeffs(m.fn(zi)).reshape(len(elements), len(z), -1)
+        pulled = np.einsum("gab,gzb->gza", r, v)
+        worst = max(worst, float(np.max(np.abs(pulled - v0))))
     return worst
 
 

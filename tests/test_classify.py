@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import toruslie.elliptic
 from toruslie.classify import KIND_BY_BRANCH_COUNT, classify, cross_validate
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, moebius, reduce_modular, transport_torsion
 from toruslie.torusgroup import (
@@ -147,3 +148,27 @@ class TestCrossValidate:
         cv = cross_validate(dn_group(L_GEN, 2))
         assert "j_poly_consistent" in cv.checks
         assert cv.checks["j_poly_consistent"]
+
+
+class TestWorkCounts:
+    """wp evaluations per cross-validation: each stage evaluates every point
+    set once, with all shifts and group preimages in one call."""
+
+    @pytest.mark.parametrize(
+        "emb, limit",
+        [(a4_group(L_HEX), 40), (dn_group(L_SQ, 5), 30)],
+        ids=["a4", "dn5"],
+    )
+    def test_wp_calls_per_case(self, emb, limit, monkeypatch):
+        cross_validate(emb, seed=0)  # warm the per-lattice caches
+        calls = []
+        original = toruslie.elliptic.wp_both
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        # every evaluation reaches wp_both through the module attribute
+        monkeypatch.setattr(toruslie.elliptic, "wp_both", counting)
+        assert cross_validate(emb, seed=0).passed
+        assert 0 < len(calls) <= limit

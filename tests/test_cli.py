@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -154,6 +155,26 @@ class TestVerify:
             "--tau-re", "0.31", "--tau-im", "1.07", "--perturb-f", "0.01",
         )
         assert rc == 1
+
+    def test_builds_the_normal_form_once(self, capsys, monkeypatch):
+        # the package re-exports a function named classify over the module
+        cv_module = importlib.import_module("toruslie.classify")
+        cli_module = importlib.import_module("toruslie.cli")
+        built = []
+        original = cv_module.normal_form
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cv_module, "normal_form", counting)
+        monkeypatch.setattr(cli_module, "normal_form", counting)
+        rc, _, _ = run(
+            capsys, "verify", "--group", "dn", "--order", "3",
+            "--tau-re", "0.31", "--tau-im", "1.07",
+        )
+        assert rc == 0
+        assert len(built) == 1
 
     def test_reports_are_deterministic(self, capsys):
         args = (

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from toruslie import elliptic
 from toruslie.elliptic import (
     invariants,
     invariants_scaled,
@@ -10,7 +11,7 @@ from toruslie.elliptic import (
     wp_both,
     wp_prime,
 )
-from toruslie.lattice import HEX_TAU, Lattice, ScaledLattice
+from toruslie.lattice import HEX_TAU, Lattice, ScaledLattice, torus_reduce_centered
 
 GENERIC = complex(0.31, 1.07)
 LATTICES = [Lattice(1j), Lattice(HEX_TAU), Lattice(GENERIC)]
@@ -156,6 +157,42 @@ class TestWeierstrass:
         tau = lat.tau
         for h in (0.5, tau / 2, (1 + tau) / 2):
             assert abs(wp_prime(h, lat)) < 1e-8
+
+    def test_any_input_shape(self):
+        lat = Lattice(1j)
+        z = np.full((2, 3), 0.1 + 0.2j)
+        z[1] += np.array([0.3, 0.2j, 0.4 + 0.1j])
+        w, wq = wp_both(z, lat)
+        assert w.shape == wq.shape == (2, 3)
+        w1, wq1 = wp_both(z.ravel(), lat)
+        assert np.array_equal(w.ravel(), w1)
+        assert np.array_equal(wq.ravel(), wq1)
+
+    def test_series_matches_out_of_place_reference(self):
+        # the kernel forms its K x Z terms in place to save memory; the
+        # plain expressions below are the reference, equal bit for bit
+        two_pi_i = 2j * np.pi
+        for tau in (1j, HEX_TAU, GENERIC, 0.2 + 2.5j):
+            cell = elliptic._cell(tau)
+            zc = torus_reduce_centered(sample_cell(cell.tau_r, 300, 5), cell.tau_r)
+            u = np.exp(two_pi_i * zc)
+            big = np.abs(u) > 1.0
+            v = np.where(big, 1.0 / u, u)
+            omv = 1.0 - v
+            head_p = -4.0 * v / omv ** 2
+            head_q = v * (1.0 + v) / omv ** 3
+            head_q = np.where(big, -head_q, head_q)
+            ks = cell.ks
+            ea = np.exp(two_pi_i * np.multiply.outer(ks, cell.tau_r - zc))
+            eb = np.exp(two_pi_i * np.multiply.outer(ks, cell.tau_r + zc))
+            w = (ks / cell.denom)[:, None]
+            sum_p = np.sum(w * (ea + eb), axis=0)
+            sum_q = np.sum((ks[:, None] * w) * (eb - ea), axis=0)
+            ref_p = np.pi ** 2 * (head_p - 1.0 / 3.0 + 8.0 * cell.s1 - 4.0 * sum_p)
+            ref_q = -8j * np.pi ** 3 * (head_q + sum_q)
+            got_p, got_q = elliptic._wp_series(zc, cell)
+            assert got_p.tobytes() == ref_p.tobytes()
+            assert got_q.tobytes() == ref_q.tobytes()
 
     def test_pole_signal(self):
         lat = Lattice(GENERIC)

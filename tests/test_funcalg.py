@@ -8,6 +8,7 @@ from toruslie.funcalg import (
     NotInRingError,
     TorusFunction,
     WPoly,
+    _last_points_memo,
     c2c2_constants,
     character_project,
     fit_in_ring,
@@ -189,6 +190,19 @@ class TestPBig:
         assert abs(r1 - (-1j) * r0) < 1e-6
         assert abs(abs(r1) - abs(r0)) < 1e-6
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_values_do_not_depend_on_the_batch(self, n):
+        # a point's P_j must not change with the points that share its call
+        ps = p_system(cn_translation(L_GEN, n))
+        js = tuple(range(1, n))
+        rng = np.random.default_rng(22)
+        z = sample_points(ps.slat, 200, rng, avoid=ps.orbit, margin=0.05)
+        batch = ps.values(z, js)
+        for i, zi in enumerate(z):
+            single = ps.values(zi, js)
+            for j in js:
+                assert single[j][0] == batch[j][i], (i, j)
+
     def test_value_pairs_separate_points(self):
         # ring-generator spot check for N = 3: the pair (P1, P2) separates
         # the sampled points of the punctured torus
@@ -261,6 +275,26 @@ class TestResidues:
         f = wp_function(L_GEN)
         with pytest.raises(ValueError):
             residue_at(f, 0.0, radius=2.0)
+
+
+class TestLastPointsMemo:
+    def test_keys_on_contents_not_identity(self):
+        calls = []
+
+        def double(z):
+            calls.append(z)
+            return 2.0 * z
+
+        memo = _last_points_memo(double)
+        z = np.array([1 + 1j, 2 + 0j])
+        memo(z)
+        assert np.array_equal(memo(z.copy()), 2.0 * z)
+        assert len(calls) == 1
+        z[0] = 3j  # the same buffer with new contents
+        assert memo(z)[0] == 6j
+        assert len(calls) == 2
+        memo(z.reshape(2, 1))  # same bytes, other shape
+        assert len(calls) == 3
 
 
 class TestPSmall:
