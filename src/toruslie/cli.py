@@ -22,7 +22,6 @@ import numpy as np
 from .classify import cross_validate
 from .elliptic import invariants
 from .funcalg import c2c2_constants, fit_lambda_mu, torus_distance
-from .intertwine import phi, psi
 from .lattice import Lattice, ScaledLattice, TorsionPoint
 from .normalform import _h_projection, invariance_residual, normal_form, verify_brackets
 from .torusgroup import GroupEmbedding, UnsupportedEmbeddingError, catalog, make_embedding
@@ -220,12 +219,10 @@ def cmd_eval(cfg: RunConfig, z: complex) -> int:
         "H": _mat(h),
         "bracket_residual": float(np.max(np.abs(comm - p_point * h))),
     }
-    if emb.kind in ("CN_translation", "DN") and emb.order_param >= 2:
-        m = phi(emb, cfg.char_j, seed=cfg.seed)
-        report["Phi"] = _mat(m(z))
-    elif emb.kind in ("C2xC2_translation", "A4"):
-        m = psi(emb)
-        report["Psi"] = _mat(m(z))
+    # the map the frames were built from: no second lambda/mu fit
+    if gens.intertwiner is not None:
+        name = "Psi" if emb.kind in ("C2xC2_translation", "A4") else "Phi"
+        report[name] = _mat(gens.intertwiner(z))
     _emit(report, cfg)
     return 0
 

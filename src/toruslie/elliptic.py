@@ -1,12 +1,16 @@
 """Numerical Weierstrass elliptic functions on Z + Z*tau.
 
 The evaluation backend reduces tau into the SL2(Z) fundamental domain and
-z into the centred cell, then sums an exponential (Fourier/q) series whose
-terms decay like |q|^(k/2) with q = exp(2*pi*i*tau_reduced); after
-reduction |q| <= exp(-pi*sqrt(3)), so a couple of dozen terms reach
-double-precision roundoff.  The defining lattice sum, which converges far
-too slowly for tight tolerances, is kept in the test suite as an
-independent oracle.
+z into the centred cell, then evaluates the q-series (DLMF 23.8) with
+q = exp(2*pi*i*tau_reduced) and u = exp(2*pi*i*z).  Past its closed-form
+head the series is two power series, sum w_k t^k and sum k w_k t^k with
+w_k = k / (1 - q^k), at t = q/u and t = q*u; centring keeps
+|t| <= |q|^(1/2) <= exp(-pi*sqrt(3)/2), so a couple of dozen terms reach
+double-precision roundoff.  Both are evaluated by Horner's rule: no
+complex exponential per term, no K x Z temporaries, and each point's
+value is computed in the same order whatever batch it comes in.  The
+defining lattice sum, which converges far too slowly for tight
+tolerances, is kept in the test suite as an independent oracle.
 
 wp_both takes a scalar or an array of any shape; callers batch every
 point set they need (all shifts of all probes) into one call, since the
@@ -67,8 +71,7 @@ class _Cell:
     tau_r: complex        # reduced parameter
     m: complex            # Z + Z*tau = m * (Z + Z*tau_r)
     q: complex            # exp(2 pi i tau_r)
-    ks: np.ndarray        # 1..K
-    denom: np.ndarray     # 1 - q^k
+    coef: np.ndarray      # (K, 2): w_k = k / (1 - q^k) and k w_k, k = 1..K
     s1: complex           # sum k q^k / (1 - q^k)
     g2r: complex          # invariants of the reduced lattice
     g3r: complex
@@ -104,7 +107,9 @@ def _cell(tau: complex, trunc: int | None = None) -> _Cell:
     # discriminant through the 24th power of the eta product: the direct
     # g2^3 - 27 g3^2 cancels catastrophically for elongated lattices
     discr = (2.0 * _PI) ** 12 * complex(q) * complex(np.prod(denom)) ** 24
-    return _Cell(tau, tau_r, m, complex(q), ks, denom, s1, g2r, g3r, discr)
+    w = ks / denom
+    coef = np.stack((w, ks * w), axis=1)
+    return _Cell(tau, tau_r, m, complex(q), coef, s1, g2r, g3r, discr)
 
 
 def _wp_series(zc: np.ndarray, cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
@@ -118,23 +123,23 @@ def _wp_series(zc: np.ndarray, cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
     big = np.abs(u) > 1.0
     v = np.where(big, 1.0 / u, u)
     omv = 1.0 - v
-    head_p = -4.0 * v / omv ** 2                      # = 1/sin^2(pi z) / pi^2... scaled below
+    head_p = -4.0 * v / omv ** 2                      # = csc^2(pi z)
     head_q = v * (1.0 + v) / omv ** 3
     head_q = np.where(big, -head_q, head_q)
 
-    ks = cell.ks
-    # |q^k u^{+-k}| <= |q|^(k/2) for t in [-1/2, 1/2): no overflow.
-    # the K x Z terms are formed in place: stacked callers pass thousands
-    # of points, and every extra K x Z temporary shows in peak memory
-    ea = np.multiply.outer(ks, cell.tau_r - zs)
-    np.exp(np.multiply(_TWO_PI_I, ea, out=ea), out=ea)
-    eb = np.multiply.outer(ks, cell.tau_r + zs)
-    np.exp(np.multiply(_TWO_PI_I, eb, out=eb), out=eb)
-    w = (ks / cell.denom)[:, None]
-    terms = np.add(ea, eb)
-    sum_p = np.sum(np.multiply(w, terms, out=terms), axis=0)
-    np.subtract(eb, ea, out=terms)
-    sum_q = np.sum(np.multiply(ks[:, None] * w, terms, out=terms), axis=0)
+    # sum_k w_k (t^k) and sum_k k w_k (t^k) at t = q/u and t = q u by
+    # Horner's rule on one (2, 2, Z) accumulator: rows are the two
+    # coefficient sequences, columns the two values of t
+    t = np.stack((cell.q / u, cell.q * u))
+    coef = cell.coef[:, :, None, None]
+    acc = np.empty((2, 2, zs.size), dtype=complex)
+    acc[...] = coef[-1]
+    for c in coef[-2::-1]:
+        np.multiply(acc, t, out=acc)
+        np.add(acc, c, out=acc)
+    np.multiply(acc, t, out=acc)
+    sum_p = acc[0, 0] + acc[0, 1]
+    sum_q = acc[1, 1] - acc[1, 0]
 
     wpv = _PI ** 2 * (head_p - 1.0 / 3.0 + 8.0 * cell.s1 - 4.0 * sum_p)
     wppv = -8j * _PI ** 3 * (head_q + sum_q)

@@ -603,9 +603,7 @@ def c2c2_constants_for(emb: GroupEmbedding) -> C2C2Constants:
     """
     slat = ScaledLattice(emb.tau)
     s1, s2 = _half_periods(emb)
-    e1 = complex(wp_both_scaled(s1, slat)[0])
-    e2 = complex(wp_both_scaled(s2, slat)[0])
-    e3 = complex(wp_both_scaled(s1 + s2, slat)[0])
+    e1, e2, e3 = (complex(e) for e in wp_both_scaled(np.array([s1, s2, s1 + s2]), slat)[0])
     return _constants_from_e(e1, e2, e3, is_hexagonal_class(emb.tau))
 
 

@@ -80,6 +80,8 @@ class GeneratorTriple:
     poles: tuple
     structure_poly: WPoly | None = None
     structure_bound: int = 0
+    #: the Phi or Psi that E, F and H are built on, if any
+    intertwiner: MatrixFunction | None = None
 
 
 def _const_mat(x: np.ndarray, slat: ScaledLattice, poles=()) -> MatrixFunction:
@@ -159,13 +161,14 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
     kind = emb.kind
     base = ScaledLattice(emb.tau)
     orbit = _orbit_points(emb)
+    intertwiner = None
 
     if kind in ("CN_translation", "DN"):
         if emb.order_param == 1:
             e0, f0, h0 = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
         else:
-            ph = _shared(phi(emb, j))
-            e0, f0, h0 = (_conjugated(ph, x) for x in (B_E, B_F, B_H))
+            intertwiner = _shared(phi(emb, j))
+            e0, f0, h0 = (_conjugated(intertwiner, x) for x in (B_E, B_F, B_H))
         ring_slat = quotient_scaled(emb)
         if kind == "CN_translation":
             ring = InvariantRing(ring_slat, "full")
@@ -194,9 +197,9 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
             orbit,
         )
     elif kind in ("C2xC2_translation", "A4"):
-        ps = _shared(psi(emb))
+        intertwiner = _shared(psi(emb))
         half = quotient_scaled(emb)
-        h0, e0, f0 = (_psi_column(ps, c) for c in (0, 1, 2))
+        h0, e0, f0 = (_psi_column(intertwiner, c) for c in (0, 1, 2))
         if kind == "C2xC2_translation":
             ring = InvariantRing(half, "full")
             gens = GeneratorTriple(e0, f0, h0, ring, emb, rep, j, orbit)
@@ -216,6 +219,7 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
 
     key = f"{kind}:{emb.order_param}" if kind == "Cl_rotation" else kind
     gens.structure_bound = _STRUCTURE_BOUND[key]
+    gens.intertwiner = intertwiner
     return gens
 
 

@@ -2,9 +2,14 @@ import importlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+from toruslie import intertwine
 from toruslie.cli import main
+from toruslie.intertwine import phi
+from toruslie.lattice import Lattice
+from toruslie.torusgroup import cn_translation
 
 HEX = math.sqrt(3.0) / 2.0
 
@@ -113,6 +118,22 @@ class TestEval:
             *phi[1][0]
         )
         assert abs(det - 1) < 1e-8
+
+    def test_reports_the_phi_its_frames_use(self, capsys, monkeypatch):
+        # E, F and H are built on the lambda/mu fit of normal_form; the
+        # reported Phi is that map at any --seed, from that single fit
+        fits = []
+        fit = intertwine._fit_lambda_mu_ps
+        monkeypatch.setattr(
+            intertwine, "_fit_lambda_mu_ps", lambda *a, **kw: fits.append(a) or fit(*a, **kw)
+        )
+        rc, out, _ = run(capsys, "eval", "--group", "cn", "--order", "3", "--seed", "7", "--json")
+        assert rc == 0
+        assert len(fits) == 1
+        doc = json.loads(out)
+        got = np.array([[complex(*v) for v in row] for row in doc["Phi"]])
+        expect = phi(cn_translation(Lattice(1j), 3), 1)(complex(*doc["z"]))
+        assert got.tobytes() == expect.tobytes()
 
     def test_pole_proximity_rejected(self, capsys):
         rc, _, err = run(

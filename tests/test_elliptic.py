@@ -1,3 +1,8 @@
+import importlib.util
+import tracemalloc
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,10 +20,35 @@ from toruslie.lattice import HEX_TAU, Lattice, ScaledLattice, torus_reduce_cente
 
 GENERIC = complex(0.31, 1.07)
 LATTICES = [Lattice(1j), Lattice(HEX_TAU), Lattice(GENERIC)]
+BATCH_TAUS = [1j, HEX_TAU, GENERIC, 0.2 + 2.5j, -2.3 + 0.4j]
+# seeded lattices across the moduli space, tall, flat and skewed ones,
+# and the three test lattices
+_RNG = np.random.default_rng(7)
+ORACLE_TAUS = [
+    complex(x, y) for x, y in zip(_RNG.uniform(-3.0, 3.0, 16), _RNG.uniform(0.25, 3.0, 16))
+] + [2.5j, 3.5j, 0.49 + 0.9j, 7.3 + 0.2j, 1j, HEX_TAU, GENERIC]
+ORACLE = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
 
 # frozen value of the truncated defining sum 60 * sum (a+bi)^-4 over
 # 0 < max(|a|,|b|) <= 300, computed with the oracle below
 G2_I_TRUNCATED = 189.072498645905
+
+
+@cache
+def _oracle():
+    """The benchmark's theta-function oracle, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("wp_oracle", ORACLE)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _horner(c, t):
+    """sum_k c[k-1] t^k, k = 1..len(c), by Horner's rule out of place."""
+    acc = c[-1] * t + c[-2]
+    for ck in c[-3::-1]:
+        acc = acc * t + ck
+    return acc * t
 
 
 def lattice_sum_g2(tau, cutoff):
@@ -169,10 +199,13 @@ class TestWeierstrass:
         assert np.array_equal(wq.ravel(), wq1)
 
     def test_series_matches_out_of_place_reference(self):
-        # the kernel forms its K x Z terms in place to save memory; the
-        # plain expressions below are the reference, equal bit for bit
+        # the kernel runs Horner's rule in place on one accumulator; the
+        # plain out-of-place Horner expressions below are the reference,
+        # equal bit for bit.  The exp form of the same series, which the
+        # kernel replaced, is a second reference at roundoff level,
+        # conditioned like the oracle: relative to max(|value|, e_max).
         two_pi_i = 2j * np.pi
-        for tau in (1j, HEX_TAU, GENERIC, 0.2 + 2.5j):
+        for tau in ORACLE_TAUS + [0.2 + 2.5j]:
             cell = elliptic._cell(tau)
             zc = torus_reduce_centered(sample_cell(cell.tau_r, 300, 5), cell.tau_r)
             u = np.exp(two_pi_i * zc)
@@ -182,17 +215,70 @@ class TestWeierstrass:
             head_p = -4.0 * v / omv ** 2
             head_q = v * (1.0 + v) / omv ** 3
             head_q = np.where(big, -head_q, head_q)
-            ks = cell.ks
-            ea = np.exp(two_pi_i * np.multiply.outer(ks, cell.tau_r - zc))
-            eb = np.exp(two_pi_i * np.multiply.outer(ks, cell.tau_r + zc))
-            w = (ks / cell.denom)[:, None]
-            sum_p = np.sum(w * (ea + eb), axis=0)
-            sum_q = np.sum((ks[:, None] * w) * (eb - ea), axis=0)
+
+            w, kw = cell.coef[:, 0], cell.coef[:, 1]
+            ta, tb = cell.q / u, cell.q * u
+            sum_p = _horner(w, ta) + _horner(w, tb)
+            sum_q = _horner(kw, tb) - _horner(kw, ta)
             ref_p = np.pi ** 2 * (head_p - 1.0 / 3.0 + 8.0 * cell.s1 - 4.0 * sum_p)
             ref_q = -8j * np.pi ** 3 * (head_q + sum_q)
             got_p, got_q = elliptic._wp_series(zc, cell)
             assert got_p.tobytes() == ref_p.tobytes()
             assert got_q.tobytes() == ref_q.tobytes()
+
+            ks = np.arange(1, len(cell.coef) + 1)[:, None]
+            ea = np.exp(two_pi_i * ks * (cell.tau_r - zc))
+            eb = np.exp(two_pi_i * ks * (cell.tau_r + zc))
+            exp_p = np.sum(w[:, None] * (ea + eb), axis=0)
+            exp_q = np.sum(kw[:, None] * (eb - ea), axis=0)
+            exp_p = np.pi ** 2 * (head_p - 1.0 / 3.0 + 8.0 * cell.s1 - 4.0 * exp_p)
+            exp_q = -8j * np.pi ** 3 * (head_q + exp_q)
+            inv = invariants(Lattice(cell.tau_r))
+            e_max = max(abs(inv.e1), abs(inv.e2), abs(inv.e3))
+            err_p = np.abs(got_p - exp_p) / np.maximum(np.abs(exp_p), e_max)
+            err_q = np.abs(got_q - exp_q) / np.maximum(np.abs(exp_q), e_max ** 1.5)
+            assert max(np.max(err_p), np.max(err_q)) <= 2e-15
+
+    @pytest.mark.parametrize("tau", BATCH_TAUS, ids=lambda t: f"{t:.2f}")
+    def test_values_do_not_depend_on_the_batch(self, tau):
+        # a point's value is the same alone, in a one-point array, in a
+        # small window and in the full batch, bit for bit
+        lat = Lattice(tau)
+        z = sample_cell(tau, 200, 17)
+        w, wq = wp_both(z, lat)
+        for i, zi in enumerate(z):
+            assert wp_both(complex(zi), lat) == (w[i], wq[i])
+            w1, wq1 = wp_both(z[i:i + 1], lat)
+            assert w1.tobytes() == w[i:i + 1].tobytes()
+            assert wq1.tobytes() == wq[i:i + 1].tobytes()
+        for i in range(len(z) - 6):
+            w7, wq7 = wp_both(z[i:i + 7], lat)
+            assert w7.tobytes() == w[i:i + 7].tobytes()
+            assert wq7.tobytes() == wq[i:i + 7].tobytes()
+
+    def test_large_batch_peak_memory(self):
+        # Horner keeps a (2, 2, Z) accumulator, no K x Z terms: 10k points
+        # peak near 3 MB (the exp form of the series peaked near 13 MB)
+        lat = Lattice(HEX_TAU)
+        rng = np.random.default_rng(29)
+        z = rng.random(10_000) + HEX_TAU * rng.random(10_000)
+        wp_both(z[:2], lat)  # series data of the lattice cached
+        tracemalloc.start()
+        try:
+            wp_both(z, lat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+
+    @pytest.mark.parametrize("tau", ORACLE_TAUS, ids=lambda t: f"{t:.3f}")
+    def test_against_theta_function_oracle(self, tau):
+        # 30-digit wp and wp' through Jacobi theta functions (mpmath);
+        # errors conditioned on max(|value|, e_max) as in the benchmark
+        pytest.importorskip("mpmath")
+        z = sample_cell(tau, 12, 23)
+        ref = _oracle().Reference(tau, z)
+        assert ref.error(*wp_both(z, Lattice(tau))) <= 2.5e-13
 
     def test_pole_signal(self):
         lat = Lattice(GENERIC)

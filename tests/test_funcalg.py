@@ -8,8 +8,11 @@ from toruslie.funcalg import (
     NotInRingError,
     TorusFunction,
     WPoly,
+    _constants_from_e,
+    _half_periods,
     _last_points_memo,
     c2c2_constants,
+    c2c2_constants_for,
     character_project,
     fit_in_ring,
     fit_lambda_mu,
@@ -18,7 +21,7 @@ from toruslie.funcalg import (
     residue_at,
     sample_points,
 )
-from toruslie.lattice import HEX_TAU, Lattice, ScaledLattice
+from toruslie.lattice import HEX_TAU, Lattice, ScaledLattice, is_hexagonal_class
 from toruslie.torusgroup import c2c2_translation, cl_rotation, cn_translation, quotient_scaled
 
 GENERIC = complex(0.31, 1.07)
@@ -385,6 +388,17 @@ class TestC2C2Constants:
             assert np.max(np.abs((u + v) * (u - v) - p2(z) ** 2)) < 1e-7
             lhs = (u - v) * (cc.A1 * p0(z) + cc.B1 * p1(z))
             assert np.max(np.abs(lhs - (p0(z) * p1(z) + cc.sqrt_a2b2))) < 1e-7
+
+    def test_matched_constants_equal_scalar_evaluations(self):
+        # one wp call on the three half periods gives the values of three
+        # scalar calls bit for bit: wp does not depend on the batch
+        for lat in (L_SQ, L_HEX, L_GEN):
+            emb = c2c2_translation(lat)
+            slat = ScaledLattice(emb.tau)
+            s1, s2 = _half_periods(emb)
+            e = [complex(wp_both_scaled(s, slat)[0]) for s in (s1, s2, s1 + s2)]
+            expect = _constants_from_e(*e, is_hexagonal_class(emb.tau))
+            assert c2c2_constants_for(emb) == expect
 
 
 class TestFitWPoly:
