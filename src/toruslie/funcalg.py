@@ -224,7 +224,8 @@ def _last_points_memo(fn):
 
 
 def torus_distance(z, p, slat: ScaledLattice) -> np.ndarray:
-    """Distance from z to p modulo the scaled lattice."""
+    """Distance from z to p modulo the scaled lattice; z and p broadcast
+    against each other."""
     zz = (np.asarray(z, dtype=complex) - p) / slat.scale
     return np.abs(slat.scale) * np.abs(torus_reduce_centered(zz, slat.tau))
 
@@ -301,9 +302,7 @@ def sample_points(
         t = rng.random(m)
         z = slat.scale * (s + t * slat.tau)
         if avoid.size:
-            d = np.min(
-                np.stack([torus_distance(z, p, slat) for p in avoid]), axis=0
-            )
+            d = torus_distance(z[None, :], avoid[:, None], slat).min(axis=0)
             z = z[d >= margin * short]
         out.extend(z.tolist())
         if len(out) >= n:

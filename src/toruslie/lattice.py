@@ -4,7 +4,7 @@ and reduction of tau into the SL2(Z) fundamental domain.
 Conventions.  A lattice is stored through its modular parameter tau with
 Im(tau) > 0; the implicit basis is (1, tau).  Torsion points are kept as
 exact integer triples (a, b, n) meaning (a + b*tau)/n, so that all group
-arithmetic downstream is rational.  The fundamental domain uses the
+arithmetic downstream is exact integer arithmetic.  The fundamental domain uses the
 half-open convention Re(tau) in [-1/2, 1/2) away from the unit circle,
 and the Re >= 0 side on the circle itself, so every class has a unique
 representative.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import numpy as np
 
@@ -109,19 +109,14 @@ class TorsionPoint:
     def zero(cls) -> "TorsionPoint":
         return cls(0, 0, 1)
 
-    @classmethod
-    def from_fractions(cls, x: Fraction, y: Fraction) -> "TorsionPoint":
-        n = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
-        return cls(int(x * n), int(y * n), n)
-
     @property
     def fractions(self) -> tuple[Fraction, Fraction]:
         return Fraction(self.a, self.n), Fraction(self.b, self.n)
 
     def __add__(self, other: "TorsionPoint") -> "TorsionPoint":
-        x1, y1 = self.fractions
-        x2, y2 = other.fractions
-        return TorsionPoint.from_fractions(x1 + x2, y1 + y2)
+        n = lcm(self.n, other.n)
+        u, v = n // self.n, n // other.n
+        return TorsionPoint(self.a * u + other.a * v, self.b * u + other.b * v, n)
 
     def __neg__(self) -> "TorsionPoint":
         return TorsionPoint(-self.a, -self.b, self.n)

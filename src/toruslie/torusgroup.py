@@ -2,10 +2,10 @@
 
 Every automorphism is an affine map z -> eps*z + alpha with eps a root of
 unity for which the lattice has complex multiplication and alpha a torsion
-point.  Group data is kept exact: eps as a rational rotation index, alpha
-as an integer torsion triple, and multiplication by eps as an integer
-matrix on the (1, tau) coordinates.  Floats enter only when a point is
-finally embedded into the plane.
+point.  Group data is exact and held in machine integers: eps as a
+reduced rotation index num/den, alpha as an integer torsion triple, and
+multiplication by eps as an integer matrix on the (1, tau) coordinates.
+Floats enter only when a point is finally embedded into the plane.
 
 The admissible families are the cyclic rotation groups C_l (l = 2 on any
 torus, l in {4} on square and {3, 6} on hexagonal tori), cyclic
@@ -18,7 +18,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -143,16 +142,17 @@ def compose(g: AffineAutomorphism, h: AffineAutomorphism) -> AffineAutomorphism:
     """g after h: z -> g(h(z)), exact on the rotation/torsion data."""
     if g.lattice != h.lattice:
         raise ValueError("cannot compose automorphisms of different lattices")
-    rot = Fraction(g.rot_num, g.rot_den) + Fraction(h.rot_num, h.rot_den)
+    num = g.rot_num * h.rot_den + h.rot_num * g.rot_den
+    den = g.rot_den * h.rot_den
+    d = gcd(num, den)
     shift = h.shift.matrix_apply(g.rot_matrix()) + g.shift
-    return AffineAutomorphism(rot.numerator, rot.denominator, shift, g.lattice)
+    return AffineAutomorphism(num // d, den // d, shift, g.lattice)
 
 
 def inverse(g: AffineAutomorphism) -> AffineAutomorphism:
-    rot = -Fraction(g.rot_num, g.rot_den)
-    inv = AffineAutomorphism(rot.numerator, rot.denominator, TorsionPoint.zero(), g.lattice)
+    inv = AffineAutomorphism(-g.rot_num, g.rot_den, TorsionPoint.zero(), g.lattice)
     shift = (-g.shift).matrix_apply(inv.rot_matrix())
-    return AffineAutomorphism(rot.numerator, rot.denominator, shift, g.lattice)
+    return AffineAutomorphism(inv.rot_num, inv.rot_den, shift, g.lattice)
 
 
 def _closure(generators: list[AffineAutomorphism], bound: int = 200) -> tuple[AffineAutomorphism, ...]:
@@ -328,24 +328,19 @@ def fixed_points(g: AffineAutomorphism, lattice: Lattice | None = None) -> tuple
     if g.is_translation:
         return ()
     (p, q), (r, s) = g.rot_matrix()
-    a = ((p - 1, q), (r, s - 1))  # (eps - 1) as an integer matrix
-    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    assert det != 0
-    # solve A v = -shift + k over Q for k in Z^2; |det| solutions mod Z^2
-    sx, sy = g.shift.fractions
-    cx, cy = -sx, -sy
-    dd = abs(det)
-    inv = (
-        (Fraction(a[1][1], det), Fraction(-a[0][1], det)),
-        (Fraction(-a[1][0], det), Fraction(a[0][0], det)),
-    )
+    # A = eps - 1 as an integer matrix; det A = |eps - 1|^2 > 0
+    a11, a12, a21, a22 = p - 1, q, r, s - 1
+    det = a11 * a22 - a12 * a21
+    assert det > 0
+    # v = adj(A) (k - shift) / det for k in Z^2: det solutions mod Z^2,
+    # kept over the denominator det * n as integers
+    sa, sb, n = g.shift.a, g.shift.b, g.shift.n
     sols = set()
-    for k1 in range(dd):
-        for k2 in range(dd):
-            vx = inv[0][0] * (cx + k1) + inv[0][1] * (cy + k2)
-            vy = inv[1][0] * (cx + k1) + inv[1][1] * (cy + k2)
-            sols.add(TorsionPoint.from_fractions(vx % 1, vy % 1))
-    assert len(sols) == dd
+    for k1 in range(det):
+        for k2 in range(det):
+            x, y = k1 * n - sa, k2 * n - sb
+            sols.add(TorsionPoint(a22 * x - a12 * y, a11 * y - a21 * x, det * n))
+    assert len(sols) == det
     return tuple(sorted(sols, key=lambda t: (t.n, t.a, t.b)))
 
 

@@ -83,6 +83,34 @@ class TestInvariants:
         # frozen value matches a fresh (cheaper) truncation direction too
         assert abs(lattice_sum_g2(1j, 120) - got) / abs(got) < 1e-4
 
+    @pytest.mark.parametrize("tau", ORACLE_TAUS, ids=lambda t: f"{t:.3f}")
+    def test_against_theta_function_oracle(self, tau):
+        # e_i are the oracle's wp at the half periods; g2 = 2 sum e_i^2,
+        # g3 = 4 e1 e2 e3 and Delta = 16 prod (e_i - e_j)^2 are formed from
+        # them at 30 digits.  Each error is relative to max(|value|, e_max^w)
+        # with w the weight (1 for e_i, 2, 3 and 6), like the wp oracle's
+        # conditioning.  Worst over the 23 lattices: 6.5e-15, Delta at
+        # 0.31+1.07i; e_i at most 2.6e-16, g2 1.5e-15, g3 4.1e-16.
+        mpmath = pytest.importorskip("mpmath")
+        halves = (0.5, tau / 2.0, (1.0 + tau) / 2.0)
+        e = [_oracle().wp_pair(h, tau)[0] for h in halves]
+        e_max = max(abs(v) for v in e)
+        with mpmath.workdps(_oracle().DIGITS):
+            e1, e2, e3 = (mpmath.mpc(v.real, v.imag) for v in e)
+            ref = {
+                "e1": (e1, 1),
+                "e2": (e2, 1),
+                "e3": (e3, 1),
+                "g2": (2 * (e1 ** 2 + e2 ** 2 + e3 ** 2), 2),
+                "g3": (4 * e1 * e2 * e3, 3),
+                "discriminant": (16 * ((e1 - e2) * (e1 - e3) * (e2 - e3)) ** 2, 6),
+            }
+            ref = {k: (complex(v), w) for k, (v, w) in ref.items()}
+        inv = invariants(Lattice(tau))
+        for name, (want, w) in ref.items():
+            err = abs(getattr(inv, name) - want) / max(abs(want), e_max ** w)
+            assert err <= 5e-14, name
+
     def test_half_period_symmetric_functions(self):
         rng = np.random.default_rng(5)
         for _ in range(10):

@@ -20,8 +20,15 @@ from toruslie.funcalg import (
     p_system,
     residue_at,
     sample_points,
+    torus_distance,
 )
-from toruslie.lattice import HEX_TAU, Lattice, ScaledLattice, is_hexagonal_class
+from toruslie.lattice import (
+    HEX_TAU,
+    Lattice,
+    ScaledLattice,
+    is_hexagonal_class,
+    shortest_period,
+)
 from toruslie.torusgroup import c2c2_translation, cl_rotation, cn_translation, quotient_scaled
 
 GENERIC = complex(0.31, 1.07)
@@ -298,6 +305,58 @@ class TestLastPointsMemo:
         assert len(calls) == 2
         memo(z.reshape(2, 1))  # same bytes, other shape
         assert len(calls) == 3
+
+
+def per_pole_sample_points(slat, n, rng, avoid=(), margin=0.05):
+    """The sampler as it was before its rejection became one broadcast:
+    one torus_distance call per avoided point, stacked."""
+    short = shortest_period(slat.tau) * abs(slat.scale)
+    avoid = np.asarray(list(avoid), dtype=complex)
+    out = []
+    for _ in range(200):
+        m = max(2 * (n - len(out)), 16)
+        s = rng.random(m)
+        t = rng.random(m)
+        z = slat.scale * (s + t * slat.tau)
+        if avoid.size:
+            d = np.min(np.stack([torus_distance(z, p, slat) for p in avoid]), axis=0)
+            z = z[d >= margin * short]
+        out.extend(z.tolist())
+        if len(out) >= n:
+            return np.asarray(out[:n], dtype=complex)
+    raise FitError("rejection sampling starved; margin too large for the pole set")
+
+
+class TestSamplePoints:
+    SLATS = [ScaledLattice(GENERIC), ScaledLattice(HEX_TAU, 0.7 - 0.4j), ScaledLattice(0.2 + 2.5j)]
+
+    @pytest.mark.parametrize("n_avoid", [0, 1, 40])
+    @pytest.mark.parametrize("slat", SLATS, ids=["generic", "hex-scaled", "tall"])
+    def test_matches_per_pole_loop(self, slat, n_avoid):
+        pts = np.random.default_rng(n_avoid).random((2, n_avoid))
+        avoid = tuple(slat.scale * (pts[0] + pts[1] * slat.tau))
+        for seed in range(5):
+            for margin in (0.02, 0.08, 0.15):
+                rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = sample_points(slat, 60, rng_new, avoid=avoid, margin=margin)
+                want = per_pole_sample_points(slat, 60, rng_old, avoid=avoid, margin=margin)
+                assert got.tobytes() == want.tobytes()
+                assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    def test_keeps_the_margin(self):
+        slat = ScaledLattice(GENERIC)
+        orbit = np.asarray(p_system(cn_translation(L_GEN, 5)).orbit)
+        z = sample_points(slat, 200, np.random.default_rng(3), avoid=orbit, margin=0.08)
+        d = torus_distance(z[None, :], orbit[:, None], slat)
+        assert d.shape == (len(orbit), 200)
+        assert d.min() >= 0.08 * shortest_period(GENERIC)
+
+    @pytest.mark.parametrize("avoid", [(0j,), tuple(np.arange(12) / 12.0 + 0.3j)])
+    def test_starved_margin_raises(self, avoid):
+        slat = ScaledLattice(1j)
+        for sampler in (sample_points, per_pole_sample_points):
+            with pytest.raises(FitError, match="starved"):
+                sampler(slat, 10, np.random.default_rng(0), avoid=avoid, margin=0.75)
 
 
 class TestPSmall:

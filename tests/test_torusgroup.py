@@ -1,6 +1,12 @@
+from fractions import Fraction
+from functools import cache
+from math import gcd
+
 import numpy as np
 import pytest
 
+from toruslie import sl2rep
+from toruslie import torusgroup as tg
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, reduce_modular
 from toruslie.torusgroup import (
     AffineAutomorphism,
@@ -250,3 +256,121 @@ class TestA4Presentation:
         assert emb.order == 12
         s, r1, r2 = emb.generators
         assert compose(compose(s, r1), inverse(s)) == compose(r1, r2)
+
+
+# The rational formulas that the integer arithmetic replaced, kept as the
+# reference: sums of torsion points and rotation indices through Fraction,
+# and fixed points through the inverse of eps - 1 over Q.  The slow ones
+# are memoised: each is a function of its arguments alone.
+
+
+def _from_fractions(x: Fraction, y: Fraction) -> TorsionPoint:
+    n = x.denominator * y.denominator // gcd(x.denominator, y.denominator)
+    return TorsionPoint(int(x * n), int(y * n), n)
+
+
+def fraction_add(p: TorsionPoint, q: TorsionPoint) -> TorsionPoint:
+    return _from_fractions(
+        Fraction(p.a, p.n) + Fraction(q.a, q.n), Fraction(p.b, p.n) + Fraction(q.b, q.n)
+    )
+
+
+@cache
+def fraction_compose(g: AffineAutomorphism, h: AffineAutomorphism) -> AffineAutomorphism:
+    if g.lattice != h.lattice:
+        raise ValueError("cannot compose automorphisms of different lattices")
+    rot = Fraction(g.rot_num, g.rot_den) + Fraction(h.rot_num, h.rot_den)
+    shift = fraction_add(h.shift.matrix_apply(g.rot_matrix()), g.shift)
+    return AffineAutomorphism(rot.numerator, rot.denominator, shift, g.lattice)
+
+
+def fraction_inverse(g: AffineAutomorphism) -> AffineAutomorphism:
+    rot = -Fraction(g.rot_num, g.rot_den)
+    inv = AffineAutomorphism(rot.numerator, rot.denominator, TorsionPoint.zero(), g.lattice)
+    shift = (-g.shift).matrix_apply(inv.rot_matrix())
+    return AffineAutomorphism(rot.numerator, rot.denominator, shift, g.lattice)
+
+
+@cache
+def fraction_fixed_points(g: AffineAutomorphism, lattice=None) -> tuple:
+    if lattice is not None and lattice != g.lattice:
+        raise ValueError("lattice mismatch")
+    if g.is_identity:
+        raise ValueError("every point is fixed by the identity")
+    if g.is_translation:
+        return ()
+    (p, q), (r, s) = g.rot_matrix()
+    a = ((p - 1, q), (r, s - 1))
+    det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    cx, cy = -Fraction(g.shift.a, g.shift.n), -Fraction(g.shift.b, g.shift.n)
+    inv = (
+        (Fraction(a[1][1], det), Fraction(-a[0][1], det)),
+        (Fraction(-a[1][0], det), Fraction(a[0][0], det)),
+    )
+    sols = set()
+    for k1 in range(abs(det)):
+        for k2 in range(abs(det)):
+            vx = inv[0][0] * (cx + k1) + inv[0][1] * (cy + k2)
+            vy = inv[1][0] * (cx + k1) + inv[1][1] * (cy + k2)
+            sols.add(_from_fractions(vx % 1, vy % 1))
+    return tuple(sorted(sols, key=lambda t: (t.n, t.a, t.b)))
+
+
+def _embeddings(tau: complex) -> list:
+    """catalog() up to order 8, and C_N, D_N at every shift of exact order N."""
+    lat = Lattice(tau)
+    out = tg.catalog(lat, orders=(2, 3, 4, 5, 6, 7, 8))
+    for n in (3, 4, 6, 8):
+        for a in range(n):
+            for b in range(n):
+                if TorsionPoint(a, b, n).n == n:
+                    out.append(tg.cn_translation(lat, n, TorsionPoint(a, b, n)))
+                    out.append(tg.dn_group(lat, n, TorsionPoint(a, b, n)))
+    return out
+
+
+def _group_data(emb) -> dict:
+    """What the exact layer derives for one embedding, looked up through
+    the modules so that substituted formulas take effect."""
+    els = emb.elements
+    rep = sl2rep.standard_rep(emb)
+    return {
+        "elements": els,
+        "inverses": [tg.inverse(g) for g in els],
+        "fixed": [tg.fixed_points(g) for g in els if not (g.is_identity or g.is_translation)],
+        "branch": tg.branch_points(emb),
+        "rep": [rep[g].tobytes() for g in els],
+    }
+
+
+class TestIntegerArithmeticMatchesFractions:
+    @pytest.mark.parametrize(
+        "tau", [1j, HEX_TAU, 0.31 + 1.07j, 0.2 + 1.3j, 7.3 + 0.2j], ids=lambda t: f"{t:.2f}"
+    )
+    def test_group_data_identical(self, tau, monkeypatch):
+        new = [_group_data(e) for e in _embeddings(tau)]
+        with monkeypatch.context() as m:
+            m.setattr(TorsionPoint, "__add__", fraction_add)
+            for mod in (tg, sl2rep):
+                m.setattr(mod, "compose", fraction_compose)
+            m.setattr(tg, "inverse", fraction_inverse)
+            m.setattr(tg, "fixed_points", fraction_fixed_points)
+            old = [_group_data(e) for e in _embeddings(tau)]
+        assert len(new) == len(old) >= 184
+        for a, b in zip(new, old):
+            assert a == b
+        # the composition tables: compose is a function of the pair alone,
+        # so each distinct pair of elements is checked once
+        pairs = {(g, h) for d in new for g in d["elements"] for h in d["elements"]}
+        assert len(pairs) >= 4000
+        for g, h in pairs:
+            assert compose(g, h) == fraction_compose(g, h)
+
+    def test_torsion_sums_with_large_denominators(self):
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            n1, n2 = (int(v) for v in rng.integers(1, 10**6 + 1, size=2))
+            p = TorsionPoint(*(int(v) for v in rng.integers(0, n1, size=2)), n1)
+            q = TorsionPoint(*(int(v) for v in rng.integers(0, n2, size=2)), n2)
+            assert p + q == fraction_add(p, q) == q + p
+            assert (p + q) + (-q) == p
