@@ -13,8 +13,6 @@ from .lattice import (
     ScaledLattice,
     TorsionPoint,
     reduce_modular,
-    sublattice_basis,
-    torus_reduce,
 )
 from .elliptic import (
     EllipticInvariants,
@@ -42,13 +40,12 @@ from .torusgroup import (
     make_embedding,
     translation_subgroup,
 )
-from .sl2rep import GroupRepresentation, ad, isotypical_projection, standard_rep
+from .sl2rep import GroupRepresentation, ad, standard_rep
 from .funcalg import (
     C2C2Constants,
     TorusFunction,
     WPoly,
     c2c2_constants,
-    character_project,
     fit_lambda_mu,
     fit_in_ring,
     p_small,

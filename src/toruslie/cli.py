@@ -204,9 +204,8 @@ def cmd_eval(cfg: RunConfig, z: complex) -> int:
     emb = _embedding(cfg)
     gens = normal_form(emb, j=cfg.char_j)
     slat = ScaledLattice(emb.tau)
-    for p in gens.poles:
-        if torus_distance(z, p, slat) < 1e-8:
-            raise ValueError(f"evaluation point {z} is on the pole divisor")
+    if np.any(torus_distance(z, np.asarray(gens.poles), slat) < 1e-8):
+        raise ValueError(f"evaluation point {z} is on the pole divisor")
     e, f, h = gens.E(z), gens.F(z), gens.H(z)
     comm = e @ f - f @ e
     p_point = _h_projection(comm, h)

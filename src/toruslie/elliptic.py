@@ -184,14 +184,14 @@ def wp(z, lattice: Lattice, trunc: int | None = None):
     return wp_both(z, lattice, trunc)[0]
 
 
-def wp_prime(z, lattice: Lattice, trunc: int | None = None):
-    return wp_both(z, lattice, trunc)[1]
+def wp_prime(z, lattice: Lattice):
+    return wp_both(z, lattice)[1]
 
 
-def wp_both_scaled(z, slat: ScaledLattice, trunc: int | None = None):
+def wp_both_scaled(z, slat: ScaledLattice):
     """(wp, wp') for the scaled lattice scale*(Z + Z*tau)."""
     s = slat.scale
-    a, b = wp_both(np.asarray(z, dtype=complex) / s, Lattice(slat.tau), trunc)
+    a, b = wp_both(np.asarray(z, dtype=complex) / s, Lattice(slat.tau))
     return a / s ** 2, b / s ** 3
 
 
@@ -213,8 +213,8 @@ def invariants(lattice: Lattice, trunc: int | None = None) -> EllipticInvariants
     return EllipticInvariants(g2, g3, e1, e2, e3, disc, 1728.0 * g2 ** 3 / disc)
 
 
-def invariants_scaled(slat: ScaledLattice, trunc: int | None = None) -> EllipticInvariants:
-    base = invariants(Lattice(slat.tau), trunc)
+def invariants_scaled(slat: ScaledLattice) -> EllipticInvariants:
+    base = invariants(Lattice(slat.tau))
     s = slat.scale
     g2 = base.g2 / s ** 4
     g3 = base.g3 / s ** 6

@@ -3,8 +3,8 @@
 Meromorphic functions on the torus holomorphic away from the origin form
 the ring C[wp, wp'] modulo (wp')^2 = 4 wp^3 - g2 wp - g3.  WPoly stores a
 canonical representative a(x) + b(x) y of that quotient; TorusFunction is
-the numeric side: an evaluator together with a declared pole divisor
-bound, which every sampling routine respects.
+the numeric side: an evaluator together with its declared poles, which
+every sampling routine respects.
 
 The construction kernels live here as well: the character projections of
 wp'/(wp - wp(alpha)) attached to a cyclic translation group (simple poles
@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import invariants, invariants_scaled, wp_both_scaled
+from .elliptic import wp_both_scaled
 from .lattice import (
     Lattice,
     ScaledLattice,
@@ -31,8 +31,7 @@ from .lattice import (
     shortest_period,
     torus_reduce_centered,
 )
-from .torusgroup import GroupEmbedding, inverse
-from .sl2rep import characters
+from .torusgroup import GroupEmbedding, c2c2_translation
 
 __all__ = [
     "C2C2Constants",
@@ -44,7 +43,6 @@ __all__ = [
     "WPoly",
     "c2c2_constants",
     "c2c2_constants_for",
-    "character_project",
     "fit_in_ring",
     "fit_lambda_mu",
     "p_small",
@@ -69,30 +67,6 @@ class NotInRingError(ValueError):
 # the quotient ring
 
 
-def _poly_add(p, q):
-    n = max(len(p), len(q))
-    out = [0j] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return tuple(out)
-
-
-def _poly_mul(p, q):
-    if not p or not q:
-        return ()
-    out = [0j] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for k, b in enumerate(q):
-            out[i + k] += a * b
-    return tuple(out)
-
-
-def _poly_scale(p, c):
-    return tuple(c * a for a in p)
-
-
 def _poly_trim(p, tol=0.0):
     lim = max([abs(c) for c in p], default=0.0) * tol
     out = list(p)
@@ -112,67 +86,12 @@ def _poly_eval(p, x):
 class WPoly:
     """Canonical element a(x) + b(x) y of C[x, y]/(y^2 - 4x^3 + g2 x + g3).
 
-    Coefficients ascend in degree.  The attached g2, g3 are the invariants
-    of the lattice whose wp, wp' realise x and y; ring operations demand
-    they match.
+    Coefficients ascend in degree; x and y are the values that
+    InvariantRing.values gives.
     """
 
     a: tuple = ()
     b: tuple = ()
-    g2: complex = 0j
-    g3: complex = 0j
-
-    @classmethod
-    def constant(cls, c, g2, g3):
-        return cls((complex(c),), (), complex(g2), complex(g3))
-
-    @classmethod
-    def x(cls, g2, g3):
-        return cls((0j, 1 + 0j), (), complex(g2), complex(g3))
-
-    @classmethod
-    def y(cls, g2, g3):
-        return cls((), (1 + 0j,), complex(g2), complex(g3))
-
-    def _check(self, other: "WPoly"):
-        if abs(self.g2 - other.g2) > 1e-9 * (1 + abs(self.g2)) or abs(
-            self.g3 - other.g3
-        ) > 1e-9 * (1 + abs(self.g3)):
-            raise ValueError("ring invariants g2, g3 do not match")
-
-    def __add__(self, other):
-        if not isinstance(other, WPoly):
-            other = WPoly.constant(other, self.g2, self.g3)
-        self._check(other)
-        return WPoly(
-            _poly_trim(_poly_add(self.a, other.a)),
-            _poly_trim(_poly_add(self.b, other.b)),
-            self.g2,
-            self.g3,
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, WPoly):
-            other = WPoly.constant(other, self.g2, self.g3)
-        return self + (other * (-1))
-
-    def __mul__(self, other):
-        if not isinstance(other, WPoly):
-            return WPoly(_poly_scale(self.a, other), _poly_scale(self.b, other), self.g2, self.g3)
-        self._check(other)
-        aa = _poly_mul(self.a, other.a)
-        bb = _poly_mul(self.b, other.b)
-        ab = _poly_add(_poly_mul(self.a, other.b), _poly_mul(self.b, other.a))
-        # y^2 -> 4x^3 - g2 x - g3
-        cubic = (-self.g3, -self.g2, 0j, 4 + 0j)
-        return WPoly(
-            _poly_trim(_poly_add(aa, _poly_mul(bb, cubic))),
-            _poly_trim(ab),
-            self.g2,
-            self.g3,
-        )
-
-    __rmul__ = __mul__
 
     def eval_xy(self, x, y=None):
         out = _poly_eval(self.a, x)
@@ -234,54 +153,27 @@ def torus_distance(z, p, slat: ScaledLattice) -> np.ndarray:
 class TorusFunction:
     """Evaluator plus declared pole data for a meromorphic function.
 
-    ``poles`` are representatives modulo the carrying lattice; pole_order
-    bounds the worst order.  The bound is metadata supplied by the
-    construction, never inferred.
+    ``poles`` are representatives modulo the carrying lattice, supplied by
+    the construction, never inferred.
     """
 
     fn: object
     lattice: ScaledLattice
     poles: tuple = ()
-    pole_order: int = 1
-    label: str = ""
 
     def __call__(self, z):
         zz = np.asarray(z, dtype=complex)
         out = self.fn(np.atleast_1d(zz))
         return complex(out[0]) if zz.ndim == 0 else out.reshape(zz.shape)
 
-    def __mul__(self, other):
-        if isinstance(other, TorusFunction):
-            if other.lattice != self.lattice:
-                raise ValueError("carrying lattices differ")
-            return TorusFunction(
-                lambda z: self.fn(z) * other.fn(z),
-                self.lattice,
-                tuple(dict.fromkeys(self.poles + other.poles)),
-                self.pole_order + other.pole_order,
-            )
+    def __mul__(self, other: TorusFunction) -> TorusFunction:
+        if other.lattice != self.lattice:
+            raise ValueError("carrying lattices differ")
         return TorusFunction(
-            lambda z: self.fn(z) * other, self.lattice, self.poles, self.pole_order
+            lambda z: self.fn(z) * other.fn(z),
+            self.lattice,
+            tuple(dict.fromkeys(self.poles + other.poles)),
         )
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if isinstance(other, TorusFunction):
-            if other.lattice != self.lattice:
-                raise ValueError("carrying lattices differ")
-            return TorusFunction(
-                lambda z: self.fn(z) + other.fn(z),
-                self.lattice,
-                tuple(dict.fromkeys(self.poles + other.poles)),
-                max(self.pole_order, other.pole_order),
-            )
-        return TorusFunction(
-            lambda z: self.fn(z) + other, self.lattice, self.poles, self.pole_order
-        )
-
-    def __sub__(self, other):
-        return self + (other * (-1) if isinstance(other, TorusFunction) else -other)
 
 
 def sample_points(
@@ -312,29 +204,6 @@ def sample_points(
 
 # ---------------------------------------------------------------------------
 # character projections and the P_j system
-
-
-def character_project(f: TorusFunction, emb: GroupEmbedding, chi) -> TorusFunction:
-    """Averaging projection of f onto the chi-isotypical component.
-
-    Evaluates z -> (1/|G|) sum conj(chi(g)) f(sigma(g)^-1 z).
-    """
-    char = characters(emb, chi)
-    pairs = [(np.conj(char[g]), inverse(g)) for g in emb.elements]
-    norm = 1.0 / emb.order
-
-    def fn(z):
-        acc = np.zeros_like(z, dtype=complex)
-        for w, ginv in pairs:
-            acc += w * f.fn(ginv.apply(z))
-        return norm * acc
-
-    poles = []
-    for g in emb.elements:
-        for p in f.poles:
-            poles.append(complex(g.apply(p)))
-    poles = tuple(dict.fromkeys(np.round(np.asarray(poles), 12).tolist()))
-    return TorusFunction(fn, f.lattice, poles, f.pole_order, label=f"proj[{chi}]")
 
 
 class PSystem:
@@ -384,16 +253,8 @@ class PSystem:
     def pj(self, j: int) -> TorusFunction:
         jj = j % self.n
         if jj == 0:
-            return TorusFunction(
-                lambda z: np.zeros_like(z, dtype=complex), self.slat, (), 0, label="P0"
-            )
-        return TorusFunction(
-            lambda z, _j=j: self.values(z, (_j,))[_j],
-            self.slat,
-            self.orbit,
-            1,
-            label=f"P{j}",
-        )
+            return TorusFunction(lambda z: np.zeros_like(z, dtype=complex), self.slat, ())
+        return TorusFunction(lambda z, _j=j: self.values(z, (_j,))[_j], self.slat, self.orbit)
 
 
 def p_system(emb: GroupEmbedding) -> PSystem:
@@ -477,19 +338,14 @@ def residue_at(f: TorusFunction, p: complex, n_nodes: int = 128, radius: float |
     """
     p = complex(p)
     short = shortest_period(f.lattice.tau) * abs(f.lattice.scale)
-    iso = short
-    for q in f.poles:
-        d = float(torus_distance(p, q, f.lattice))
-        if d > 1e-9 * short:
-            iso = min(iso, d)
+    d = torus_distance(p, np.asarray(f.poles, dtype=complex), f.lattice)
+    others = d[d > 1e-9 * short]
     if radius is None:
-        radius = 0.45 * min(iso, short)
+        radius = 0.45 * float(np.min(others, initial=short))
     if radius >= 0.5 * short:
         raise ValueError("contour circle leaves the isolation cell of the pole")
-    for q in f.poles:
-        d = float(torus_distance(p, q, f.lattice))
-        if d > 1e-9 * short and d < radius + 1e-9 * short:
-            raise ValueError("contour circle intersects another declared pole")
+    if np.any(others < radius + 1e-9 * short):
+        raise ValueError("contour circle intersects another declared pole")
     theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
     ring = radius * np.exp(1j * theta)
     vals = f(p + ring)
@@ -542,11 +398,7 @@ def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFun
 
         return fn
 
-    out = tuple(
-        TorusFunction(make(signs[name]), slat, poles, 1, label=name)
-        for name in ("p0", "p1", "p2")
-    )
-    return out
+    return tuple(TorusFunction(make(signs[name]), slat, poles) for name in ("p0", "p1", "p2"))
 
 
 @dataclass(frozen=True)
@@ -587,8 +439,7 @@ def _constants_from_e(e1, e2, e3, hexagonal: bool) -> C2C2Constants:
 
 def c2c2_constants(lattice: Lattice) -> C2C2Constants:
     """Constants for the standard Klein generators (shifts 1/2 and tau/2)."""
-    inv = invariants(lattice)
-    return _constants_from_e(inv.e1, inv.e2, inv.e3, is_hexagonal_class(lattice.tau))
+    return c2c2_constants_for(c2c2_translation(lattice))
 
 
 def c2c2_constants_for(emb: GroupEmbedding) -> C2C2Constants:
@@ -610,6 +461,16 @@ def c2c2_constants_for(emb: GroupEmbedding) -> C2C2Constants:
 # fitting numeric functions into the ring
 
 
+#: variable -> (its pole order, the ring's (x, y) as functions of (wp, wp'))
+_RING_VARIABLES = {
+    "full": (2, lambda wp, wpp: (wp, wpp)),
+    "wp": (2, lambda wp, wpp: (wp, None)),
+    "wp2": (4, lambda wp, wpp: (wp ** 2, None)),
+    "wp3": (6, lambda wp, wpp: (wp ** 3, None)),
+    "wp_prime": (3, lambda wp, wpp: (wpp, None)),
+}
+
+
 @dataclass(frozen=True)
 class InvariantRing:
     """Descriptor of the invariant function ring of one symmetry case.
@@ -623,24 +484,10 @@ class InvariantRing:
     variable: str = "full"
 
     def var_order(self) -> int:
-        return {"full": 2, "wp": 2, "wp2": 4, "wp3": 6, "wp_prime": 3}[self.variable]
+        return _RING_VARIABLES[self.variable][0]
 
     def values(self, z):
-        wpv, wppv = wp_both_scaled(z, self.slat)
-        if self.variable == "full":
-            return wpv, wppv
-        if self.variable == "wp":
-            return wpv, None
-        if self.variable == "wp2":
-            return wpv ** 2, None
-        if self.variable == "wp3":
-            return wpv ** 3, None
-        if self.variable == "wp_prime":
-            return wppv, None
-        raise ValueError(self.variable)
-
-    def invariants(self):
-        return invariants_scaled(self.slat)
+        return _RING_VARIABLES[self.variable][1](*wp_both_scaled(z, self.slat))
 
 
 def fit_in_ring(
@@ -661,7 +508,6 @@ def fit_in_ring(
     above tol means f does not live in the ring (or the bound is wrong)
     -> NotInRingError.
     """
-    inv = ring.invariants()
     da = pole_bound // ring.var_order()
     db = (pole_bound - 3) // 2 if ring.variable == "full" else -1
     n_cols = (da + 1) + (db + 1)
@@ -709,5 +555,5 @@ def fit_in_ring(
         )
     a = tuple(coeff[i] / c ** i for i in range(da + 1))
     b = tuple(coeff[da + 1 + i] / c ** (1.5 + i) for i in range(db + 1)) if db >= 0 else ()
-    return WPoly(_poly_trim(a), _poly_trim(b), inv.g2, inv.g3)
+    return WPoly(_poly_trim(a), _poly_trim(b))
 

@@ -40,10 +40,6 @@ __all__ = [
     "psi",
 ]
 
-S_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-DIAG_M11 = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
-
-
 @dataclass
 class MatrixFunction:
     """Evaluator z -> d x d matrix (vectorised: output shape (..., d, d))."""
@@ -115,8 +111,6 @@ def phi(
     if (2 * j) % m == 0:
         raise ValueError(f"character index {j} has 2j = 0 mod {m}: the corner column degenerates")
     lam, mu = _fit_lambda_mu_ps(ps, j, j, seed=seed, tol=fit_tol)
-    if abs(mu) < 1e-9:
-        raise RuntimeError("degenerate construction: mu vanished")
     js = (j % m, (-j) % m, (2 * j) % m, (-2 * j) % m)
 
     def fn(z):

@@ -32,9 +32,7 @@ __all__ = [
     "moebius",
     "reduce_modular",
     "shortest_period",
-    "sublattice_basis",
     "sublattice_vectors",
-    "torus_reduce",
     "torus_reduce_centered",
     "transport_torsion",
 ]
@@ -205,16 +203,6 @@ def shortest_period(tau: complex) -> float:
     return abs(c * tau + d)
 
 
-def torus_reduce(z: complex, lattice: Lattice) -> complex:
-    """Representative of z in the fundamental cell {s + t*tau : s, t in [0, 1)}."""
-    tau = lattice.tau
-    t = z.imag / tau.imag
-    s = z.real - t * tau.real
-    s -= math.floor(s)
-    t -= math.floor(t)
-    return complex(s + t * tau.real, t * tau.imag)
-
-
 def torus_reduce_centered(z, tau: complex):
     """Representative with coordinates s, t in [-1/2, 1/2) over (1, tau).
 
@@ -281,15 +269,6 @@ def sublattice_vectors(
     w2 = (d * tau) / n
     # det ((g, y), (0, d)) > 0 together with Im(tau) > 0 gives Im(w2/w1) > 0.
     return w1, w2
-
-
-def sublattice_basis(generators, n: int, tau: complex) -> Lattice:
-    """Homothety class of the lattice spanned by the generators.
-
-    Each generator is an integer coordinate pair over (1/n, tau/n).
-    """
-    w1, w2 = sublattice_vectors(generators, n, tau)
-    return Lattice(w2 / w1)
 
 
 def transport_torsion(

@@ -33,7 +33,7 @@ from .funcalg import (
 )
 from .intertwine import MatrixFunction, phi, psi
 from .lattice import ScaledLattice, shortest_period, torus_reduce_centered
-from .sl2rep import B_E, B_F, B_H, GroupRepresentation, coeffs, standard_rep
+from .sl2rep import B_E, B_F, B_H, GroupRepresentation, coeffs, from_coeffs, standard_rep
 from .torusgroup import GroupEmbedding, inverse, quotient_scaled
 
 __all__ = [
@@ -78,10 +78,10 @@ class GeneratorTriple:
     rep: GroupRepresentation
     j: int
     poles: tuple
-    structure_poly: WPoly | None = None
-    structure_bound: int = 0
+    structure_bound: int
     #: the Phi or Psi that E, F and H are built on, if any
-    intertwiner: MatrixFunction | None = None
+    intertwiner: MatrixFunction | None
+    structure_poly: WPoly | None = None
 
 
 def _const_mat(x: np.ndarray, slat: ScaledLattice, poles=()) -> MatrixFunction:
@@ -132,17 +132,9 @@ def _conjugated(phi_m: MatrixFunction, x: np.ndarray) -> MatrixFunction:
 
 def _psi_column(psi_m: MatrixFunction, col: int) -> MatrixFunction:
     """sl2-valued map from one column of the 3x3 intertwiner."""
-
-    def fn(z):
-        c = psi_m.fn(z)[..., :, col]
-        out = np.empty(z.shape + (2, 2), dtype=complex)
-        out[..., 0, 0] = c[..., 0]
-        out[..., 0, 1] = c[..., 1]
-        out[..., 1, 0] = c[..., 2]
-        out[..., 1, 1] = -c[..., 0]
-        return out
-
-    return MatrixFunction(fn, 2, psi_m.lattice, psi_m.poles)
+    return MatrixFunction(
+        lambda z: from_coeffs(psi_m.fn(z)[..., :, col]), 2, psi_m.lattice, psi_m.poles
+    )
 
 
 def _orbit_points(emb: GroupEmbedding) -> tuple:
@@ -165,44 +157,34 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
 
     if kind in ("CN_translation", "DN"):
         if emb.order_param == 1:
-            e0, f0, h0 = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
+            e, f, h = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
         else:
             intertwiner = _shared(phi(emb, j))
-            e0, f0, h0 = (_conjugated(intertwiner, x) for x in (B_E, B_F, B_H))
+            e, f, h = (_conjugated(intertwiner, x) for x in (B_E, B_F, B_H))
         ring_slat = quotient_scaled(emb)
         if kind == "CN_translation":
             ring = InvariantRing(ring_slat, "full")
-            gens = GeneratorTriple(e0, f0, h0, ring, emb, rep, j, orbit)
         else:
             ring = InvariantRing(ring_slat, "wp")
 
             wpp = _last_points_memo(lambda z: wp_both_scaled(z, ring_slat)[1])
-            gens = GeneratorTriple(_times(wpp, e0), _times(wpp, f0), h0, ring, emb, rep, j, orbit)
+            e, f = _times(wpp, e), _times(wpp, f)
     elif kind == "Cl_rotation":
         ell = emb.order_param
         if j != 1:
             raise ValueError("rotation normal forms are tabulated for character index 1")
         fe, ff, var = _ROTATION_TABLE[ell]
         ring = InvariantRing(base, var)
-        e0, f0, h0 = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
+        e, f, h = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
         wpb = _last_points_memo(lambda z: wp_both_scaled(z, base))
-        gens = GeneratorTriple(
-            _times(lambda z: fe(*wpb(z)), e0),
-            _times(lambda z: ff(*wpb(z)), f0),
-            h0,
-            ring,
-            emb,
-            rep,
-            j,
-            orbit,
-        )
+        e = _times(lambda z: fe(*wpb(z)), e)
+        f = _times(lambda z: ff(*wpb(z)), f)
     elif kind in ("C2xC2_translation", "A4"):
         intertwiner = _shared(psi(emb))
         half = quotient_scaled(emb)
-        h0, e0, f0 = (_psi_column(intertwiner, c) for c in (0, 1, 2))
+        h, e, f = (_psi_column(intertwiner, c) for c in (0, 1, 2))
         if kind == "C2xC2_translation":
             ring = InvariantRing(half, "full")
-            gens = GeneratorTriple(e0, f0, h0, ring, emb, rep, j, orbit)
         else:
             ring = InvariantRing(half, "wp_prime")
 
@@ -211,16 +193,12 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
             # s1 -> s1 + s2 -> s2 on every basis, so under s the e-column
             # picks up w^2 and the f-column w, w = exp(2 pi i/3), while wp
             # of the half lattice picks up w^2: wp^2 e and wp f are invariant
-            e1 = _times(lambda z: wph(z) ** 2, e0)
-            f1 = _times(wph, f0)
-            gens = GeneratorTriple(e1, f1, h0, ring, emb, rep, j, orbit)
+            e, f = _times(lambda z: wph(z) ** 2, e), _times(wph, f)
     else:
         raise ValueError(f"unknown embedding kind {kind!r}")
 
     key = f"{kind}:{emb.order_param}" if kind == "Cl_rotation" else kind
-    gens.structure_bound = _STRUCTURE_BOUND[key]
-    gens.intertwiner = intertwiner
-    return gens
+    return GeneratorTriple(e, f, h, ring, emb, rep, j, orbit, _STRUCTURE_BOUND[key], intertwiner)
 
 
 def _bracket_margin(gens: GeneratorTriple) -> float:
@@ -282,7 +260,7 @@ def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0, tol: float = 1
         comm = e @ f - f @ e
         return _h_projection(comm, h)
 
-    tf = TorusFunction(p_fn, gens.ring.slat, (0.0 + 0.0j,), gens.structure_bound)
+    tf = TorusFunction(p_fn, gens.ring.slat, (0.0 + 0.0j,))
     short_orig = shortest_period(gens.emb.tau)
     slat = gens.ring.slat
     short_ring = shortest_period(slat.tau) * abs(slat.scale)

@@ -34,13 +34,10 @@ __all__ = [
     "GroupRepresentation",
     "ad",
     "bracket",
-    "characters",
     "coeffs",
     "from_coeffs",
-    "isotypical_projection",
     "standard_rep",
     "cyclic_labels",
-    "c2c2_labels",
 ]
 
 B_H = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -85,12 +82,10 @@ def _diag_action(w: complex) -> np.ndarray:
     return np.diag([1.0, w, 1.0 / w]).astype(complex)
 
 
-_FLIP = np.array([[-1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=complex)  # Ad of antidiag(1, 1)
-_R1_3 = np.diag([1.0, -1.0, -1.0]).astype(complex)                   # Ad of diag(i, -i)
-_R2_3 = np.array([[-1, 0, 0], [0, 0, -1], [0, -1, 0]], dtype=complex)  # Ad of (0,1;-1,0)
-_A4_S = 0.5 * np.array(
-    [[0, -1j, 1j], [2, 1j, 1j], [2, -1j, -1j]], dtype=complex
-)  # Ad of (1/2)(1+i, -1+i; 1+i, 1-i)
+_FLIP = ad([[0, 1], [1, 0]])
+_R1_3 = ad([[1j, 0], [0, -1j]])
+_R2_3 = ad([[0, 1], [-1, 0]])
+_A4_S = ad(0.5 * np.array([[1 + 1j, -1 + 1j], [1 + 1j, 1 - 1j]]))
 
 
 @dataclass(frozen=True)
@@ -102,13 +97,6 @@ class GroupRepresentation:
 
     def __getitem__(self, g: AffineAutomorphism) -> np.ndarray:
         return self.mats[g]
-
-    def is_faithful(self, tol: float = 1e-10) -> bool:
-        eye = np.eye(3)
-        return all(
-            g.is_identity or np.max(np.abs(self.mats[g] - eye)) > tol
-            for g in self.emb.elements
-        )
 
 
 def _cyclic_eigen(n: int, j: int) -> np.ndarray:
@@ -196,50 +184,3 @@ def cyclic_labels(emb: GroupEmbedding) -> dict:
         labels[g] = k
         g = compose(gen, g)
     return labels
-
-
-def c2c2_labels(emb: GroupEmbedding) -> dict:
-    """element -> (i, j) bits over the two generators of C2 x C2."""
-    r1, r2 = emb.generators[:2]
-    out = {}
-    for i in (0, 1):
-        for jj in (0, 1):
-            g = next(e for e in emb.elements if e.is_identity)
-            if i:
-                g = compose(r1, g)
-            if jj:
-                g = compose(r2, g)
-            out[g] = (i, jj)
-    assert len(out) == 4
-    return out
-
-
-def characters(emb: GroupEmbedding, chi) -> dict:
-    """element -> chi(element) for an abelian embedding.
-
-    chi is either an integer character index for a cyclic embedding
-    (chi_j(r^k) = w^(jk), w = exp(2*pi*i/|G|)) or a pair (i, j) for
-    C2 x C2.
-    """
-    if emb.kind in ("CN_translation", "Cl_rotation"):
-        w = cmath.exp(2j * math.pi / emb.order)
-        return {g: w ** (int(chi) * k) for g, k in cyclic_labels(emb).items()}
-    if emb.kind == "C2xC2_translation":
-        ci, cj = chi
-        return {g: (-1.0) ** (ci * b1 + cj * b2) for g, (b1, b2) in c2c2_labels(emb).items()}
-    raise ValueError("characters need an abelian embedding")
-
-
-def isotypical_projection(rep: GroupRepresentation, chi) -> list[np.ndarray]:
-    """Basis of the chi-isotypical component of sl2 under an abelian action.
-
-    chi is a character as in :func:`characters`.  Returns a list of
-    coordinate vectors over (h, e, f); the image of the averaging
-    projector (1/|G|) sum conj(chi(g)) rho(g).
-    """
-    emb = rep.emb
-    char = characters(emb, chi)
-    proj = sum(np.conj(char[g]) * rep.mats[g] for g in emb.elements) / emb.order
-    u, s, _ = np.linalg.svd(proj)
-    rank = int(np.sum(s > 1e-10))
-    return [u[:, k] for k in range(rank)]

@@ -7,13 +7,11 @@ from toruslie.funcalg import (
     InvariantRing,
     NotInRingError,
     TorusFunction,
-    WPoly,
     _constants_from_e,
     _half_periods,
     _last_points_memo,
     c2c2_constants,
     c2c2_constants_for,
-    character_project,
     fit_in_ring,
     fit_lambda_mu,
     p_small,
@@ -27,9 +25,10 @@ from toruslie.lattice import (
     Lattice,
     ScaledLattice,
     is_hexagonal_class,
+    moebius,
     shortest_period,
 )
-from toruslie.torusgroup import c2c2_translation, cl_rotation, cn_translation, quotient_scaled
+from toruslie.torusgroup import c2c2_translation, cn_translation, inverse, quotient_scaled
 
 GENERIC = complex(0.31, 1.07)
 L_GEN = Lattice(GENERIC)
@@ -40,110 +39,12 @@ W3 = np.exp(2j * np.pi / 3)
 
 def wp_function(lat: Lattice) -> TorusFunction:
     slat = ScaledLattice(lat.tau)
-    return TorusFunction(lambda z: wp_both_scaled(z, slat)[0], slat, (0j,), 2, "wp")
+    return TorusFunction(lambda z: wp_both_scaled(z, slat)[0], slat, (0j,))
 
 
 def wpp_function(lat: Lattice) -> TorusFunction:
     slat = ScaledLattice(lat.tau)
-    return TorusFunction(lambda z: wp_both_scaled(z, slat)[1], slat, (0j,), 3, "wp'")
-
-
-class TestWPoly:
-    def setup_method(self):
-        inv = invariants(L_GEN)
-        self.g2, self.g3 = inv.g2, inv.g3
-        self.x = WPoly.x(self.g2, self.g3)
-        self.y = WPoly.y(self.g2, self.g3)
-        self.one = WPoly.constant(1, self.g2, self.g3)
-
-    def test_y_squared_reduces(self):
-        w = self.y * self.y
-        assert w.b == ()
-        assert np.allclose(w.a, (-self.g3, -self.g2, 0, 4))
-
-    def test_multiplicative_identity(self):
-        f = self.x * self.x + 3 * self.y + self.one
-        g = f * self.one
-        assert np.allclose(g.a, f.a) and np.allclose(g.b, f.b)
-
-    def test_difference_of_squares(self):
-        # (x + y)(x - y) = x^2 - y^2 = x^2 - 4x^3 + g2 x + g3
-        w = (self.x + self.y) * (self.x - self.y)
-        assert w.b == ()
-        assert np.allclose(w.a, (self.g3, self.g2, 1, -4))
-
-    def test_eval_matches_ring_arithmetic(self):
-        rng = np.random.default_rng(0)
-        slat = ScaledLattice(GENERIC)
-        z = sample_points(slat, 20, rng, avoid=(0j,), margin=0.15)
-        xv, yv = wp_both_scaled(z, slat)
-        for _ in range(5):
-            ca = rng.normal(size=3) + 1j * rng.normal(size=3)
-            cb = rng.normal(size=2) + 1j * rng.normal(size=2)
-            f = WPoly(tuple(ca), tuple(cb), self.g2, self.g3)
-            g = WPoly(tuple(cb), tuple(ca[:2]), self.g2, self.g3)
-            lhs = (f * g).eval_xy(xv, yv)
-            rhs = f.eval_xy(xv, yv) * g.eval_xy(xv, yv)
-            assert np.max(np.abs(lhs - rhs) / (1 + np.abs(rhs))) < 1e-8
-
-    def test_mismatched_invariants_rejected(self):
-        other = WPoly.x(self.g2 + 1, self.g3)
-        with pytest.raises(ValueError):
-            _ = self.x * other
-
-
-class TestCharacterProject:
-    def test_even_function_survives_trivial_character(self):
-        emb = cl_rotation(L_GEN, 2)
-        f = wp_function(L_GEN)
-        proj = character_project(f, emb, 0)
-        rng = np.random.default_rng(1)
-        z = sample_points(f.lattice, 30, rng, avoid=proj.poles, margin=0.1)
-        assert np.max(np.abs(proj(z) - f(z))) < 1e-9
-
-    def test_odd_function_killed_by_trivial_character(self):
-        emb = cl_rotation(L_GEN, 2)
-        f = wpp_function(L_GEN)
-        proj = character_project(f, emb, 0)
-        rng = np.random.default_rng(2)
-        z = sample_points(f.lattice, 30, rng, avoid=proj.poles, margin=0.1)
-        assert np.max(np.abs(proj(z))) < 1e-9
-
-    def test_wp_lives_in_chi2_of_c3(self):
-        emb = cl_rotation(L_HEX, 3)
-        f = wp_function(L_HEX)
-        proj = character_project(f, emb, 2)
-        rng = np.random.default_rng(3)
-        z = sample_points(f.lattice, 30, rng, avoid=proj.poles, margin=0.1)
-        assert np.max(np.abs(proj(z) - f(z))) < 1e-9
-
-    def test_projections_idempotent_and_sum_to_identity(self):
-        emb = cn_translation(L_GEN, 3)
-        f = wp_function(L_GEN)
-        rng = np.random.default_rng(4)
-        projs = [character_project(f, emb, j) for j in range(3)]
-        avoid = tuple({p for pr in projs for p in pr.poles})
-        z = sample_points(f.lattice, 20, rng, avoid=avoid, margin=0.1)
-        total = sum(p(z) for p in projs)
-        assert np.max(np.abs(total - f(z))) < 1e-9
-        twice = character_project(projs[1], emb, 1)
-        assert np.max(np.abs(twice(z) - projs[1](z))) < 1e-9
-
-    def test_transforms_by_character(self):
-        emb = cn_translation(L_GEN, 4)
-        f = wpp_function(L_GEN)
-        proj = character_project(f, emb, 1)
-        alpha = 0.25
-        rng = np.random.default_rng(5)
-        z = sample_points(f.lattice, 20, rng, avoid=proj.poles, margin=0.1)
-        # r . g = chi_1(r) g means g(z - alpha) = i g(z)
-        assert np.max(np.abs(proj(z - alpha) - 1j * proj(z))) < 1e-9
-
-    def test_nonabelian_rejected(self):
-        from toruslie.torusgroup import dn_group
-
-        with pytest.raises(ValueError):
-            character_project(wp_function(L_GEN), dn_group(L_GEN, 3), 0)
+    return TorusFunction(lambda z: wp_both_scaled(z, slat)[1], slat, (0j,))
 
 
 class TestPBig:
@@ -278,7 +179,7 @@ class TestResidues:
             w, wq = wp_both_scaled(z, slat)
             return wq / (w - wpa)
 
-        f = TorusFunction(fn, slat, (0j, 0.25, -0.25), 1)
+        f = TorusFunction(fn, slat, (0j, 0.25, -0.25))
         assert abs(residue_at(f, 0.0) + 2.0) < 1e-6
 
     def test_circle_collision_rejected(self):
@@ -361,17 +262,15 @@ class TestSamplePoints:
 
 class TestPSmall:
     def test_trivial_character_projection_vanishes(self):
+        # the group average of 1/wp' over the half-period translations is
+        # zero: the signed averages p0, p1, p2 are all there is
         emb = c2c2_translation(L_GEN)
-        f = TorusFunction(
-            lambda z: 1.0 / wp_both_scaled(z, ScaledLattice(GENERIC))[1],
-            ScaledLattice(GENERIC),
-            (0.5 + 0j, GENERIC / 2, (1 + GENERIC) / 2),
-            1,
-        )
-        proj = character_project(f, emb, (0, 0))
+        slat = ScaledLattice(GENERIC)
         rng = np.random.default_rng(11)
-        z = sample_points(f.lattice, 30, rng, avoid=proj.poles, margin=0.1)
-        assert np.max(np.abs(proj(z))) < 1e-9
+        poles = (0j, 0.5 + 0j, GENERIC / 2, (1 + GENERIC) / 2)
+        z = sample_points(slat, 30, rng, avoid=poles, margin=0.1)
+        avg = sum(1.0 / wp_both_scaled(inverse(g).apply(z), slat)[1] for g in emb.elements) / 4
+        assert np.max(np.abs(avg)) < 1e-9
 
     def test_characters_and_oddness(self):
         emb = c2c2_translation(L_GEN)
@@ -460,6 +359,27 @@ class TestC2C2Constants:
             assert c2c2_constants_for(emb) == expect
 
 
+def invariants_route_constants(lat: Lattice):
+    """c2c2_constants as formed before it became c2c2_constants_for of the
+    standard Klein generators: from e1, e2, e3 of invariants(lat)."""
+    inv = invariants(lat)
+    return _constants_from_e(inv.e1, inv.e2, inv.e3, is_hexagonal_class(lat.tau))
+
+
+class TestC2C2ConstantsRoutes:
+    def test_equal_to_the_invariants_route(self):
+        rng = np.random.default_rng(5)
+        taus = [complex(x, y) for x, y in zip(rng.uniform(-2, 2, 500), rng.uniform(0.3, 3, 500))]
+        # SL2(Z) images of the hexagonal tau; two of them take the
+        # simultaneous sign flip of A1 and B1
+        images = (((1, 1), (0, 1)), ((0, -1), (1, 0)), ((1, 0), (1, 1)),
+                  ((2, 1), (1, 1)), ((1, -1), (1, 0)), ((1, 2), (1, 3)))
+        taus += [moebius(m, HEX_TAU) for m in images]
+        for tau in taus:
+            lat = Lattice(tau)
+            assert c2c2_constants(lat) == invariants_route_constants(lat), tau
+
+
 class TestFitWPoly:
     def test_wp_squared(self):
         f = wp_function(L_GEN)
@@ -476,7 +396,6 @@ class TestFitWPoly:
             lambda z: ps.values(z, (1, 2))[1] * ps.values(z, (1, 2))[2],
             ps.slat,
             ps.orbit,
-            2,
         )
         ring = quotient_scaled(emb)
         w = fit_in_ring(prod, InvariantRing(ring), 2)

@@ -13,7 +13,7 @@ from toruslie.normalform import (
     structure_polynomial,
     verify_brackets,
 )
-from toruslie.sl2rep import B_E, B_F, B_H, isotypical_projection, standard_rep
+from toruslie.sl2rep import B_E, B_F, B_H, cyclic_labels, standard_rep
 from toruslie.torusgroup import (
     a4_group,
     branch_points,
@@ -209,18 +209,22 @@ class TestStructurePolynomial:
     def test_rotation_monomials_rederived_by_projection(self):
         # the tabulated generator factors live in the advertised
         # isotypical components of the function algebra
-        from toruslie.funcalg import TorusFunction, character_project
-
         emb = cl_rotation(L_HEX, 3)
         slat = ScaledLattice(HEX_TAU)
-        wp_f = TorusFunction(lambda z: wp_both_scaled(z, slat)[0], slat, (0j,), 2)
         rng = np.random.default_rng(6)
         z = sample_points(slat, 30, rng, avoid=(0j,), margin=0.1)
+        w = np.exp(2j * np.pi / 3)
+
+        def project(chi):
+            # (1/|G|) sum conj(chi(g)) wp(g^-1 z) with chi(r^k) = w^(chi k)
+            return sum(
+                np.conj(w ** (chi * k)) * wp_both_scaled(inverse(g).apply(z), slat)[0]
+                for g, k in cyclic_labels(emb).items()
+            ) / 3
+
         # e-factor wp sits in chi_2 = chi_{l-1}; untouched by that projector
-        proj = character_project(wp_f, emb, 2)
-        assert np.max(np.abs(proj(z) - wp_f(z))) < 1e-9
-        proj0 = character_project(wp_f, emb, 0)
-        assert np.max(np.abs(proj0(z))) < 1e-9
+        assert np.max(np.abs(project(2) - wp_both_scaled(z, slat)[0])) < 1e-9
+        assert np.max(np.abs(project(0))) < 1e-9
 
 
 class TestAbelianization:
