@@ -19,14 +19,7 @@ from dataclasses import dataclass, field
 
 from .elliptic import invariants_scaled, j_invariant
 from .lattice import ModularClass, reduce_modular
-from .normalform import (
-    GeneratorTriple,
-    abelianization_dim,
-    invariance_residual,
-    normal_form,
-    structure_polynomial,
-    verify_brackets,
-)
+from .normalform import GeneratorTriple, abelianization_dim, check_triple, normal_form
 from .torusgroup import GroupEmbedding, branch_points, translation_subgroup
 
 __all__ = [
@@ -120,15 +113,18 @@ def cross_validate(
 ) -> CrossValidation:
     """Build the normal form and check it against the classification.
 
+    The structure polynomial, bracket residuals and invariance residual
+    are those of structure_polynomial(seed), verify_brackets(seed + 1) and
+    invariance_residual(seed + 2), computed by check_triple: every point
+    set is drawn first and the triple and its ring are evaluated once.
+
     For the twisted family the extracted cubic 4x^3 - g2 x - g3 carries its
     own j-invariant, which must match the j of the reported tau-class; for
     the current algebra the ring's lattice plays that role.
     """
     cls = classify(emb)
     gens = normal_form(emb, j=j)
-    poly = structure_polynomial(gens, seed=seed, tol=fit_tol)
-    brackets = verify_brackets(gens, seed=seed + 1)
-    inv_res = invariance_residual(gens, seed=seed + 2)
+    poly, brackets, inv_res = check_triple(gens, seed=seed, tol=fit_tol)
     abel = abelianization_dim(gens)
     notes: list[str] = []
 

@@ -487,36 +487,32 @@ class InvariantRing:
         return _RING_VARIABLES[self.variable][0]
 
     def values(self, z):
-        return _RING_VARIABLES[self.variable][1](*wp_both_scaled(z, self.slat))
+        return self.from_wp(*wp_both_scaled(z, self.slat))
+
+    def from_wp(self, wp, wpp):
+        """The ring's (x, y) from wp and wp' of slat; y is None unless full."""
+        return _RING_VARIABLES[self.variable][1](wp, wpp)
 
 
-def fit_in_ring(
-    f: TorusFunction,
-    ring: InvariantRing,
-    pole_bound: int,
-    *,
-    seed: int = 0,
-    tol: float = 1e-6,
-    margin: float = 0.12,
-) -> WPoly:
-    """Least-squares expansion of f in the ring, with held-out validation.
-
-    pole_bound is the declared order of f at the ring's lattice points; it
-    fixes which monomials may appear.  Rows are weighted by 1/max(1, |f|)
-    so the fit controls relative error where the values are large; the
-    held-out residual is per-point relative on the same scale.  A residual
-    above tol means f does not live in the ring (or the bound is wrong)
-    -> NotInRingError.
-    """
+def _fit_shape(ring: InvariantRing, pole_bound: int) -> tuple[int, int, int, int]:
+    """(da, db, fit rows, held-out rows) of a ring fit with this pole bound."""
     da = pole_bound // ring.var_order()
     db = (pole_bound - 3) // 2 if ring.variable == "full" else -1
     n_cols = (da + 1) + (db + 1)
+    return da, db, 3 * n_cols + 8, max(12, n_cols + 4)
+
+
+def _fit_points(ring: InvariantRing, pole_bound: int, avoid, *, seed: int, margin: float) -> np.ndarray:
+    """The rows fit_in_ring samples: its fit rows, then its held-out rows."""
+    _, _, n_fit, n_hold = _fit_shape(ring, pole_bound)
     rng = np.random.default_rng(seed)
-    avoid = tuple(f.poles) + (0.0 + 0.0j,)
-    n_fit = 3 * n_cols + 8
-    n_hold = max(12, n_cols + 4)
-    z = sample_points(ring.slat, n_fit + n_hold, rng, avoid=avoid, margin=margin)
-    x, y = ring.values(z)
+    avoid = tuple(avoid) + (0.0 + 0.0j,)
+    return sample_points(ring.slat, n_fit + n_hold, rng, avoid=avoid, margin=margin)
+
+
+def _fit_values(x, y, rhs: np.ndarray, ring: InvariantRing, pole_bound: int, tol: float) -> WPoly:
+    """The expansion of fit_in_ring from the ring's (x, y) and f at its rows."""
+    da, db, n_fit, _ = _fit_shape(ring, pole_bound)
     # precondition: work in x/c with c the typical magnitude, so the
     # Vandermonde columns stay O(1) even on small-covolume lattices
     c = float(np.median(np.abs(x))) or 1.0
@@ -526,7 +522,6 @@ def fit_in_ring(
         ys = y / c ** 1.5
         cols += [ys * xs ** i for i in range(db + 1)]
     design = np.stack(cols, axis=1)
-    rhs = f(z)
     w = 1.0 / np.maximum(1.0, np.abs(rhs))
     a_mat = design[:n_fit] * w[:n_fit, None]
     b_vec = rhs[:n_fit] * w[:n_fit]
@@ -557,3 +552,25 @@ def fit_in_ring(
     b = tuple(coeff[da + 1 + i] / c ** (1.5 + i) for i in range(db + 1)) if db >= 0 else ()
     return WPoly(_poly_trim(a), _poly_trim(b))
 
+
+def fit_in_ring(
+    f: TorusFunction,
+    ring: InvariantRing,
+    pole_bound: int,
+    *,
+    seed: int = 0,
+    tol: float = 1e-6,
+    margin: float = 0.12,
+) -> WPoly:
+    """Least-squares expansion of f in the ring, with held-out validation.
+
+    pole_bound is the declared order of f at the ring's lattice points; it
+    fixes which monomials may appear.  Rows are weighted by 1/max(1, |f|)
+    so the fit controls relative error where the values are large; the
+    held-out residual is per-point relative on the same scale.  A residual
+    above tol means f does not live in the ring (or the bound is wrong)
+    -> NotInRingError.
+    """
+    z = _fit_points(ring, pole_bound, f.poles, seed=seed, margin=margin)
+    x, y = ring.values(z)
+    return _fit_values(x, y, f(z), ring, pole_bound, tol)

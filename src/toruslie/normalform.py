@@ -19,6 +19,13 @@ The order-4 pairing puts wp' on the e-side: that is the character-correct
 match for the generator action e -> i e (the product of the two function
 factors must be the full invariant wp (wp')^2 either way, so the bracket
 polynomial is unchanged).
+
+Each check is three steps: draw its points, evaluate the triple (and the
+ring) there, and compute the residual from those values.
+structure_polynomial, verify_brackets and invariance_residual run the
+three steps for one check; check_triple draws the point sets of all
+three first and evaluates the triple and its ring once on their
+concatenation, with results equal to those of the three functions.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import numpy as np
 
 from .elliptic import wp_both_scaled
 from .funcalg import (
-    FitError, InvariantRing, TorusFunction, WPoly, _last_points_memo, fit_in_ring, sample_points,
+    FitError, InvariantRing, WPoly, _fit_points, _fit_values, _last_points_memo, sample_points,
 )
 from .intertwine import MatrixFunction, phi, psi
 from .lattice import ScaledLattice, shortest_period, torus_reduce_centered
@@ -39,11 +46,17 @@ from .torusgroup import GroupEmbedding, inverse, quotient_scaled
 __all__ = [
     "GeneratorTriple",
     "abelianization_dim",
+    "check_triple",
     "invariance_residual",
     "normal_form",
     "structure_polynomial",
     "verify_brackets",
 ]
+
+#: bracket probes of verify_brackets and of check_triple
+BRACKET_SAMPLES = 60
+#: invariance probes of invariance_residual and of check_triple
+INVARIANCE_SAMPLES = 40
 
 _STRUCTURE_BOUND = {
     "CN_translation": 0,
@@ -82,6 +95,9 @@ class GeneratorTriple:
     #: the Phi or Psi that E, F and H are built on, if any
     intertwiner: MatrixFunction | None
     structure_poly: WPoly | None = None
+    #: z -> (wp, wp') of the ring lattice, evaluated once per point set,
+    #: when a factor of E or F is a function on that lattice; else None
+    ring_wp: object = None
 
 
 def _const_mat(x: np.ndarray, slat: ScaledLattice, poles=()) -> MatrixFunction:
@@ -146,7 +162,10 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
     """Construct the invariant generator triple for a catalog embedding.
 
     E, F and H share their base (Phi, Psi or the wp factor): evaluated in
-    turn on one point array, the three of them evaluate it once.
+    turn on one point array, the three of them evaluate it once.  Where
+    the wp factor lives on the ring lattice (rotations, D_N and A4) it is
+    the triple's ring_wp, so the ring values at those points come from the
+    same evaluation.
     """
     if rep is None:
         rep = standard_rep(emb, j)
@@ -154,6 +173,7 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
     base = ScaledLattice(emb.tau)
     orbit = _orbit_points(emb)
     intertwiner = None
+    ring_wp = None
 
     if kind in ("CN_translation", "DN"):
         if emb.order_param == 1:
@@ -166,9 +186,9 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
             ring = InvariantRing(ring_slat, "full")
         else:
             ring = InvariantRing(ring_slat, "wp")
-
-            wpp = _last_points_memo(lambda z: wp_both_scaled(z, ring_slat)[1])
-            e, f = _times(wpp, e), _times(wpp, f)
+            ring_wp = _last_points_memo(lambda z: wp_both_scaled(z, ring_slat))
+            e = _times(lambda z: ring_wp(z)[1], e)
+            f = _times(lambda z: ring_wp(z)[1], f)
     elif kind == "Cl_rotation":
         ell = emb.order_param
         if j != 1:
@@ -176,9 +196,9 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
         fe, ff, var = _ROTATION_TABLE[ell]
         ring = InvariantRing(base, var)
         e, f, h = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
-        wpb = _last_points_memo(lambda z: wp_both_scaled(z, base))
-        e = _times(lambda z: fe(*wpb(z)), e)
-        f = _times(lambda z: ff(*wpb(z)), f)
+        ring_wp = _last_points_memo(lambda z: wp_both_scaled(z, base))
+        e = _times(lambda z: fe(*ring_wp(z)), e)
+        f = _times(lambda z: ff(*ring_wp(z)), f)
     elif kind in ("C2xC2_translation", "A4"):
         intertwiner = _shared(psi(emb))
         half = quotient_scaled(emb)
@@ -187,18 +207,20 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
             ring = InvariantRing(half, "full")
         else:
             ring = InvariantRing(half, "wp_prime")
-
-            wph = _last_points_memo(lambda z: wp_both_scaled(z, half)[0])
+            ring_wp = _last_points_memo(lambda z: wp_both_scaled(z, half))
             # a4_group makes the rotation s cycle the half periods
             # s1 -> s1 + s2 -> s2 on every basis, so under s the e-column
             # picks up w^2 and the f-column w, w = exp(2 pi i/3), while wp
             # of the half lattice picks up w^2: wp^2 e and wp f are invariant
-            e, f = _times(lambda z: wph(z) ** 2, e), _times(wph, f)
+            e = _times(lambda z: ring_wp(z)[0] ** 2, e)
+            f = _times(lambda z: ring_wp(z)[0], f)
     else:
         raise ValueError(f"unknown embedding kind {kind!r}")
 
     key = f"{kind}:{emb.order_param}" if kind == "Cl_rotation" else kind
-    return GeneratorTriple(e, f, h, ring, emb, rep, j, orbit, _STRUCTURE_BOUND[key], intertwiner)
+    return GeneratorTriple(
+        e, f, h, ring, emb, rep, j, orbit, _STRUCTURE_BOUND[key], intertwiner, ring_wp=ring_wp
+    )
 
 
 def _bracket_margin(gens: GeneratorTriple) -> float:
@@ -243,35 +265,67 @@ def _probe(gens: GeneratorTriple, n_samples: int, seed: int) -> np.ndarray:
     )
 
 
-def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0, tol: float = 1e-6) -> WPoly:
-    """Fit the invariant p with [E, F] = H tensor p and attach it.
+def _fit_rows(gens: GeneratorTriple, seed: int) -> np.ndarray:
+    """The ring-fit rows of the structure polynomial.
 
-    The scalar function is recovered as the projection of [E, F] onto H
-    and expanded in the case's invariant ring.  The sampling margin is the
-    case's bracket margin converted to the ring cell: the invariant
-    lattice can be much finer than the original one, and the frames blow
-    up near the pole orbit in absolute distance.
+    The sampling margin is the case's bracket margin converted to the ring
+    cell: the invariant lattice can be much finer than the original one,
+    and the frames blow up near the pole orbit in absolute distance.
     """
-
-    def p_fn(z):
-        e = gens.E.fn(z)
-        f = gens.F.fn(z)
-        h = gens.H.fn(z)
-        comm = e @ f - f @ e
-        return _h_projection(comm, h)
-
-    tf = TorusFunction(p_fn, gens.ring.slat, (0.0 + 0.0j,))
     short_orig = shortest_period(gens.emb.tau)
     slat = gens.ring.slat
     short_ring = shortest_period(slat.tau) * abs(slat.scale)
     margin = _bracket_margin(gens) * short_orig / short_ring
-    gens.structure_poly = _backed_off(
-        lambda m: fit_in_ring(
-            tf, gens.ring, gens.structure_bound, seed=seed, tol=tol, margin=m
-        ),
+    return _backed_off(
+        lambda m: _fit_points(gens.ring, gens.structure_bound, (), seed=seed, margin=m),
         margin,
     )
+
+
+def _preimages(gens: GeneratorTriple, z: np.ndarray) -> np.ndarray:
+    """g^-1 z for every group element g, stacked into one point array."""
+    return np.concatenate([inverse(g).apply(z) for g in gens.emb.elements])
+
+
+def _frames(gens: GeneratorTriple, z: np.ndarray) -> tuple:
+    """(E, F, H) at z; their shared base is evaluated once."""
+    return gens.E.fn(z), gens.F.fn(z), gens.H.fn(z)
+
+
+def _ring_xy(gens: GeneratorTriple, z: np.ndarray, n: int) -> tuple:
+    """The ring's (x, y) at the first n points of z, once the frames ran on z.
+
+    Where a frame factor lives on the ring lattice, its (wp, wp') at z is
+    reused; otherwise wp is evaluated at those n points alone.
+    """
+    if gens.ring_wp is None:
+        wp = wp_both_scaled(z[:n], gens.ring.slat)
+    else:
+        wp = (v[:n] for v in gens.ring_wp(z))
+    return gens.ring.from_wp(*wp)
+
+
+def _rows(values: tuple, rows: slice) -> tuple:
+    return tuple(None if v is None else v[rows] for v in values)
+
+
+def _fit_structure(gens: GeneratorTriple, frames: tuple, xy: tuple, tol: float) -> WPoly:
+    """Fit p from the triple and the ring values at the ring-fit rows; attach it."""
+    e, f, h = frames
+    p = _h_projection(e @ f - f @ e, h)
+    gens.structure_poly = _fit_values(*xy, p, gens.ring, gens.structure_bound, tol)
     return gens.structure_poly
+
+
+def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0, tol: float = 1e-6) -> WPoly:
+    """Fit the invariant p with [E, F] = H tensor p and attach it.
+
+    The scalar function is recovered as the projection of [E, F] onto H
+    and expanded in the case's invariant ring, as fit_in_ring expands a
+    function, at rows drawn from seed.
+    """
+    z = _fit_rows(gens, seed)
+    return _fit_structure(gens, _frames(gens, z), _ring_xy(gens, z, len(z)), tol)
 
 
 def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -286,23 +340,10 @@ def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def verify_brackets(gens: GeneratorTriple, n_samples: int = 60, seed: int = 1) -> dict:
-    """Max pointwise residuals of the three bracket relations.
-
-    `ef` is the absolute residual of [E, F] against its projection onto H:
-    it certifies that [E, F] is a scalar function times H.  When a
-    structure polynomial is attached, `ef_fit` additionally reports the
-    relative residual of [E, F] against H times that fitted polynomial;
-    relative, because the polynomial's coefficients on small-covolume
-    invariant lattices are large and an absolute target would only measure
-    float granularity.  `trace` is the worst deviation of the generators
-    from tracelessness, and `frame_scale` the largest entry seen (the
-    noise floor of every absolute residual is proportional to it).
-    """
-    z = _probe(gens, n_samples, seed)
-    e = gens.E.fn(z)
-    f = gens.F.fn(z)
-    h = gens.H.fn(z)
+def _bracket_residuals(frames: tuple, poly: WPoly | None, xy: tuple | None) -> dict:
+    """The residuals of verify_brackets from the triple (and, with a
+    structure polynomial, the ring values) at the probes."""
+    e, f, h = frames
     he = h @ e - e @ h - 2.0 * e
     hf = h @ f - f @ h + 2.0 * f
     comm = e @ f - f @ e
@@ -317,36 +358,89 @@ def verify_brackets(gens: GeneratorTriple, n_samples: int = 60, seed: int = 1) -
         ),
         "frame_scale": max(float(np.max(np.abs(m))) for m in (e, f, h)),
     }
-    if gens.structure_poly is not None:
-        x, y = gens.ring.values(z)
-        p = gens.structure_poly.eval_xy(x, y)
+    if poly is not None:
+        p = poly.eval_xy(*xy)
         diff = comm - p[..., None, None] * h
         scale = 1.0 + np.abs(p[..., None, None] * h)
         out["ef_fit"] = float(np.max(np.abs(diff) / scale))
     return out
 
 
-def invariance_residual(gens: GeneratorTriple, n_samples: int = 40, seed: int = 2) -> float:
-    """Worst deviation from rho(g) X(g^-1 z) = X(z) over the group and probes.
+def verify_brackets(gens: GeneratorTriple, n_samples: int = BRACKET_SAMPLES, seed: int = 1) -> dict:
+    """Max pointwise residuals of the three bracket relations.
 
-    The preimages g^-1 z of all group elements are stacked into one point
-    array, so the triple is evaluated twice in all: at the probes and at
-    the preimages.
+    `ef` is the absolute residual of [E, F] against its projection onto H:
+    it certifies that [E, F] is a scalar function times H.  When a
+    structure polynomial is attached, `ef_fit` additionally reports the
+    relative residual of [E, F] against H times that fitted polynomial;
+    relative, because the polynomial's coefficients on small-covolume
+    invariant lattices are large and an absolute target would only measure
+    float granularity.  `trace` is the worst deviation of the generators
+    from tracelessness, and `frame_scale` the largest entry seen (the
+    noise floor of every absolute residual is proportional to it).
     """
     z = _probe(gens, n_samples, seed)
+    frames = _frames(gens, z)
+    poly = gens.structure_poly
+    return _bracket_residuals(frames, poly, None if poly is None else _ring_xy(gens, z, len(z)))
+
+
+def _invariance(gens: GeneratorTriple, at_probes: tuple, at_preimages: tuple) -> float:
+    """The residual of invariance_residual from (E, F, H) at the probes z
+    and at the preimages g^-1 z, stacked in the order of the elements."""
     elements = gens.emb.elements
-    zi = np.concatenate([inverse(g).apply(z) for g in elements])
     r = np.stack([gens.rep.mats[g] for g in elements])
-    frames = (gens.E, gens.F, gens.H)
-    # all three at the probes first, then all three at the preimages: the
-    # shared base is evaluated once per point array
-    at_probes = [coeffs(m.fn(z)) for m in frames]
     worst = 0.0
-    for m, v0 in zip(frames, at_probes):
-        v = coeffs(m.fn(zi)).reshape(len(elements), len(z), -1)
+    for m0, mi in zip(at_probes, at_preimages):
+        v0 = coeffs(m0)
+        v = coeffs(mi).reshape(len(elements), len(v0), -1)
         pulled = np.einsum("gab,gzb->gza", r, v)
         worst = max(worst, float(np.max(np.abs(pulled - v0))))
     return worst
+
+
+def invariance_residual(gens: GeneratorTriple, n_samples: int = INVARIANCE_SAMPLES, seed: int = 2) -> float:
+    """Worst deviation from rho(g) X(g^-1 z) = X(z) over the group and probes.
+
+    The probes and the preimages g^-1 z of all group elements are stacked
+    into one point array, so the triple is evaluated once.
+    """
+    z = _probe(gens, n_samples, seed)
+    frames = _frames(gens, np.concatenate([z, _preimages(gens, z)]))
+    n = len(z)
+    return _invariance(gens, _rows(frames, slice(None, n)), _rows(frames, slice(n, None)))
+
+
+def check_triple(gens: GeneratorTriple, *, seed: int = 0, tol: float = 1e-6) -> tuple[WPoly, dict, float]:
+    """structure_polynomial(seed), verify_brackets(seed + 1) and
+    invariance_residual(seed + 2) from one evaluation of the triple.
+
+    The point sets of the three checks are drawn first, each from its own
+    seed as those functions draw it: the ring-fit rows, the bracket probes,
+    and the invariance probes with their preimages.  E, F, H and the ring
+    values are then evaluated once on the concatenation and sliced per
+    check.  Results and exceptions equal those of the three functions run
+    in turn; in particular a ring fit that fails outranks a probe sampler
+    that starves.
+    """
+    z_fit = _fit_rows(gens, seed)
+    try:
+        z_br = _probe(gens, BRACKET_SAMPLES, seed + 1)
+        z_inv = _probe(gens, INVARIANCE_SAMPLES, seed + 2)
+    except FitError:
+        structure_polynomial(gens, seed=seed, tol=tol)
+        raise
+    a = len(z_fit)
+    b = a + len(z_br)
+    c = b + len(z_inv)
+    z = np.concatenate([z_fit, z_br, z_inv, _preimages(gens, z_inv)])
+    frames = _frames(gens, z)
+    xy = _ring_xy(gens, z, b)
+    fit, probes = slice(None, a), slice(a, b)
+    poly = _fit_structure(gens, _rows(frames, fit), _rows(xy, fit), tol)
+    brackets = _bracket_residuals(_rows(frames, probes), poly, _rows(xy, probes))
+    inv = _invariance(gens, _rows(frames, slice(b, c)), _rows(frames, slice(c, None)))
+    return poly, brackets, inv
 
 
 def _cluster_roots(roots: np.ndarray) -> int:

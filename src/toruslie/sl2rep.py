@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torusgroup import AffineAutomorphism, GroupEmbedding, compose
+from .torusgroup import GroupEmbedding, compose
 
 __all__ = [
     "B_H",
@@ -94,9 +94,6 @@ class GroupRepresentation:
 
     emb: GroupEmbedding
     mats: dict
-
-    def __getitem__(self, g: AffineAutomorphism) -> np.ndarray:
-        return self.mats[g]
 
 
 def _cyclic_eigen(n: int, j: int) -> np.ndarray:

@@ -332,12 +332,16 @@ def fixed_points(g: AffineAutomorphism, lattice: Lattice | None = None) -> tuple
     a11, a12, a21, a22 = p - 1, q, r, s - 1
     det = a11 * a22 - a12 * a21
     assert det > 0
-    # v = adj(A) (k - shift) / det for k in Z^2: det solutions mod Z^2,
-    # kept over the denominator det * n as integers
+    # v = adj(A) (k - shift) / det for k in Z^2, kept over the denominator
+    # det * n as integers; v mod Z^2 depends on k mod A Z^2 only.  The
+    # first coordinates of A Z^2 are d1 Z with d1 = gcd(a11, a12) and its
+    # points on the second axis are (0, det/d1) Z, so k in
+    # [0, d1) x [0, det/d1) meets each of the det cosets once
+    d1 = gcd(a11, a12)
     sa, sb, n = g.shift.a, g.shift.b, g.shift.n
     sols = set()
-    for k1 in range(det):
-        for k2 in range(det):
+    for k1 in range(d1):
+        for k2 in range(det // d1):
             x, y = k1 * n - sa, k2 * n - sb
             sols.add(TorsionPoint(a22 * x - a12 * y, a11 * y - a21 * x, det * n))
     assert len(sols) == det

@@ -1,9 +1,13 @@
+import importlib
+
 import numpy as np
 import pytest
 
 import toruslie.elliptic
 from toruslie.classify import KIND_BY_BRANCH_COUNT, classify, cross_validate
+from toruslie.funcalg import FitError, NotInRingError
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, moebius, reduce_modular, transport_torsion
+from toruslie.normalform import invariance_residual, structure_polynomial, verify_brackets
 from toruslie.torusgroup import (
     a4_group,
     branch_points,
@@ -18,6 +22,9 @@ GENERIC = complex(0.31, 1.07)
 L_GEN = Lattice(GENERIC)
 L_SQ = Lattice(1j)
 L_HEX = Lattice(HEX_TAU)
+# the package re-exports a function named classify over the module
+CV_MODULE = importlib.import_module("toruslie.classify")
+NF_MODULE = importlib.import_module("toruslie.normalform")
 
 
 class TestClassify:
@@ -172,3 +179,78 @@ class TestWorkCounts:
         monkeypatch.setattr(toruslie.elliptic, "wp_both", counting)
         assert cross_validate(emb, seed=0).passed
         assert 0 < len(calls) <= limit
+
+    @pytest.mark.parametrize(
+        "emb, limit",
+        [
+            (cl_rotation(L_GEN, 2), 1),
+            (cn_translation(L_SQ, 5), 4),
+            (c2c2_translation(L_SQ), 3),
+            (dn_group(L_SQ, 5), 4),
+            (a4_group(L_HEX), 3),
+        ],
+        ids=["rot2", "cn5", "c2c2", "dn5", "a4"],
+    )
+    def test_one_evaluation_per_point_set(self, emb, limit, monkeypatch):
+        # one call for the triple on every point set of the checks, one
+        # for the ring unless a frame factor lives on the ring lattice,
+        # plus the build: wp at alpha and the lambda/mu fit for C_N and
+        # D_N, the half-period constants for the Klein group and A4
+        cross_validate(emb, seed=0)  # warm the per-lattice caches
+        calls = []
+        original = toruslie.elliptic.wp_both
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(toruslie.elliptic, "wp_both", counting)
+        assert cross_validate(emb, seed=0).passed
+        assert 0 < len(calls) <= limit
+
+
+def _per_check(gens, *, seed, tol):
+    """The checks of cross_validate, each drawing and evaluating on its own."""
+    poly = structure_polynomial(gens, seed=seed, tol=tol)
+    return poly, verify_brackets(gens, seed=seed + 1), invariance_residual(gens, seed=seed + 2)
+
+
+def _outcome(emb, seed):
+    try:
+        cv = cross_validate(emb, seed=seed)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+    return cv, cv.triple.structure_poly
+
+
+class TestOneEvaluation:
+    """cross_validate evaluates the triple once on all its point sets; its
+    results equal those of the per-check functions run in turn."""
+
+    @pytest.mark.parametrize(
+        "tau", [1j, HEX_TAU, GENERIC, 0.2 + 1.3j], ids=["square", "hex", "generic", "tall"]
+    )
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_equals_the_per_check_route(self, tau, seed, monkeypatch):
+        embs = catalog(Lattice(tau), orders=(2, 3, 4, 5, 6))
+        new = [_outcome(emb, seed) for emb in embs]
+        monkeypatch.setattr(CV_MODULE, "check_triple", _per_check)
+        ref = [_outcome(emb, seed) for emb in embs]
+        for emb, a, b in zip(embs, new, ref):
+            # every compared field and the polynomial coefficients, bit for bit
+            assert a == b, (emb.kind, emb.order_param)
+
+    def test_a_failed_fit_outranks_starved_probes(self, monkeypatch):
+        def starved(*args, **kwargs):
+            raise FitError("no sampling margin admits points away from the pole orbit")
+
+        def not_in_ring(*args, **kwargs):
+            raise NotInRingError("held-out residual too large")
+
+        emb = cn_translation(L_SQ, 3)
+        monkeypatch.setattr(NF_MODULE, "_probe", starved)
+        with pytest.raises(FitError):
+            cross_validate(emb, seed=0)
+        monkeypatch.setattr(NF_MODULE, "_fit_values", not_in_ring)
+        with pytest.raises(NotInRingError):
+            cross_validate(emb, seed=0)

@@ -197,6 +197,25 @@ class TestVerify:
         assert rc == 0
         assert len(built) == 1
 
+    @pytest.mark.parametrize(
+        "extra, recomputed",
+        [((), 0), (("--samples", "40"), 1), (("--perturb-f", "0.5"), 1)],
+        ids=["defaults", "samples", "perturbed"],
+    )
+    def test_reuses_the_bracket_check(self, capsys, monkeypatch, extra, recomputed):
+        # at the defaults the triple, seed and probes are cross_validate's
+        cli_module = importlib.import_module("toruslie.cli")
+        calls = []
+        original = cli_module.verify_brackets
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "verify_brackets", counting)
+        run(capsys, "verify", "--group", "cn", "--order", "3", *extra)
+        assert len(calls) == recomputed
+
     def test_reports_are_deterministic(self, capsys):
         args = (
             "verify", "--group", "c2c2", "--tau-re", "0.31", "--tau-im", "1.07",
@@ -219,6 +238,18 @@ class TestPlumbing:
         assert rc == 0
         doc = json.loads(out)
         assert doc["kind"] == "CurrentAlgebra"
+
+    def test_parser_is_built_once(self, capsys):
+        cli_module = importlib.import_module("toruslie.cli")
+        args = ("classify", "--group", "dn", "--order", "3", "--json")
+        cli_module._build_parser.cache_clear()
+        first = run(capsys, *args)
+        cli_module._build_parser.cache_clear()
+        run(capsys, "verify", "--group", "cn", "--order", "3", "--perturb-f", "0.5")
+        after_verify = run(capsys, *args)
+        assert first == after_verify
+        assert first[0] == 0
+        assert cli_module._build_parser() is cli_module._build_parser()
 
     def test_malformed_torsion(self, capsys):
         with pytest.raises(SystemExit):

@@ -339,7 +339,7 @@ def _group_data(emb) -> dict:
         "inverses": [tg.inverse(g) for g in els],
         "fixed": [tg.fixed_points(g) for g in els if not (g.is_identity or g.is_translation)],
         "branch": tg.branch_points(emb),
-        "rep": [rep[g].tobytes() for g in els],
+        "rep": [rep.mats[g].tobytes() for g in els],
     }
 
 
