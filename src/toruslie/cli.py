@@ -27,6 +27,7 @@ from .lattice import Lattice, ScaledLattice, TorsionPoint
 from .normalform import (
     BRACKET_SAMPLES, _h_projection, invariance_residual, normal_form, verify_brackets,
 )
+from .sl2rep import bracket
 from .torusgroup import GroupEmbedding, UnsupportedEmbeddingError, catalog, make_embedding
 
 __all__ = ["RunConfig", "main"]
@@ -210,7 +211,7 @@ def cmd_eval(cfg: RunConfig, z: complex) -> int:
     if np.any(torus_distance(z, np.asarray(gens.poles), slat) < 1e-8):
         raise ValueError(f"evaluation point {z} is on the pole divisor")
     e, f, h = gens.E(z), gens.F(z), gens.H(z)
-    comm = e @ f - f @ e
+    comm = bracket(e, f)
     p_point = _h_projection(comm, h)
     report = {
         "command": "eval",

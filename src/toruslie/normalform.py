@@ -5,7 +5,7 @@ combined action on the torus and on sl2, with constant bracket structure
 [H, E] = 2E, [H, F] = -2F and [E, F] = H tensor p for a polynomial p in
 the invariant ring of the case:
 
-  cyclic translations   conjugated frames Ad(Phi_j)(h, e, f), p = 1
+  cyclic translations   columns of ad(Phi_j),         p = 1
   order-2 rotation      (h, e wp', f wp'),            p = 4x^3 - g2 x - g3
   order-3 rotation      (h, e wp, f wp^2),            p in C[wp']
   order-4 rotation      (h, e wp', f wp wp'),         p in C[wp^2]
@@ -40,7 +40,9 @@ from .funcalg import (
 )
 from .intertwine import MatrixFunction, phi, psi
 from .lattice import ScaledLattice, shortest_period, torus_reduce_centered
-from .sl2rep import B_E, B_F, B_H, GroupRepresentation, coeffs, from_coeffs, standard_rep
+from .sl2rep import (
+    B_E, B_F, B_H, GroupRepresentation, ad, bracket, coeffs, from_coeffs, standard_rep,
+)
 from .torusgroup import GroupEmbedding, inverse, quotient_scaled
 
 __all__ = [
@@ -123,33 +125,10 @@ def _shared(m: MatrixFunction) -> MatrixFunction:
     return MatrixFunction(_last_points_memo(lambda z: m.fn(z)), m.d, m.lattice, m.poles, m.meta)
 
 
-def _conjugated(phi_m: MatrixFunction, x: np.ndarray) -> MatrixFunction:
-    """z -> Phi(z) x Phi(z)^-1.
-
-    The inverse divides by the computed determinant rather than assuming
-    unimodularity: the fitted constants leave det(Phi) = 1 only up to
-    their own noise, and conjugation by the matrix as evaluated keeps the
-    frame an exact automorphism, so the bracket relations do not inherit
-    that noise amplified by the entry sizes.
-    """
-
-    def fn(z):
-        p = phi_m.fn(z)
-        det = p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0]
-        inv = np.empty_like(p)
-        inv[..., 0, 0] = p[..., 1, 1]
-        inv[..., 0, 1] = -p[..., 0, 1]
-        inv[..., 1, 0] = -p[..., 1, 0]
-        inv[..., 1, 1] = p[..., 0, 0]
-        return (p @ x @ inv) / det[..., None, None]
-
-    return MatrixFunction(fn, 2, phi_m.lattice, phi_m.poles, dict(phi_m.meta))
-
-
-def _psi_column(psi_m: MatrixFunction, col: int) -> MatrixFunction:
-    """sl2-valued map from one column of the 3x3 intertwiner."""
+def _column(frame: MatrixFunction, col: int) -> MatrixFunction:
+    """sl2-valued map from one column of a 3x3 frame map (Psi or ad(Phi))."""
     return MatrixFunction(
-        lambda z: from_coeffs(psi_m.fn(z)[..., :, col]), 2, psi_m.lattice, psi_m.poles
+        lambda z: from_coeffs(frame.fn(z)[..., :, col]), 2, frame.lattice, frame.poles
     )
 
 
@@ -180,7 +159,13 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
             e, f, h = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
         else:
             intertwiner = _shared(phi(emb, j))
-            e, f, h = (_conjugated(intertwiner, x) for x in (B_E, B_F, B_H))
+            # over the computed det(Phi), which the fitted constants leave 1
+            # only up to their noise: the frames stay an exact automorphism
+            frame = MatrixFunction(
+                _last_points_memo(lambda z: ad(intertwiner.fn(z))), 3,
+                intertwiner.lattice, intertwiner.poles,
+            )
+            h, e, f = (_column(frame, c) for c in (0, 1, 2))
         ring_slat = quotient_scaled(emb)
         if kind == "CN_translation":
             ring = InvariantRing(ring_slat, "full")
@@ -202,7 +187,7 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
     elif kind in ("C2xC2_translation", "A4"):
         intertwiner = _shared(psi(emb))
         half = quotient_scaled(emb)
-        h, e, f = (_psi_column(intertwiner, c) for c in (0, 1, 2))
+        h, e, f = (_column(intertwiner, c) for c in (0, 1, 2))
         if kind == "C2xC2_translation":
             ring = InvariantRing(half, "full")
         else:
@@ -312,7 +297,7 @@ def _rows(values: tuple, rows: slice) -> tuple:
 def _fit_structure(gens: GeneratorTriple, frames: tuple, xy: tuple, tol: float) -> WPoly:
     """Fit p from the triple and the ring values at the ring-fit rows; attach it."""
     e, f, h = frames
-    p = _h_projection(e @ f - f @ e, h)
+    p = _h_projection(bracket(e, f), h)
     gens.structure_poly = _fit_values(*xy, p, gens.ring, gens.structure_bound, tol)
     return gens.structure_poly
 
@@ -344,9 +329,9 @@ def _bracket_residuals(frames: tuple, poly: WPoly | None, xy: tuple | None) -> d
     """The residuals of verify_brackets from the triple (and, with a
     structure polynomial, the ring values) at the probes."""
     e, f, h = frames
-    he = h @ e - e @ h - 2.0 * e
-    hf = h @ f - f @ h + 2.0 * f
-    comm = e @ f - f @ e
+    he = bracket(h, e) - 2.0 * e
+    hf = bracket(h, f) + 2.0 * f
+    comm = bracket(e, f)
     p_point = _h_projection(comm, h)
     ef = comm - p_point[..., None, None] * h
     out = {

@@ -359,3 +359,57 @@ class TestScaleCheck:
     def test_zero_alpha_rejected(self):
         with pytest.raises(ValueError):
             scale_check(0.0, 0.1, Lattice(1j))
+
+
+def _dropped_tail(qabs, k_cut):
+    """sum_{k>K} k^2 |q|^(k/2) / (1 - |q|^k): it bounds the terms of the
+    wp' series that a cut after K terms drops (|t| <= |q|^(1/2))."""
+    r = np.sqrt(qabs)
+    k = np.arange(k_cut + 1, k_cut + 80, dtype=float)
+    return float(np.sum(k ** 2 * r ** k / (1.0 - r ** (2 * k))))
+
+
+def _old_n_terms(qabs):
+    """The term count of a series cut at |q|^(K/2) = 1e-28, at least 10."""
+    return int(min(600, max(10, np.ceil(2.0 * np.log(1e-28) / np.log(qabs)))))
+
+
+TALL_TAUS = [2j, 3j, 4j, 5j, 0.5 + 4.5j, -0.3 + 3.7j]
+
+
+class TestSeriesCut:
+    @pytest.mark.parametrize("tau", ORACLE_TAUS + TALL_TAUS, ids=lambda t: f"{t:.3f}")
+    def test_tail_below_double_roundoff(self, tau):
+        # wp' = -8 i pi^3 (head + series): the dropped tail, times 8 pi^3,
+        # stays below 2^-53 of the scale wp' is judged on, e_max^1.5
+        cell = elliptic._cell(tau)
+        inv = invariants(Lattice(cell.tau_r))
+        e_max = max(abs(inv.e1), abs(inv.e2), abs(inv.e3))
+        tail = _dropped_tail(abs(cell.q), len(cell.coef))
+        assert 8 * np.pi ** 3 * tail < 2.0 ** -53 * max(1.0, e_max ** 1.5)
+
+    def test_tail_bound_over_the_fundamental_domain(self):
+        # the tail depends on Im tau_r only; it peaks where the term count
+        # steps down, and most at the lowest point, the hexagonal lattice
+        worst = max(
+            _dropped_tail(q, elliptic._n_terms(q, None))
+            for q in np.exp(-2 * np.pi * np.linspace(np.sqrt(3) / 2, 6.0, 5000))
+        )
+        assert worst <= 2.6e-18
+
+    def test_term_counts(self):
+        counts = [len(elliptic._cell(t).coef) for t in (HEX_TAU, 1j, 3.5j)]
+        assert counts == [16, 14, 4]
+
+    def test_invariants_equal_the_longer_series(self):
+        # the terms the cut drops are below the last bit of s1, g2, g3 and
+        # the eta-product discriminant: all equal those of the old count
+        rng = np.random.default_rng(13)
+        taus = ORACLE_TAUS + TALL_TAUS + [
+            complex(x, y) for x, y in zip(rng.uniform(-3, 3, 200), rng.uniform(0.05, 6, 200))
+        ]
+        for tau in taus:
+            cell = elliptic._cell(tau)
+            ref = elliptic._cell(tau, _old_n_terms(abs(cell.q)))
+            assert len(ref.coef) > len(cell.coef)
+            assert (cell.s1, cell.g2r, cell.g3r, cell.discr) == (ref.s1, ref.g2r, ref.g3r, ref.discr)

@@ -356,3 +356,23 @@ class TestHomothety:
         # roots scale by factor^-2
         scaled = np.sort_complex(r1 / factor ** 2)
         assert np.max(np.abs(scaled - r2)) < 1e-6 * np.max(np.abs(r2))
+
+
+class TestAdPhiFrames:
+    """C_N and D_N frames are the columns (h, e, f) of ad(Phi)."""
+
+    @pytest.mark.parametrize("make", [cn_translation, dn_group], ids=["cn", "dn"])
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_frames_are_columns_of_ad_phi(self, make, n):
+        from toruslie.sl2rep import ad, from_coeffs
+
+        gens = normal_form(make(L_GEN, n))
+        z = probe_points(gens, 30, 4)
+        cols = ad(gens.intertwiner(z))
+        factor = 1.0 if gens.ring_wp is None else gens.ring_wp(z)[1][..., None, None]
+        h = from_coeffs(cols[..., :, 0])
+        e = factor * from_coeffs(cols[..., :, 1])
+        f = factor * from_coeffs(cols[..., :, 2])
+        for got, want in ((gens.H.fn(z), h), (gens.E.fn(z), e), (gens.F.fn(z), f)):
+            assert got.tobytes() == want.tobytes()
+            assert np.all(np.trace(got, axis1=-2, axis2=-1) == 0)

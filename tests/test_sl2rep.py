@@ -148,3 +148,51 @@ class TestIsotypical:
             assert np.max(np.abs(proj @ proj - proj)) < 1e-10
             total += proj
         assert np.max(np.abs(total - np.eye(3))) < 1e-10
+
+
+def _ad_by_products(m):
+    """The conjugation ad once computed, as matrix products with the
+    adjugate over the determinant: the reference of its closed form."""
+    m = np.asarray(m, dtype=complex)
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    minv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / det
+    return np.stack([coeffs(m @ b @ minv) for b in (B_H, B_E, B_F)], axis=1)
+
+
+class TestAdClosedForm:
+    def test_stacked_equals_per_matrix_bitwise(self):
+        rng = np.random.default_rng(5)
+        m = rng.normal(size=(4, 50, 2, 2)) + 1j * rng.normal(size=(4, 50, 2, 2))
+        stacked = ad(m)
+        assert stacked.shape == (4, 50, 3, 3)
+        for idx in np.ndindex(4, 50):
+            assert ad(m[idx]).tobytes() == stacked[idx].tobytes()
+
+    def test_agrees_with_matrix_products(self):
+        # entries are quadratic in m over det m: the two routes differ by
+        # at most 64 eps * max|m_ij|^2 / |det m| (21 eps seen over these)
+        rng = np.random.default_rng(11)
+        eps = np.finfo(float).eps
+        for _ in range(500):
+            m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * 10.0 ** rng.uniform(-3, 3)
+            det = abs(m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+            bound = 64 * eps * np.max(np.abs(m)) ** 2 / det
+            assert np.max(np.abs(ad(m) - _ad_by_products(m))) <= bound
+
+    def test_group_constants_unchanged(self):
+        from toruslie import sl2rep
+
+        generators = {
+            "_FLIP": [[0, 1], [1, 0]],
+            "_R1_3": [[1j, 0], [0, -1j]],
+            "_R2_3": [[0, 1], [-1, 0]],
+            "_A4_S": 0.5 * np.array([[1 + 1j, -1 + 1j], [1 + 1j, 1 - 1j]]),
+        }
+        for name, m in generators.items():
+            assert np.array_equal(getattr(sl2rep, name), _ad_by_products(m)), name
+
+    def test_singular_matrix_raises(self):
+        with pytest.raises(ValueError, match="singular"):
+            ad(np.array([[1.0, 2.0], [2.0, 4.0]]))
+        with pytest.raises(ValueError, match="singular"):
+            ad(np.zeros((2, 2)))
