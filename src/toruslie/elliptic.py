@@ -5,14 +5,14 @@ z into the centred cell, then evaluates the q-series (DLMF 23.8) with
 q = exp(2*pi*i*tau_reduced) and u = exp(2*pi*i*z).  Past its closed-form
 head the series is two power series, sum w_k t^k and sum k w_k t^k with
 w_k = k / (1 - q^k), at t = q/u and t = q*u; centring keeps
-|t| <= |q|^(1/2) <= exp(-pi*sqrt(3)/2).  The sums stop at the K-th term
-(K = 16 on the hexagonal lattice, 14 on the square one, 4 from reduced
-Im tau = 3.44 up), where the dropped tail is below the roundoff of wp' at
-its own scale.  Both are evaluated by Horner's rule: no
-complex exponential per term, no K x Z temporaries, and each point's
-value is computed in the same order whatever batch it comes in.  The
-defining lattice sum, which converges far too slowly for tight
-tolerances, is kept in the test suite as an independent oracle.
+|t| <= |q|^(1/2) <= exp(-pi*sqrt(3)/2).  The sums stop after K terms (16
+on the hexagonal lattice, 14 on the square one, 4 from reduced Im tau =
+3.44 up), where the dropped tail is below the roundoff of wp' at its own
+scale.  Both are evaluated by Horner's rule: no complex exponential per
+term, no K x Z temporaries, and each point's value is computed in the same
+order whatever batch it comes in.  The defining lattice sum, which
+converges far too slowly for tight tolerances, is kept in the test suite
+as an independent oracle.
 
 wp_both takes a scalar or an array of any shape; callers batch every
 point set they need (all shifts of all probes) into one call, since the
@@ -83,10 +83,10 @@ class _Cell:
 def _n_terms(qabs: float, trunc: int | None) -> int:
     if trunc is not None:
         return max(4, int(trunc))
-    # cutting where |q|^(K/2) reaches 1.6e-19 keeps the dropped tail
-    # sum_{k>K} k^2 |q|^(k/2) / (1 - |q|^k) at or below 2.6e-18 on the whole
-    # fundamental domain (its maximum, at the hexagonal lattice, K = 16);
-    # times 8 pi^3 it bounds the error of wp', below 2^-53 e_max^1.5
+    # cut where |q|^(K/2) reaches 1.6e-19: the dropped tail, at most 2.6e-18
+    # on the fundamental domain (at the hexagonal lattice), is
+    # sum_{k>K} k^2 |q|^(k/2) / (1 - |q|^k); 8 pi^3 times it bounds the
+    # error of wp' and stays below 2^-53 e_max^1.5
     return max(4, math.ceil(2.0 * math.log(1.6e-19) / math.log(max(qabs, 1e-300))))
 
 

@@ -40,9 +40,7 @@ from .funcalg import (
 )
 from .intertwine import MatrixFunction, phi, psi
 from .lattice import ScaledLattice, shortest_period, torus_reduce_centered
-from .sl2rep import (
-    B_E, B_F, B_H, GroupRepresentation, ad, bracket, coeffs, from_coeffs, standard_rep,
-)
+from .sl2rep import B_E, B_F, B_H, GroupRepresentation, ad, bracket, coeffs, from_coeffs, standard_rep
 from .torusgroup import GroupEmbedding, inverse, quotient_scaled
 
 __all__ = [
@@ -120,16 +118,17 @@ def _times(factor, frame: MatrixFunction) -> MatrixFunction:
     return MatrixFunction(fn, 2, frame.lattice, frame.poles)
 
 
-def _shared(m: MatrixFunction) -> MatrixFunction:
-    """m evaluated once per point set for all generators built on it."""
-    return MatrixFunction(_last_points_memo(lambda z: m.fn(z)), m.d, m.lattice, m.poles, m.meta)
+def _columns(frame, like: MatrixFunction) -> tuple:
+    """The columns (h, e, f images) of the 3x3 map frame as sl2-valued maps
+    on the lattice and poles of like; frame runs once per point set."""
+    memo = _last_points_memo(frame)
 
+    def column(c):
+        return MatrixFunction(
+            lambda z: from_coeffs(memo(z)[..., :, c]), 2, like.lattice, like.poles
+        )
 
-def _column(frame: MatrixFunction, col: int) -> MatrixFunction:
-    """sl2-valued map from one column of a 3x3 frame map (Psi or ad(Phi))."""
-    return MatrixFunction(
-        lambda z: from_coeffs(frame.fn(z)[..., :, col]), 2, frame.lattice, frame.poles
-    )
+    return tuple(column(c) for c in (0, 1, 2))
 
 
 def _orbit_points(emb: GroupEmbedding) -> tuple:
@@ -158,14 +157,10 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
         if emb.order_param == 1:
             e, f, h = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
         else:
-            intertwiner = _shared(phi(emb, j))
-            # over the computed det(Phi), which the fitted constants leave 1
-            # only up to their noise: the frames stay an exact automorphism
-            frame = MatrixFunction(
-                _last_points_memo(lambda z: ad(intertwiner.fn(z))), 3,
-                intertwiner.lattice, intertwiner.poles,
-            )
-            h, e, f = (_column(frame, c) for c in (0, 1, 2))
+            intertwiner = phi(emb, j)
+            # ad divides by the computed det(Phi), which the fitted constants
+            # leave 1 only up to their noise: the frames stay an automorphism
+            h, e, f = _columns(lambda z: ad(intertwiner.fn(z)), intertwiner)
         ring_slat = quotient_scaled(emb)
         if kind == "CN_translation":
             ring = InvariantRing(ring_slat, "full")
@@ -185,9 +180,9 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
         e = _times(lambda z: fe(*ring_wp(z)), e)
         f = _times(lambda z: ff(*ring_wp(z)), f)
     elif kind in ("C2xC2_translation", "A4"):
-        intertwiner = _shared(psi(emb))
+        intertwiner = psi(emb)
         half = quotient_scaled(emb)
-        h, e, f = (_column(intertwiner, c) for c in (0, 1, 2))
+        h, e, f = _columns(lambda z: intertwiner.fn(z), intertwiner)
         if kind == "C2xC2_translation":
             ring = InvariantRing(half, "full")
         else:

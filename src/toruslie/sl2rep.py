@@ -3,9 +3,7 @@
 The global basis is B = (h, e, f) with [h, e] = 2e, [h, f] = -2f,
 [e, f] = h.  Automorphisms of sl2 are conjugations X -> m X m^-1 by
 invertible 2x2 matrices taken modulo scalars (PGL2 = PSL2 over C), stored
-as 3x3 matrices over B; ad gives that matrix in closed form, elementwise
-over stacks of 2x2 matrices, so a frame Ad(Phi(z))(h, e, f) is the three
-columns of ad(Phi(z)).
+as 3x3 matrices over B, in closed form by ad (elementwise over stacks).
 
 Convention for the cyclic actions: the generator scales e by a primitive
 root of unity,
@@ -62,29 +60,38 @@ def coeffs(x: np.ndarray) -> np.ndarray:
 def from_coeffs(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     h, e, f = v[..., 0], v[..., 1], v[..., 2]
-    return np.stack((h, e, f, -h), axis=-1).reshape(v.shape[:-1] + (2, 2))
+    out = np.empty(v.shape[:-1] + (2, 2), dtype=complex)
+    out[..., 0, 0] = h
+    out[..., 0, 1] = e
+    out[..., 1, 0] = f
+    out[..., 1, 1] = -h
+    return out
 
 
 def ad(m: np.ndarray) -> np.ndarray:
-    """3x3 matrix of X -> m X m^-1 over the basis (h, e, f).
+    """3x3 matrix of X -> m X m^-1 over (h, e, f), elementwise over (..., 2, 2).
 
-    Elementwise over stacked (..., 2, 2) input, returning (..., 3, 3).  For
-    m = ((a, b), (c, d)) the columns, the images of h, e and f, are
-    (ad + bc, -2ab, 2cd), (-ac, a^2, -c^2) and (bd, -b^2, d^2), each over
-    det m.  A single singular matrix raises; stacked input is divided by
-    its computed determinants as they stand.
+    For m = ((a, b), (c, d)) the columns (the images of h, e and f) are
+    (ad + bc, -2ab, 2cd), (-ac, a^2, -c^2) and (bd, -b^2, d^2) over det m.
+    A single singular matrix raises; stacks divide by their computed dets.
     """
     m = np.asarray(m, dtype=complex)
     a, b, c, d = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
     det = a * d - b * c
     if m.ndim == 2 and abs(det) < 1e-14:
         raise ValueError("conjugating matrix is singular")
-    rows = (
-        a * d + b * c, -a * c, b * d,
-        -2.0 * a * b, a * a, -b * b,
-        2.0 * c * d, -c * c, d * d,
-    )
-    return np.stack(rows, axis=-1).reshape(m.shape[:-2] + (3, 3)) / det[..., None, None]
+    out = np.empty(m.shape[:-2] + (3, 3), dtype=complex)
+    out[..., 0, 0] = a * d + b * c
+    out[..., 1, 0] = -2.0 * a * b
+    out[..., 2, 0] = 2.0 * c * d
+    out[..., 0, 1] = -a * c
+    out[..., 1, 1] = a * a
+    out[..., 2, 1] = -c * c
+    out[..., 0, 2] = b * d
+    out[..., 1, 2] = -b * b
+    out[..., 2, 2] = d * d
+    out /= det[..., None, None]
+    return out
 
 
 def _diag_action(w: complex) -> np.ndarray:
