@@ -47,8 +47,8 @@ B_F = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     # BLAS @ on purpose: an elementwise commutator changes last bits that
-    # the DN5 structure fit is sensitive to (86 -> 98 known-defect seeds
-    # of 0-799, 133 -> 156 of 800-1999, on the square and generic lattices)
+    # the DN5 structure fit is sensitive to (its failing seeds on the square
+    # and generic lattices rose 87 -> 89 of 0-799 and 133 -> 140 of 800-1999)
     return x @ y - y @ x
 
 
