@@ -33,6 +33,14 @@ __all__ = [
 
 KIND_BY_BRANCH_COUNT = {0: "CurrentAlgebra", 2: "Onsager", 3: "SFamily"}
 
+#: bounds of cross_validate: the bracket residuals he, hf and ef, the
+#: relative structure-fit residual, the invariance residual, and the
+#: relative j agreement of the reported class
+BRACKET_TOL = 1e-7
+FIT_TOL = 1e-6
+INVARIANCE_TOL = 1e-8
+J_REL_TOL = 1e-7
+
 #: whether lattice classes are known to separate the family completely
 _CAVEAT_SFAMILY = (
     "the tau-class is reported as metadata; it is not known to be a complete"
@@ -101,16 +109,7 @@ def _poly_root_shape(kind: str, abel_dim: int, is_const: bool) -> bool:
     return abel_dim == 3
 
 
-def cross_validate(
-    emb: GroupEmbedding,
-    j: int = 1,
-    *,
-    seed: int = 0,
-    bracket_tol: float = 1e-7,
-    fit_tol: float = 1e-6,
-    invariance_tol: float = 1e-8,
-    j_rel_tol: float = 1e-7,
-) -> CrossValidation:
+def cross_validate(emb: GroupEmbedding, j: int = 1, *, seed: int = 0) -> CrossValidation:
     """Build the normal form and check it against the classification.
 
     The structure polynomial, bracket residuals and invariance residual
@@ -124,17 +123,17 @@ def cross_validate(
     """
     cls = classify(emb)
     gens = normal_form(emb, j=j)
-    poly, brackets, inv_res = check_triple(gens, seed=seed, tol=fit_tol)
+    poly, brackets, inv_res = check_triple(gens, seed=seed, tol=FIT_TOL)
     abel = abelianization_dim(gens)
     notes: list[str] = []
 
     # generator entries can be large (small mu, elongated lattices); the
     # invariance comparison of such values bottoms out at the evaluation
     # chain's relative accuracy of about 1e-11
-    inv_floor = max(invariance_tol, 1e-11 * brackets.get("frame_scale", 0.0))
+    inv_floor = max(INVARIANCE_TOL, 1e-11 * brackets.get("frame_scale", 0.0))
     checks = {
-        "brackets": max(brackets["he"], brackets["hf"], brackets["ef"]) < bracket_tol,
-        "structure_fit": brackets.get("ef_fit", 0.0) < fit_tol,
+        "brackets": max(brackets["he"], brackets["hf"], brackets["ef"]) < BRACKET_TOL,
+        "structure_fit": brackets.get("ef_fit", 0.0) < FIT_TOL,
         "invariance": inv_res < inv_floor,
     }
 
@@ -174,7 +173,7 @@ def cross_validate(
         amp = max(amp, abs(cls.j_invariant) / 864.0)
         coeff_scale = max(abs(c) for c in a)
         checks["leading_coefficient"] = abs(a[3] - 4.0) <= max(4e-6, 1e-10 * coeff_scale)
-        jtol = max(j_rel_tol, 3e-8 * amp)
+        jtol = max(J_REL_TOL, 3e-8 * amp)
         if jtol < 0.5:
             j_poly = 1728.0 * g2_hat ** 3 / disc
             checks["j_poly_consistent"] = abs(j_poly - cls.j_invariant) <= jtol * max(
@@ -193,7 +192,7 @@ def cross_validate(
 
     if cls.j_invariant is not None:
         # quotient class versus the lattice the invariant ring actually uses
-        checks["j_ring_consistent"] = abs(ring_inv.j - cls.j_invariant) <= j_rel_tol * max(
+        checks["j_ring_consistent"] = abs(ring_inv.j - cls.j_invariant) <= J_REL_TOL * max(
             1.0, abs(cls.j_invariant)
         )
 

@@ -5,8 +5,9 @@ emitted as structured text with a stable key schema (or JSON with
 --json); complex numbers appear as [re, im] pairs.  All sampling is
 seeded, so equal configurations produce byte-identical reports.
 
-Exit status: 0 all checks passed, 1 verification failure, 2 usage or
-domain error.
+Each subcommand accepts only the flags it reads (_COMMANDS).  Exit
+status: 0 all checks passed, 1 verification failure, 2 usage or domain
+error, including a fit that fails.
 """
 
 from __future__ import annotations
@@ -16,21 +17,20 @@ import functools
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import cross_validate
+from .classify import FIT_TOL, INVARIANCE_TOL, cross_validate
 from .elliptic import invariants
-from .funcalg import c2c2_constants, fit_lambda_mu, torus_distance
+from .funcalg import FitError, c2c2_constants, fit_lambda_mu, torus_distance
 from .lattice import Lattice, ScaledLattice, TorsionPoint
 from .normalform import (
     BRACKET_SAMPLES, _h_projection, invariance_residual, normal_form, verify_brackets,
 )
 from .sl2rep import bracket
-from .torusgroup import GroupEmbedding, UnsupportedEmbeddingError, catalog, make_embedding
+from .torusgroup import GroupEmbedding, catalog, make_embedding
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 _GROUP_NAMES = {
     "cn": "CN_translation",
@@ -39,27 +39,6 @@ _GROUP_NAMES = {
     "c2c2": "C2xC2_translation",
     "a4": "A4",
 }
-
-
-@dataclass
-class RunConfig:
-    tau: complex
-    group: str = "cn"
-    order: int = 2
-    torsion: tuple[int, int, int] | None = None
-    char_j: int = 1
-    tol: float = 1e-7
-    trunc: int | None = None
-    samples: int = BRACKET_SAMPLES
-    seed: int = 0
-    as_json: bool = False
-    out: str | None = None
-    perturb: float = 0.0
-
-
-def _default_tol() -> float:
-    env = os.environ.get("TORUSLIE_TOL")
-    return float(env) if env else 1e-7
 
 
 def _cx(z: complex) -> list[float]:
@@ -84,9 +63,9 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(report: dict, cfg: RunConfig) -> None:
+def _emit(report: dict, args: argparse.Namespace) -> None:
     report = _jsonable(report)
-    if cfg.as_json:
+    if args.json:
         text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
     else:
         lines = []
@@ -109,25 +88,25 @@ def _emit(report: dict, cfg: RunConfig) -> None:
 
         walk("", report)
         text = "\n".join(lines)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
 
 
-def _embedding(cfg: RunConfig) -> GroupEmbedding:
-    lattice = Lattice(cfg.tau)
-    kind = _GROUP_NAMES[cfg.group]
+def _embedding(args: argparse.Namespace) -> GroupEmbedding:
+    lattice = Lattice(args.tau)
+    kind = _GROUP_NAMES[args.group]
     shift = None
-    if cfg.torsion is not None:
-        a, b, n = cfg.torsion
+    if args.torsion is not None:
+        a, b, n = args.torsion
         shift = TorsionPoint(a, b, n)
-    return make_embedding(lattice, kind, cfg.order, shift)
+    return make_embedding(lattice, kind, args.order, shift)
 
 
-def cmd_catalog(cfg: RunConfig) -> int:
-    lattice = Lattice(cfg.tau)
+def cmd_catalog(args: argparse.Namespace) -> int:
+    lattice = Lattice(args.tau)
     entries = []
     for emb in catalog(lattice):
         entries.append(
@@ -137,17 +116,17 @@ def cmd_catalog(cfg: RunConfig) -> int:
                 "group_order": emb.order,
             }
         )
-    _emit({"command": "catalog", "tau": cfg.tau, "entries": entries}, cfg)
+    _emit({"command": "catalog", "tau": args.tau, "entries": entries}, args)
     return 0
 
 
-def cmd_classify(cfg: RunConfig) -> int:
-    emb = _embedding(cfg)
-    cv = cross_validate(emb, cfg.char_j, seed=cfg.seed)
+def cmd_classify(args: argparse.Namespace) -> int:
+    emb = _embedding(args)
+    cv = cross_validate(emb, args.char_j, seed=args.seed)
     cls = cv.classification
     report = {
         "command": "classify",
-        "config": _config_dict(cfg),
+        "config": _config_dict(args),
         "kind": cls.kind,
         "branch_count": cls.branch_count,
         "tau_class": None if cls.tau_class is None else cls.tau_class.tau_reduced,
@@ -162,16 +141,16 @@ def cmd_classify(cfg: RunConfig) -> int:
             "passed": cv.passed,
         },
     }
-    _emit(report, cfg)
+    _emit(report, args)
     return 0 if cv.passed else 1
 
 
-def cmd_constants(cfg: RunConfig) -> int:
-    lattice = Lattice(cfg.tau)
-    inv = invariants(lattice, cfg.trunc)
+def cmd_constants(args: argparse.Namespace) -> int:
+    lattice = Lattice(args.tau)
+    inv = invariants(lattice, args.trunc)
     report = {
         "command": "constants",
-        "config": _config_dict(cfg),
+        "config": _config_dict(args),
         "g2": inv.g2,
         "g3": inv.g3,
         "e1": inv.e1,
@@ -180,7 +159,7 @@ def cmd_constants(cfg: RunConfig) -> int:
         "discriminant": inv.discriminant,
         "j": inv.j,
     }
-    if cfg.group == "c2c2":
+    if args.group == "c2c2":
         cc = c2c2_constants(lattice)
         report["c2c2"] = {
             "alpha1": cc.alpha1,
@@ -191,22 +170,23 @@ def cmd_constants(cfg: RunConfig) -> int:
             "B1": cc.B1,
             "sqrt_alpha2_beta2": cc.sqrt_a2b2,
         }
-    if cfg.group in ("cn", "dn") and cfg.order >= 2:
-        emb = _embedding(cfg)
+    if args.group in ("cn", "dn") and args.order >= 2:
+        emb = _embedding(args)
         try:
-            lam, mu = fit_lambda_mu(emb, cfg.char_j, seed=cfg.seed, tol=cfg.tol)
+            lam, mu = fit_lambda_mu(emb, args.char_j, seed=args.seed, tol=args.tol)
             report["lambda"] = lam
             report["mu"] = mu
         except ValueError:
             report["lambda"] = None
             report["mu"] = None
-    _emit(report, cfg)
+    _emit(report, args)
     return 0
 
 
-def cmd_eval(cfg: RunConfig, z: complex) -> int:
-    emb = _embedding(cfg)
-    gens = normal_form(emb, j=cfg.char_j)
+def cmd_eval(args: argparse.Namespace) -> int:
+    z = complex(args.z_re, args.z_im)
+    emb = _embedding(args)
+    gens = normal_form(emb, j=args.char_j)
     slat = ScaledLattice(emb.tau)
     if np.any(torus_distance(z, np.asarray(gens.poles), slat) < 1e-8):
         raise ValueError(f"evaluation point {z} is on the pole divisor")
@@ -215,7 +195,7 @@ def cmd_eval(cfg: RunConfig, z: complex) -> int:
     p_point = _h_projection(comm, h)
     report = {
         "command": "eval",
-        "config": _config_dict(cfg),
+        "config": _config_dict(args),
         "z": z,
         "E": _mat(e),
         "F": _mat(f),
@@ -226,7 +206,7 @@ def cmd_eval(cfg: RunConfig, z: complex) -> int:
     if gens.intertwiner is not None:
         name = "Psi" if emb.kind in ("C2xC2_translation", "A4") else "Phi"
         report[name] = _mat(gens.intertwiner(z))
-    _emit(report, cfg)
+    _emit(report, args)
     return 0
 
 
@@ -234,54 +214,54 @@ def _mat(m: np.ndarray) -> list:
     return [[complex(v) for v in row] for row in np.asarray(m)]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    emb = _embedding(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    emb = _embedding(args)
     # cross_validate fits the structure polynomial on the unperturbed
     # triple; --perturb-f then scales F of that triple against it
-    cv = cross_validate(emb, cfg.char_j, seed=cfg.seed)
+    cv = cross_validate(emb, args.char_j, seed=args.seed)
     gens = cv.triple
-    if cfg.perturb:
+    if args.perturb_f:
         f0 = gens.F.fn
-        factor = 1.0 + cfg.perturb
+        factor = 1.0 + args.perturb_f
         gens.F.fn = lambda z: factor * f0(z)
-    if cfg.perturb or cfg.samples != BRACKET_SAMPLES:
-        br = verify_brackets(gens, cfg.samples, seed=cfg.seed + 1)
+    if args.perturb_f or args.samples != BRACKET_SAMPLES:
+        br = verify_brackets(gens, args.samples, seed=args.seed + 1)
     else:
         # the triple, seed and probes of cross_validate's bracket check
         br = cv.bracket_residuals
-    inv_res = invariance_residual(gens, max(20, cfg.samples // 2), seed=cfg.seed + 2)
+    inv_res = invariance_residual(gens, max(20, args.samples // 2), seed=args.seed + 2)
     checks = {
-        "he": br["he"] < cfg.tol,
-        "hf": br["hf"] < cfg.tol,
-        "ef": br["ef"] < cfg.tol,
-        "ef_fit": br.get("ef_fit", 0.0) < max(cfg.tol, 1e-6),
-        "invariance": inv_res < max(cfg.tol, 1e-8),
+        "he": br["he"] < args.tol,
+        "hf": br["hf"] < args.tol,
+        "ef": br["ef"] < args.tol,
+        "ef_fit": br.get("ef_fit", 0.0) < max(args.tol, FIT_TOL),
+        "invariance": inv_res < max(args.tol, INVARIANCE_TOL),
         "classification": cv.passed,
     }
     report = {
         "command": "verify",
-        "config": _config_dict(cfg),
+        "config": _config_dict(args),
         "bracket_residuals": br,
         "invariance_residual": inv_res,
         "kind": cv.classification.kind,
         "checks": checks,
         "passed": all(checks.values()),
     }
-    _emit(report, cfg)
+    _emit(report, args)
     return 0 if report["passed"] else 1
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    return {
-        "tau": cfg.tau,
-        "group": cfg.group,
-        "order": cfg.order,
-        "torsion": list(cfg.torsion) if cfg.torsion else None,
-        "char_j": cfg.char_j,
-        "tol": cfg.tol,
-        "seed": cfg.seed,
-        "samples": cfg.samples,
+def _config_dict(args: argparse.Namespace) -> dict:
+    """The run's parameters, as far as its command reads them."""
+    config = {
+        "tau": args.tau,
+        "group": args.group,
+        "order": args.order,
+        "torsion": list(args.torsion) if args.torsion else None,
+        "char_j": args.char_j,
     }
+    config.update({k: getattr(args, k) for k in ("tol", "seed", "samples") if k in args})
+    return config
 
 
 def _parse_torsion(text: str) -> tuple[int, int, int]:
@@ -289,6 +269,38 @@ def _parse_torsion(text: str) -> tuple[int, int, int]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("torsion must be given as a/b/n")
     return int(parts[0]), int(parts[1]), int(parts[2])
+
+
+#: every flag, declared once, in the order --help lists them
+_FLAGS = {
+    "--tau-re": dict(type=float, default=0.0),
+    "--tau-im": dict(type=float, default=1.0),
+    "--group": dict(choices=sorted(_GROUP_NAMES), default="cn"),
+    "--order": dict(type=int, default=2, help="N for cn/dn, l for rot"),
+    "--torsion": dict(type=_parse_torsion, default=None, metavar="a/b/n"),
+    "--char-j": dict(type=int, default=1),
+    "--tol": dict(type=float, default=None),
+    "--samples": dict(type=int, default=BRACKET_SAMPLES),
+    "--seed": dict(type=int, default=0),
+    "--json": dict(action="store_true"),
+    "--out": dict(default=None),
+    "--trunc": dict(type=int, default=None, help="series terms for the invariants"),
+    "--z-re": dict(type=float, default=0.23),
+    "--z-im": dict(type=float, default=0.31),
+    "--perturb-f": dict(
+        type=float, default=0.0, help="scale F by (1 + value) after fitting; negative control"
+    ),
+}
+_COMMON = {"--tau-re", "--tau-im", "--json", "--out"}
+_EMBEDDING = {"--group", "--order", "--torsion", "--char-j"}
+#: each command and the flags it reads besides _COMMON; it accepts no other
+_COMMANDS = {
+    "catalog": (cmd_catalog, set()),
+    "classify": (cmd_classify, _EMBEDDING | {"--seed"}),
+    "constants": (cmd_constants, _EMBEDDING | {"--tol", "--seed", "--trunc"}),
+    "eval": (cmd_eval, _EMBEDDING | {"--z-re", "--z-im"}),
+    "verify": (cmd_verify, _EMBEDDING | {"--tol", "--samples", "--seed", "--perturb-f"}),
+}
 
 
 @functools.cache
@@ -300,63 +312,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "catalog, classification and verification",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in ("catalog", "classify", "constants", "eval", "verify"):
+    for name, (_, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--tau-re", type=float, default=0.0)
-        p.add_argument("--tau-im", type=float, default=1.0)
-        p.add_argument("--group", choices=sorted(_GROUP_NAMES), default="cn")
-        p.add_argument("--order", type=int, default=2, help="N for cn/dn, l for rot")
-        p.add_argument("--torsion", type=_parse_torsion, default=None, metavar="a/b/n")
-        p.add_argument("--char-j", type=int, default=1)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--samples", type=int, default=BRACKET_SAMPLES)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--out", default=None)
-        if name == "constants":
-            p.add_argument("--trunc", type=int, default=None, help="series terms for the invariants")
-        if name == "eval":
-            p.add_argument("--z-re", type=float, default=0.23)
-            p.add_argument("--z-im", type=float, default=0.31)
-        if name == "verify":
-            p.add_argument(
-                "--perturb-f",
-                type=float,
-                default=0.0,
-                help="scale F by (1 + value) after fitting; negative control",
-            )
+        for flag, spec in _FLAGS.items():
+            if flag in _COMMON or flag in flags:
+                p.add_argument(flag, **spec)
     return ap
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    cfg = RunConfig(
-        tau=complex(args.tau_re, args.tau_im),
-        group=args.group,
-        order=args.order,
-        torsion=args.torsion,
-        char_j=args.char_j,
-        tol=args.tol if args.tol is not None else _default_tol(),
-        trunc=getattr(args, "trunc", None),
-        samples=args.samples,
-        seed=args.seed,
-        as_json=args.json,
-        out=args.out,
-        perturb=getattr(args, "perturb_f", 0.0),
-    )
+    args.tau = complex(args.tau_re, args.tau_im)
     try:
-        if args.command == "catalog":
-            return cmd_catalog(cfg)
-        if args.command == "classify":
-            return cmd_classify(cfg)
-        if args.command == "constants":
-            return cmd_constants(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg, complex(args.z_re, args.z_im))
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise AssertionError(args.command)
-    except (ValueError, UnsupportedEmbeddingError) as exc:
+        if "tol" in args and args.tol is None:  # TORUSLIE_TOL is read per run
+            args.tol = float(os.environ.get("TORUSLIE_TOL") or 1e-7)
+        return _COMMANDS[args.command][0](args)
+    except (ValueError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

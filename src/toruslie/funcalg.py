@@ -553,24 +553,16 @@ def _fit_values(x, y, rhs: np.ndarray, ring: InvariantRing, pole_bound: int, tol
     return WPoly(_poly_trim(a), _poly_trim(b))
 
 
-def fit_in_ring(
-    f: TorusFunction,
-    ring: InvariantRing,
-    pole_bound: int,
-    *,
-    seed: int = 0,
-    tol: float = 1e-6,
-    margin: float = 0.12,
-) -> WPoly:
+def fit_in_ring(f: TorusFunction, ring: InvariantRing, pole_bound: int) -> WPoly:
     """Least-squares expansion of f in the ring, with held-out validation.
 
     pole_bound is the declared order of f at the ring's lattice points; it
     fixes which monomials may appear.  Rows are weighted by 1/max(1, |f|)
     so the fit controls relative error where the values are large; the
     held-out residual is per-point relative on the same scale.  A residual
-    above tol means f does not live in the ring (or the bound is wrong)
+    above 1e-6 means f does not live in the ring (or the bound is wrong)
     -> NotInRingError.
     """
-    z = _fit_points(ring, pole_bound, f.poles, seed=seed, margin=margin)
+    z = _fit_points(ring, pole_bound, f.poles, seed=0, margin=0.12)
     x, y = ring.values(z)
-    return _fit_values(x, y, f(z), ring, pole_bound, tol)
+    return _fit_values(x, y, f(z), ring, pole_bound, 1e-6)

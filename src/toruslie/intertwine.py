@@ -92,13 +92,7 @@ def _psystem_for(emb: GroupEmbedding):
     return p_system(emb), n
 
 
-def phi(
-    emb: GroupEmbedding,
-    j: int = 1,
-    *,
-    seed: int = 0,
-    fit_tol: float = 1e-7,
-) -> MatrixFunction:
+def phi(emb: GroupEmbedding, j: int = 1) -> MatrixFunction:
     """The SL2-valued map of a cyclic translation embedding.
 
     Requires 2j != 0 mod the twist order (P_j and P_2j must be nonzero).
@@ -110,7 +104,7 @@ def phi(
     ps, m = _psystem_for(emb)
     if (2 * j) % m == 0:
         raise ValueError(f"character index {j} has 2j = 0 mod {m}: the corner column degenerates")
-    lam, mu = _fit_lambda_mu_ps(ps, j, j, seed=seed, tol=fit_tol)
+    lam, mu = _fit_lambda_mu_ps(ps, j, j)
     js = (j % m, (-j) % m, (2 * j) % m, (-2 * j) % m)
 
     def fn(z):

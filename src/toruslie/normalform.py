@@ -15,6 +15,11 @@ the invariant ring of the case:
   A4                    Klein columns paired with powers of wp of the
                         half lattice,                 p in C[wp']
 
+_CASES holds this list, one row per case: the frame source (constant,
+ad(Phi) or Psi), the ring variable, the structure bound, the bracket
+sampling margin and the factors of e and f.  The factors live on the
+lattice of T / t(Gamma), which for rotations is the lattice itself.
+
 The order-4 pairing puts wp' on the e-side: that is the character-correct
 match for the generator action e -> i e (the product of the two function
 factors must be the full invariant wp (wp')^2 either way, so the bracket
@@ -31,6 +36,7 @@ concatenation, with results equal to those of the three functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,24 +64,34 @@ BRACKET_SAMPLES = 60
 #: invariance probes of invariance_residual and of check_triple
 INVARIANCE_SAMPLES = 40
 
-_STRUCTURE_BOUND = {
-    "CN_translation": 0,
-    "DN": 6,
-    "Cl_rotation:2": 6,
-    "Cl_rotation:3": 6,
-    "Cl_rotation:4": 8,
-    "Cl_rotation:6": 12,
-    "C2xC2_translation": 0,
-    "A4": 6,
-}
+class _Case(NamedTuple):
+    frames: str  # "B" constant, "phi" columns of ad(Phi), "psi" columns of Psi
+    var: str  # the variable of the invariant ring
+    bound: int  # the structure bound
+    margin: float  # the bracket sampling margin
+    fe: object = None  # the factor of e as a function of (wp, wp') of the ring lattice
+    ff: object = None  # the factor of f, likewise
 
-#: rotation normal forms: the factors of e and f as functions of
-#: (wp, wp'), and the variable of the invariant ring
-_ROTATION_TABLE = {
-    2: (lambda x, y: y, lambda x, y: y, "wp"),
-    3: (lambda x, y: x, lambda x, y: x ** 2, "wp_prime"),
-    4: (lambda x, y: y, lambda x, y: x * y, "wp2"),
-    6: (lambda x, y: x * y, lambda x, y: x ** 2 * y, "wp3"),
+
+#: one row per case, keyed by kind and by (kind, order) for rotations.
+#: Generator products scale like distance^(-bound); the margin keeps the
+#: bracket magnitudes low enough that 64-bit roundoff stays below the
+#: absolute residual targets.  Dihedral frames carry the extra wp' factor
+#: on top of the conjugated frames, so they get the widest berth (their
+#: pole rows sit on a line, leaving the mid-band free).
+_CASES = {
+    "CN_translation": _Case("phi", "full", 0, 0.15),
+    "DN": _Case("phi", "wp", 6, 0.34, lambda x, y: y, lambda x, y: y),
+    ("Cl_rotation", 2): _Case("B", "wp", 6, 0.22, lambda x, y: y, lambda x, y: y),
+    ("Cl_rotation", 3): _Case("B", "wp_prime", 6, 0.22, lambda x, y: x, lambda x, y: x ** 2),
+    ("Cl_rotation", 4): _Case("B", "wp2", 8, 0.3, lambda x, y: y, lambda x, y: x * y),
+    ("Cl_rotation", 6): _Case("B", "wp3", 12, 0.34, lambda x, y: x * y, lambda x, y: x ** 2 * y),
+    "C2xC2_translation": _Case("psi", "full", 0, 0.15),
+    # a4_group makes the rotation s cycle the half periods s1 -> s1 + s2
+    # -> s2 on every basis, so under s the e-column picks up w^2 and the
+    # f-column w, w = exp(2 pi i/3), while wp of the half lattice picks up
+    # w^2: wp^2 e and wp f are invariant
+    "A4": _Case("psi", "wp_prime", 6, 0.22, lambda x, y: x ** 2, lambda x, y: x),
 }
 
 
@@ -136,89 +152,51 @@ def _orbit_points(emb: GroupEmbedding) -> tuple:
     return tuple(sorted(pts, key=lambda c: (round(c.real, 9), round(c.imag, 9))))
 
 
+def _case(emb: GroupEmbedding) -> _Case:
+    key = (emb.kind, emb.order_param) if emb.kind == "Cl_rotation" else emb.kind
+    if key not in _CASES:
+        raise ValueError(f"unknown embedding kind {emb.kind!r}")
+    return _CASES[key]
+
+
 def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: int = 1) -> GeneratorTriple:
     """Construct the invariant generator triple for a catalog embedding.
 
-    E, F and H share their base (Phi, Psi or the wp factor): evaluated in
-    turn on one point array, the three of them evaluate it once.  Where
-    the wp factor lives on the ring lattice (rotations, D_N and A4) it is
-    the triple's ring_wp, so the ring values at those points come from the
-    same evaluation.
+    The frames come from the case's row of _CASES: constant, the columns
+    of ad(Phi) or the columns of Psi; E, F and H share that base, so
+    evaluated in turn on one point array the three of them evaluate it
+    once.  Where the row has factors of e and f, they are functions of wp
+    on the ring lattice T / t(Gamma) (for rotations the lattice itself);
+    that wp is the triple's ring_wp, so the ring values at those points
+    come from the same evaluation.
     """
     if rep is None:
         rep = standard_rep(emb, j)
-    kind = emb.kind
-    base = ScaledLattice(emb.tau)
+    case = _case(emb)
     orbit = _orbit_points(emb)
     intertwiner = None
     ring_wp = None
-
-    if kind in ("CN_translation", "DN"):
-        if emb.order_param == 1:
-            e, f, h = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
-        else:
-            intertwiner = phi(emb, j)
-            # ad divides by the computed det(Phi), which the fitted constants
-            # leave 1 only up to their noise: the frames stay an automorphism
-            h, e, f = _columns(lambda z: ad(intertwiner.fn(z)), intertwiner)
-        ring_slat = quotient_scaled(emb)
-        if kind == "CN_translation":
-            ring = InvariantRing(ring_slat, "full")
-        else:
-            ring = InvariantRing(ring_slat, "wp")
-            ring_wp = _last_points_memo(lambda z: wp_both_scaled(z, ring_slat))
-            e = _times(lambda z: ring_wp(z)[1], e)
-            f = _times(lambda z: ring_wp(z)[1], f)
-    elif kind == "Cl_rotation":
-        ell = emb.order_param
-        if j != 1:
-            raise ValueError("rotation normal forms are tabulated for character index 1")
-        fe, ff, var = _ROTATION_TABLE[ell]
-        ring = InvariantRing(base, var)
-        e, f, h = (_const_mat(x, base, orbit) for x in (B_E, B_F, B_H))
-        ring_wp = _last_points_memo(lambda z: wp_both_scaled(z, base))
-        e = _times(lambda z: fe(*ring_wp(z)), e)
-        f = _times(lambda z: ff(*ring_wp(z)), f)
-    elif kind in ("C2xC2_translation", "A4"):
-        intertwiner = psi(emb)
-        half = quotient_scaled(emb)
-        h, e, f = _columns(lambda z: intertwiner.fn(z), intertwiner)
-        if kind == "C2xC2_translation":
-            ring = InvariantRing(half, "full")
-        else:
-            ring = InvariantRing(half, "wp_prime")
-            ring_wp = _last_points_memo(lambda z: wp_both_scaled(z, half))
-            # a4_group makes the rotation s cycle the half periods
-            # s1 -> s1 + s2 -> s2 on every basis, so under s the e-column
-            # picks up w^2 and the f-column w, w = exp(2 pi i/3), while wp
-            # of the half lattice picks up w^2: wp^2 e and wp f are invariant
-            e = _times(lambda z: ring_wp(z)[0] ** 2, e)
-            f = _times(lambda z: ring_wp(z)[0], f)
+    if case.frames == "B" and j != 1:
+        raise ValueError("rotation normal forms are tabulated for character index 1")
+    # the trivial translation has no Phi: its frames are constant too
+    if case.frames == "B" or emb.order_param == 1:
+        base = ScaledLattice(emb.tau)
+        h, e, f = (_const_mat(x, base, orbit) for x in (B_H, B_E, B_F))
+    elif case.frames == "phi":
+        intertwiner = phi(emb, j)
+        # ad divides by the computed det(Phi), which the fitted constants
+        # leave 1 only up to their noise: the frames stay an automorphism
+        h, e, f = _columns(lambda z: ad(intertwiner.fn(z)), intertwiner)
     else:
-        raise ValueError(f"unknown embedding kind {kind!r}")
-
-    key = f"{kind}:{emb.order_param}" if kind == "Cl_rotation" else kind
-    return GeneratorTriple(
-        e, f, h, ring, emb, rep, j, orbit, _STRUCTURE_BOUND[key], intertwiner, ring_wp=ring_wp
-    )
-
-
-def _bracket_margin(gens: GeneratorTriple) -> float:
-    # generator products scale like distance^(-bound); the margin keeps the
-    # bracket magnitudes low enough that 64-bit roundoff stays below the
-    # absolute residual targets.  Dihedral frames carry the extra wp'
-    # factor on top of the conjugated frames, so they get the widest berth
-    # (their pole rows sit on a line, leaving the mid-band free).
-    if gens.emb.kind == "DN":
-        return 0.34
-    bound = gens.structure_bound
-    if bound >= 12:
-        return 0.34
-    if bound >= 8:
-        return 0.3
-    if bound >= 6:
-        return 0.22
-    return 0.15
+        intertwiner = psi(emb)
+        h, e, f = _columns(lambda z: intertwiner.fn(z), intertwiner)
+    ring_slat = quotient_scaled(emb)
+    if case.fe is not None:
+        ring_wp = _last_points_memo(lambda z: wp_both_scaled(z, ring_slat))
+        e = _times(lambda z: case.fe(*ring_wp(z)), e)
+        f = _times(lambda z: case.ff(*ring_wp(z)), f)
+    ring = InvariantRing(ring_slat, case.var)
+    return GeneratorTriple(e, f, h, ring, emb, rep, j, orbit, case.bound, intertwiner, ring_wp=ring_wp)
 
 
 def _backed_off(attempt, margin: float):
@@ -241,7 +219,7 @@ def _probe(gens: GeneratorTriple, n_samples: int, seed: int) -> np.ndarray:
     slat = ScaledLattice(gens.emb.tau)
     return _backed_off(
         lambda m: sample_points(slat, n_samples, rng, avoid=gens.poles, margin=m),
-        _bracket_margin(gens),
+        _case(gens.emb).margin,
     )
 
 
@@ -255,7 +233,7 @@ def _fit_rows(gens: GeneratorTriple, seed: int) -> np.ndarray:
     short_orig = shortest_period(gens.emb.tau)
     slat = gens.ring.slat
     short_ring = shortest_period(slat.tau) * abs(slat.scale)
-    margin = _bracket_margin(gens) * short_orig / short_ring
+    margin = _case(gens.emb).margin * short_orig / short_ring
     return _backed_off(
         lambda m: _fit_points(gens.ring, gens.structure_bound, (), seed=seed, margin=m),
         margin,

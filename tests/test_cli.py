@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from toruslie import intertwine
+from toruslie.funcalg import FitError
 from toruslie.cli import main
 from toruslie.intertwine import phi
 from toruslie.lattice import Lattice
@@ -121,13 +122,13 @@ class TestEval:
 
     def test_reports_the_phi_its_frames_use(self, capsys, monkeypatch):
         # E, F and H are built on the lambda/mu fit of normal_form; the
-        # reported Phi is that map at any --seed, from that single fit
+        # reported Phi is that map, from that single fit
         fits = []
         fit = intertwine._fit_lambda_mu_ps
         monkeypatch.setattr(
             intertwine, "_fit_lambda_mu_ps", lambda *a, **kw: fits.append(a) or fit(*a, **kw)
         )
-        rc, out, _ = run(capsys, "eval", "--group", "cn", "--order", "3", "--seed", "7", "--json")
+        rc, out, _ = run(capsys, "eval", "--group", "cn", "--order", "3", "--json")
         assert rc == 0
         assert len(fits) == 1
         doc = json.loads(out)
@@ -286,3 +287,83 @@ class TestPlumbing:
         assert rc == 0
         doc = json.loads(out)
         assert doc["bracket_residual"] < 1e-6
+
+
+COMMON = {"--tau-re", "--tau-im", "--json", "--out"}
+EMBEDDING = {"--group", "--order", "--torsion", "--char-j"}
+#: the flags each command reads
+READS = {
+    "catalog": COMMON,
+    "classify": COMMON | EMBEDDING | {"--seed"},
+    "constants": COMMON | EMBEDDING | {"--tol", "--seed", "--trunc"},
+    "eval": COMMON | EMBEDDING | {"--z-re", "--z-im"},
+    "verify": COMMON | EMBEDDING | {"--tol", "--samples", "--seed", "--perturb-f"},
+}
+#: a value for every flag, each a default or close to one
+VALUES = {
+    "--tau-re": ["0"], "--tau-im": ["1"], "--json": [], "--out": None,
+    "--group": ["cn"], "--order": ["3"], "--torsion": ["1/0/2"], "--char-j": ["1"],
+    "--tol": ["1e-7"], "--samples": ["40"], "--seed": ["5"], "--trunc": ["5"],
+    "--z-re": ["0.23"], "--z-im": ["0.31"], "--perturb-f": ["0.0"],
+}
+#: the config keys each reporting command emits
+CONFIG = {
+    "classify": {"tau", "group", "order", "torsion", "char_j", "seed"},
+    "constants": {"tau", "group", "order", "torsion", "char_j", "tol", "seed"},
+    "eval": {"tau", "group", "order", "torsion", "char_j"},
+    "verify": {"tau", "group", "order", "torsion", "char_j", "tol", "seed", "samples"},
+}
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c in READS for f in sorted(VALUES) if f not in READS[c]],
+    )
+    def test_rejects_a_flag_it_does_not_read(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, *(VALUES[flag] or ["x"])])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["catalog", "--group", "a4", "--seed", "5", "--samples", "3"],
+            ["eval", "--seed", "9", "--tol", "1e-30", "--samples", "1"],
+            ["classify", "--tol", "1e-30"],
+            ["classify", "--samples", "1"],
+            ["constants", "--samples", "1"],
+        ],
+    )
+    def test_ignored_flags_no_longer_pass(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "command, flag", [(c, f) for c in READS for f in sorted(READS[c])]
+    )
+    def test_accepts_the_flags_it_reads(self, capsys, tmp_path, command, flag):
+        value = VALUES[flag] if VALUES[flag] is not None else [str(tmp_path / "r.txt")]
+        rc, _, err = run(capsys, command, flag, *value)
+        assert rc == 0, err
+
+    @pytest.mark.parametrize("command", sorted(CONFIG))
+    def test_config_lists_the_flags_it_reads(self, capsys, command):
+        rc, out, _ = run(capsys, command, "--order", "3", "--json")
+        assert rc == 0
+        assert set(json.loads(out)["config"]) == CONFIG[command]
+
+    def test_failed_fit_is_a_domain_error(self, capsys, monkeypatch):
+        cli_module = importlib.import_module("toruslie.cli")
+
+        def failing(*args, **kwargs):
+            raise FitError("mu unexpectedly vanishes")
+
+        monkeypatch.setattr(cli_module, "cross_validate", failing)
+        rc, out, err = run(capsys, "classify", "--group", "cn", "--order", "3")
+        assert rc == 2
+        assert out == ""
+        assert err == "error: mu unexpectedly vanishes\n"

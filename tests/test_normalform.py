@@ -336,6 +336,40 @@ class TestNonCanonicalBases:
         assert np.max(np.abs(pulled[..., :, 2] - W3 * at_z[..., :, 2])) < 1e-6 * scale
 
 
+class TestCaseTable:
+    """normal_form reads one _CASES row per case."""
+
+    def test_every_catalog_case_has_one_row(self):
+        from toruslie.normalform import _CASES, _case
+
+        used = set()
+        for lat in LATTICES:
+            for emb in catalog(lat, orders=(1, 2, 3, 4, 5, 6)):
+                row = _case(emb)
+                keys = [k for k, v in _CASES.items() if v is row]
+                assert len(keys) == 1, (emb.kind, emb.order_param)
+                used.add(keys[0])
+                assert normal_form(emb).structure_bound == row.bound
+        assert used == set(_CASES)
+        assert _case(cn_translation(L_GEN, 1)) is _CASES["CN_translation"]
+
+    @pytest.mark.parametrize(
+        "tau",
+        [1j, HEX_TAU] + [t for _, t in HEX_BASES],
+        ids=["square", "hexagonal"] + [n for n, _ in HEX_BASES],
+    )
+    def test_rotation_ring_lattice_is_the_lattice(self, tau):
+        # the rotation rows put their wp factors on quotient_scaled(emb)
+        from toruslie.torusgroup import quotient_scaled
+
+        rotations = [e for e in catalog(Lattice(tau)) if e.kind == "Cl_rotation"]
+        assert len(rotations) >= 2
+        for emb in rotations:
+            got = quotient_scaled(emb)
+            assert got == ScaledLattice(emb.tau)
+            assert np.array([got.tau, got.scale]).tobytes() == np.array([emb.tau, 1.0]).tobytes()
+
+
 class TestHomothety:
     def test_structure_roots_transform_under_basis_change(self):
         # equivalent bases of the same lattice: the extracted cubics are
