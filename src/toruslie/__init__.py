@@ -38,7 +38,6 @@ from .torusgroup import (
     fixed_points,
     inverse,
     make_embedding,
-    translation_subgroup,
 )
 from .sl2rep import GroupRepresentation, ad, standard_rep
 from .funcalg import (

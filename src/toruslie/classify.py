@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .elliptic import invariants_scaled, j_invariant
 from .lattice import ModularClass, reduce_modular
 from .normalform import GeneratorTriple, abelianization_dim, check_triple, normal_form
-from .torusgroup import GroupEmbedding, branch_points, translation_subgroup
+from .torusgroup import GroupEmbedding, branch_points, quotient_scaled
 
 __all__ = [
     "Classification",
@@ -68,13 +68,14 @@ def classify(emb: GroupEmbedding) -> Classification:
     if count not in KIND_BY_BRANCH_COUNT:
         raise InternalInconsistencyError(f"branch count {count} outside {{0, 2, 3}}")
     kind = KIND_BY_BRANCH_COUNT[count]
-    tsub, quotient = translation_subgroup(emb)
+    quotient = quotient_scaled(emb)
     mc = reduce_modular(quotient.tau)
     prov = {
         "group": emb.kind,
         "order_param": emb.order_param,
         "group_order": emb.order,
-        "translation_subgroup_order": tsub.order,
+        # t(Gamma): the translations, the fixed-point-free elements on a torus
+        "translation_subgroup_order": sum(g.is_translation for g in emb.elements),
         "quotient_tau": quotient.tau,
         "branch_orbits": len(orbits),
     }
@@ -99,6 +100,8 @@ class CrossValidation:
     passed: bool
     notes: tuple = ()
     triple: GeneratorTriple | None = field(default=None, compare=False, repr=False)
+    #: invariance_residual(triple, verify_samples, seed + 2), if asked for
+    verify_invariance: float | None = field(default=None, compare=False, repr=False)
 
 
 def _poly_root_shape(kind: str, abel_dim: int, is_const: bool) -> bool:
@@ -109,13 +112,17 @@ def _poly_root_shape(kind: str, abel_dim: int, is_const: bool) -> bool:
     return abel_dim == 3
 
 
-def cross_validate(emb: GroupEmbedding, j: int = 1, *, seed: int = 0) -> CrossValidation:
+def cross_validate(
+    emb: GroupEmbedding, j: int = 1, *, seed: int = 0, verify_samples: int | None = None
+) -> CrossValidation:
     """Build the normal form and check it against the classification.
 
     The structure polynomial, bracket residuals and invariance residual
     are those of structure_polynomial(seed), verify_brackets(seed + 1) and
     invariance_residual(seed + 2), computed by check_triple: every point
     set is drawn first and the triple and its ring are evaluated once.
+    verify_samples adds the verify command's invariance probes to that
+    evaluation; their residual is verify_invariance.
 
     For the twisted family the extracted cubic 4x^3 - g2 x - g3 carries its
     own j-invariant, which must match the j of the reported tau-class; for
@@ -123,7 +130,9 @@ def cross_validate(emb: GroupEmbedding, j: int = 1, *, seed: int = 0) -> CrossVa
     """
     cls = classify(emb)
     gens = normal_form(emb, j=j)
-    poly, brackets, inv_res = check_triple(gens, seed=seed, tol=FIT_TOL)
+    # asked for verify's probes, check_triple returns their residual fourth
+    extra = {} if verify_samples is None else {"verify_samples": verify_samples}
+    poly, brackets, inv_res, *verify_inv = check_triple(gens, seed=seed, tol=FIT_TOL, **extra)
     abel = abelianization_dim(gens)
     notes: list[str] = []
 
@@ -207,4 +216,5 @@ def cross_validate(emb: GroupEmbedding, j: int = 1, *, seed: int = 0) -> CrossVa
         all(checks.values()),
         tuple(notes),
         gens,
+        *verify_inv,
     )

@@ -7,7 +7,8 @@ seeded, so equal configurations produce byte-identical reports.
 
 Each subcommand accepts only the flags it reads (_COMMANDS).  Exit
 status: 0 all checks passed, 1 verification failure, 2 usage or domain
-error, including a fit that fails.
+error, including a fit that fails; constants instead reports a failed
+lambda/mu fit as null lambda and mu.
 """
 
 from __future__ import annotations
@@ -172,11 +173,12 @@ def cmd_constants(args: argparse.Namespace) -> int:
         }
     if args.group in ("cn", "dn") and args.order >= 2:
         emb = _embedding(args)
+        # the invariants above do not depend on the fit: a failed fit nulls lambda, mu
         try:
             lam, mu = fit_lambda_mu(emb, args.char_j, seed=args.seed, tol=args.tol)
             report["lambda"] = lam
             report["mu"] = mu
-        except ValueError:
+        except (ValueError, FitError):
             report["lambda"] = None
             report["mu"] = None
     _emit(report, args)
@@ -216,9 +218,13 @@ def _mat(m: np.ndarray) -> list:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     emb = _embedding(args)
+    n_inv = max(20, args.samples // 2)
     # cross_validate fits the structure polynomial on the unperturbed
-    # triple; --perturb-f then scales F of that triple against it
-    cv = cross_validate(emb, args.char_j, seed=args.seed)
+    # triple (evaluating verify's invariance probes with its own);
+    # --perturb-f then scales F of that triple against it
+    cv = cross_validate(
+        emb, args.char_j, seed=args.seed, verify_samples=None if args.perturb_f else n_inv
+    )
     gens = cv.triple
     if args.perturb_f:
         f0 = gens.F.fn
@@ -229,7 +235,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         # the triple, seed and probes of cross_validate's bracket check
         br = cv.bracket_residuals
-    inv_res = invariance_residual(gens, max(20, args.samples // 2), seed=args.seed + 2)
+    inv_res = cv.verify_invariance
+    if inv_res is None:  # F perturbed, or the probe sampler starved
+        inv_res = invariance_residual(gens, n_inv, seed=args.seed + 2)
     checks = {
         "he": br["he"] < args.tol,
         "hf": br["hf"] < args.tol,

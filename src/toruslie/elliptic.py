@@ -16,7 +16,8 @@ as an independent oracle.
 
 wp_both takes a scalar or an array of any shape; callers batch every
 point set they need (all shifts of all probes) into one call, since the
-per-call overhead dwarfs the per-point cost at small batches.
+per-call overhead dwarfs the per-point cost at small batches.  The
+series runs on blocks of at most BLOCK points of a batch.
 
 Values very close to a lattice point are delegated to the Laurent
 expansion 1/z^2 + (g2/20) z^2 + (g3/28) z^4 + ...; on a lattice point the
@@ -52,6 +53,10 @@ _TWO_PI_I = 2j * math.pi
 POLE_EPS = 1e-12
 #: |z| below this switches to the Laurent expansion near the pole.
 LAURENT_EPS = 1e-6
+#: wp_both runs the series on blocks of at most this many points, into
+#: preallocated outputs: one 10k-point pass takes hundreds of minor page
+#: faults for its temporaries, 4096-point blocks keep the working set small
+BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -117,22 +122,24 @@ def _cell(tau: complex, trunc: int | None = None) -> _Cell:
 def _wp_series(zc: np.ndarray, cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
     """wp and wp' on the reduced lattice at centred arguments."""
     dist = np.abs(zc)
-    pole = dist < POLE_EPS
     near = dist < LAURENT_EPS
-    zs = np.where(near, 0.25, zc)
+    any_near = bool(near.any())
+    zs = np.where(near, 0.25, zc) if any_near else zc
 
     u = np.exp(_TWO_PI_I * zs)
     big = np.abs(u) > 1.0
-    v = np.where(big, 1.0 / u, u)
+    v = np.divide(1.0, u, out=u.copy(), where=big)
     omv = 1.0 - v
     head_p = -4.0 * v / omv ** 2                      # = csc^2(pi z)
     head_q = v * (1.0 + v) / omv ** 3
-    head_q = np.where(big, -head_q, head_q)
+    np.negative(head_q, out=head_q, where=big)
 
     # sum_k w_k (t^k) and sum_k k w_k (t^k) at t = q/u and t = q u by
     # Horner's rule on one (2, 2, Z) accumulator: rows are the two
     # coefficient sequences, columns the two values of t
-    t = np.stack((cell.q / u, cell.q * u))
+    t = np.empty((2, zs.size), dtype=complex)
+    np.divide(cell.q, u, out=t[0])
+    np.multiply(cell.q, u, out=t[1])
     coef = cell.coef[:, :, None, None]
     acc = np.empty((2, 2, zs.size), dtype=complex)
     acc[...] = coef[-1]
@@ -146,7 +153,8 @@ def _wp_series(zc: np.ndarray, cell: _Cell) -> tuple[np.ndarray, np.ndarray]:
     wpv = _PI ** 2 * (head_p - 1.0 / 3.0 + 8.0 * cell.s1 - 4.0 * sum_p)
     wppv = -8j * _PI ** 3 * (head_q + sum_q)
 
-    if np.any(near):
+    if any_near:
+        pole = dist < POLE_EPS
         zl = np.where(pole, 1.0, zc)
         g2, g3 = cell.g2r, cell.g3r
         wp_l = 1.0 / zl ** 2 + (g2 / 20.0) * zl ** 2 + (g3 / 28.0) * zl ** 4
@@ -170,13 +178,15 @@ def wp_both(z, lattice: Lattice, trunc: int | None = None):
     zz = np.asarray(z, dtype=complex)
     scalar = zz.ndim == 0
     zc = torus_reduce_centered(zz.reshape(-1) / cell.m, cell.tau_r)
-    wpv, wppv = _wp_series(zc, cell)
+    wpv, wppv = np.empty_like(zc), np.empty_like(zc)
+    for i in range(0, zc.size, BLOCK):
+        wpv[i:i + BLOCK], wppv[i:i + BLOCK] = _wp_series(zc[i:i + BLOCK], cell)
     with np.errstate(invalid="ignore"):
         wpv = wpv / cell.m ** 2
         wppv = wppv / cell.m ** 3
-    inf = complex(np.inf, 0.0)
-    wpv = np.where(np.isfinite(wpv), wpv, inf)
-    wppv = np.where(np.isfinite(wppv), wppv, inf)
+    if not (np.isfinite(wpv).all() and np.isfinite(wppv).all()):
+        wpv = np.where(np.isfinite(wpv), wpv, complex(np.inf, 0.0))
+        wppv = np.where(np.isfinite(wppv), wppv, complex(np.inf, 0.0))
     if scalar:
         return complex(wpv[0]), complex(wppv[0])
     return wpv.reshape(zz.shape), wppv.reshape(zz.shape)

@@ -211,6 +211,8 @@ class PSystem:
 
     P_j = sum_k w^(-kj) v(z - k alpha) with v = wp'/(wp - wp(alpha)); the
     lattice may be scaled (used for the even-order double covers).
+    wp_alpha is evaluated as one more point of the first _v_stack call
+    (wp_both's values do not depend on the batch) and is None until then.
     """
 
     def __init__(self, slat: ScaledLattice, shift: tuple[Fraction, Fraction], n: int):
@@ -220,15 +222,18 @@ class PSystem:
         self.n = n
         self.alpha = complex(slat.scale * (shift[0] + shift[1] * slat.tau))
         self.w = cmath.exp(2j * math.pi / n)
-        self.wp_alpha = complex(wp_both_scaled(self.alpha, slat)[0])
-        self.orbit = tuple(
-            complex(slat.scale * torus_reduce_centered(k * self.alpha / slat.scale, slat.tau))
-            for k in range(n)
-        )
+        self.wp_alpha = None
+        ks = np.arange(n)
+        self.orbit = tuple((slat.scale * torus_reduce_centered(ks * self.alpha / slat.scale, slat.tau)).tolist())
 
     def _v_stack(self, z: np.ndarray) -> np.ndarray:
         """v(z - k alpha) for k = 0..n-1, stacked on a leading axis."""
-        wpv, wppv = wp_both_scaled(_shifted(z, np.arange(self.n) * self.alpha), self.slat)
+        pts = _shifted(z, np.arange(self.n) * self.alpha)
+        first = self.wp_alpha is None
+        wpv, wppv = wp_both_scaled(np.append(pts, self.alpha) if first else pts, self.slat)
+        if first:
+            self.wp_alpha = complex(wpv[-1])
+            wpv, wppv = wpv[:-1].reshape(pts.shape), wppv[:-1].reshape(pts.shape)
         return wppv / (wpv - self.wp_alpha)
 
     def values(self, z, js) -> dict:

@@ -29,8 +29,9 @@ Each check is three steps: draw its points, evaluate the triple (and the
 ring) there, and compute the residual from those values.
 structure_polynomial, verify_brackets and invariance_residual run the
 three steps for one check; check_triple draws the point sets of all
-three first and evaluates the triple and its ring once on their
-concatenation, with results equal to those of the three functions.
+three (and, on request, the verify command's invariance probes) first
+and evaluates the triple and its ring once on their concatenation, with
+results equal to those of the functions run one by one.
 """
 
 from __future__ import annotations
@@ -148,7 +149,8 @@ def _columns(frame, like: MatrixFunction) -> tuple:
 
 
 def _orbit_points(emb: GroupEmbedding) -> tuple:
-    pts = {complex(torus_reduce_centered(g.apply(0.0), emb.tau)) for g in emb.elements}
+    zs = torus_reduce_centered(np.array([g.apply(0.0) for g in emb.elements]), emb.tau)
+    pts = set(zs.tolist())
     return tuple(sorted(pts, key=lambda c: (round(c.real, 9), round(c.imag, 9))))
 
 
@@ -343,15 +345,17 @@ def verify_brackets(gens: GeneratorTriple, n_samples: int = BRACKET_SAMPLES, see
     return _bracket_residuals(frames, poly, None if poly is None else _ring_xy(gens, z, len(z)))
 
 
-def _invariance(gens: GeneratorTriple, at_probes: tuple, at_preimages: tuple) -> float:
-    """The residual of invariance_residual from (E, F, H) at the probes z
-    and at the preimages g^-1 z, stacked in the order of the elements."""
+def _invariance(gens: GeneratorTriple, frames: tuple, start: int, n: int) -> float:
+    """The residual of invariance_residual from (E, F, H) on a point array
+    holding, from row start, n probes z and then the preimages g^-1 z
+    stacked in the order of the elements."""
     elements = gens.emb.elements
+    mid, end = start + n, start + n * (1 + len(elements))
     r = np.stack([gens.rep.mats[g] for g in elements])
     worst = 0.0
-    for m0, mi in zip(at_probes, at_preimages):
-        v0 = coeffs(m0)
-        v = coeffs(mi).reshape(len(elements), len(v0), -1)
+    for m in frames:
+        v0 = coeffs(m[start:mid])
+        v = coeffs(m[mid:end]).reshape(len(elements), n, -1)
         pulled = np.einsum("gab,gzb->gza", r, v)
         worst = max(worst, float(np.max(np.abs(pulled - v0))))
     return worst
@@ -365,13 +369,14 @@ def invariance_residual(gens: GeneratorTriple, n_samples: int = INVARIANCE_SAMPL
     """
     z = _probe(gens, n_samples, seed)
     frames = _frames(gens, np.concatenate([z, _preimages(gens, z)]))
-    n = len(z)
-    return _invariance(gens, _rows(frames, slice(None, n)), _rows(frames, slice(n, None)))
+    return _invariance(gens, frames, 0, len(z))
 
 
-def check_triple(gens: GeneratorTriple, *, seed: int = 0, tol: float = 1e-6) -> tuple[WPoly, dict, float]:
-    """structure_polynomial(seed), verify_brackets(seed + 1) and
-    invariance_residual(seed + 2) from one evaluation of the triple.
+def check_triple(
+    gens: GeneratorTriple, *, seed: int = 0, tol: float = 1e-6, verify_samples: int | None = None
+) -> tuple:
+    """(structure_polynomial(seed), verify_brackets(seed + 1),
+    invariance_residual(seed + 2)) from one evaluation of the triple.
 
     The point sets of the three checks are drawn first, each from its own
     seed as those functions draw it: the ring-fit rows, the bracket probes,
@@ -380,25 +385,36 @@ def check_triple(gens: GeneratorTriple, *, seed: int = 0, tol: float = 1e-6) -> 
     check.  Results and exceptions equal those of the three functions run
     in turn; in particular a ring fit that fails outranks a probe sampler
     that starves.
+
+    verify_samples adds a fourth value from the same evaluation:
+    invariance_residual(gens, verify_samples, seed + 2), or None when that
+    sampler starves (invariance_residual, run after the checks, raises).
     """
     z_fit = _fit_rows(gens, seed)
     try:
         z_br = _probe(gens, BRACKET_SAMPLES, seed + 1)
-        z_inv = _probe(gens, INVARIANCE_SAMPLES, seed + 2)
+        z_inv = [_probe(gens, INVARIANCE_SAMPLES, seed + 2)]
     except FitError:
         structure_polynomial(gens, seed=seed, tol=tol)
         raise
+    if verify_samples is not None:
+        try:
+            z_inv.append(_probe(gens, verify_samples, seed + 2))
+        except FitError:
+            pass
+    z = np.concatenate([z_fit, z_br] + [w for zi in z_inv for w in (zi, _preimages(gens, zi))])
+    frames = _frames(gens, z)
     a = len(z_fit)
     b = a + len(z_br)
-    c = b + len(z_inv)
-    z = np.concatenate([z_fit, z_br, z_inv, _preimages(gens, z_inv)])
-    frames = _frames(gens, z)
     xy = _ring_xy(gens, z, b)
     fit, probes = slice(None, a), slice(a, b)
     poly = _fit_structure(gens, _rows(frames, fit), _rows(xy, fit), tol)
     brackets = _bracket_residuals(_rows(frames, probes), poly, _rows(xy, probes))
-    inv = _invariance(gens, _rows(frames, slice(b, c)), _rows(frames, slice(c, None)))
-    return poly, brackets, inv
+    invs = [None, None]
+    for k, zi in enumerate(z_inv):
+        invs[k] = _invariance(gens, frames, b, len(zi))
+        b += len(zi) * (1 + gens.emb.order)
+    return (poly, brackets, *invs[: 1 if verify_samples is None else 2])
 
 
 def _cluster_roots(roots: np.ndarray) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .torusgroup import GroupEmbedding, compose
+from .torusgroup import GroupEmbedding
 
 __all__ = [
     "B_H",
@@ -124,17 +124,22 @@ def _cyclic_eigen(n: int, j: int) -> np.ndarray:
 
 
 def _extend(emb: GroupEmbedding, gen_images: dict) -> dict:
-    """BFS extension of generator images to the whole group, with a
-    well-definedness check that makes the assignment a homomorphism."""
-    mats = {g: m for g, m in gen_images.items()}
-    ident = next(g for g in emb.elements if g.is_identity)
-    mats[ident] = np.eye(3, dtype=complex)
+    """Breadth-first extension of generator images to the whole group, with
+    a well-definedness check that makes the assignment a homomorphism.
+
+    gen_images maps positions in emb.generators to images.  The search
+    walks the embedding's generator table; element 0 is the identity, so
+    generator i is element table[i][0].
+    """
+    table = emb.table
+    mats = {table[i][0]: m for i, m in gen_images.items()}
+    mats[0] = np.eye(3, dtype=complex)
     frontier = list(mats)
     while frontier:
         nxt = []
         for g in frontier:
-            for s, ms in gen_images.items():
-                h = compose(s, g)
+            for i, ms in gen_images.items():
+                h = table[i][g]
                 m = ms @ mats[g]
                 if h in mats:
                     if np.max(np.abs(mats[h] - m)) > 1e-10:
@@ -144,7 +149,7 @@ def _extend(emb: GroupEmbedding, gen_images: dict) -> dict:
                     nxt.append(h)
         frontier = nxt
     assert len(mats) == emb.order
-    return mats
+    return {emb.elements[k]: m for k, m in mats.items()}
 
 
 def standard_rep(emb: GroupEmbedding, j: int = 1) -> GroupRepresentation:
@@ -162,39 +167,34 @@ def standard_rep(emb: GroupEmbedding, j: int = 1) -> GroupRepresentation:
             return GroupRepresentation(emb, {emb.elements[0]: np.eye(3, dtype=complex)})
         if math.gcd(j, n) != 1:
             raise ValueError(f"character index {j} is not coprime to {n}")
-        r = emb.cyclic_generator
-        return GroupRepresentation(emb, _extend(emb, {r: _cyclic_eigen(n, j)}))
+        return GroupRepresentation(emb, _extend(emb, {0: _cyclic_eigen(n, j)}))
     if kind == "Cl_rotation":
         ell = emb.order_param
         if math.gcd(j, ell) != 1:
             raise ValueError(f"character index {j} is not coprime to {ell}")
-        s = emb.generators[0]
         w = cmath.exp(2j * math.pi * j / ell)
-        return GroupRepresentation(emb, _extend(emb, {s: _diag_action(w)}))
+        return GroupRepresentation(emb, _extend(emb, {0: _diag_action(w)}))
     if kind == "DN":
         n = emb.order_param
-        s, r = emb.generators
-        images = {s: _FLIP.copy()}
+        images = {0: _FLIP.copy()}
         if n > 1:
             if math.gcd(j, n) != 1:
                 raise ValueError(f"character index {j} is not coprime to {n}")
-            images[r] = _cyclic_eigen(n, j)
+            images[1] = _cyclic_eigen(n, j)
         return GroupRepresentation(emb, _extend(emb, images))
     if kind == "C2xC2_translation":
-        r1, r2 = emb.generators
-        return GroupRepresentation(emb, _extend(emb, {r1: _R1_3, r2: _R2_3}))
+        return GroupRepresentation(emb, _extend(emb, {0: _R1_3, 1: _R2_3}))
     if kind == "A4":
-        s, r1, r2 = emb.generators
-        return GroupRepresentation(emb, _extend(emb, {s: _A4_S, r1: _R1_3, r2: _R2_3}))
+        return GroupRepresentation(emb, _extend(emb, {0: _A4_S, 1: _R1_3, 2: _R2_3}))
     raise ValueError(f"unknown embedding kind {kind!r}")
 
 
 def cyclic_labels(emb: GroupEmbedding) -> dict:
     """element -> exponent k for a cyclic embedding generated by its cyclic generator."""
-    gen = emb.cyclic_generator
+    row = emb.table[emb.generators.index(emb.cyclic_generator)]
     labels = {}
-    g = next(e for e in emb.elements if e.is_identity)
+    g = 0
     for k in range(emb.order):
-        labels[g] = k
-        g = compose(gen, g)
+        labels[emb.elements[g]] = k
+        g = row[g]
     return labels

@@ -47,7 +47,6 @@ __all__ = [
     "inverse",
     "make_embedding",
     "mult_matrix",
-    "translation_subgroup",
 ]
 
 IntMat = tuple[tuple[int, int], tuple[int, int]]
@@ -155,26 +154,35 @@ def inverse(g: AffineAutomorphism) -> AffineAutomorphism:
     return AffineAutomorphism(inv.rot_num, inv.rot_den, shift, g.lattice)
 
 
-def _closure(generators: list[AffineAutomorphism], bound: int = 200) -> tuple[AffineAutomorphism, ...]:
+def _closure(generators: list[AffineAutomorphism], bound: int = 200) -> tuple[tuple, tuple]:
+    """The sorted elements of the group the generators span, and the table
+    of the products s g it composed once each: table[i][k] is the index of
+    compose(generators[i], elements[k])."""
     seen = {identity_map(generators[0].lattice)}
+    products = {}
     frontier = list(seen)
     while frontier:
         nxt = []
         for g in frontier:
+            row = products[g] = []
             for s in generators:
                 h = compose(s, g)
+                row.append(h)
                 if h not in seen:
                     seen.add(h)
                     nxt.append(h)
         frontier = nxt
         if len(seen) > bound:
             raise RuntimeError("group closure exceeded bound")
-    return tuple(sorted(seen, key=lambda g: (g.rot_den, g.rot_num, g.shift.n, g.shift.a, g.shift.b)))
+    elements = tuple(sorted(seen, key=lambda g: (g.rot_den, g.rot_num, g.shift.n, g.shift.a, g.shift.b)))
+    index = {g: k for k, g in enumerate(elements)}
+    return elements, tuple(zip(*(tuple(index[h] for h in products[g]) for g in elements)))
 
 
 @dataclass(frozen=True)
 class GroupEmbedding:
-    """A finite subgroup of Aut(T) with enumerated elements.
+    """A finite subgroup of Aut(T): its elements and its generator table,
+    both from one breadth-first closure.
 
     kind is one of CN_translation, Cl_rotation, DN, C2xC2_translation, A4;
     order_param is N for C_N/D_N and l for C_l rotations.
@@ -184,11 +192,15 @@ class GroupEmbedding:
     order_param: int
     lattice: Lattice
     generators: tuple[AffineAutomorphism, ...]
-    elements: tuple[AffineAutomorphism, ...] = field(default=())
+    #: the group's elements, sorted; element 0 is the identity
+    elements: tuple[AffineAutomorphism, ...] = field(init=False)
+    #: table[i][k]: index in elements of compose(generators[i], elements[k])
+    table: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not self.elements:
-            object.__setattr__(self, "elements", _closure(list(self.generators)))
+        elements, table = _closure(list(self.generators))
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "table", table)
 
     @property
     def order(self) -> int:
@@ -373,31 +385,6 @@ def branch_points(emb: GroupEmbedding) -> tuple[int, tuple[frozenset[TorsionPoin
         orbits.append(orb)
     orbits.sort(key=lambda o: sorted((t.n, t.a, t.b) for t in o))
     return len(orbits), tuple(orbits)
-
-
-def translation_subgroup(emb: GroupEmbedding):
-    """t(Gamma) and the lattice class of T / t(Gamma).
-
-    t(Gamma) is generated by the fixed-point-free elements, which on a
-    torus are exactly the nontrivial translations; the quotient torus
-    corresponds to the lattice spanned by the original one and the shifts.
-    """
-    trans = [g for g in emb.elements if g.is_translation]
-    quotient = Lattice(quotient_scaled(emb).tau)
-    lattice = emb.lattice
-    if len(trans) == 1:
-        sub = GroupEmbedding(
-            "CN_translation", 1, lattice, (identity_map(lattice),), tuple(trans)
-        )
-    else:
-        orders = sorted(t.shift.n for t in trans)
-        cyclic = max(orders) == len(trans)
-        if cyclic:
-            gen = next(t for t in trans if t.shift.n == len(trans))
-            sub = cn_translation(lattice, len(trans), gen.shift)
-        else:
-            sub = c2c2_translation(lattice)
-    return sub, quotient
 
 
 def quotient_scaled(emb: GroupEmbedding):

@@ -184,9 +184,9 @@ class TestWorkCounts:
         "emb, limit",
         [
             (cl_rotation(L_GEN, 2), 1),
-            (cn_translation(L_SQ, 5), 4),
+            (cn_translation(L_SQ, 5), 3),
             (c2c2_translation(L_SQ), 3),
-            (dn_group(L_SQ, 5), 4),
+            (dn_group(L_SQ, 5), 3),
             (a4_group(L_HEX), 3),
         ],
         ids=["rot2", "cn5", "c2c2", "dn5", "a4"],
@@ -194,8 +194,8 @@ class TestWorkCounts:
     def test_one_evaluation_per_point_set(self, emb, limit, monkeypatch):
         # one call for the triple on every point set of the checks, one
         # for the ring unless a frame factor lives on the ring lattice,
-        # plus the build: wp at alpha and the lambda/mu fit for C_N and
-        # D_N, the half-period constants for the Klein group and A4
+        # plus the build: the lambda/mu fit for C_N and D_N (wp at alpha
+        # rides along), the half-period constants for the Klein group and A4
         cross_validate(emb, seed=0)  # warm the per-lattice caches
         calls = []
         original = toruslie.elliptic.wp_both

@@ -5,14 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import toruslie.elliptic
 from toruslie import intertwine
-from toruslie.funcalg import FitError
+from toruslie.classify import cross_validate
+from toruslie.funcalg import FitError, NotInRingError
 from toruslie.cli import main
+from toruslie.normalform import invariance_residual
 from toruslie.intertwine import phi
 from toruslie.lattice import Lattice
 from toruslie.torusgroup import cn_translation
 
 HEX = math.sqrt(3.0) / 2.0
+nf_module = importlib.import_module("toruslie.normalform")
 
 
 def run(capsys, *argv):
@@ -367,3 +371,124 @@ class TestFlags:
         assert rc == 2
         assert out == ""
         assert err == "error: mu unexpectedly vanishes\n"
+
+
+# every verify case: (group, order, lattice) on the square, hexagonal and
+# generic lattices, rotations of order 3, 4 and 6 and A4 where they exist
+_SQ, _HX, _GN = ("0.0", "1.0"), ("0.5", repr(HEX)), ("0.31", "1.07")
+FOLD_CASES = [
+    (group, order, lat)
+    for lat in (_SQ, _HX, _GN)
+    for group, order in [("cn", n) for n in (3, 4, 5, 6)]
+    + [("dn", n) for n in (2, 3, 4, 5)] + [("c2c2", 2), ("rot", 2)]
+] + [("rot", 4, _SQ), ("rot", 3, _HX), ("rot", 6, _HX), ("a4", 2, _HX)]
+
+
+def _verify_argv(group, order, lat, seed, *extra):
+    return (
+        "verify", "--group", group, "--order", str(order),
+        "--tau-re", lat[0], "--tau-im", lat[1], "--seed", str(seed), *extra, "--json",
+    )
+
+
+class TestVerifyFold:
+    """verify's own invariance probes join cross_validate's evaluation; its
+    report equals invariance_residual run on the triple afterwards."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "group, order, lat", FOLD_CASES, ids=[f"{g}{n}-{t[0]}" for g, n, t in FOLD_CASES]
+    )
+    def test_equals_invariance_residual(self, capsys, group, order, lat, seed):
+        cli_module = importlib.import_module("toruslie.cli")
+        args = cli_module._build_parser().parse_args(_verify_argv(group, order, lat, seed))
+        args.tau = complex(args.tau_re, args.tau_im)
+        cv = cross_validate(cli_module._embedding(args), seed=seed)
+        for extra, n in (((), 30), (("--samples", "40"), 20)):
+            rc, out, _ = run(capsys, *_verify_argv(group, order, lat, seed, *extra))
+            assert rc in (0, 1)
+            ref = invariance_residual(cv.triple, n, seed=seed + 2)
+            assert json.loads(out)["invariance_residual"] == ref
+
+    @pytest.mark.parametrize(
+        "extra, calls", [((), 0), (("--samples", "40"), 0), (("--perturb-f", "0.5"), 1)],
+        ids=["defaults", "samples", "perturbed"],
+    )
+    def test_invariance_residual_runs_only_when_perturbed(self, capsys, monkeypatch, extra, calls):
+        cli_module = importlib.import_module("toruslie.cli")
+        seen = []
+        original = cli_module.invariance_residual
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_module, "invariance_residual", counting)
+        run(capsys, "verify", "--group", "dn", "--order", "4", *extra)
+        assert len(seen) == calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--group", "a4", "--tau-re", "0.5", "--tau-im", repr(HEX)),
+            ("--group", "c2c2", "--tau-re", "0.1", "--tau-im", "1.1"),
+            ("--group", "dn", "--order", "4", "--tau-re", "0.1", "--tau-im", "1.1"),
+            ("--group", "cn", "--order", "5", "--tau-re", "0.1", "--tau-im", "1.1"),
+        ],
+        ids=["a4", "c2c2", "dn4", "cn5"],
+    )
+    def test_no_more_wp_calls_than_classify(self, capsys, monkeypatch, argv):
+        calls = []
+        original = toruslie.elliptic.wp_both
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        counts = []
+        for command in ("classify", "verify"):
+            run(capsys, command, *argv)  # warm the per-lattice caches
+            with monkeypatch.context() as m:
+                m.setattr(toruslie.elliptic, "wp_both", counting)
+                calls.clear()
+                run(capsys, command, *argv)
+            counts.append(len(calls))
+        assert 0 < counts[1] <= counts[0]
+
+    def test_a_starving_probe_set_raises_as_before(self, capsys, monkeypatch):
+        # only verify's 30-probe draw starves: the error verify always gave
+        original = nf_module.sample_points
+
+        def starving(slat, n, *args, **kwargs):
+            if n == 30:
+                raise FitError("rejection sampling starved; margin too large for the pole set")
+            return original(slat, n, *args, **kwargs)
+
+        monkeypatch.setattr(nf_module, "sample_points", starving)
+        argv = ("verify", "--group", "cn", "--order", "3")
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err == "error: no sampling margin admits points away from the pole orbit\n"
+        # a ring fit that fails still outranks the starving probes
+        def not_in_ring(*args, **kwargs):
+            raise NotInRingError("held-out residual too large")
+
+        monkeypatch.setattr(nf_module, "_fit_values", not_in_ring)
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out, err) == (2, "", "error: held-out residual too large\n")
+
+
+class TestConstantsFitFailure:
+    def test_report_kept_when_the_fit_fails(self, capsys):
+        argv = ("constants", "--group", "cn", "--order", "3", "--tau-re", "0.31",
+                "--tau-im", "1.07", "--json")
+        rc, out, err = run(capsys, *argv, "--tol", "1e-20")
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["lambda"] is None and doc["mu"] is None
+        rc, ref_out, _ = run(capsys, *argv)
+        ref = json.loads(ref_out)
+        assert rc == 0 and ref["mu"] is not None
+        # the invariants do not depend on the fit
+        for key in ("g2", "g3", "e1", "e2", "e3", "discriminant", "j"):
+            assert doc[key] == ref[key]

@@ -413,3 +413,99 @@ class TestSeriesCut:
             ref = elliptic._cell(tau, _old_n_terms(abs(cell.q)))
             assert len(ref.coef) > len(cell.coef)
             assert (cell.s1, cell.g2r, cell.g3r, cell.discr) == (ref.s1, ref.g2r, ref.g3r, ref.discr)
+
+
+# The kernel before its per-call trims (1/u everywhere, a stacked t, a
+# where pass for the sign and for non-finite values, no blocks), kept as
+# the bit-for-bit reference of wp_both.
+
+
+def _ref_wp_series(zc, cell):
+    dist = np.abs(zc)
+    pole = dist < elliptic.POLE_EPS
+    near = dist < elliptic.LAURENT_EPS
+    zs = np.where(near, 0.25, zc)
+    u = np.exp(2j * np.pi * zs)
+    big = np.abs(u) > 1.0
+    v = np.where(big, 1.0 / u, u)
+    omv = 1.0 - v
+    head_p = -4.0 * v / omv ** 2
+    head_q = v * (1.0 + v) / omv ** 3
+    head_q = np.where(big, -head_q, head_q)
+    t = np.stack((cell.q / u, cell.q * u))
+    coef = cell.coef[:, :, None, None]
+    acc = np.empty((2, 2, zs.size), dtype=complex)
+    acc[...] = coef[-1]
+    for c in coef[-2::-1]:
+        np.multiply(acc, t, out=acc)
+        np.add(acc, c, out=acc)
+    np.multiply(acc, t, out=acc)
+    sum_p = acc[0, 0] + acc[0, 1]
+    sum_q = acc[1, 1] - acc[1, 0]
+    wpv = np.pi ** 2 * (head_p - 1.0 / 3.0 + 8.0 * cell.s1 - 4.0 * sum_p)
+    wppv = -8j * np.pi ** 3 * (head_q + sum_q)
+    if np.any(near):
+        zl = np.where(pole, 1.0, zc)
+        g2, g3 = cell.g2r, cell.g3r
+        wp_l = 1.0 / zl ** 2 + (g2 / 20.0) * zl ** 2 + (g3 / 28.0) * zl ** 4
+        wpp_l = -2.0 / zl ** 3 + (g2 / 10.0) * zl + (g3 / 7.0) * zl ** 3
+        wpv = np.where(pole, np.inf + 0j, np.where(near, wp_l, wpv))
+        wppv = np.where(pole, np.inf + 0j, np.where(near, wpp_l, wppv))
+    return wpv, wppv
+
+
+def _ref_wp_both(z, lattice):
+    cell = elliptic._cell(lattice.tau, None)
+    zz = np.asarray(z, dtype=complex)
+    zc = torus_reduce_centered(zz.reshape(-1) / cell.m, cell.tau_r)
+    wpv, wppv = _ref_wp_series(zc, cell)
+    with np.errstate(invalid="ignore"):
+        wpv = wpv / cell.m ** 2
+        wppv = wppv / cell.m ** 3
+    wpv = np.where(np.isfinite(wpv), wpv, np.inf + 0j)
+    wppv = np.where(np.isfinite(wppv), wppv, np.inf + 0j)
+    return wpv.reshape(zz.shape), wppv.reshape(zz.shape)
+
+
+def _special_points(tau):
+    """Lattice points, Laurent-zone and half-period points of Z + Z tau."""
+    return np.array([
+        0, 1, tau, 1 + tau, -2 * tau,            # poles
+        1e-7, 3e-7j, 1 + 2e-8 - 4e-8j, tau + 1e-13,  # Laurent expansion
+        0.5, tau / 2, (1 + tau) / 2,             # wp' vanishes
+    ], dtype=complex)
+
+
+class TestKernelTrims:
+    @pytest.mark.parametrize(
+        "tau", ORACLE_TAUS + [0.2 + 2.5j, 0.45 + 6.0j, -2.3 + 0.4j, 3.7 + 0.08j],
+        ids=lambda t: f"{t:.3f}",
+    )
+    def test_equal_to_the_reference_kernel(self, tau):
+        lat = Lattice(tau)
+        rng = np.random.default_rng(41)
+        special = _special_points(tau)
+        for size in (1, 2, 7, 40, 4095, 4096, 4097, 10_000):
+            z = rng.random(size) + tau * rng.random(size)
+            k = min(size, len(special))
+            z[rng.choice(size, size=k, replace=False)] = rng.permutation(special)[:k]
+            got, ref = wp_both(z, lat), _ref_wp_both(z, lat)
+            assert got[0].tobytes() == ref[0].tobytes(), size
+            assert got[1].tobytes() == ref[1].tobytes(), size
+        for zi in special:
+            w, wq = wp_both(complex(zi), lat)
+            rw, rwq = _ref_wp_both(zi, lat)
+            assert np.array([w, wq]).tobytes() == np.array([rw, rwq]).tobytes()
+
+    def test_large_batches_run_in_blocks(self, monkeypatch):
+        sizes = []
+        original = elliptic._wp_series
+
+        def recording(zc, cell):
+            sizes.append(zc.size)
+            return original(zc, cell)
+
+        monkeypatch.setattr(elliptic, "_wp_series", recording)
+        z = sample_cell(HEX_TAU, 10_000, 3, margin=0.0)
+        wp_both(z, Lattice(HEX_TAU))
+        assert sizes == [elliptic.BLOCK, elliptic.BLOCK, 10_000 - 2 * elliptic.BLOCK]

@@ -6,6 +6,7 @@ from toruslie.funcalg import (
     FitError,
     InvariantRing,
     NotInRingError,
+    PSystem,
     TorusFunction,
     _constants_from_e,
     _half_periods,
@@ -25,9 +26,12 @@ from toruslie.lattice import (
     Lattice,
     ScaledLattice,
     is_hexagonal_class,
+    TorsionPoint,
     moebius,
     shortest_period,
+    torus_reduce_centered,
 )
+from toruslie.intertwine import double_cover
 from toruslie.torusgroup import c2c2_translation, cn_translation, inverse, quotient_scaled
 
 GENERIC = complex(0.31, 1.07)
@@ -113,6 +117,43 @@ class TestPBig:
             single = ps.values(zi, js)
             for j in js:
                 assert single[j][0] == batch[j][i], (i, j)
+
+    @pytest.mark.parametrize("tau", [1j, HEX_TAU, GENERIC], ids=["square", "hex", "generic"])
+    def test_wp_alpha_and_orbit_equal_the_scalar_route(self, tau):
+        # wp(alpha) rides along as the last point of the first evaluation
+        # and the orbit is reduced in one call; both equal, bit for bit,
+        # a call of wp's own at alpha and the reduction of each k alpha
+        lat = Lattice(tau)
+        rng = np.random.default_rng(31)
+        checked = 0
+        for n in range(2, 9):
+            for a in range(n):
+                for b in range(n):
+                    if TorsionPoint(a, b, n).n != n:
+                        continue
+                    emb = cn_translation(lat, n, TorsionPoint(a, b, n))
+                    systems = [p_system(emb)]
+                    if n % 2 == 0:
+                        slat, shift, m = double_cover(emb)
+                        systems.append(PSystem(slat, shift, m))
+                    for ps in systems:
+                        assert ps.wp_alpha is None
+                        z = sample_points(ps.slat, 7, rng, avoid=ps.orbit, margin=0.05)
+                        js = tuple(range(1, ps.n))
+                        first = ps.values(z, js)
+                        ref = complex(wp_both_scaled(ps.alpha, ps.slat)[0])
+                        assert np.array(ps.wp_alpha).tobytes() == np.array(ref).tobytes()
+                        second = ps.values(z, js)
+                        for j in js:
+                            assert first[j].tobytes() == second[j].tobytes()
+                        s = ps.slat.scale
+                        orbit = [
+                            complex(s * torus_reduce_centered(k * ps.alpha / s, ps.slat.tau))
+                            for k in range(ps.n)
+                        ]
+                        assert np.array(ps.orbit).tobytes() == np.array(orbit).tobytes()
+                        checked += 1
+        assert checked >= 150
 
     def test_value_pairs_separate_points(self):
         # ring-generator spot check for N = 3: the pair (P1, P2) separates

@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 from functools import cache
 from math import gcd
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from toruslie import sl2rep
+from toruslie.classify import classify
 from toruslie import torusgroup as tg
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, reduce_modular
 from toruslie.torusgroup import (
@@ -23,7 +26,6 @@ from toruslie.torusgroup import (
     identity_map,
     inverse,
     quotient_scaled,
-    translation_subgroup,
 )
 
 GENERIC = complex(0.37, 1.2)
@@ -212,24 +214,31 @@ class TestBranchPoints:
 
 
 class TestTranslationSubgroup:
+    """t(Gamma) and T / t(Gamma) as classify reports them."""
+
     def test_c2_rotation_trivial(self):
-        sub, quot = translation_subgroup(cl_rotation(L_GEN, 2))
-        assert sub.order == 1
+        emb = cl_rotation(L_GEN, 2)
+        assert classify(emb).provenance["translation_subgroup_order"] == 1
+        quot = quotient_scaled(emb)
         assert abs(reduce_modular(quot.tau).tau_reduced
                    - reduce_modular(GENERIC).tau_reduced) < 1e-9
 
     def test_cn_translation_full(self):
         emb = cn_translation(L_SQ, 2)
-        sub, quot = translation_subgroup(emb)
-        assert sub.order == 2
+        assert classify(emb).provenance["translation_subgroup_order"] == 2
+        quot = quotient_scaled(emb)
         # Lambda_(1/2) on the square lattice is homothetic to 2i
         assert abs(reduce_modular(quot.tau).tau_reduced - 2j) < 1e-9
 
     def test_a4_subgroup_is_klein(self):
-        sub, quot = translation_subgroup(a4_group(L_HEX))
-        assert sub.kind == "C2xC2_translation"
-        assert sub.order == 4
+        emb = a4_group(L_HEX)
+        assert classify(emb).provenance["translation_subgroup_order"] == 4
+        # four translations, each shift of order at most 2: the Klein
+        # group, not C4
+        trans = [g for g in emb.elements if g.is_translation]
+        assert sorted(g.shift.n for g in trans) == [1, 2, 2, 2]
         # T / (half shifts) is the half lattice: same class
+        quot = quotient_scaled(emb)
         assert abs(reduce_modular(quot.tau).tau_reduced
                    - reduce_modular(HEX_TAU).tau_reduced) < 1e-9
 
@@ -351,8 +360,9 @@ class TestIntegerArithmeticMatchesFractions:
         new = [_group_data(e) for e in _embeddings(tau)]
         with monkeypatch.context() as m:
             m.setattr(TorsionPoint, "__add__", fraction_add)
-            for mod in (tg, sl2rep):
-                m.setattr(mod, "compose", fraction_compose)
+            # sl2rep walks the closure's table, so the closure's compose
+            # is the only one to substitute
+            m.setattr(tg, "compose", fraction_compose)
             m.setattr(tg, "inverse", fraction_inverse)
             m.setattr(tg, "fixed_points", fraction_fixed_points)
             old = [_group_data(e) for e in _embeddings(tau)]
@@ -374,3 +384,99 @@ class TestIntegerArithmeticMatchesFractions:
             q = TorsionPoint(*(int(v) for v in rng.integers(0, n2, size=2)), n2)
             assert p + q == fraction_add(p, q) == q + p
             assert (p + q) + (-q) == p
+
+
+# standard_rep and classify before they read the closure: the generator
+# images extended by composing again, and t(Gamma) rebuilt as a group of
+# its own to read its order.  Kept as the references of the table walk.
+
+
+def _compose_extend(emb, gen_images):
+    mats = dict(gen_images)
+    ident = next(g for g in emb.elements if g.is_identity)
+    mats[ident] = np.eye(3, dtype=complex)
+    frontier = list(mats)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for s, ms in gen_images.items():
+                h = compose(s, g)
+                m = ms @ mats[g]
+                if h in mats:
+                    assert np.max(np.abs(mats[h] - m)) <= 1e-10
+                else:
+                    mats[h] = m
+                    nxt.append(h)
+        frontier = nxt
+    return mats
+
+
+def _compose_standard_rep(emb):
+    gens = emb.generators
+    if emb.kind == "CN_translation" and emb.order_param == 1:
+        return {emb.elements[0]: np.eye(3, dtype=complex)}
+    if emb.kind == "CN_translation":
+        return _compose_extend(emb, {gens[0]: sl2rep._cyclic_eigen(emb.order_param, 1)})
+    if emb.kind == "Cl_rotation":
+        w = cmath.exp(2j * math.pi / emb.order_param)
+        return _compose_extend(emb, {gens[0]: sl2rep._diag_action(w)})
+    if emb.kind == "DN":
+        images = {gens[0]: sl2rep._FLIP.copy()}
+        if emb.order_param > 1:
+            images[gens[1]] = sl2rep._cyclic_eigen(emb.order_param, 1)
+        return _compose_extend(emb, images)
+    if emb.kind == "C2xC2_translation":
+        return _compose_extend(emb, {gens[0]: sl2rep._R1_3, gens[1]: sl2rep._R2_3})
+    return _compose_extend(
+        emb, {gens[0]: sl2rep._A4_S, gens[1]: sl2rep._R1_3, gens[2]: sl2rep._R2_3}
+    )
+
+
+def _rebuilt_translation_order(emb):
+    trans = [g for g in emb.elements if g.is_translation]
+    if len(trans) == 1:
+        return 1
+    if max(t.shift.n for t in trans) == len(trans):
+        gen = next(t for t in trans if t.shift.n == len(trans))
+        return cn_translation(emb.lattice, len(trans), gen.shift).order
+    return c2c2_translation(emb.lattice).order
+
+
+TABLE_TAUS = [1j, HEX_TAU, 0.31 + 1.07j, 0.2 + 1.3j, 7.3 + 0.2j]
+
+
+def _table_embeddings(tau):
+    """catalog() for orders 1 to 8, and C_N, D_N at every shift of exact order N."""
+    lat = Lattice(tau)
+    return _embeddings(tau) + [tg.cn_translation(lat, 1), tg.dn_group(lat, 1)]
+
+
+class TestGeneratorTable:
+    @pytest.mark.parametrize("tau", TABLE_TAUS, ids=lambda t: f"{t:.2f}")
+    def test_rows_are_the_products(self, tau):
+        for emb in _table_embeddings(tau):
+            assert emb.elements[0].is_identity
+            assert len(emb.table) == len(emb.generators)
+            for s, row in zip(emb.generators, emb.table):
+                assert [emb.elements[k] for k in row] == [compose(s, g) for g in emb.elements]
+
+    @pytest.mark.parametrize("tau", TABLE_TAUS, ids=lambda t: f"{t:.2f}")
+    def test_standard_rep_equals_the_compose_search(self, tau):
+        for emb in _table_embeddings(tau):
+            got = sl2rep.standard_rep(emb).mats
+            ref = _compose_standard_rep(emb)
+            assert list(got) == list(ref)
+            assert [got[g].tobytes() for g in got] == [ref[g].tobytes() for g in ref]
+
+    @pytest.mark.parametrize("tau", TABLE_TAUS, ids=lambda t: f"{t:.2f}")
+    def test_classify_provenance_unchanged(self, tau):
+        for emb in _table_embeddings(tau):
+            prov = classify(emb).provenance
+            assert prov == {
+                "group": emb.kind,
+                "order_param": emb.order_param,
+                "group_order": emb.order,
+                "translation_subgroup_order": _rebuilt_translation_order(emb),
+                "quotient_tau": Lattice(quotient_scaled(emb).tau).tau,
+                "branch_orbits": branch_points(emb)[0],
+            }
