@@ -362,19 +362,19 @@ def residue_at(f: TorusFunction, p: complex, n_nodes: int = 128, radius: float |
 
 
 def _half_periods(emb: GroupEmbedding) -> tuple[complex, complex]:
-    """Shifts (s1, s2) of the two generators of a C2 x C2 translation embedding."""
-    if emb.kind != "C2xC2_translation":
-        raise ValueError("half-period data needs a C2 x C2 translation embedding")
-    r1, r2 = emb.generators[:2]
+    """Shifts (s1, s2) of the Klein generators: the last two of a C2 x C2 or an A4 embedding."""
+    if emb.kind not in ("C2xC2_translation", "A4"):
+        raise ValueError("half-period data needs a C2 x C2 translation or an A4 embedding")
+    r1, r2 = emb.generators[-2:]
     return complex(r1.shift.to_complex(emb.tau)), complex(r2.shift.to_complex(emb.tau))
 
 
 def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFunction]:
     """(p0, p1, p2): signed half-period averages of 1/wp'.
 
-    p2 is even under the first generator and odd under the second, p1 the
-    reverse, p0 odd under both; all three are odd in z with simple poles on
-    the four half-period points.
+    p2 is even under the first Klein generator and odd under the second,
+    p1 the reverse, p0 odd under both; all three are odd in z with simple
+    poles on the four half-period points.
     """
     slat = ScaledLattice(emb.tau)
     s1, s2 = _half_periods(emb)

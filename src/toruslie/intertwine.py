@@ -158,22 +158,16 @@ def psi(emb: GroupEmbedding) -> MatrixFunction:
 
     Unit determinant; Psi(r.z) = rho(r) Psi(z) for the quaternion-cover
     action of C2 x C2 on sl2.  For the tetrahedral group the Klein part is
-    (r1, r2) with r2 := r1 (s r1 s^-1), so on every basis the rotation s
-    cycles the half periods s1 -> s1 + s2 -> s2.  The shift-matched
-    constants therefore need no sign change: with them the Cartan column
-    is invariant under s (cross_validate certifies this through its
-    invariance check).
+    its last two generators (r1, r2) with r2 := r1 (s r1 s^-1), so on
+    every basis the rotation s cycles the half periods s1 -> s1 + s2 ->
+    s2.  The shift-matched constants therefore need no sign change: with
+    them the Cartan column is invariant under s (cross_validate certifies
+    this through its invariance check).
     """
     if emb.kind not in ("C2xC2_translation", "A4"):
         raise ValueError("psi is attached to the Klein translation group")
-    if emb.kind == "A4":
-        klein = GroupEmbedding(
-            "C2xC2_translation", 2, emb.lattice, tuple(emb.generators[1:])
-        )
-    else:
-        klein = emb
-    p0, p1, p2 = p_small(klein)
-    cc = c2c2_constants_for(klein)
+    p0, p1, p2 = p_small(emb)
+    cc = c2c2_constants_for(emb)
     return MatrixFunction(
         _psi_fn(p0, p1, p2, cc), 3, p0.lattice, p0.poles,
         meta={"constants": cc, "kind": "psi"},

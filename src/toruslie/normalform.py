@@ -48,7 +48,7 @@ from .funcalg import (
 from .intertwine import MatrixFunction, phi, psi
 from .lattice import ScaledLattice, shortest_period, torus_reduce_centered
 from .sl2rep import B_E, B_F, B_H, GroupRepresentation, ad, bracket, coeffs, from_coeffs, standard_rep
-from .torusgroup import GroupEmbedding, inverse, quotient_scaled
+from .torusgroup import GroupEmbedding, quotient_scaled
 
 __all__ = [
     "GeneratorTriple",
@@ -94,6 +94,10 @@ _CASES = {
     # w^2: wp^2 e and wp f are invariant
     "A4": _Case("psi", "wp_prime", 6, 0.22, lambda x, y: x ** 2, lambda x, y: x),
 }
+
+#: ad(M) for M = [[1, 1], [1, -1]]: the flip S has S M = M diag(1, -1), so it fixes
+#: the h-column and negates the e- and f-columns, as D_N's odd factor wp' does
+_D1_FRAME = ad(np.array([[1.0, 1.0], [1.0, -1.0]]))
 
 
 @dataclass
@@ -149,8 +153,8 @@ def _columns(frame, like: MatrixFunction) -> tuple:
 
 
 def _orbit_points(emb: GroupEmbedding) -> tuple:
-    zs = torus_reduce_centered(np.array([g.apply(0.0) for g in emb.elements]), emb.tau)
-    pts = set(zs.tolist())
+    # g(0) is the shift of g, and the inverses run through every element
+    pts = set(torus_reduce_centered(emb.inverse_shift, emb.tau).tolist())
     return tuple(sorted(pts, key=lambda c: (round(c.real, 9), round(c.imag, 9))))
 
 
@@ -183,7 +187,8 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
     # the trivial translation has no Phi: its frames are constant too
     if case.frames == "B" or emb.order_param == 1:
         base = ScaledLattice(emb.tau)
-        h, e, f = (_const_mat(x, base, orbit) for x in (B_H, B_E, B_F))
+        xs = from_coeffs(_D1_FRAME.T) if emb.kind == "DN" else (B_H, B_E, B_F)
+        h, e, f = (_const_mat(x, base, orbit) for x in xs)
     elif case.frames == "phi":
         intertwiner = phi(emb, j)
         # ad divides by the computed det(Phi), which the fitted constants
@@ -243,8 +248,9 @@ def _fit_rows(gens: GeneratorTriple, seed: int) -> np.ndarray:
 
 
 def _preimages(gens: GeneratorTriple, z: np.ndarray) -> np.ndarray:
-    """g^-1 z for every group element g, stacked into one point array."""
-    return np.concatenate([inverse(g).apply(z) for g in gens.emb.elements])
+    """g^-1 z for every group element g, stacked in the order of the elements."""
+    emb = gens.emb
+    return (emb.inverse_rotation[:, None] * z + emb.inverse_shift[:, None]).ravel()
 
 
 def _frames(gens: GeneratorTriple, z: np.ndarray) -> tuple:

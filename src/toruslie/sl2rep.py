@@ -123,32 +123,32 @@ def _cyclic_eigen(n: int, j: int) -> np.ndarray:
     return _diag_action(w)
 
 
-def _extend(emb: GroupEmbedding, gen_images: dict) -> dict:
+def _extend(emb: GroupEmbedding, gen_images: list) -> dict:
     """Breadth-first extension of generator images to the whole group, with
     a well-definedness check that makes the assignment a homomorphism.
 
-    gen_images maps positions in emb.generators to images.  The search
-    walks the embedding's generator table; element 0 is the identity, so
-    generator i is element table[i][0].
+    gen_images[i] is the image of emb.generators[i].  The search walks the
+    generator table from element 0, the identity; then the image of every
+    product s g is checked against s's image times g's, all at once.
     """
     table = emb.table
-    mats = {table[i][0]: m for i, m in gen_images.items()}
+    mats = {table[i][0]: m for i, m in enumerate(gen_images)}
     mats[0] = np.eye(3, dtype=complex)
     frontier = list(mats)
     while frontier:
         nxt = []
         for g in frontier:
-            for i, ms in gen_images.items():
+            for i, ms in enumerate(gen_images):
                 h = table[i][g]
-                m = ms @ mats[g]
-                if h in mats:
-                    if np.max(np.abs(mats[h] - m)) > 1e-10:
-                        raise ValueError("generator images violate the group relations")
-                else:
-                    mats[h] = m
+                if h not in mats:
+                    mats[h] = ms @ mats[g]
                     nxt.append(h)
         frontier = nxt
     assert len(mats) == emb.order
+    group = np.array([mats[k] for k in range(emb.order)])
+    products = np.array(gen_images)[:, None] @ group
+    if np.max(np.abs(products - group[np.array(table[: len(gen_images)])])) > 1e-10:
+        raise ValueError("generator images violate the group relations")
     return {emb.elements[k]: m for k, m in mats.items()}
 
 
@@ -167,25 +167,25 @@ def standard_rep(emb: GroupEmbedding, j: int = 1) -> GroupRepresentation:
             return GroupRepresentation(emb, {emb.elements[0]: np.eye(3, dtype=complex)})
         if math.gcd(j, n) != 1:
             raise ValueError(f"character index {j} is not coprime to {n}")
-        return GroupRepresentation(emb, _extend(emb, {0: _cyclic_eigen(n, j)}))
+        return GroupRepresentation(emb, _extend(emb, [_cyclic_eigen(n, j)]))
     if kind == "Cl_rotation":
         ell = emb.order_param
         if math.gcd(j, ell) != 1:
             raise ValueError(f"character index {j} is not coprime to {ell}")
         w = cmath.exp(2j * math.pi * j / ell)
-        return GroupRepresentation(emb, _extend(emb, {0: _diag_action(w)}))
+        return GroupRepresentation(emb, _extend(emb, [_diag_action(w)]))
     if kind == "DN":
         n = emb.order_param
-        images = {0: _FLIP.copy()}
+        images = [_FLIP.copy()]
         if n > 1:
             if math.gcd(j, n) != 1:
                 raise ValueError(f"character index {j} is not coprime to {n}")
-            images[1] = _cyclic_eigen(n, j)
+            images.append(_cyclic_eigen(n, j))
         return GroupRepresentation(emb, _extend(emb, images))
     if kind == "C2xC2_translation":
-        return GroupRepresentation(emb, _extend(emb, {0: _R1_3, 1: _R2_3}))
+        return GroupRepresentation(emb, _extend(emb, [_R1_3, _R2_3]))
     if kind == "A4":
-        return GroupRepresentation(emb, _extend(emb, {0: _A4_S, 1: _R1_3, 2: _R2_3}))
+        return GroupRepresentation(emb, _extend(emb, [_A4_S, _R1_3, _R2_3]))
     raise ValueError(f"unknown embedding kind {kind!r}")
 
 

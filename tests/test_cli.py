@@ -53,6 +53,32 @@ class TestCatalog:
         assert "error" in err
 
 
+# the lattices and seeds of TestDihedralOne
+_D1_LATTICES = [("0", "1"), ("0.5", repr(HEX)), ("0.31", "1.07"), ("0", "2.5")]
+
+
+class TestDihedralOne:
+    """D_1 is the flip z -> -z alone, the group of rot2: its constant frames
+    are the columns of ad([[1, 1], [1, -1]]), which the flip maps to
+    (h, -e, -f), so both commands certify it and report rot2's class."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("lat", _D1_LATTICES, ids=[f"{a}+{b}i" for a, b in _D1_LATTICES])
+    def test_certified_with_the_class_of_rot2(self, capsys, lat, seed):
+        where = ("--tau-re", lat[0], "--tau-im", lat[1], "--seed", str(seed), "--json")
+        rc, out, _ = run(capsys, "classify", "--group", "dn", "--order", "1", *where)
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["cross_validation"]["invariance_residual"] < 1e-12
+        _, ref, _ = run(capsys, "classify", "--group", "rot", "--order", "2", *where)
+        rot2 = json.loads(ref)
+        for key in ("kind", "branch_count", "tau_class", "j_invariant"):
+            assert doc[key] == rot2[key]
+        rc, out, _ = run(capsys, "verify", "--group", "dn", "--order", "1", *where)
+        assert rc == 0
+        assert json.loads(out)["invariance_residual"] < 1e-12
+
+
 class TestClassify:
     def test_d5_is_twisted_family(self, capsys):
         rc, out, _ = run(

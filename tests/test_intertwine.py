@@ -5,7 +5,7 @@ from toruslie.funcalg import sample_points
 from toruslie.intertwine import MatrixFunction, check_intertwining, double_cover, phi, psi
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint
 from toruslie.sl2rep import ad, standard_rep
-from toruslie.torusgroup import a4_group, c2c2_translation, cn_translation
+from toruslie.torusgroup import GroupEmbedding, a4_group, c2c2_translation, cn_translation
 
 GENERIC = complex(0.31, 1.07)
 L_GEN = Lattice(GENERIC)
@@ -201,3 +201,19 @@ class TestPsi:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
             psi(cn_translation(L_GEN, 2))
+
+    @pytest.mark.parametrize(
+        "tau", [HEX_TAU, HEX_TAU + 1, -1 / HEX_TAU, HEX_TAU / (HEX_TAU + 1)],
+        ids=["hex", "hex+1", "-1/hex", "hex/(hex+1)"],
+    )
+    def test_a4_equals_psi_of_its_klein_part(self, tau):
+        # psi(A4) reads the half periods off the A4 embedding; it once built
+        # the Klein group of the last two generators as an embedding of
+        # its own, kept here as the reference, with bitwise equal values
+        emb = a4_group(Lattice(tau))
+        klein = GroupEmbedding("C2xC2_translation", 2, emb.lattice, emb.generators[1:])
+        m, ref = psi(emb), psi(klein)
+        assert m.poles == ref.poles
+        assert m.meta == ref.meta
+        z = probe(ref, 40, 11)
+        assert m(z).tobytes() == ref(z).tobytes()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from toruslie import sl2rep
 from toruslie.lattice import HEX_TAU, Lattice
 from toruslie.sl2rep import (
     B_E,
@@ -132,6 +133,15 @@ class TestStandardRep:
     def test_non_coprime_character_rejected(self):
         with pytest.raises(ValueError):
             standard_rep(cn_translation(L_GEN, 4), 2)
+
+    def test_images_violating_the_relations_rejected(self):
+        # an order-3 image for the half-period translation r2: every
+        # product that reaches an element again disagrees with its image
+        emb = c2c2_translation(L_GEN)
+        with pytest.raises(ValueError, match="group relations"):
+            sl2rep._extend(emb, [sl2rep._R1_3, sl2rep._A4_S])
+        # images that respect the relations pass the same check
+        assert len(sl2rep._extend(emb, [sl2rep._R1_3, sl2rep._R2_3])) == 4
 
 
 class TestIsotypical:

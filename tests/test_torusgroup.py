@@ -2,15 +2,16 @@ import cmath
 import math
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from toruslie import sl2rep
+from toruslie import normalform, sl2rep
 from toruslie.classify import classify
 from toruslie import torusgroup as tg
-from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, reduce_modular
+from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, reduce_modular, torus_reduce_centered
 from toruslie.torusgroup import (
     AffineAutomorphism,
     UnsupportedEmbeddingError,
@@ -23,7 +24,6 @@ from toruslie.torusgroup import (
     compose,
     dn_group,
     fixed_points,
-    identity_map,
     inverse,
     quotient_scaled,
 )
@@ -32,6 +32,10 @@ GENERIC = complex(0.37, 1.2)
 L_GEN = Lattice(GENERIC)
 L_SQ = Lattice(1j)
 L_HEX = Lattice(HEX_TAU)
+
+
+def identity_map(lattice):
+    return AffineAutomorphism(0, 1, TorsionPoint.zero(), lattice)
 
 
 def kinds(entries):
@@ -300,18 +304,36 @@ def fraction_inverse(g: AffineAutomorphism) -> AffineAutomorphism:
     return AffineAutomorphism(rot.numerator, rot.denominator, shift, g.lattice)
 
 
+# the key kernel of torusgroup through Fraction: the reduced rotation
+# index, the image m (a, b)/n + shift of a torsion point, and the fixed
+# points of z -> eps z + shift, all as the integer tuples the kernel returns
+
+
+def _key_point(x: Fraction, y: Fraction) -> tuple:
+    x, y = x % 1, y % 1
+    n = lcm(x.denominator, y.denominator)
+    return int(x * n), int(y * n), n
+
+
+def fraction_rot(num: int, den: int) -> tuple:
+    x = Fraction(num, den) % 1
+    return x.numerator, x.denominator
+
+
+def fraction_act(m, a: int, b: int, n: int, shift: tuple) -> tuple:
+    (p, q), (r, s) = m
+    sa, sb, sn = shift
+    return _key_point(
+        Fraction(p * a + q * b, n) + Fraction(sa, sn), Fraction(r * a + s * b, n) + Fraction(sb, sn)
+    )
+
+
 @cache
-def fraction_fixed_points(g: AffineAutomorphism, lattice=None) -> tuple:
-    if lattice is not None and lattice != g.lattice:
-        raise ValueError("lattice mismatch")
-    if g.is_identity:
-        raise ValueError("every point is fixed by the identity")
-    if g.is_translation:
-        return ()
-    (p, q), (r, s) = g.rot_matrix()
+def fraction_fixed(m, shift: tuple) -> frozenset:
+    (p, q), (r, s) = m
     a = ((p - 1, q), (r, s - 1))
     det = a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    cx, cy = -Fraction(g.shift.a, g.shift.n), -Fraction(g.shift.b, g.shift.n)
+    cx, cy = -Fraction(shift[0], shift[2]), -Fraction(shift[1], shift[2])
     inv = (
         (Fraction(a[1][1], det), Fraction(-a[0][1], det)),
         (Fraction(-a[1][0], det), Fraction(a[0][0], det)),
@@ -321,8 +343,8 @@ def fraction_fixed_points(g: AffineAutomorphism, lattice=None) -> tuple:
         for k2 in range(abs(det)):
             vx = inv[0][0] * (cx + k1) + inv[0][1] * (cy + k2)
             vy = inv[1][0] * (cx + k1) + inv[1][1] * (cy + k2)
-            sols.add(_from_fractions(vx % 1, vy % 1))
-    return tuple(sorted(sols, key=lambda t: (t.n, t.a, t.b)))
+            sols.add(_key_point(vx, vy))
+    return frozenset(sols)
 
 
 def _embeddings(tau: complex) -> list:
@@ -345,7 +367,9 @@ def _group_data(emb) -> dict:
     rep = sl2rep.standard_rep(emb)
     return {
         "elements": els,
-        "inverses": [tg.inverse(g) for g in els],
+        "keys": emb.keys,
+        "table": emb.table,
+        "inverses": emb.inverse_index,
         "fixed": [tg.fixed_points(g) for g in els if not (g.is_identity or g.is_translation)],
         "branch": tg.branch_points(emb),
         "rep": [rep.mats[g].tobytes() for g in els],
@@ -359,22 +383,23 @@ class TestIntegerArithmeticMatchesFractions:
     def test_group_data_identical(self, tau, monkeypatch):
         new = [_group_data(e) for e in _embeddings(tau)]
         with monkeypatch.context() as m:
-            m.setattr(TorsionPoint, "__add__", fraction_add)
-            # sl2rep walks the closure's table, so the closure's compose
-            # is the only one to substitute
-            m.setattr(tg, "compose", fraction_compose)
-            m.setattr(tg, "inverse", fraction_inverse)
-            m.setattr(tg, "fixed_points", fraction_fixed_points)
+            # the closure, inverses, fixed points and branch orbits all run
+            # on these three functions of the key kernel
+            m.setattr(tg, "_rot", fraction_rot)
+            m.setattr(tg, "_act", fraction_act)
+            m.setattr(tg, "_fixed", fraction_fixed)
             old = [_group_data(e) for e in _embeddings(tau)]
         assert len(new) == len(old) >= 184
         for a, b in zip(new, old):
             assert a == b
-        # the composition tables: compose is a function of the pair alone,
-        # so each distinct pair of elements is checked once
+        # the compose and inverse wrappers: compose is a function of the
+        # pair alone, so each distinct pair of elements is checked once
         pairs = {(g, h) for d in new for g in d["elements"] for h in d["elements"]}
         assert len(pairs) >= 4000
         for g, h in pairs:
             assert compose(g, h) == fraction_compose(g, h)
+        for g in {g for g, _ in pairs}:
+            assert inverse(g) == fraction_inverse(g)
 
     def test_torsion_sums_with_large_denominators(self):
         rng = np.random.default_rng(5)
@@ -386,8 +411,169 @@ class TestIntegerArithmeticMatchesFractions:
             assert (p + q) + (-q) == p
 
 
+# The object path that the integer keys replaced, kept as the reference:
+# the closure composed AffineAutomorphism objects through TorsionPoint
+# arithmetic, branch_points acted on TorsionPoints, the invariance checks
+# stacked inverse(g).apply(z) element by element, and the orbit points
+# applied every g to 0.
+
+
+def object_compose(g: AffineAutomorphism, h: AffineAutomorphism) -> AffineAutomorphism:
+    num = g.rot_num * h.rot_den + h.rot_num * g.rot_den
+    den = g.rot_den * h.rot_den
+    d = gcd(num, den)
+    shift = h.shift.matrix_apply(g.rot_matrix()) + g.shift
+    return AffineAutomorphism(num // d, den // d, shift, g.lattice)
+
+
+def object_inverse(g: AffineAutomorphism) -> AffineAutomorphism:
+    inv = AffineAutomorphism(-g.rot_num, g.rot_den, TorsionPoint.zero(), g.lattice)
+    shift = (-g.shift).matrix_apply(inv.rot_matrix())
+    return AffineAutomorphism(inv.rot_num, inv.rot_den, shift, g.lattice)
+
+
+def object_closure(generators: list) -> tuple:
+    seen = {identity_map(generators[0].lattice)}
+    products = {}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for g in frontier:
+            row = products[g] = []
+            for s in generators:
+                h = object_compose(s, g)
+                row.append(h)
+                if h not in seen:
+                    seen.add(h)
+                    nxt.append(h)
+        frontier = nxt
+    elements = tuple(sorted(seen, key=lambda g: (g.rot_den, g.rot_num, g.shift.n, g.shift.a, g.shift.b)))
+    index = {g: k for k, g in enumerate(elements)}
+    return elements, tuple(zip(*(tuple(index[h] for h in products[g]) for g in elements)))
+
+
+def object_fixed_points(g: AffineAutomorphism) -> tuple:
+    (p, q), (r, s) = g.rot_matrix()
+    a11, a12, a21, a22 = p - 1, q, r, s - 1
+    det = a11 * a22 - a12 * a21
+    d1 = gcd(a11, a12)
+    sa, sb, n = g.shift.a, g.shift.b, g.shift.n
+    sols = set()
+    for k1 in range(d1):
+        for k2 in range(det // d1):
+            x, y = k1 * n - sa, k2 * n - sb
+            sols.add(TorsionPoint(a22 * x - a12 * y, a11 * y - a21 * x, det * n))
+    return tuple(sorted(sols, key=lambda t: (t.n, t.a, t.b)))
+
+
+def _object_orbit(emb, p: TorsionPoint) -> frozenset:
+    return frozenset(p.matrix_apply(g.rot_matrix()) + g.shift for g in emb.elements)
+
+
+def object_branch_points(emb) -> tuple:
+    ramified = set()
+    for g in emb.elements:
+        if g.is_identity or g.is_translation:
+            continue
+        ramified.update(object_fixed_points(g))
+    ramified -= _object_orbit(emb, TorsionPoint.zero())
+    orbits = []
+    while ramified:
+        orb = _object_orbit(emb, next(iter(ramified)))
+        ramified -= orb
+        orbits.append(orb)
+    orbits.sort(key=lambda o: sorted((t.n, t.a, t.b) for t in o))
+    return len(orbits), tuple(orbits)
+
+
+def object_preimages(emb, z: np.ndarray) -> np.ndarray:
+    return np.concatenate([object_inverse(g).apply(z) for g in emb.elements])
+
+
+def object_orbit_points(emb) -> tuple:
+    zs = torus_reduce_centered(np.array([g.apply(0.0) for g in emb.elements]), emb.tau)
+    pts = set(zs.tolist())
+    return tuple(sorted(pts, key=lambda c: (round(c.real, 9), round(c.imag, 9))))
+
+
+#: the moduli sweep's lattices: random_taus(default_rng(7), 12) of
+#: bench/workloads.py written out, and its four fixed lattices
+SWEEP_TAUS = [
+    -0.5893857908086169 + 1.2735055474703787j,
+    0.39853471437602295 + 0.4601842813566953j,
+    2.23396747642186 + 2.22753101665419j,
+    -2.8484837865903434 + 0.8261519606790553j,
+    -2.3607871939496134 + 1.7388668289443447j,
+    -1.3725652061729374 + 2.827555502964597j,
+    1.2225381529413237 + 1.8568694641868244j,
+    0.7522741294789768 + 1.4399254913299668j,
+    -1.7232513239627538 + 0.6377573610354215j,
+    -0.002249858282803885 + 2.5876390409136865j,
+    1.8963309596068765 + 2.397185404513006j,
+    2.811089614720582 + 0.9383557638036008j,
+    2.5j,
+    3.5j,
+    0.49 + 0.9j,
+    7.3 + 0.2j,
+]
+#: and the square and hexagonal lattices, for the rotations of order 3, 4, 6 and A4
+KEY_TAUS = SWEEP_TAUS + [1j, HEX_TAU]
+
+
+@cache
+def _sweep_embeddings(tau: complex) -> tuple:
+    """rot2, c2c2, and cn/dn for N = 1..8 at the shifts 1/N, tau/N and
+    (1+tau)/N; on the square and hexagonal lattices also their catalog."""
+    lat = Lattice(tau)
+    out = [tg.cl_rotation(lat, 2), tg.c2c2_translation(lat)]
+    for n in range(1, 9):
+        for a, b in ((1, 0), (0, 1), (1, 1)):
+            shift = TorsionPoint(a, b, n)
+            out += [tg.cn_translation(lat, n, shift), tg.dn_group(lat, n, shift)]
+    if tau in (1j, HEX_TAU):
+        out += tg.catalog(lat, orders=(2, 3, 4, 5, 6, 7, 8))
+    return tuple(out)
+
+
+class TestKeysMatchObjectPath:
+    """The closure, inverses, branch orbits, preimages, orbit points and
+    standard_rep on integer keys equal the object path bit for bit."""
+
+    @pytest.mark.parametrize("tau", KEY_TAUS, ids=lambda t: f"{t:.3f}")
+    def test_closure_and_inverses(self, tau):
+        for emb in _sweep_embeddings(tau):
+            elements, table = object_closure(list(emb.generators))
+            assert emb.elements == elements
+            assert emb.table == table
+            assert emb.keys == tuple(g.key for g in elements)
+            assert emb.inverse_index == tuple(elements.index(object_inverse(g)) for g in elements)
+
+    @pytest.mark.parametrize("tau", KEY_TAUS, ids=lambda t: f"{t:.3f}")
+    def test_branch_points(self, tau):
+        for emb in _sweep_embeddings(tau):
+            assert branch_points(emb) == object_branch_points(emb)
+
+    @pytest.mark.parametrize("tau", KEY_TAUS, ids=lambda t: f"{t:.3f}")
+    def test_preimages_and_orbit_points(self, tau):
+        rng = np.random.default_rng(3)
+        z = rng.random(9) - 0.5 + (rng.random(9) - 0.5) * tau
+        for emb in _sweep_embeddings(tau):
+            got = normalform._preimages(SimpleNamespace(emb=emb), z)
+            assert got.tobytes() == object_preimages(emb, z).tobytes()
+            got = np.array(normalform._orbit_points(emb))
+            assert got.tobytes() == np.array(object_orbit_points(emb)).tobytes()
+
+    @pytest.mark.parametrize("tau", KEY_TAUS, ids=lambda t: f"{t:.3f}")
+    def test_standard_rep(self, tau):
+        for emb in _sweep_embeddings(tau):
+            got = sl2rep.standard_rep(emb).mats
+            ref = _compose_standard_rep(emb)
+            assert list(got) == list(ref)
+            assert [got[g].tobytes() for g in got] == [ref[g].tobytes() for g in ref]
+
+
 # standard_rep and classify before they read the closure: the generator
-# images extended by composing again, and t(Gamma) rebuilt as a group of
+# images extended by composing again on the object path, and t(Gamma) rebuilt as a group of
 # its own to read its order.  Kept as the references of the table walk.
 
 
@@ -400,7 +586,7 @@ def _compose_extend(emb, gen_images):
         nxt = []
         for g in frontier:
             for s, ms in gen_images.items():
-                h = compose(s, g)
+                h = object_compose(s, g)
                 m = ms @ mats[g]
                 if h in mats:
                     assert np.max(np.abs(mats[h] - m)) <= 1e-10
