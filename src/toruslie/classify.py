@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .elliptic import invariants_scaled, j_invariant
 from .lattice import ModularClass, reduce_modular
 from .normalform import GeneratorTriple, abelianization_dim, check_triple, normal_form
-from .torusgroup import GroupEmbedding, branch_points, quotient_scaled
+from .torusgroup import GroupEmbedding, branch_points
 
 __all__ = [
     "Classification",
@@ -68,7 +68,7 @@ def classify(emb: GroupEmbedding) -> Classification:
     if count not in KIND_BY_BRANCH_COUNT:
         raise InternalInconsistencyError(f"branch count {count} outside {{0, 2, 3}}")
     kind = KIND_BY_BRANCH_COUNT[count]
-    quotient = quotient_scaled(emb)
+    quotient = emb.quotient
     mc = reduce_modular(quotient.tau)
     prov = {
         "group": emb.kind,

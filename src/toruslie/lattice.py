@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import numpy as np
 
@@ -110,14 +110,6 @@ class TorsionPoint:
     @property
     def fractions(self) -> tuple[Fraction, Fraction]:
         return Fraction(self.a, self.n), Fraction(self.b, self.n)
-
-    def __add__(self, other: "TorsionPoint") -> "TorsionPoint":
-        n = lcm(self.n, other.n)
-        u, v = n // self.n, n // other.n
-        return TorsionPoint(self.a * u + other.a * v, self.b * u + other.b * v, n)
-
-    def __neg__(self) -> "TorsionPoint":
-        return TorsionPoint(-self.a, -self.b, self.n)
 
     def matrix_apply(self, m: tuple[tuple[int, int], tuple[int, int]]) -> "TorsionPoint":
         """Apply an integer matrix to the (a, b) coordinates."""

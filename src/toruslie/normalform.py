@@ -48,7 +48,7 @@ from .funcalg import (
 from .intertwine import MatrixFunction, phi, psi
 from .lattice import ScaledLattice, shortest_period, torus_reduce_centered
 from .sl2rep import B_E, B_F, B_H, GroupRepresentation, ad, bracket, coeffs, from_coeffs, standard_rep
-from .torusgroup import GroupEmbedding, quotient_scaled
+from .torusgroup import GroupEmbedding
 
 __all__ = [
     "GeneratorTriple",
@@ -197,7 +197,7 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
     else:
         intertwiner = psi(emb)
         h, e, f = _columns(lambda z: intertwiner.fn(z), intertwiner)
-    ring_slat = quotient_scaled(emb)
+    ring_slat = emb.quotient
     if case.fe is not None:
         ring_wp = _last_points_memo(lambda z: wp_both_scaled(z, ring_slat))
         e = _times(lambda z: case.fe(*ring_wp(z)), e)
@@ -248,9 +248,9 @@ def _fit_rows(gens: GeneratorTriple, seed: int) -> np.ndarray:
 
 
 def _preimages(gens: GeneratorTriple, z: np.ndarray) -> np.ndarray:
-    """g^-1 z for every group element g, stacked in the order of the elements."""
+    """g^-1 z for every group element g past the identity, in element order."""
     emb = gens.emb
-    return (emb.inverse_rotation[:, None] * z + emb.inverse_shift[:, None]).ravel()
+    return (emb.inverse_rotation[1:, None] * z + emb.inverse_shift[1:, None]).ravel()
 
 
 def _frames(gens: GeneratorTriple, z: np.ndarray) -> tuple:
@@ -353,25 +353,25 @@ def verify_brackets(gens: GeneratorTriple, n_samples: int = BRACKET_SAMPLES, see
 
 def _invariance(gens: GeneratorTriple, frames: tuple, start: int, n: int) -> float:
     """The residual of invariance_residual from (E, F, H) on a point array
-    holding, from row start, n probes z and then the preimages g^-1 z
-    stacked in the order of the elements."""
-    elements = gens.emb.elements
+    holding, from row start, n probes z and then their _preimages.  The
+    identity, which contributes exactly 0, is left out."""
+    elements = gens.emb.elements[1:]
     mid, end = start + n, start + n * (1 + len(elements))
-    r = np.stack([gens.rep.mats[g] for g in elements])
+    r = np.array([gens.rep.mats[g] for g in elements]).reshape(-1, 3, 3)
     worst = 0.0
     for m in frames:
         v0 = coeffs(m[start:mid])
-        v = coeffs(m[mid:end]).reshape(len(elements), n, -1)
+        v = coeffs(m[mid:end]).reshape(len(elements), n, 3)
         pulled = np.einsum("gab,gzb->gza", r, v)
-        worst = max(worst, float(np.max(np.abs(pulled - v0))))
+        worst = max(worst, float(np.max(np.abs(pulled - v0), initial=0.0)))
     return worst
 
 
 def invariance_residual(gens: GeneratorTriple, n_samples: int = INVARIANCE_SAMPLES, seed: int = 2) -> float:
     """Worst deviation from rho(g) X(g^-1 z) = X(z) over the group and probes.
 
-    The probes and the preimages g^-1 z of all group elements are stacked
-    into one point array, so the triple is evaluated once.
+    The probes and their _preimages are stacked into one point array, so
+    the triple is evaluated once.
     """
     z = _probe(gens, n_samples, seed)
     frames = _frames(gens, np.concatenate([z, _preimages(gens, z)]))
@@ -419,7 +419,7 @@ def check_triple(
     invs = [None, None]
     for k, zi in enumerate(z_inv):
         invs[k] = _invariance(gens, frames, b, len(zi))
-        b += len(zi) * (1 + gens.emb.order)
+        b += len(zi) * gens.emb.order
     return (poly, brackets, *invs[: 1 if verify_samples is None else 2])
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 import numpy as np
@@ -259,6 +259,11 @@ class GroupEmbedding:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def quotient(self) -> ScaledLattice:
+        """quotient_scaled(self), computed once for classify and normal_form."""
+        return quotient_scaled(self)
 
     @property
     def tau(self) -> complex:

@@ -4,10 +4,17 @@ import numpy as np
 import pytest
 
 import toruslie.elliptic
+import toruslie.torusgroup
 from toruslie.classify import KIND_BY_BRANCH_COUNT, classify, cross_validate
 from toruslie.funcalg import FitError, NotInRingError
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, moebius, reduce_modular, transport_torsion
-from toruslie.normalform import invariance_residual, structure_polynomial, verify_brackets
+from toruslie.normalform import (
+    invariance_residual,
+    normal_form,
+    structure_polynomial,
+    verify_brackets,
+)
+from toruslie.sl2rep import coeffs
 from toruslie.torusgroup import (
     a4_group,
     branch_points,
@@ -208,6 +215,37 @@ class TestWorkCounts:
         assert cross_validate(emb, seed=0).passed
         assert 0 < len(calls) <= limit
 
+    def test_ring_lattice_built_once_per_embedding(self, monkeypatch):
+        # classify and normal_form both read emb.quotient
+        calls = []
+        original = toruslie.torusgroup.quotient_scaled
+
+        def counting(emb):
+            calls.append(emb)
+            return original(emb)
+
+        monkeypatch.setattr(toruslie.torusgroup, "quotient_scaled", counting)
+        embs = catalog(Lattice(0.2 + 1.3j), orders=(2, 3, 4))
+        for emb in embs:
+            cross_validate(emb, seed=0)
+            assert emb.quotient == original(emb)
+        assert calls == list(embs)
+
+
+def _all_elements_residual(gens, n_samples, seed):
+    """invariance_residual as it stacked the preimages before the identity's
+    rows were dropped: the probes, then g^-1 z for every element."""
+    z = NF_MODULE._probe(gens, n_samples, seed)
+    emb, n = gens.emb, len(z)
+    pre = (emb.inverse_rotation[:, None] * z + emb.inverse_shift[:, None]).ravel()
+    frames = NF_MODULE._frames(gens, np.concatenate([z, pre]))
+    r = np.stack([gens.rep.mats[g] for g in emb.elements])
+    worst = 0.0
+    for m in frames:
+        v = coeffs(m[n:]).reshape(emb.order, n, -1)
+        worst = max(worst, float(np.max(np.abs(np.einsum("gab,gzb->gza", r, v) - coeffs(m[:n])))))
+    return worst
+
 
 def _per_check(gens, *, seed, tol):
     """The checks of cross_validate, each drawing and evaluating on its own."""
@@ -239,6 +277,19 @@ class TestOneEvaluation:
         for emb, a, b in zip(embs, new, ref):
             # every compared field and the polynomial coefficients, bit for bit
             assert a == b, (emb.kind, emb.order_param)
+
+    @pytest.mark.parametrize("tau", [1j, HEX_TAU, GENERIC], ids=["square", "hex", "generic"])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_identity_rows_change_no_residual(self, tau, seed):
+        # the identity contributes exactly 0 to the invariance residual:
+        # both residuals equal those of the stacking that still held it
+        # (D6 on the generic lattice raises NotInRingError at seed 0)
+        for emb in catalog(Lattice(tau), orders=(2, 3, 4, 5)):
+            cv = cross_validate(emb, seed=seed, verify_samples=30)
+            assert cv.invariance == _all_elements_residual(cv.triple, 40, seed + 2)
+            assert cv.verify_invariance == _all_elements_residual(cv.triple, 30, seed + 2)
+        trivial = normal_form(cn_translation(L_SQ, 1))
+        assert invariance_residual(trivial) == 0.0
 
     def test_a_failed_fit_outranks_starved_probes(self, monkeypatch):
         def starved(*args, **kwargs):

