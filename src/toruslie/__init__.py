@@ -10,7 +10,6 @@ from .lattice import (
     Lattice,
     ModularClass,
     SQUARE_TAU,
-    ScaledLattice,
     TorsionPoint,
     reduce_modular,
 )
@@ -33,7 +32,6 @@ from .torusgroup import (
     catalog,
     cl_rotation,
     cn_translation,
-    compose,
     dn_group,
     fixed_points,
     inverse,
@@ -51,7 +49,7 @@ from .funcalg import (
     p_system,
     residue_at,
 )
-from .intertwine import MatrixFunction, check_intertwining, phi, psi
+from .intertwine import check_intertwining, phi, psi
 from .normalform import (
     GeneratorTriple,
     abelianization_dim,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .elliptic import invariants_scaled, j_invariant
+from .elliptic import invariants, j_invariant
 from .lattice import ModularClass, reduce_modular
 from .normalform import GeneratorTriple, abelianization_dim, check_triple, normal_form
 from .torusgroup import GroupEmbedding, branch_points
@@ -146,7 +146,7 @@ def cross_validate(
         "invariance": inv_res < inv_floor,
     }
 
-    ring_inv = invariants_scaled(gens.ring.slat)
+    ring_inv = invariants(gens.ring.lattice)
     j_poly = None
     if cls.kind == "SFamily":
         exact_gap = min(

@@ -23,8 +23,8 @@ import numpy as np
 
 from .classify import FIT_TOL, INVARIANCE_TOL, cross_validate
 from .elliptic import invariants
-from .funcalg import FitError, c2c2_constants, fit_lambda_mu, torus_distance
-from .lattice import Lattice, ScaledLattice, TorsionPoint
+from .funcalg import FitError, c2c2_constants_for, fit_lambda_mu, torus_distance
+from .lattice import Lattice, TorsionPoint
 from .normalform import (
     BRACKET_SAMPLES, _h_projection, invariance_residual, normal_form, verify_brackets,
 )
@@ -147,8 +147,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    lattice = Lattice(args.tau)
-    inv = invariants(lattice, args.trunc)
+    inv = invariants(Lattice(args.tau), args.trunc)
     report = {
         "command": "constants",
         "config": _config_dict(args),
@@ -161,7 +160,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
         "j": inv.j,
     }
     if args.group == "c2c2":
-        cc = c2c2_constants(lattice)
+        cc = c2c2_constants_for(_embedding(args))
         report["c2c2"] = {
             "alpha1": cc.alpha1,
             "alpha2": cc.alpha2,
@@ -189,8 +188,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     z = complex(args.z_re, args.z_im)
     emb = _embedding(args)
     gens = normal_form(emb, j=args.char_j)
-    slat = ScaledLattice(emb.tau)
-    if np.any(torus_distance(z, np.asarray(gens.poles), slat) < 1e-8):
+    if np.any(torus_distance(z, np.asarray(gens.poles), emb.lattice) < 1e-8):
         raise ValueError(f"evaluation point {z} is on the pole divisor")
     e, f, h = gens.E(z), gens.F(z), gens.H(z)
     comm = bracket(e, f)

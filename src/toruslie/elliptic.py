@@ -1,4 +1,4 @@
-"""Numerical Weierstrass elliptic functions on Z + Z*tau.
+"""Numerical Weierstrass elliptic functions on scale*(Z + Z*tau).
 
 The evaluation backend reduces tau into the SL2(Z) fundamental domain and
 z into the centred cell, up to sign, then evaluates the q-series (DLMF 23.8)
@@ -15,7 +15,10 @@ in the test suite as an independent oracle.
 wp_both takes a scalar or an array of any shape; callers batch every
 point set they need (all shifts of all probes) into one call, since the
 per-call overhead dwarfs the per-point cost at small batches.  The
-series runs on blocks of at most BLOCK points of a batch.
+series runs on blocks of at most BLOCK points of a batch.  A lattice's
+scale c enters through the homothety wp(cz | c L) = c^-2 wp(z | L),
+wp'(cz | c L) = c^-3 wp'(z | L) (DLMF 23.10(iv)), skipped at c = 1:
+dividing by 1+0j would flip the sign of an exact zero.
 
 Values very close to a lattice point are delegated to the Laurent
 expansion 1/z^2 + (g2/20) z^2 + (g3/28) z^4 + ...; on a lattice point the
@@ -24,23 +27,22 @@ functions return complex infinity rather than raising.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, ScaledLattice, reduce_modular, torus_reduce_centered
+from .lattice import Lattice, reduce_modular, torus_reduce_centered
 
 __all__ = [
     "EllipticInvariants",
     "invariants",
-    "invariants_scaled",
     "j_invariant",
     "scale_check",
     "wp",
     "wp_both",
-    "wp_both_scaled",
     "wp_prime",
 ]
 
@@ -176,18 +178,23 @@ def _wp_series(zc: np.ndarray, cell: _Cell, out: np.ndarray) -> None:
 
 
 def wp_both(z, lattice: Lattice, trunc: int | None = None):
-    """Evaluate (wp(z), wp'(z)) for the lattice Z + Z*tau.
+    """Evaluate (wp(z), wp'(z)) for the lattice scale * (Z + Z*tau).
 
     Accepts a scalar or an array of any shape; arrays come back in the
     shape they came in, with values equal to those of the flattened call.
     On lattice points both values are complex infinity.
     """
+    s = lattice.scale
     cell = _cell(lattice.tau, trunc)
     zz = np.asarray(z, dtype=complex)
-    zc = torus_reduce_centered(zz.reshape(-1) / cell.m, cell.tau_r)
+    flat = zz.reshape(-1) if s == 1 else zz.reshape(-1) / s
+    zc = torus_reduce_centered(flat / cell.m, cell.tau_r)
     out = np.empty((2, zc.size), dtype=complex)
     for i in range(0, zc.size, BLOCK):
         _wp_series(zc[i:i + BLOCK], cell, out[:, i:i + BLOCK])
+    if s != 1:  # out of place, like the scaling by m; inf / s is nan until reset below
+        with np.errstate(invalid="ignore"):
+            out = np.stack((out[0] / s ** 2, out[1] / s ** 3))
     if not np.isfinite(out).all():
         out[~np.isfinite(out)] = complex(np.inf, 0.0)
     if zz.ndim == 0:
@@ -203,41 +210,40 @@ def wp_prime(z, lattice: Lattice):
     return wp_both(z, lattice)[1]
 
 
-def wp_both_scaled(z, slat: ScaledLattice):
-    """(wp, wp') for the scaled lattice scale*(Z + Z*tau)."""
-    s = slat.scale
-    a, b = wp_both(np.asarray(z, dtype=complex) / s, Lattice(slat.tau))
-    return a / s ** 2, b / s ** 3
-
-
 @lru_cache(maxsize=256)
+def _unit_invariants(tau: complex, trunc: int | None) -> EllipticInvariants:
+    cell = _cell(tau, trunc)
+    g2 = cell.g2r / cell.m ** 4
+    g3 = cell.g3r / cell.m ** 6
+    disc = cell.discr / cell.m ** 12
+    j = 1728.0 * g2 ** 3 / disc if disc else math.inf
+    if not cmath.isfinite(j):
+        raise ValueError(
+            f"j overflows float64 at reduced Im tau {cell.tau_r.imag:.4g};"
+            " the limit is about 113"
+        )
+    half = np.array([0.5, tau / 2.0, (1.0 + tau) / 2.0])
+    e1, e2, e3 = (complex(v) for v in wp(half, Lattice(tau), trunc))
+    return EllipticInvariants(g2, g3, e1, e2, e3, disc, j)
+
+
 def invariants(lattice: Lattice, trunc: int | None = None) -> EllipticInvariants:
-    """g2, g3, half-period values, discriminant and j for Z + Z*tau.
+    """g2, g3, half-period values, discriminant and j for scale * (Z + Z*tau).
 
     g2 and g3 come from the Eisenstein q-expansions on the reduced lattice
     and are pulled back through the homothety; e1, e2, e3 are wp at the
-    half periods 1/2, tau/2, (1+tau)/2 of the original basis.
+    half periods of the basis (scale, scale*tau).  Past a reduced Im tau
+    of about 113, where j overflows float64, a ValueError names the limit.
     """
-    cell = _cell(lattice.tau, trunc)
-    g2 = cell.g2r / cell.m ** 4
-    g3 = cell.g3r / cell.m ** 6
-    tau = lattice.tau
-    half = np.array([0.5, tau / 2.0, (1.0 + tau) / 2.0])
-    e1, e2, e3 = (complex(v) for v in wp(half, lattice, trunc))
-    disc = cell.discr / cell.m ** 12
-    return EllipticInvariants(g2, g3, e1, e2, e3, disc, 1728.0 * g2 ** 3 / disc)
-
-
-def invariants_scaled(slat: ScaledLattice) -> EllipticInvariants:
-    base = invariants(Lattice(slat.tau))
-    s = slat.scale
-    g2 = base.g2 / s ** 4
-    g3 = base.g3 / s ** 6
+    inv = _unit_invariants(lattice.tau, trunc)
+    s = lattice.scale
+    if s == 1:
+        return inv
     # rescale the eta-product discriminant: g2^3 - 27 g3^2 recomputed here
     # would cancel catastrophically on elongated lattices
-    disc = base.discriminant / s ** 12
     return EllipticInvariants(
-        g2, g3, base.e1 / s ** 2, base.e2 / s ** 2, base.e3 / s ** 2, disc, base.j
+        inv.g2 / s ** 4, inv.g3 / s ** 6, inv.e1 / s ** 2, inv.e2 / s ** 2,
+        inv.e3 / s ** 2, inv.discriminant / s ** 12, inv.j,
     )
 
 
@@ -248,13 +254,14 @@ def j_invariant(tau: complex) -> complex:
 def scale_check(alpha: complex, z: complex, lattice: Lattice) -> float:
     """Residual of wp_{alpha L}(z) = alpha^-2 wp_L(z / alpha).
 
-    The left side is evaluated through the flipped basis (alpha*tau, -alpha)
-    of the same lattice, so the two routes exercise independent reductions.
+    The left side is evaluated through the flipped basis (c*tau, -c),
+    c = alpha*scale, of the same lattice, so the two routes exercise
+    independent reductions.
     """
     if alpha == 0:
         raise ValueError("scale factor must be nonzero")
     tau = lattice.tau
-    w1 = alpha * tau
+    w1 = alpha * lattice.scale * tau
     left = wp(z / w1, Lattice(-1.0 / tau)) / w1 ** 2
     right = wp(z / alpha, lattice) / alpha ** 2
     return abs(left - right)

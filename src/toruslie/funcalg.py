@@ -3,8 +3,8 @@
 Meromorphic functions on the torus holomorphic away from the origin form
 the ring C[wp, wp'] modulo (wp')^2 = 4 wp^3 - g2 wp - g3.  WPoly stores a
 canonical representative a(x) + b(x) y of that quotient; TorusFunction is
-the numeric side: an evaluator together with its declared poles, which
-every sampling routine respects.
+the numeric side: an evaluator, scalar- or matrix-valued, together with
+its declared poles, which every sampling routine respects.
 
 The construction kernels live here as well: the character projections of
 wp'/(wp - wp(alpha)) attached to a cyclic translation group (simple poles
@@ -18,19 +18,13 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
-from .elliptic import wp_both_scaled
-from .lattice import (
-    Lattice,
-    ScaledLattice,
-    is_hexagonal_class,
-    shortest_period,
-    torus_reduce_centered,
-)
+from .elliptic import wp_both
+from .lattice import Lattice, is_hexagonal_class, shortest_period, torus_reduce_centered
 from .torusgroup import GroupEmbedding, c2c2_translation
 
 __all__ = [
@@ -53,6 +47,10 @@ __all__ = [
 ]
 
 DEFAULT_MARGIN = 0.05
+#: sample draws of the lambda/mu fit before it gives up
+FIT_RETRIES = 8
+#: trapezoidal nodes of residue_at's contour
+RESIDUE_NODES = 128
 
 
 class FitError(RuntimeError):
@@ -104,9 +102,9 @@ class WPoly:
     def degree(self) -> tuple[int, int]:
         return len(_poly_trim(self.a, 1e-12)) - 1, len(_poly_trim(self.b, 1e-12)) - 1
 
-    def is_constant(self, tol=1e-9) -> bool:
-        a = _poly_trim(self.a, tol)
-        b = _poly_trim(self.b, tol)
+    def is_constant(self) -> bool:
+        a = _poly_trim(self.a, 1e-9)
+        b = _poly_trim(self.b, 1e-9)
         return len(a) <= 1 and len(b) == 0
 
 
@@ -142,42 +140,39 @@ def _last_points_memo(fn):
     return memo
 
 
-def torus_distance(z, p, slat: ScaledLattice) -> np.ndarray:
-    """Distance from z to p modulo the scaled lattice; z and p broadcast
+def torus_distance(z, p, lattice: Lattice) -> np.ndarray:
+    """Distance from z to p modulo the lattice; z and p broadcast
     against each other."""
-    zz = (np.asarray(z, dtype=complex) - p) / slat.scale
-    return np.abs(slat.scale) * np.abs(torus_reduce_centered(zz, slat.tau))
+    zz = (np.asarray(z, dtype=complex) - p) / lattice.scale
+    return np.abs(lattice.scale) * np.abs(torus_reduce_centered(zz, lattice.tau))
 
 
 @dataclass
 class TorusFunction:
-    """Evaluator plus declared pole data for a meromorphic function.
+    """Evaluator plus declared pole data for a meromorphic function whose
+    values have the given shape: () for scalars, (d, d) for matrices.
 
-    ``poles`` are representatives modulo the carrying lattice, supplied by
-    the construction, never inferred.
+    fn maps a 1-d point array to values of shape (n,) + shape.  ``poles``
+    are representatives modulo the carrying lattice, supplied by the
+    construction, never inferred; ``meta`` holds its constants.
     """
 
     fn: object
-    lattice: ScaledLattice
+    lattice: Lattice
     poles: tuple = ()
+    shape: tuple = ()
+    meta: dict = field(default_factory=dict)
 
     def __call__(self, z):
         zz = np.asarray(z, dtype=complex)
         out = self.fn(np.atleast_1d(zz))
-        return complex(out[0]) if zz.ndim == 0 else out.reshape(zz.shape)
-
-    def __mul__(self, other: TorusFunction) -> TorusFunction:
-        if other.lattice != self.lattice:
-            raise ValueError("carrying lattices differ")
-        return TorusFunction(
-            lambda z: self.fn(z) * other.fn(z),
-            self.lattice,
-            tuple(dict.fromkeys(self.poles + other.poles)),
-        )
+        if zz.ndim == 0:
+            return out[0] if self.shape else complex(out[0])
+        return out.reshape(zz.shape + self.shape)
 
 
 def sample_points(
-    slat: ScaledLattice,
+    lattice: Lattice,
     n: int,
     rng: np.random.Generator,
     avoid=(),
@@ -185,16 +180,18 @@ def sample_points(
 ) -> np.ndarray:
     """Seeded points of the fundamental cell, rejection-sampled to keep a
     margin (as a fraction of the shortest period) from every avoided point."""
-    short = shortest_period(slat.tau) * abs(slat.scale)
+    if n < 1:
+        raise ValueError(f"need at least one sample point, got {n}")
+    short = shortest_period(lattice.tau) * abs(lattice.scale)
     avoid = np.asarray(list(avoid), dtype=complex)
     out: list[complex] = []
     for _ in range(200):
         m = max(2 * (n - len(out)), 16)
         s = rng.random(m)
         t = rng.random(m)
-        z = slat.scale * (s + t * slat.tau)
+        z = lattice.scale * (s + t * lattice.tau)
         if avoid.size:
-            d = torus_distance(z[None, :], avoid[:, None], slat).min(axis=0)
+            d = torus_distance(z[None, :], avoid[:, None], lattice).min(axis=0)
             z = z[d >= margin * short]
         out.extend(z.tolist())
         if len(out) >= n:
@@ -215,22 +212,22 @@ class PSystem:
     (wp_both's values do not depend on the batch) and is None until then.
     """
 
-    def __init__(self, slat: ScaledLattice, shift: tuple[Fraction, Fraction], n: int):
+    def __init__(self, lattice: Lattice, shift: tuple[Fraction, Fraction], n: int):
         if n < 2:
             raise ValueError("P functions need a translation of order >= 2")
-        self.slat = slat
+        self.lattice = lattice
         self.n = n
-        self.alpha = complex(slat.scale * (shift[0] + shift[1] * slat.tau))
+        self.alpha = complex(lattice.scale * (shift[0] + shift[1] * lattice.tau))
         self.w = cmath.exp(2j * math.pi / n)
         self.wp_alpha = None
-        ks = np.arange(n)
-        self.orbit = tuple((slat.scale * torus_reduce_centered(ks * self.alpha / slat.scale, slat.tau)).tolist())
+        ks = np.arange(n) * self.alpha / lattice.scale
+        self.orbit = tuple((lattice.scale * torus_reduce_centered(ks, lattice.tau)).tolist())
 
     def _v_stack(self, z: np.ndarray) -> np.ndarray:
         """v(z - k alpha) for k = 0..n-1, stacked on a leading axis."""
         pts = _shifted(z, np.arange(self.n) * self.alpha)
         first = self.wp_alpha is None
-        wpv, wppv = wp_both_scaled(np.append(pts, self.alpha) if first else pts, self.slat)
+        wpv, wppv = wp_both(np.append(pts, self.alpha) if first else pts, self.lattice)
         if first:
             self.wp_alpha = complex(wpv[-1])
             wpv, wppv = wpv[:-1].reshape(pts.shape), wppv[:-1].reshape(pts.shape)
@@ -258,8 +255,8 @@ class PSystem:
     def pj(self, j: int) -> TorusFunction:
         jj = j % self.n
         if jj == 0:
-            return TorusFunction(lambda z: np.zeros_like(z, dtype=complex), self.slat, ())
-        return TorusFunction(lambda z, _j=j: self.values(z, (_j,))[_j], self.slat, self.orbit)
+            return TorusFunction(lambda z: np.zeros_like(z, dtype=complex), self.lattice, ())
+        return TorusFunction(lambda z, _j=j: self.values(z, (_j,))[_j], self.lattice, self.orbit)
 
 
 def p_system(emb: GroupEmbedding) -> PSystem:
@@ -267,7 +264,7 @@ def p_system(emb: GroupEmbedding) -> PSystem:
     if emb.kind not in ("CN_translation", "DN"):
         raise ValueError("P functions are attached to cyclic translations")
     n = emb.order_param
-    return PSystem(ScaledLattice(emb.tau), emb.cyclic_generator.shift.fractions, n)
+    return PSystem(emb.lattice, emb.cyclic_generator.shift.fractions, n)
 
 
 def fit_lambda_mu(
@@ -277,20 +274,19 @@ def fit_lambda_mu(
     *,
     seed: int = 0,
     tol: float = 1e-7,
-    retries: int = 8,
     n_holdout: int = 20,
 ):
     """Constants (lam, mu) with P_2j P_-j^2 - P_-2j P_j^2 = lam P_-k P_k + mu.
 
     Two-point linear solve plus held-out validation; ill-conditioned draws
-    are resampled up to the retry budget.  When N >= 3, k = +-j and
+    are resampled up to FIT_RETRIES draws.  When N >= 3, k = +-j and
     2j != 0 mod N the constant mu is asserted nonzero.
     """
     ps = p_system(emb)
-    return _fit_lambda_mu_ps(ps, j, k, seed=seed, tol=tol, retries=retries, n_holdout=n_holdout)
+    return _fit_lambda_mu_ps(ps, j, k, seed=seed, tol=tol, n_holdout=n_holdout)
 
 
-def _fit_lambda_mu_ps(ps: PSystem, j, k=None, *, seed=0, tol=1e-7, retries=8, n_holdout=20):
+def _fit_lambda_mu_ps(ps: PSystem, j, k=None, *, seed=0, tol=1e-7, n_holdout=20):
     n = ps.n
     if k is None:
         k = j
@@ -309,8 +305,8 @@ def _fit_lambda_mu_ps(ps: PSystem, j, k=None, *, seed=0, tol=1e-7, retries=8, n_
         return lhs, basis
 
     last_res = np.inf
-    for _ in range(retries):
-        z = sample_points(ps.slat, 2 + n_holdout, rng, avoid=ps.orbit, margin=0.08)
+    for _ in range(FIT_RETRIES):
+        z = sample_points(ps.lattice, 2 + n_holdout, rng, avoid=ps.orbit, margin=0.08)
         lhs, basis = lhs_rhs(z)
         det = basis[0] - basis[1]
         scale = max(1.0, float(np.max(np.abs(basis[:2]))))
@@ -333,7 +329,7 @@ def _fit_lambda_mu_ps(ps: PSystem, j, k=None, *, seed=0, tol=1e-7, retries=8, n_
 # contour residues
 
 
-def residue_at(f: TorusFunction, p: complex, n_nodes: int = 128, radius: float | None = None) -> complex:
+def residue_at(f: TorusFunction, p: complex, radius: float | None = None) -> complex:
     """(1/2*pi*i) * contour integral of f on a circle around p.
 
     Trapezoidal quadrature on the circle is spectrally accurate for the
@@ -351,7 +347,7 @@ def residue_at(f: TorusFunction, p: complex, n_nodes: int = 128, radius: float |
         raise ValueError("contour circle leaves the isolation cell of the pole")
     if np.any(others < radius + 1e-9 * short):
         raise ValueError("contour circle intersects another declared pole")
-    theta = 2.0 * math.pi * np.arange(n_nodes) / n_nodes
+    theta = 2.0 * math.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES
     ring = radius * np.exp(1j * theta)
     vals = f(p + ring)
     return complex(np.mean(vals * ring))
@@ -376,7 +372,6 @@ def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFun
     p1 the reverse, p0 odd under both; all three are odd in z with simple
     poles on the four half-period points.
     """
-    slat = ScaledLattice(emb.tau)
     s1, s2 = _half_periods(emb)
     shifts = np.array([0.0, s1, s2, s1 + s2])
     signs = {
@@ -391,7 +386,7 @@ def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFun
     # p0, p1 and p2 are evaluated together (by psi) on the same points:
     # one wp' evaluation at the four shifts serves all three
     inv_wpp = _last_points_memo(
-        lambda z: 1.0 / wp_both_scaled(_shifted(z, shifts), slat)[1]
+        lambda z: 1.0 / wp_both(_shifted(z, shifts), emb.lattice)[1]
     )
 
     def make(sgn):
@@ -403,7 +398,7 @@ def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFun
 
         return fn
 
-    return tuple(TorusFunction(make(signs[name]), slat, poles) for name in ("p0", "p1", "p2"))
+    return tuple(TorusFunction(make(signs[name]), emb.lattice, poles) for name in ("p0", "p1", "p2"))
 
 
 @dataclass(frozen=True)
@@ -456,9 +451,8 @@ def c2c2_constants_for(emb: GroupEmbedding) -> C2C2Constants:
     hexagonal basis with permuted half-period labels) permute the values
     accordingly; for the standard generators this is c2c2_constants.
     """
-    slat = ScaledLattice(emb.tau)
     s1, s2 = _half_periods(emb)
-    e1, e2, e3 = (complex(e) for e in wp_both_scaled(np.array([s1, s2, s1 + s2]), slat)[0])
+    e1, e2, e3 = (complex(e) for e in wp_both(np.array([s1, s2, s1 + s2]), emb.lattice)[0])
     return _constants_from_e(e1, e2, e3, is_hexagonal_class(emb.tau))
 
 
@@ -480,22 +474,22 @@ _RING_VARIABLES = {
 class InvariantRing:
     """Descriptor of the invariant function ring of one symmetry case.
 
-    variable: "full" means C[x, y] with x = wp, y = wp' of slat; the other
+    variable: "full" means C[x, y] with x = wp, y = wp' of lattice; the other
     flavours are the single-generator rings C[wp], C[wp^2], C[wp^3],
     C[wp'].
     """
 
-    slat: ScaledLattice
+    lattice: Lattice
     variable: str = "full"
 
     def var_order(self) -> int:
         return _RING_VARIABLES[self.variable][0]
 
     def values(self, z):
-        return self.from_wp(*wp_both_scaled(z, self.slat))
+        return self.from_wp(*wp_both(z, self.lattice))
 
     def from_wp(self, wp, wpp):
-        """The ring's (x, y) from wp and wp' of slat; y is None unless full."""
+        """The ring's (x, y) from wp and wp' of lattice; y is None unless full."""
         return _RING_VARIABLES[self.variable][1](wp, wpp)
 
 
@@ -512,7 +506,7 @@ def _fit_points(ring: InvariantRing, pole_bound: int, avoid, *, seed: int, margi
     _, _, n_fit, n_hold = _fit_shape(ring, pole_bound)
     rng = np.random.default_rng(seed)
     avoid = tuple(avoid) + (0.0 + 0.0j,)
-    return sample_points(ring.slat, n_fit + n_hold, rng, avoid=avoid, margin=margin)
+    return sample_points(ring.lattice, n_fit + n_hold, rng, avoid=avoid, margin=margin)
 
 
 def _fit_values(x, y, rhs: np.ndarray, ring: InvariantRing, pole_bound: int, tol: float) -> WPoly:

@@ -21,47 +21,28 @@ radical-free in the p's and has unit determinant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .funcalg import (
-    PSystem, _fit_lambda_mu_ps, c2c2_constants_for, p_small, p_system, sample_points,
+    PSystem, TorusFunction, _fit_lambda_mu_ps, c2c2_constants_for, p_small, p_system, sample_points,
 )
-from .lattice import ScaledLattice
+from .lattice import Lattice
 from .torusgroup import GroupEmbedding, UnsupportedEmbeddingError
 
 __all__ = [
-    "MatrixFunction",
     "check_intertwining",
     "double_cover",
     "phi",
     "psi",
 ]
 
-@dataclass
-class MatrixFunction:
-    """Evaluator z -> d x d matrix (vectorised: output shape (..., d, d))."""
-
-    fn: object
-    d: int
-    lattice: ScaledLattice
-    poles: tuple = ()
-    meta: dict = field(default_factory=dict)
-
-    def __call__(self, z):
-        zz = np.asarray(z, dtype=complex)
-        out = self.fn(np.atleast_1d(zz))
-        if zz.ndim == 0:
-            return out[0]
-        return out.reshape(zz.shape + (self.d, self.d))
-
 
 def double_cover(emb: GroupEmbedding):
     """Cover data for an even-order cyclic translation.
 
-    Returns (slat, shift fractions over the cover basis, 2N).  The cover
+    Returns (lattice, shift fractions over the cover basis, 2N).  The cover
     lattice is index two in the original one, chosen by where N*alpha/2
     lands among the half-period classes, so the shift acquires order 2N.
     """
@@ -73,12 +54,12 @@ def double_cover(emb: GroupEmbedding):
     assert r.shift.n == n
     tau = emb.tau
     if a % 2 == 1:  # N*alpha/2 = 1/2 or (1+tau)/2: keep tau, double the real period
-        slat = ScaledLattice(tau / 2.0, 2.0)
+        cover = Lattice(tau / 2.0, 2.0)
         shift = (Fraction(a, 2 * n), Fraction(b, n))
     else:  # N*alpha/2 = tau/2
-        slat = ScaledLattice(2.0 * tau, 1.0)
+        cover = Lattice(2.0 * tau)
         shift = (Fraction(a, n), Fraction(b, 2 * n))
-    return slat, shift, 2 * n
+    return cover, shift, 2 * n
 
 
 def _psystem_for(emb: GroupEmbedding):
@@ -87,12 +68,12 @@ def _psystem_for(emb: GroupEmbedding):
     if n < 2:
         raise UnsupportedEmbeddingError("no intertwiner for the trivial translation")
     if n % 2 == 0:
-        slat, shift, m = double_cover(emb)
-        return PSystem(slat, shift, m), m
+        cover, shift, m = double_cover(emb)
+        return PSystem(cover, shift, m), m
     return p_system(emb), n
 
 
-def phi(emb: GroupEmbedding, j: int = 1) -> MatrixFunction:
+def phi(emb: GroupEmbedding, j: int = 1) -> TorusFunction:
     """The SL2-valued map of a cyclic translation embedding.
 
     Requires 2j != 0 mod the twist order (P_j and P_2j must be nonzero).
@@ -120,11 +101,11 @@ def phi(emb: GroupEmbedding, j: int = 1) -> MatrixFunction:
         out[..., 1, 1] = q2
         return out
 
-    return MatrixFunction(
+    return TorusFunction(
         fn,
-        2,
-        ps.slat,
+        ps.lattice,
         ps.orbit,
+        (2, 2),
         meta={"twist_order": m, "j": j, "alpha": ps.alpha, "lam": lam, "mu": mu},
     )
 
@@ -153,7 +134,7 @@ def _psi_fn(p0, p1, p2, cc):
     return fn
 
 
-def psi(emb: GroupEmbedding) -> MatrixFunction:
+def psi(emb: GroupEmbedding) -> TorusFunction:
     """The 3x3 intertwiner of the Klein translation group over (h, e, f).
 
     Unit determinant; Psi(r.z) = rho(r) Psi(z) for the quaternion-cover
@@ -168,14 +149,14 @@ def psi(emb: GroupEmbedding) -> MatrixFunction:
         raise ValueError("psi is attached to the Klein translation group")
     p0, p1, p2 = p_small(emb)
     cc = c2c2_constants_for(emb)
-    return MatrixFunction(
-        _psi_fn(p0, p1, p2, cc), 3, p0.lattice, p0.poles,
+    return TorusFunction(
+        _psi_fn(p0, p1, p2, cc), p0.lattice, p0.poles, (3, 3),
         meta={"constants": cc, "kind": "psi"},
     )
 
 
 def check_intertwining(
-    m: MatrixFunction,
+    m: TorusFunction,
     rho: dict,
     rho_tilde: dict | None,
     emb: GroupEmbedding,

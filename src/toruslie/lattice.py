@@ -1,8 +1,9 @@
-"""Complex lattices Z + Z*tau: torsion points, integer sublattice bases,
+"""Complex lattices scale*(Z + Z*tau): torsion points, integer sublattice bases,
 and reduction of tau into the SL2(Z) fundamental domain.
 
 Conventions.  A lattice is stored through its modular parameter tau with
-Im(tau) > 0; the implicit basis is (1, tau).  Torsion points are kept as
+Im(tau) > 0 and a nonzero complex scale; its basis is (scale, scale*tau),
+(1, tau) at the default scale 1.  Torsion points are kept as
 exact integer triples (a, b, n) meaning (a + b*tau)/n, so that all group
 arithmetic downstream is exact integer arithmetic.  The fundamental domain uses the
 half-open convention Re(tau) in [-1/2, 1/2) away from the unit circle,
@@ -25,7 +26,6 @@ __all__ = [
     "Lattice",
     "ModularClass",
     "SQUARE_TAU",
-    "ScaledLattice",
     "TorsionPoint",
     "is_hexagonal_class",
     "is_square_class",
@@ -41,6 +41,7 @@ SQUARE_TAU = 1j
 HEX_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 
 _MAX_REDUCTION_STEPS = 10_000
+_REDUCTION_EPS = 1e-12  # reduce_modular's boundary tolerance
 _CLASS_ATOL = 1e-9
 
 
@@ -50,20 +51,7 @@ class DegenerateLatticeError(ValueError):
 
 @dataclass(frozen=True)
 class Lattice:
-    """The lattice Z + Z*tau, Im(tau) > 0."""
-
-    tau: complex
-
-    def __post_init__(self):
-        tau = complex(self.tau)
-        if not tau.imag > 0:
-            raise ValueError(f"lattice parameter needs Im(tau) > 0, got {tau!r}")
-        object.__setattr__(self, "tau", tau)
-
-
-@dataclass(frozen=True)
-class ScaledLattice:
-    """The lattice scale * (Z + Z*tau); scale may be any nonzero complex."""
+    """The lattice scale * (Z + Z*tau), Im(tau) > 0; scale may be any nonzero complex."""
 
     tau: complex
     scale: complex = 1.0 + 0.0j
@@ -139,7 +127,7 @@ def moebius(m: tuple[tuple[int, int], tuple[int, int]], tau: complex) -> complex
     return (a * tau + b) / (c * tau + d)
 
 
-def reduce_modular(tau: complex, eps: float = 1e-12) -> ModularClass:
+def reduce_modular(tau: complex) -> ModularClass:
     """Reduce tau into the SL2(Z) fundamental domain.
 
     Gauss reduction: translate Re(tau) into [-1/2, 1/2], invert while
@@ -152,15 +140,15 @@ def reduce_modular(tau: complex, eps: float = 1e-12) -> ModularClass:
         raise ValueError(f"reduce_modular needs Im(tau) > 0, got {tau!r}")
     a, b, c, d = 1, 0, 0, 1
     for _ in range(_MAX_REDUCTION_STEPS):
-        if abs(tau.real) > 0.5 + eps:
+        if abs(tau.real) > 0.5 + _REDUCTION_EPS:
             n = round(tau.real)
             tau -= n
             a, b = a - n * c, b - n * d
-        if abs(tau) < 1.0 - eps:
+        if abs(tau) < 1.0 - _REDUCTION_EPS:
             tau = -1.0 / tau
             a, b, c, d = -c, -d, a, b
             continue
-        if abs(tau.real) <= 0.5 + eps:
+        if abs(tau.real) <= 0.5 + _REDUCTION_EPS:
             break
     else:  # pragma: no cover
         raise RuntimeError("modular reduction did not terminate")
@@ -170,7 +158,7 @@ def reduce_modular(tau: complex, eps: float = 1e-12) -> ModularClass:
         if tau.real < -_CLASS_ATOL:
             tau = -1.0 / tau
             a, b, c, d = -c, -d, a, b
-    elif tau.real >= 0.5 - eps:
+    elif tau.real >= 0.5 - _REDUCTION_EPS:
         tau -= 1
         a, b = a - c, b - d
     return ModularClass(tau, ((a, b), (c, d)))

@@ -41,12 +41,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import wp_both_scaled
+from .elliptic import wp_both
 from .funcalg import (
-    FitError, InvariantRing, WPoly, _fit_points, _fit_values, _last_points_memo, sample_points,
+    FitError, InvariantRing, TorusFunction, WPoly, _fit_points, _fit_values, _last_points_memo,
+    sample_points,
 )
-from .intertwine import MatrixFunction, phi, psi
-from .lattice import ScaledLattice, shortest_period, torus_reduce_centered
+from .intertwine import phi, psi
+from .lattice import Lattice, shortest_period, torus_reduce_centered
 from .sl2rep import B_E, B_F, B_H, GroupRepresentation, ad, bracket, coeffs, from_coeffs, standard_rep
 from .torusgroup import GroupEmbedding
 
@@ -104,9 +105,9 @@ _D1_FRAME = ad(np.array([[1.0, 1.0], [1.0, -1.0]]))
 class GeneratorTriple:
     """Generator triple with its invariant ring and pole bookkeeping."""
 
-    E: MatrixFunction
-    F: MatrixFunction
-    H: MatrixFunction
+    E: TorusFunction
+    F: TorusFunction
+    H: TorusFunction
     ring: InvariantRing
     emb: GroupEmbedding
     rep: GroupRepresentation
@@ -114,39 +115,39 @@ class GeneratorTriple:
     poles: tuple
     structure_bound: int
     #: the Phi or Psi that E, F and H are built on, if any
-    intertwiner: MatrixFunction | None
+    intertwiner: TorusFunction | None
     structure_poly: WPoly | None = None
     #: z -> (wp, wp') of the ring lattice, evaluated once per point set,
     #: when a factor of E or F is a function on that lattice; else None
     ring_wp: object = None
 
 
-def _const_mat(x: np.ndarray, slat: ScaledLattice, poles=()) -> MatrixFunction:
+def _const_mat(x: np.ndarray, lattice: Lattice, poles=()) -> TorusFunction:
     def fn(z):
         out = np.empty(z.shape + (2, 2), dtype=complex)
         out[...] = x
         return out
 
-    return MatrixFunction(fn, 2, slat, poles)
+    return TorusFunction(fn, lattice, poles, (2, 2))
 
 
-def _times(factor, frame: MatrixFunction) -> MatrixFunction:
+def _times(factor, frame: TorusFunction) -> TorusFunction:
     """z -> factor(z) * frame(z) for a scalar-valued factor."""
 
     def fn(z):
         return factor(z)[..., None, None] * frame.fn(z)
 
-    return MatrixFunction(fn, 2, frame.lattice, frame.poles)
+    return TorusFunction(fn, frame.lattice, frame.poles, (2, 2))
 
 
-def _columns(frame, like: MatrixFunction) -> tuple:
+def _columns(frame, like: TorusFunction) -> tuple:
     """The columns (h, e, f images) of the 3x3 map frame as sl2-valued maps
     on the lattice and poles of like; frame runs once per point set."""
     memo = _last_points_memo(frame)
 
     def column(c):
-        return MatrixFunction(
-            lambda z: from_coeffs(memo(z)[..., :, c]), 2, like.lattice, like.poles
+        return TorusFunction(
+            lambda z: from_coeffs(memo(z)[..., :, c]), like.lattice, like.poles, (2, 2)
         )
 
     return tuple(column(c) for c in (0, 1, 2))
@@ -165,7 +166,7 @@ def _case(emb: GroupEmbedding) -> _Case:
     return _CASES[key]
 
 
-def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: int = 1) -> GeneratorTriple:
+def normal_form(emb: GroupEmbedding, j: int = 1) -> GeneratorTriple:
     """Construct the invariant generator triple for a catalog embedding.
 
     The frames come from the case's row of _CASES: constant, the columns
@@ -176,8 +177,7 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
     that wp is the triple's ring_wp, so the ring values at those points
     come from the same evaluation.
     """
-    if rep is None:
-        rep = standard_rep(emb, j)
+    rep = standard_rep(emb, j)
     case = _case(emb)
     orbit = _orbit_points(emb)
     intertwiner = None
@@ -186,9 +186,8 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
         raise ValueError("rotation normal forms are tabulated for character index 1")
     # the trivial translation has no Phi: its frames are constant too
     if case.frames == "B" or emb.order_param == 1:
-        base = ScaledLattice(emb.tau)
         xs = from_coeffs(_D1_FRAME.T) if emb.kind == "DN" else (B_H, B_E, B_F)
-        h, e, f = (_const_mat(x, base, orbit) for x in xs)
+        h, e, f = (_const_mat(x, emb.lattice, orbit) for x in xs)
     elif case.frames == "phi":
         intertwiner = phi(emb, j)
         # ad divides by the computed det(Phi), which the fitted constants
@@ -197,12 +196,12 @@ def normal_form(emb: GroupEmbedding, rep: GroupRepresentation | None = None, j: 
     else:
         intertwiner = psi(emb)
         h, e, f = _columns(lambda z: intertwiner.fn(z), intertwiner)
-    ring_slat = emb.quotient
+    ring_lattice = emb.quotient
     if case.fe is not None:
-        ring_wp = _last_points_memo(lambda z: wp_both_scaled(z, ring_slat))
+        ring_wp = _last_points_memo(lambda z: wp_both(z, ring_lattice))
         e = _times(lambda z: case.fe(*ring_wp(z)), e)
         f = _times(lambda z: case.ff(*ring_wp(z)), f)
-    ring = InvariantRing(ring_slat, case.var)
+    ring = InvariantRing(ring_lattice, case.var)
     return GeneratorTriple(e, f, h, ring, emb, rep, j, orbit, case.bound, intertwiner, ring_wp=ring_wp)
 
 
@@ -223,9 +222,8 @@ def _backed_off(attempt, margin: float):
 
 def _probe(gens: GeneratorTriple, n_samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    slat = ScaledLattice(gens.emb.tau)
     return _backed_off(
-        lambda m: sample_points(slat, n_samples, rng, avoid=gens.poles, margin=m),
+        lambda m: sample_points(gens.emb.lattice, n_samples, rng, avoid=gens.poles, margin=m),
         _case(gens.emb).margin,
     )
 
@@ -238,8 +236,8 @@ def _fit_rows(gens: GeneratorTriple, seed: int) -> np.ndarray:
     and the frames blow up near the pole orbit in absolute distance.
     """
     short_orig = shortest_period(gens.emb.tau)
-    slat = gens.ring.slat
-    short_ring = shortest_period(slat.tau) * abs(slat.scale)
+    ring = gens.ring.lattice
+    short_ring = shortest_period(ring.tau) * abs(ring.scale)
     margin = _case(gens.emb).margin * short_orig / short_ring
     return _backed_off(
         lambda m: _fit_points(gens.ring, gens.structure_bound, (), seed=seed, margin=m),
@@ -265,7 +263,7 @@ def _ring_xy(gens: GeneratorTriple, z: np.ndarray, n: int) -> tuple:
     reused; otherwise wp is evaluated at those n points alone.
     """
     if gens.ring_wp is None:
-        wp = wp_both_scaled(z[:n], gens.ring.slat)
+        wp = wp_both(z[:n], gens.ring.lattice)
     else:
         wp = (v[:n] for v in gens.ring_wp(z))
     return gens.ring.from_wp(*wp)

@@ -29,7 +29,6 @@ import numpy as np
 
 from .lattice import (
     Lattice,
-    ScaledLattice,
     TorsionPoint,
     is_hexagonal_class,
     is_square_class,
@@ -46,7 +45,6 @@ __all__ = [
     "catalog",
     "cl_rotation",
     "cn_translation",
-    "compose",
     "dn_group",
     "fixed_points",
     "inverse",
@@ -178,16 +176,6 @@ class AffineAutomorphism:
         """Numeric action on a point (scalar or array) of the plane."""
         return self.rotation * z + self.shift.to_complex(self.lattice.tau)
 
-    def act_torsion(self, p: TorsionPoint) -> TorsionPoint:
-        return TorsionPoint(*_act(self.rot_matrix(), p.a, p.b, p.n, self.key[2:]))
-
-
-def compose(g: AffineAutomorphism, h: AffineAutomorphism) -> AffineAutomorphism:
-    """g after h: z -> g(h(z)), exact on the rotation/torsion data."""
-    if g.lattice != h.lattice:
-        raise ValueError("cannot compose automorphisms of different lattices")
-    return AffineAutomorphism.from_key(_product(g.key, g.rot_matrix(), h.key), g.lattice)
-
 
 def inverse(g: AffineAutomorphism) -> AffineAutomorphism:
     return AffineAutomorphism.from_key(_inverse(g.key, g.lattice.tau), g.lattice)
@@ -233,7 +221,7 @@ class GroupEmbedding:
     elements: tuple[AffineAutomorphism, ...] = field(init=False)
     #: keys[k]: the key (rot_num, rot_den, a, b, n) of elements[k]
     keys: tuple[Key, ...] = field(init=False, compare=False, repr=False)
-    #: table[i][k]: index in elements of compose(generators[i], elements[k])
+    #: table[i][k]: index in elements of generators[i] after elements[k]
     table: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
     #: inverse_index[k]: index in elements of inverse(elements[k])
     inverse_index: tuple[int, ...] = field(init=False, compare=False, repr=False)
@@ -243,6 +231,8 @@ class GroupEmbedding:
     inverse_shift: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        # the keys' torsion shifts are coordinates over the basis (1, tau)
+        _require(self.lattice.scale == 1, "group embeddings need a lattice of scale 1")
         tau = self.lattice.tau
         keys, table = _closure([g.key for g in self.generators], tau)
         index = {k: i for i, k in enumerate(keys)}
@@ -261,7 +251,7 @@ class GroupEmbedding:
         return len(self.elements)
 
     @cached_property
-    def quotient(self) -> ScaledLattice:
+    def quotient(self) -> Lattice:
         """quotient_scaled(self), computed once for classify and normal_form."""
         return quotient_scaled(self)
 
@@ -354,7 +344,9 @@ def make_embedding(
     order: int = 2,
     shift: TorsionPoint | None = None,
 ) -> GroupEmbedding:
-    """Factory keyed by kind name; raises UnsupportedEmbeddingError if absent."""
+    """Factory keyed by kind name; raises UnsupportedEmbeddingError if absent,
+    or if the kind takes no shift and one is given."""
+    _require(shift is None or kind in ("CN_translation", "DN"), f"{kind} takes no torsion shift")
     if kind == "CN_translation":
         return cn_translation(lattice, order, shift)
     if kind == "Cl_rotation":
@@ -456,9 +448,9 @@ def branch_points(emb: GroupEmbedding) -> tuple[int, tuple[frozenset[TorsionPoin
 
 
 def quotient_scaled(emb: GroupEmbedding):
-    """Scaled lattice of T / t(Gamma) (true vectors, not just the class)."""
+    """The lattice of T / t(Gamma) (true vectors, not just the class)."""
     trans = [k[2:] for k in emb.keys if k[0] == 0 and k[4] > 1]
     n = lcm(*(d for _, _, d in trans))
     gens = [(n, 0), (0, n)] + [(a * n // d, b * n // d) for a, b, d in trans]
     w1, w2 = sublattice_vectors(gens, n, emb.tau)
-    return ScaledLattice(w2 / w1, w1)
+    return Lattice(w2 / w1, w1)

@@ -3,7 +3,6 @@ import importlib
 import numpy as np
 import pytest
 
-import toruslie.elliptic
 import toruslie.torusgroup
 from toruslie.classify import KIND_BY_BRANCH_COUNT, classify, cross_validate
 from toruslie.funcalg import FitError, NotInRingError
@@ -173,17 +172,9 @@ class TestWorkCounts:
         [(a4_group(L_HEX), 40), (dn_group(L_SQ, 5), 30)],
         ids=["a4", "dn5"],
     )
-    def test_wp_calls_per_case(self, emb, limit, monkeypatch):
+    def test_wp_calls_per_case(self, emb, limit, monkeypatch, count_wp_calls):
         cross_validate(emb, seed=0)  # warm the per-lattice caches
-        calls = []
-        original = toruslie.elliptic.wp_both
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-
-        # every evaluation reaches wp_both through the module attribute
-        monkeypatch.setattr(toruslie.elliptic, "wp_both", counting)
+        calls = count_wp_calls(monkeypatch)
         assert cross_validate(emb, seed=0).passed
         assert 0 < len(calls) <= limit
 
@@ -198,20 +189,13 @@ class TestWorkCounts:
         ],
         ids=["rot2", "cn5", "c2c2", "dn5", "a4"],
     )
-    def test_one_evaluation_per_point_set(self, emb, limit, monkeypatch):
+    def test_one_evaluation_per_point_set(self, emb, limit, monkeypatch, count_wp_calls):
         # one call for the triple on every point set of the checks, one
         # for the ring unless a frame factor lives on the ring lattice,
         # plus the build: the lambda/mu fit for C_N and D_N (wp at alpha
         # rides along), the half-period constants for the Klein group and A4
         cross_validate(emb, seed=0)  # warm the per-lattice caches
-        calls = []
-        original = toruslie.elliptic.wp_both
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(toruslie.elliptic, "wp_both", counting)
+        calls = count_wp_calls(monkeypatch)
         assert cross_validate(emb, seed=0).passed
         assert 0 < len(calls) <= limit
 

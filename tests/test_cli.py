@@ -1,11 +1,12 @@
 import importlib
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import toruslie.elliptic
 from toruslie import intertwine
 from toruslie.classify import cross_validate
 from toruslie.funcalg import FitError, NotInRingError
@@ -208,6 +209,12 @@ class TestVerify:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize("samples", ["0", "-4"])
+    def test_samples_below_one_is_a_usage_error(self, capsys, samples):
+        rc, out, err = run(capsys, "verify", "--group", "cn", "--order", "3", "--samples", samples)
+        assert rc == 2 and out == ""
+        assert err == f"error: need at least one sample point, got {samples}\n"
+
     def test_builds_the_normal_form_once(self, capsys, monkeypatch):
         # the package re-exports a function named classify over the module
         cv_module = importlib.import_module("toruslie.classify")
@@ -281,6 +288,30 @@ class TestPlumbing:
         assert first == after_verify
         assert first[0] == 0
         assert cli_module._build_parser() is cli_module._build_parser()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--group", "rot", "--order", "2"),
+            ("classify", "--group", "c2c2"),
+            ("classify", "--group", "a4", "--tau-re", "0.5", "--tau-im", repr(HEX)),
+            ("constants", "--group", "c2c2"),
+        ],
+        ids=["rot", "c2c2", "a4", "constants-c2c2"],
+    )
+    def test_torsion_the_group_cannot_take(self, capsys, argv):
+        rc, out, err = run(capsys, *argv, "--torsion", "1/0/2")
+        assert rc == 2 and out == ""
+        assert "takes no torsion shift" in err
+
+    @pytest.mark.parametrize(
+        "argv", [("constants", "--tau-im", "114"), ("classify", "--tau-im", "1e-3")],
+        ids=["j-overflows", "discriminant-underflows"],
+    )
+    def test_invariants_past_the_float64_range(self, capsys, argv):
+        rc, out, err = run(capsys, *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "about 113" in err
 
     def test_malformed_torsion(self, capsys):
         with pytest.raises(SystemExit):
@@ -386,6 +417,15 @@ class TestFlags:
         assert rc == 0
         assert set(json.loads(out)["config"]) == CONFIG[command]
 
+    def test_readme_flag_table_equals_the_commands(self):
+        cli_module = importlib.import_module("toruslie.cli")
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        header = re.search(r"^\| command +\| flags besides (.*)\|$", readme, flags=re.M)
+        assert set(re.findall(r"--[a-z-]+", header.group(1))) == cli_module._COMMON
+        rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", readme, flags=re.M)
+        table = {name: set(re.findall(r"--[a-z-]+", flags)) for name, flags in rows}
+        assert table == {name: flags for name, (_, flags) in cli_module._COMMANDS.items()}
+
     def test_failed_fit_is_a_domain_error(self, capsys, monkeypatch):
         cli_module = importlib.import_module("toruslie.cli")
 
@@ -463,20 +503,12 @@ class TestVerifyFold:
         ],
         ids=["a4", "c2c2", "dn4", "cn5"],
     )
-    def test_no_more_wp_calls_than_classify(self, capsys, monkeypatch, argv):
-        calls = []
-        original = toruslie.elliptic.wp_both
-
-        def counting(*args, **kwargs):
-            calls.append(args[0])
-            return original(*args, **kwargs)
-
+    def test_no_more_wp_calls_than_classify(self, capsys, monkeypatch, count_wp_calls, argv):
         counts = []
         for command in ("classify", "verify"):
             run(capsys, command, *argv)  # warm the per-lattice caches
             with monkeypatch.context() as m:
-                m.setattr(toruslie.elliptic, "wp_both", counting)
-                calls.clear()
+                calls = count_wp_calls(m)
                 run(capsys, command, *argv)
             counts.append(len(calls))
         assert 0 < counts[1] <= counts[0]

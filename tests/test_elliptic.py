@@ -9,14 +9,13 @@ import pytest
 from toruslie import elliptic
 from toruslie.elliptic import (
     invariants,
-    invariants_scaled,
     j_invariant,
     scale_check,
     wp,
     wp_both,
     wp_prime,
 )
-from toruslie.lattice import HEX_TAU, Lattice, ScaledLattice, torus_reduce_centered
+from toruslie.lattice import HEX_TAU, Lattice, torus_reduce_centered
 
 GENERIC = complex(0.31, 1.07)
 LATTICES = [Lattice(1j), Lattice(HEX_TAU), Lattice(GENERIC)]
@@ -155,7 +154,7 @@ class TestInvariants:
     def test_homothety_scaling(self):
         inv = invariants(Lattice(GENERIC))
         for alpha in (2.0, 0.5j, 1.3 - 0.4j):
-            s = invariants_scaled(ScaledLattice(GENERIC, alpha))
+            s = invariants(Lattice(GENERIC, alpha))
             assert abs(s.g2 - inv.g2 / alpha ** 4) <= 1e-8 * abs(inv.g2)
             assert abs(s.g3 - inv.g3 / alpha ** 6) <= 1e-8 * abs(inv.g3)
 
@@ -164,11 +163,18 @@ class TestInvariants:
     def test_scaled_discriminant_on_tall_lattices(self, tau, scale):
         # g2^3 - 27 g3^2 cancels to 0 here; the eta-product value survives
         inv = invariants(Lattice(tau))
-        s = invariants_scaled(ScaledLattice(tau, scale))
+        s = invariants(Lattice(tau, scale))
         assert s.discriminant != 0
         expect = inv.discriminant / scale ** 12
         assert abs(s.discriminant - expect) <= 1e-12 * abs(expect)
         assert abs(1728.0 * s.g2 ** 3 / s.discriminant - inv.j) <= 1e-9 * abs(inv.j)
+
+    # reduced Im tau 114: j overflows; 1000 (tau = 1e-3 i): the discriminant underflows
+    @pytest.mark.parametrize("tau", [114j, 1e-3j])
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_past_the_float64_range_raises(self, tau, scale):
+        with pytest.raises(ValueError, match="about 113"):
+            invariants(Lattice(tau, scale))
 
 
 class TestWeierstrass:
@@ -288,6 +294,17 @@ class TestWeierstrass:
         assert np.isinf(wp(0.0, lat).real)
         assert np.isinf(wp(3 + 2 * GENERIC, lat).real)
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0, 0.7 - 0.4j])
+    def test_lattice_points_of_a_scaled_lattice(self, scale):
+        # the cover lattice 2 (Z + Z tau/2) = 2Z + Z tau at scale 2; any
+        # warning of an inf / scale division fails the test
+        lat = Lattice(GENERIC / 2, scale)
+        pts = scale * np.array([0.0, 1.0, GENERIC / 2, -3.0 + GENERIC])
+        w, wq = wp_both(pts, lat)
+        for v in (*w, *wq, *wp_both(complex(pts[1]), lat)):
+            assert v == complex(np.inf, 0.0)  # inf+nanj compares unequal
+        assert np.all(np.isfinite(wp_both(scale * 0.5, lat)))
+
     def test_laurent_guard_consistent_with_series(self):
         # the guarded branch and the series agree in the crossover zone
         lat = Lattice(GENERIC)
@@ -330,6 +347,9 @@ class TestScaleCheck:
 
     def test_generic_scale(self):
         assert scale_check(0.7 + 0.2j, 0.3 + 0.4j, Lattice(GENERIC)) < 1e-9
+
+    def test_scaled_lattice(self):
+        assert scale_check(0.7 + 0.2j, 0.3 + 0.4j, Lattice(GENERIC, 1.5 - 0.5j)) < 1e-9
 
     def test_zero_alpha_rejected(self):
         with pytest.raises(ValueError):

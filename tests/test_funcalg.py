@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from toruslie.elliptic import invariants, wp_both, wp_both_scaled
+from toruslie.elliptic import invariants, wp_both
 from toruslie.funcalg import (
     FitError,
     InvariantRing,
@@ -24,7 +24,6 @@ from toruslie.funcalg import (
 from toruslie.lattice import (
     HEX_TAU,
     Lattice,
-    ScaledLattice,
     is_hexagonal_class,
     TorsionPoint,
     moebius,
@@ -42,13 +41,16 @@ W3 = np.exp(2j * np.pi / 3)
 
 
 def wp_function(lat: Lattice) -> TorusFunction:
-    slat = ScaledLattice(lat.tau)
-    return TorusFunction(lambda z: wp_both_scaled(z, slat)[0], slat, (0j,))
+    return TorusFunction(lambda z: wp_both(z, lat)[0], lat, (0j,))
 
 
 def wpp_function(lat: Lattice) -> TorusFunction:
-    slat = ScaledLattice(lat.tau)
-    return TorusFunction(lambda z: wp_both_scaled(z, slat)[1], slat, (0j,))
+    return TorusFunction(lambda z: wp_both(z, lat)[1], lat, (0j,))
+
+
+def squared(f: TorusFunction) -> TorusFunction:
+    """The pointwise square of f, with the poles of f."""
+    return TorusFunction(lambda z: f.fn(z) * f.fn(z), f.lattice, f.poles)
 
 
 class TestPBig:
@@ -72,7 +74,7 @@ class TestPBig:
         emb = cn_translation(L_GEN, 5)
         ps = p_system(emb)
         rng = np.random.default_rng(7)
-        z = sample_points(ps.slat, 50, rng, avoid=ps.orbit, margin=0.05)
+        z = sample_points(ps.lattice, 50, rng, avoid=ps.orbit, margin=0.05)
         vals = ps.values(z, (1, 2, 3, 4))
         negs = ps.values(-z, (1, 2, 3, 4))
         for j in (1, 2, 3, 4):
@@ -111,7 +113,7 @@ class TestPBig:
         ps = p_system(cn_translation(L_GEN, n))
         js = tuple(range(1, n))
         rng = np.random.default_rng(22)
-        z = sample_points(ps.slat, 200, rng, avoid=ps.orbit, margin=0.05)
+        z = sample_points(ps.lattice, 200, rng, avoid=ps.orbit, margin=0.05)
         batch = ps.values(z, js)
         for i, zi in enumerate(z):
             single = ps.values(zi, js)
@@ -138,17 +140,17 @@ class TestPBig:
                         systems.append(PSystem(slat, shift, m))
                     for ps in systems:
                         assert ps.wp_alpha is None
-                        z = sample_points(ps.slat, 7, rng, avoid=ps.orbit, margin=0.05)
+                        z = sample_points(ps.lattice, 7, rng, avoid=ps.orbit, margin=0.05)
                         js = tuple(range(1, ps.n))
                         first = ps.values(z, js)
-                        ref = complex(wp_both_scaled(ps.alpha, ps.slat)[0])
+                        ref = complex(wp_both(ps.alpha, ps.lattice)[0])
                         assert np.array(ps.wp_alpha).tobytes() == np.array(ref).tobytes()
                         second = ps.values(z, js)
                         for j in js:
                             assert first[j].tobytes() == second[j].tobytes()
-                        s = ps.slat.scale
+                        s = ps.lattice.scale
                         orbit = [
-                            complex(s * torus_reduce_centered(k * ps.alpha / s, ps.slat.tau))
+                            complex(s * torus_reduce_centered(k * ps.alpha / s, ps.lattice.tau))
                             for k in range(ps.n)
                         ]
                         assert np.array(ps.orbit).tobytes() == np.array(orbit).tobytes()
@@ -161,7 +163,7 @@ class TestPBig:
         emb = cn_translation(L_GEN, 3)
         ps = p_system(emb)
         rng = np.random.default_rng(21)
-        z = sample_points(ps.slat, 40, rng, avoid=ps.orbit, margin=0.05)
+        z = sample_points(ps.lattice, 40, rng, avoid=ps.orbit, margin=0.05)
         vals = ps.values(z, (1, 2))
         pairs = np.stack([vals[1], vals[2]], axis=1)
         for i in range(len(z)):
@@ -175,7 +177,7 @@ class TestLambdaMu:
         lam, mu = fit_lambda_mu(emb, 1, 1)
         ps = p_system(emb)
         rng = np.random.default_rng(9)
-        z = sample_points(ps.slat, 20, rng, avoid=ps.orbit, margin=0.1)
+        z = sample_points(ps.lattice, 20, rng, avoid=ps.orbit, margin=0.1)
         vals = ps.values(z, (1, 2, 3, 4))
         lhs = vals[2] * vals[4] ** 2 - vals[3] * vals[1] ** 2
         rhs = lam * vals[4] * vals[1] + mu
@@ -192,7 +194,7 @@ class TestLambdaMu:
         lam, mu = fit_lambda_mu(emb, 1, 1)
         ps = p_system(emb)
         rng = np.random.default_rng(10)
-        z = sample_points(ps.slat, 20, rng, avoid=ps.orbit, margin=0.1)
+        z = sample_points(ps.lattice, 20, rng, avoid=ps.orbit, margin=0.1)
         vals = ps.values(z, (1, 2, 3))
         lhs = vals[2] * vals[3] ** 2 - vals[2] * 0 - (vals[(-2) % 4] * 0)
         lhs = vals[2] * vals[3] ** 2 - vals[(-2) % 4] * vals[1] ** 2
@@ -213,11 +215,11 @@ class TestResidues:
     def test_v_residue_minus_two(self):
         # wp'/(wp - wp(alpha)) has residue -2 at the origin
         alpha = 0.25
-        slat = ScaledLattice(GENERIC)
-        wpa = wp_both_scaled(alpha, slat)[0]
+        slat = Lattice(GENERIC)
+        wpa = wp_both(alpha, slat)[0]
 
         def fn(z):
-            w, wq = wp_both_scaled(z, slat)
+            w, wq = wp_both(z, slat)
             return wq / (w - wpa)
 
         f = TorusFunction(fn, slat, (0j, 0.25, -0.25))
@@ -270,7 +272,7 @@ def per_pole_sample_points(slat, n, rng, avoid=(), margin=0.05):
 
 
 class TestSamplePoints:
-    SLATS = [ScaledLattice(GENERIC), ScaledLattice(HEX_TAU, 0.7 - 0.4j), ScaledLattice(0.2 + 2.5j)]
+    SLATS = [Lattice(GENERIC), Lattice(HEX_TAU, 0.7 - 0.4j), Lattice(0.2 + 2.5j)]
 
     @pytest.mark.parametrize("n_avoid", [0, 1, 40])
     @pytest.mark.parametrize("slat", SLATS, ids=["generic", "hex-scaled", "tall"])
@@ -286,16 +288,21 @@ class TestSamplePoints:
                 assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
     def test_keeps_the_margin(self):
-        slat = ScaledLattice(GENERIC)
+        slat = Lattice(GENERIC)
         orbit = np.asarray(p_system(cn_translation(L_GEN, 5)).orbit)
         z = sample_points(slat, 200, np.random.default_rng(3), avoid=orbit, margin=0.08)
         d = torus_distance(z[None, :], orbit[:, None], slat)
         assert d.shape == (len(orbit), 200)
         assert d.min() >= 0.08 * shortest_period(GENERIC)
 
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_fewer_than_one_point_raises(self, n):
+        with pytest.raises(ValueError, match="at least one sample point"):
+            sample_points(Lattice(GENERIC), n, np.random.default_rng(0))
+
     @pytest.mark.parametrize("avoid", [(0j,), tuple(np.arange(12) / 12.0 + 0.3j)])
     def test_starved_margin_raises(self, avoid):
-        slat = ScaledLattice(1j)
+        slat = Lattice(1j)
         for sampler in (sample_points, per_pole_sample_points):
             with pytest.raises(FitError, match="starved"):
                 sampler(slat, 10, np.random.default_rng(0), avoid=avoid, margin=0.75)
@@ -306,11 +313,11 @@ class TestPSmall:
         # the group average of 1/wp' over the half-period translations is
         # zero: the signed averages p0, p1, p2 are all there is
         emb = c2c2_translation(L_GEN)
-        slat = ScaledLattice(GENERIC)
+        slat = Lattice(GENERIC)
         rng = np.random.default_rng(11)
         poles = (0j, 0.5 + 0j, GENERIC / 2, (1 + GENERIC) / 2)
         z = sample_points(slat, 30, rng, avoid=poles, margin=0.1)
-        avg = sum(1.0 / wp_both_scaled(inverse(g).apply(z), slat)[1] for g in emb.elements) / 4
+        avg = sum(1.0 / wp_both(inverse(g).apply(z), slat)[1] for g in emb.elements) / 4
         assert np.max(np.abs(avg)) < 1e-9
 
     def test_characters_and_oddness(self):
@@ -393,9 +400,9 @@ class TestC2C2Constants:
         # scalar calls bit for bit: wp does not depend on the batch
         for lat in (L_SQ, L_HEX, L_GEN):
             emb = c2c2_translation(lat)
-            slat = ScaledLattice(emb.tau)
+            slat = Lattice(emb.tau)
             s1, s2 = _half_periods(emb)
-            e = [complex(wp_both_scaled(s, slat)[0]) for s in (s1, s2, s1 + s2)]
+            e = [complex(wp_both(s, slat)[0]) for s in (s1, s2, s1 + s2)]
             expect = _constants_from_e(*e, is_hexagonal_class(emb.tau))
             assert c2c2_constants_for(emb) == expect
 
@@ -424,8 +431,7 @@ class TestC2C2ConstantsRoutes:
 class TestFitWPoly:
     def test_wp_squared(self):
         f = wp_function(L_GEN)
-        g = f * f
-        w = fit_in_ring(g, InvariantRing(ScaledLattice(L_GEN.tau)), 4)
+        w = fit_in_ring(squared(f), InvariantRing(L_GEN), 4)
         assert len(w.b) == 0
         assert np.allclose(w.a, (0, 0, 1), atol=1e-8)
 
@@ -435,7 +441,7 @@ class TestFitWPoly:
         ps = p_system(emb)
         prod = TorusFunction(
             lambda z: ps.values(z, (1, 2))[1] * ps.values(z, (1, 2))[2],
-            ps.slat,
+            ps.lattice,
             ps.orbit,
         )
         ring = quotient_scaled(emb)
@@ -449,8 +455,8 @@ class TestFitWPoly:
             emb = c2c2_translation(lat)
             p0, _, _ = p_small(emb)
             inv = invariants(lat)
-            half = ScaledLattice(lat.tau, 0.5)
-            w = fit_in_ring(p0 * p0, InvariantRing(half), 2)
+            half = Lattice(lat.tau, 0.5)
+            w = fit_in_ring(squared(p0), InvariantRing(half), 2)
             c0 = 1.0 / ((inv.e1 - inv.e3) ** 2 * (inv.e2 - inv.e3) ** 2)
             assert len(w.a) == 2
             assert abs(w.a[1] - c0) < 1e-7 * max(1, abs(c0))
@@ -459,6 +465,6 @@ class TestFitWPoly:
     def test_not_in_ring_rejected(self):
         # wp' is odd: it cannot be a polynomial in wp alone
         f = wpp_function(L_GEN)
-        ring = InvariantRing(ScaledLattice(GENERIC), "wp")
+        ring = InvariantRing(Lattice(GENERIC), "wp")
         with pytest.raises(NotInRingError):
             fit_in_ring(f, ring, 4)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from toruslie.funcalg import sample_points
-from toruslie.intertwine import MatrixFunction, check_intertwining, double_cover, phi, psi
+from toruslie.funcalg import TorusFunction, sample_points
+from toruslie.intertwine import check_intertwining, double_cover, phi, psi
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint
 from toruslie.sl2rep import ad, standard_rep
 from toruslie.torusgroup import GroupEmbedding, a4_group, c2c2_translation, cn_translation
@@ -16,7 +16,7 @@ S = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 D = np.diag([-1.0, 1.0]).astype(complex)
 
 
-def probe(m: MatrixFunction, n, seed, margin=0.08):
+def probe(m: TorusFunction, n, seed, margin=0.08):
     rng = np.random.default_rng(seed)
     return sample_points(m.lattice, n, rng, avoid=m.poles, margin=margin)
 
@@ -123,11 +123,11 @@ class TestCheckIntertwining:
     def test_identity_function(self):
         emb = c2c2_translation(L_GEN)
         rep = standard_rep(emb)
-        ident = MatrixFunction(
+        ident = TorusFunction(
             lambda z: np.broadcast_to(np.eye(3, dtype=complex), z.shape + (3, 3)).copy(),
-            3,
             psi(emb).lattice,
             (),
+            (3, 3),
         )
         res = check_intertwining(ident, rep.mats, rep.mats, emb, 20)
         assert res < 1e-12
@@ -157,7 +157,7 @@ class TestCheckIntertwining:
             v[..., 0, 1] += 0.5
             return v
 
-        mbad = MatrixFunction(bad, 2, m.lattice, m.poles, m.meta)
+        mbad = TorusFunction(bad, m.lattice, m.poles, m.shape, m.meta)
         w = np.exp(2j * np.pi / n)
         from toruslie.sl2rep import cyclic_labels
 

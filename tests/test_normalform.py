@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from toruslie.elliptic import invariants, invariants_scaled, wp_both, wp_both_scaled
+from toruslie.elliptic import invariants, wp_both
 from toruslie.classify import cross_validate
 from toruslie.funcalg import sample_points
 from toruslie.intertwine import psi
-from toruslie.lattice import HEX_TAU, Lattice, ScaledLattice, TorsionPoint, transport_torsion
+from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, transport_torsion
 from toruslie.normalform import (
     abelianization_dim,
     invariance_residual,
@@ -34,7 +34,7 @@ LATTICES = [L_SQ, L_HEX, L_GEN]
 
 def probe_points(gens, n, seed, margin=0.2):
     rng = np.random.default_rng(seed)
-    return sample_points(ScaledLattice(gens.emb.tau), n, rng, avoid=gens.poles, margin=margin)
+    return sample_points(Lattice(gens.emb.tau), n, rng, avoid=gens.poles, margin=margin)
 
 
 class TestConstructions:
@@ -81,7 +81,7 @@ class TestConstructions:
         ps = p_system(emb)
         gens = normal_form(emb, j=1)
         rng = np.random.default_rng(3)
-        z = sample_points(ps.slat, 20, rng, avoid=ps.orbit, margin=0.12)
+        z = sample_points(ps.lattice, 20, rng, avoid=ps.orbit, margin=0.12)
         vals = ps.values(z, (1, 4, 2, 3))
         pj, pmj, p2j, pm2j = vals[1], vals[4], vals[2], vals[3]
         e = gens.E.fn(z)
@@ -184,7 +184,7 @@ class TestStructurePolynomial:
     def test_dn_cubic_matches_ring_invariants(self):
         gens = normal_form(dn_group(L_GEN, 3))
         w = structure_polynomial(gens)
-        ring_inv = invariants_scaled(gens.ring.slat)
+        ring_inv = invariants(gens.ring.lattice)
         expect = np.array([-ring_inv.g3, -ring_inv.g2, 0.0, 4.0])
         got = np.array(list(w.a) + [0] * (4 - len(w.a)))
         assert np.max(np.abs(got - expect)) < 1e-6 * np.max(np.abs(expect))
@@ -210,7 +210,7 @@ class TestStructurePolynomial:
         # the tabulated generator factors live in the advertised
         # isotypical components of the function algebra
         emb = cl_rotation(L_HEX, 3)
-        slat = ScaledLattice(HEX_TAU)
+        slat = Lattice(HEX_TAU)
         rng = np.random.default_rng(6)
         z = sample_points(slat, 30, rng, avoid=(0j,), margin=0.1)
         w = np.exp(2j * np.pi / 3)
@@ -218,12 +218,12 @@ class TestStructurePolynomial:
         def project(chi):
             # (1/|G|) sum conj(chi(g)) wp(g^-1 z) with chi(r^k) = w^(chi k)
             return sum(
-                np.conj(w ** (chi * k)) * wp_both_scaled(inverse(g).apply(z), slat)[0]
+                np.conj(w ** (chi * k)) * wp_both(inverse(g).apply(z), slat)[0]
                 for g, k in cyclic_labels(emb).items()
             ) / 3
 
         # e-factor wp sits in chi_2 = chi_{l-1}; untouched by that projector
-        assert np.max(np.abs(project(2) - wp_both_scaled(z, slat)[0])) < 1e-9
+        assert np.max(np.abs(project(2) - wp_both(z, slat)[0])) < 1e-9
         assert np.max(np.abs(project(0))) < 1e-9
 
 
@@ -259,7 +259,7 @@ class TestAbelianization:
         # exact invariants certify that the roots are genuinely distinct.
         gens = normal_form(dn_group(L_SQ, 6))
         structure_polynomial(gens)
-        ring_inv = invariants_scaled(gens.ring.slat)
+        ring_inv = invariants(gens.ring.lattice)
         gap = abs(ring_inv.e2 - ring_inv.e3)
         scale = max(abs(ring_inv.e1), abs(ring_inv.e2), abs(ring_inv.e3))
         assert 0 < gap < 1e-6 * scale
@@ -366,7 +366,7 @@ class TestCaseTable:
         assert len(rotations) >= 2
         for emb in rotations:
             got = quotient_scaled(emb)
-            assert got == ScaledLattice(emb.tau)
+            assert got == Lattice(emb.tau)
             assert np.array([got.tau, got.scale]).tobytes() == np.array([emb.tau, 1.0]).tobytes()
 
 

@@ -20,7 +20,6 @@ from toruslie.torusgroup import (
     catalog,
     cl_rotation,
     cn_translation,
-    compose,
     dn_group,
 )
 
@@ -117,10 +116,11 @@ class TestStandardRep:
                 # faithful: only the identity acts trivially
                 for g in emb.elements:
                     assert g.is_identity or np.max(np.abs(rep.mats[g] - np.eye(3))) > 1e-10
-                for g in emb.elements[:5]:
-                    for h in emb.elements[:5]:
-                        lhs = rep.mats[compose(g, h)]
-                        rhs = rep.mats[g] @ rep.mats[h]
+                # homomorphic on the generator table: rho(s g) = rho(s) rho(g)
+                for s, row in zip(emb.generators, emb.table):
+                    for g, k in zip(emb.elements, row):
+                        lhs = rep.mats[emb.elements[k]]
+                        rhs = rep.mats[s] @ rep.mats[g]
                         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_dihedral_flip(self):

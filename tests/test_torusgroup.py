@@ -21,10 +21,10 @@ from toruslie.torusgroup import (
     catalog,
     cl_rotation,
     cn_translation,
-    compose,
     dn_group,
     fixed_points,
     inverse,
+    make_embedding,
     quotient_scaled,
 )
 
@@ -74,6 +74,17 @@ class TestCatalog:
         with pytest.raises(UnsupportedEmbeddingError):
             a4_group(L_SQ)
 
+    @pytest.mark.parametrize("kind", ["Cl_rotation", "C2xC2_translation", "A4"])
+    def test_a_shift_the_kind_cannot_take_raises(self, kind):
+        assert make_embedding(L_HEX, kind).kind == kind
+        with pytest.raises(UnsupportedEmbeddingError, match="takes no torsion shift"):
+            make_embedding(L_HEX, kind, 2, TorsionPoint(1, 0, 2))
+
+    def test_scaled_lattice_rejected(self):
+        # the keys' torsion shifts are coordinates over the basis (1, tau)
+        with pytest.raises(UnsupportedEmbeddingError, match="scale 1"):
+            cn_translation(Lattice(1j, 2.0), 2)
+
     def test_group_orders_and_relations(self):
         for lat in (L_SQ, L_HEX, L_GEN):
             for emb in catalog(lat):
@@ -90,13 +101,14 @@ class TestCatalog:
                 for g in emb.elements:
                     assert inverse(g) in els
                     for h in emb.generators:
-                        assert compose(h, g) in els
+                        assert fraction_compose(h, g) in els
 
 
 class TestComposition:
     def test_involution_squares_to_identity(self):
-        s = AffineAutomorphism(1, 2, TorsionPoint.zero(), L_GEN)
-        assert compose(s, s).is_identity
+        emb = cl_rotation(L_GEN, 2)
+        s = emb.generators[0]
+        assert emb.table[0][emb.elements.index(s)] == 0
 
     def test_commutator_of_flip_and_half_shift(self):
         # [s, r'] with s(z) = -z and r'(z) = z + alpha/2 is translation by alpha
@@ -104,7 +116,7 @@ class TestComposition:
         half = TorsionPoint(1, 0, 4)
         s = AffineAutomorphism(1, 2, TorsionPoint.zero(), L_GEN)
         rp = AffineAutomorphism(0, 1, half, L_GEN)
-        comm = compose(compose(s, rp), compose(inverse(s), inverse(rp)))
+        comm = fraction_compose(fraction_compose(s, rp), fraction_compose(inverse(s), inverse(rp)))
         assert comm.is_translation
         assert comm.shift == alpha
 
@@ -113,32 +125,25 @@ class TestComposition:
             for emb in catalog(lat):
                 for g in emb.elements[:6]:
                     for h in emb.elements[:6]:
-                        comm = compose(
-                            compose(g, h), compose(inverse(g), inverse(h))
+                        comm = fraction_compose(
+                            fraction_compose(g, h), fraction_compose(inverse(g), inverse(h))
                         )
                         assert comm.is_translation
 
-    def test_compose_matches_pointwise_evaluation(self):
-        # exact composition against direct numeric evaluation at 20 points
-        s = AffineAutomorphism(1, 3, TorsionPoint.zero(), L_HEX)
-        r = AffineAutomorphism(0, 1, TorsionPoint(1, 0, 2), L_HEX)
-        g = compose(s, r)
+    def test_table_matches_pointwise_evaluation(self):
+        # the exact products of A4's generator table against direct numeric
+        # evaluation at 20 points
+        emb = a4_group(L_HEX)
         rng = np.random.default_rng(0)
         z = rng.random(20) + HEX_TAU * rng.random(20)
-        direct = s.apply(r.apply(z))
-        got = g.apply(z)
-        # equality on the torus: difference is a lattice vector
-        diff = direct - got
-        t = diff.imag / HEX_TAU.imag
-        x = diff.real - t * HEX_TAU.real
-        assert np.allclose(x, np.round(x), atol=1e-10)
-        assert np.allclose(t, np.round(t), atol=1e-10)
-
-    def test_lattice_mismatch(self):
-        g = identity_map(L_SQ)
-        h = identity_map(L_GEN)
-        with pytest.raises(ValueError):
-            compose(g, h)
+        for s, row in zip(emb.generators, emb.table):
+            for g, k in zip(emb.elements, row):
+                # equality on the torus: difference is a lattice vector
+                diff = s.apply(g.apply(z)) - emb.elements[k].apply(z)
+                t = diff.imag / HEX_TAU.imag
+                x = diff.real - t * HEX_TAU.real
+                assert np.allclose(x, np.round(x), atol=1e-10)
+                assert np.allclose(t, np.round(t), atol=1e-10)
 
 
 class TestFixedPoints:
@@ -180,8 +185,8 @@ class TestFixedPoints:
                 continue
             pts = set(fixed_points(g))
             for h in emb.elements:
-                conj = compose(compose(h, g), inverse(h))
-                mapped = {h.act_torsion(p) for p in pts}
+                conj = fraction_compose(fraction_compose(h, g), inverse(h))
+                mapped = {torsion_add(p.matrix_apply(h.rot_matrix()), h.shift) for p in pts}
                 assert set(fixed_points(conj)) == mapped
 
 
@@ -259,18 +264,18 @@ class TestA4Presentation:
     def test_relations(self):
         emb = a4_group(L_HEX)
         s, r1, r2 = emb.generators
-        assert compose(compose(s, s), s).is_identity
-        assert compose(r1, r1).is_identity
-        assert compose(r2, r2).is_identity
-        assert compose(compose(s, r1), inverse(s)) == compose(r1, r2)
-        assert compose(compose(s, r2), inverse(s)) == r1
+        assert fraction_compose(fraction_compose(s, s), s).is_identity
+        assert fraction_compose(r1, r1).is_identity
+        assert fraction_compose(r2, r2).is_identity
+        assert fraction_compose(fraction_compose(s, r1), inverse(s)) == fraction_compose(r1, r2)
+        assert fraction_compose(fraction_compose(s, r2), inverse(s)) == r1
 
     def test_adapted_generators_on_shifted_basis(self):
         # same lattice class through a different basis still presents A4
         emb = a4_group(Lattice(HEX_TAU + 1))
         assert emb.order == 12
         s, r1, r2 = emb.generators
-        assert compose(compose(s, r1), inverse(s)) == compose(r1, r2)
+        assert fraction_compose(fraction_compose(s, r1), inverse(s)) == fraction_compose(r1, r2)
 
 
 # The rational formulas that the integer arithmetic replaced, kept as the
@@ -394,13 +399,8 @@ class TestIntegerArithmeticMatchesFractions:
         assert len(new) == len(old) >= 184
         for a, b in zip(new, old):
             assert a == b
-        # the compose and inverse wrappers: compose is a function of the
-        # pair alone, so each distinct pair of elements is checked once
-        pairs = {(g, h) for d in new for g in d["elements"] for h in d["elements"]}
-        assert len(pairs) >= 4000
-        for g, h in pairs:
-            assert compose(g, h) == fraction_compose(g, h)
-        for g in {g for g, _ in pairs}:
+        # the inverse wrapper, once per distinct element
+        for g in {g for d in new for g in d["elements"]}:
             assert inverse(g) == fraction_inverse(g)
 
     def test_torsion_sums_with_large_denominators(self):
@@ -665,7 +665,7 @@ class TestGeneratorTable:
             assert emb.elements[0].is_identity
             assert len(emb.table) == len(emb.generators)
             for s, row in zip(emb.generators, emb.table):
-                assert [emb.elements[k] for k in row] == [compose(s, g) for g in emb.elements]
+                assert [emb.elements[k] for k in row] == [fraction_compose(s, g) for g in emb.elements]
 
     @pytest.mark.parametrize("tau", TABLE_TAUS, ids=lambda t: f"{t:.2f}")
     def test_standard_rep_equals_the_compose_search(self, tau):
