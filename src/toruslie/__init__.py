@@ -20,7 +20,6 @@ from .elliptic import (
     scale_check,
     wp,
     wp_both,
-    wp_prime,
 )
 from .torusgroup import (
     AffineAutomorphism,
@@ -34,10 +33,9 @@ from .torusgroup import (
     cn_translation,
     dn_group,
     fixed_points,
-    inverse,
     make_embedding,
 )
-from .sl2rep import GroupRepresentation, ad, standard_rep
+from .sl2rep import ad, standard_rep
 from .funcalg import (
     C2C2Constants,
     TorusFunction,

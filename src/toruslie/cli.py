@@ -5,10 +5,11 @@ emitted as structured text with a stable key schema (or JSON with
 --json); complex numbers appear as [re, im] pairs.  All sampling is
 seeded, so equal configurations produce byte-identical reports.
 
-Each subcommand accepts only the flags it reads (_COMMANDS).  Exit
-status: 0 all checks passed, 1 verification failure, 2 usage or domain
-error, including a fit that fails; constants instead reports a failed
-lambda/mu fit as null lambda and mu.
+Each subcommand accepts only the flags it reads (_COMMANDS), and every
+float flag must be finite.  Exit status: 0 all checks passed, 1
+verification failure, 2 usage or domain error, including a fit that
+fails and a group the lattice does not carry; constants instead reports
+a failed lambda/mu fit (FitError) as null lambda and mu.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
+import math
 import sys
 
 import numpy as np
@@ -147,7 +148,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
-    inv = invariants(Lattice(args.tau), args.trunc)
+    emb = _embedding(args)
+    inv = invariants(emb.lattice)
     report = {
         "command": "constants",
         "config": _config_dict(args),
@@ -160,7 +162,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
         "j": inv.j,
     }
     if args.group == "c2c2":
-        cc = c2c2_constants_for(_embedding(args))
+        cc = c2c2_constants_for(emb)
         report["c2c2"] = {
             "alpha1": cc.alpha1,
             "alpha2": cc.alpha2,
@@ -171,13 +173,12 @@ def cmd_constants(args: argparse.Namespace) -> int:
             "sqrt_alpha2_beta2": cc.sqrt_a2b2,
         }
     if args.group in ("cn", "dn") and args.order >= 2:
-        emb = _embedding(args)
         # the invariants above do not depend on the fit: a failed fit nulls lambda, mu
         try:
             lam, mu = fit_lambda_mu(emb, args.char_j, seed=args.seed, tol=args.tol)
             report["lambda"] = lam
             report["mu"] = mu
-        except (ValueError, FitError):
+        except FitError:
             report["lambda"] = None
             report["mu"] = None
     _emit(report, args)
@@ -270,6 +271,17 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return config
 
 
+def _finite(text: str) -> float:
+    """The value of a float flag; nan and inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_torsion(text: str) -> tuple[int, int, int]:
     parts = text.split("/")
     if len(parts) != 3:
@@ -279,22 +291,21 @@ def _parse_torsion(text: str) -> tuple[int, int, int]:
 
 #: every flag, declared once, in the order --help lists them
 _FLAGS = {
-    "--tau-re": dict(type=float, default=0.0),
-    "--tau-im": dict(type=float, default=1.0),
+    "--tau-re": dict(type=_finite, default=0.0),
+    "--tau-im": dict(type=_finite, default=1.0),
     "--group": dict(choices=sorted(_GROUP_NAMES), default="cn"),
     "--order": dict(type=int, default=2, help="N for cn/dn, l for rot"),
     "--torsion": dict(type=_parse_torsion, default=None, metavar="a/b/n"),
     "--char-j": dict(type=int, default=1),
-    "--tol": dict(type=float, default=None),
+    "--tol": dict(type=_finite, default=1e-7),
     "--samples": dict(type=int, default=BRACKET_SAMPLES),
     "--seed": dict(type=int, default=0),
     "--json": dict(action="store_true"),
     "--out": dict(default=None),
-    "--trunc": dict(type=int, default=None, help="series terms for the invariants"),
-    "--z-re": dict(type=float, default=0.23),
-    "--z-im": dict(type=float, default=0.31),
+    "--z-re": dict(type=_finite, default=0.23),
+    "--z-im": dict(type=_finite, default=0.31),
     "--perturb-f": dict(
-        type=float, default=0.0, help="scale F by (1 + value) after fitting; negative control"
+        type=_finite, default=0.0, help="scale F by (1 + value) after fitting; negative control"
     ),
 }
 _COMMON = {"--tau-re", "--tau-im", "--json", "--out"}
@@ -303,7 +314,7 @@ _EMBEDDING = {"--group", "--order", "--torsion", "--char-j"}
 _COMMANDS = {
     "catalog": (cmd_catalog, set()),
     "classify": (cmd_classify, _EMBEDDING | {"--seed"}),
-    "constants": (cmd_constants, _EMBEDDING | {"--tol", "--seed", "--trunc"}),
+    "constants": (cmd_constants, _EMBEDDING | {"--tol", "--seed"}),
     "eval": (cmd_eval, _EMBEDDING | {"--z-re", "--z-im"}),
     "verify": (cmd_verify, _EMBEDDING | {"--tol", "--samples", "--seed", "--perturb-f"}),
 }
@@ -330,8 +341,6 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     args.tau = complex(args.tau_re, args.tau_im)
     try:
-        if "tol" in args and args.tol is None:  # TORUSLIE_TOL is read per run
-            args.tol = float(os.environ.get("TORUSLIE_TOL") or 1e-7)
         return _COMMANDS[args.command][0](args)
     except (ValueError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,10 +12,12 @@ roundoff of wp' at its own scale.  Each point's value is computed in the
 same order whatever batch it comes in.  The defining lattice sum is kept
 in the test suite as an independent oracle.
 
-wp_both takes a scalar or an array of any shape; callers batch every
-point set they need (all shifts of all probes) into one call, since the
-per-call overhead dwarfs the per-point cost at small batches.  The
-series runs on blocks of at most BLOCK points of a batch.  A lattice's
+wp_both takes a scalar or an array of any shape and returns wp and wp'
+together (wp is its first value alone); callers batch every point set
+they need (all shifts of all probes) into one call, since the per-call
+overhead dwarfs the per-point cost at small batches.  Both series
+lengths follow from |q| alone; no caller sets them.  The series runs on
+blocks of at most BLOCK points of a batch.  A lattice's
 scale c enters through the homothety wp(cz | c L) = c^-2 wp(z | L),
 wp'(cz | c L) = c^-3 wp'(z | L) (DLMF 23.10(iv)), skipped at c = 1:
 dividing by 1+0j would flip the sign of an exact zero.
@@ -43,7 +45,6 @@ __all__ = [
     "scale_check",
     "wp",
     "wp_both",
-    "wp_prime",
 ]
 
 _PI = math.pi
@@ -83,9 +84,7 @@ class _Cell:
     discr: complex        # discriminant via the eta product (no cancellation)
 
 
-def _n_terms(qabs: float, trunc: int | None) -> int:
-    if trunc is not None:
-        return max(4, int(trunc))
+def _n_terms(qabs: float) -> int:
     # cut where |q|^(K/2) reaches 1.6e-19: the q-series of s1, g2, g3 and
     # the discriminant then equal those of any longer cut bit for bit
     return max(4, math.ceil(2.0 * math.log(1.6e-19) / math.log(max(qabs, 1e-300))))
@@ -100,13 +99,13 @@ def _split_terms(qabs: float) -> int:
 
 
 @lru_cache(maxsize=256)
-def _cell(tau: complex, trunc: int | None = None) -> _Cell:
+def _cell(tau: complex) -> _Cell:
     mc = reduce_modular(tau)
     (_, _), (c, d) = mc.transform
     m = c * tau + d
     tau_r = mc.tau_reduced
     q = np.exp(_TWO_PI_I * tau_r)
-    ks = np.arange(1, _n_terms(abs(q), trunc) + 1, dtype=float)
+    ks = np.arange(1, _n_terms(abs(q)) + 1, dtype=float)
     qk = q ** ks
     denom = 1.0 - qk
     lam = ks * qk / denom  # k q^k / (1 - q^k)
@@ -177,7 +176,7 @@ def _wp_series(zc: np.ndarray, cell: _Cell, out: np.ndarray) -> None:
         out[1] = np.where(pole, np.inf, np.where(near, wpp_l / m3, out[1]))
 
 
-def wp_both(z, lattice: Lattice, trunc: int | None = None):
+def wp_both(z, lattice: Lattice):
     """Evaluate (wp(z), wp'(z)) for the lattice scale * (Z + Z*tau).
 
     Accepts a scalar or an array of any shape; arrays come back in the
@@ -185,7 +184,7 @@ def wp_both(z, lattice: Lattice, trunc: int | None = None):
     On lattice points both values are complex infinity.
     """
     s = lattice.scale
-    cell = _cell(lattice.tau, trunc)
+    cell = _cell(lattice.tau)
     zz = np.asarray(z, dtype=complex)
     flat = zz.reshape(-1) if s == 1 else zz.reshape(-1) / s
     zc = torus_reduce_centered(flat / cell.m, cell.tau_r)
@@ -202,17 +201,13 @@ def wp_both(z, lattice: Lattice, trunc: int | None = None):
     return out[0].reshape(zz.shape), out[1].reshape(zz.shape)
 
 
-def wp(z, lattice: Lattice, trunc: int | None = None):
-    return wp_both(z, lattice, trunc)[0]
-
-
-def wp_prime(z, lattice: Lattice):
-    return wp_both(z, lattice)[1]
+def wp(z, lattice: Lattice):
+    return wp_both(z, lattice)[0]
 
 
 @lru_cache(maxsize=256)
-def _unit_invariants(tau: complex, trunc: int | None) -> EllipticInvariants:
-    cell = _cell(tau, trunc)
+def _unit_invariants(tau: complex) -> EllipticInvariants:
+    cell = _cell(tau)
     g2 = cell.g2r / cell.m ** 4
     g3 = cell.g3r / cell.m ** 6
     disc = cell.discr / cell.m ** 12
@@ -223,11 +218,11 @@ def _unit_invariants(tau: complex, trunc: int | None) -> EllipticInvariants:
             " the limit is about 113"
         )
     half = np.array([0.5, tau / 2.0, (1.0 + tau) / 2.0])
-    e1, e2, e3 = (complex(v) for v in wp(half, Lattice(tau), trunc))
+    e1, e2, e3 = (complex(v) for v in wp(half, Lattice(tau)))
     return EllipticInvariants(g2, g3, e1, e2, e3, disc, j)
 
 
-def invariants(lattice: Lattice, trunc: int | None = None) -> EllipticInvariants:
+def invariants(lattice: Lattice) -> EllipticInvariants:
     """g2, g3, half-period values, discriminant and j for scale * (Z + Z*tau).
 
     g2 and g3 come from the Eisenstein q-expansions on the reduced lattice
@@ -235,7 +230,7 @@ def invariants(lattice: Lattice, trunc: int | None = None) -> EllipticInvariants
     half periods of the basis (scale, scale*tau).  Past a reduced Im tau
     of about 113, where j overflows float64, a ValueError names the limit.
     """
-    inv = _unit_invariants(lattice.tau, trunc)
+    inv = _unit_invariants(lattice.tau)
     s = lattice.scale
     if s == 1:
         return inv

@@ -29,6 +29,7 @@ from .torusgroup import GroupEmbedding, c2c2_translation
 
 __all__ = [
     "C2C2Constants",
+    "FIT_TOL",
     "FitError",
     "InvariantRing",
     "NotInRingError",
@@ -47,6 +48,8 @@ __all__ = [
 ]
 
 DEFAULT_MARGIN = 0.05
+#: bound of a ring fit's held-out residual, per point and relative
+FIT_TOL = 1e-6
 #: sample draws of the lambda/mu fit before it gives up
 FIT_RETRIES = 8
 #: trapezoidal nodes of residue_at's contour
@@ -559,9 +562,9 @@ def fit_in_ring(f: TorusFunction, ring: InvariantRing, pole_bound: int) -> WPoly
     fixes which monomials may appear.  Rows are weighted by 1/max(1, |f|)
     so the fit controls relative error where the values are large; the
     held-out residual is per-point relative on the same scale.  A residual
-    above 1e-6 means f does not live in the ring (or the bound is wrong)
+    above FIT_TOL means f does not live in the ring (or the bound is wrong)
     -> NotInRingError.
     """
     z = _fit_points(ring, pole_bound, f.poles, seed=0, margin=0.12)
     x, y = ring.values(z)
-    return _fit_values(x, y, f(z), ring, pole_bound, 1e-6)
+    return _fit_values(x, y, f(z), ring, pole_bound, FIT_TOL)

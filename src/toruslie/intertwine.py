@@ -157,8 +157,8 @@ def psi(emb: GroupEmbedding) -> TorusFunction:
 
 def check_intertwining(
     m: TorusFunction,
-    rho: dict,
-    rho_tilde: dict | None,
+    rho: np.ndarray,
+    rho_tilde: np.ndarray | None,
     emb: GroupEmbedding,
     n_samples: int = 40,
     seed: int = 0,
@@ -166,16 +166,17 @@ def check_intertwining(
 ) -> float:
     """max over samples and group elements of |M(g.z) - rho(g) M(z) rho~(g)^-1|.
 
-    rho and rho_tilde map group elements to d x d matrices; rho_tilde None
+    rho and rho_tilde hold the d x d images of the group elements, in the
+    order of emb.elements (as standard_rep gives them); rho_tilde None
     means the trivial action on the right.
     """
     rng = np.random.default_rng(seed)
     z = sample_points(m.lattice, n_samples, rng, avoid=m.poles, margin=margin)
     worst = 0.0
-    for g in emb.elements:
+    for k, g in enumerate(emb.elements):
         left = m(g.apply(z))
-        right = rho[g] @ m(z)
+        right = rho[k] @ m(z)
         if rho_tilde is not None:
-            right = right @ np.linalg.inv(rho_tilde[g])
+            right = right @ np.linalg.inv(rho_tilde[k])
         worst = max(worst, float(np.max(np.abs(left - right))))
     return worst

@@ -107,8 +107,8 @@ class TorsionPoint:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def to_complex(self, tau: complex, scale: complex = 1.0) -> complex:
-        return scale * (self.a + self.b * tau) / self.n
+    def to_complex(self, tau: complex) -> complex:
+        return (self.a + self.b * tau) / self.n
 
 
 @dataclass(frozen=True)

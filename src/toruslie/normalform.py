@@ -43,12 +43,12 @@ import numpy as np
 
 from .elliptic import wp_both
 from .funcalg import (
-    FitError, InvariantRing, TorusFunction, WPoly, _fit_points, _fit_values, _last_points_memo,
-    sample_points,
+    FIT_TOL, FitError, InvariantRing, TorusFunction, WPoly, _fit_points, _fit_values,
+    _last_points_memo, sample_points,
 )
 from .intertwine import phi, psi
 from .lattice import Lattice, shortest_period, torus_reduce_centered
-from .sl2rep import B_E, B_F, B_H, GroupRepresentation, ad, bracket, coeffs, from_coeffs, standard_rep
+from .sl2rep import B_E, B_F, B_H, ad, bracket, coeffs, from_coeffs, standard_rep
 from .torusgroup import GroupEmbedding
 
 __all__ = [
@@ -110,8 +110,8 @@ class GeneratorTriple:
     H: TorusFunction
     ring: InvariantRing
     emb: GroupEmbedding
-    rep: GroupRepresentation
-    j: int
+    #: standard_rep(emb, j): rep[k] acts as emb.elements[k]
+    rep: np.ndarray
     poles: tuple
     structure_bound: int
     #: the Phi or Psi that E, F and H are built on, if any
@@ -202,7 +202,7 @@ def normal_form(emb: GroupEmbedding, j: int = 1) -> GeneratorTriple:
         e = _times(lambda z: case.fe(*ring_wp(z)), e)
         f = _times(lambda z: case.ff(*ring_wp(z)), f)
     ring = InvariantRing(ring_lattice, case.var)
-    return GeneratorTriple(e, f, h, ring, emb, rep, j, orbit, case.bound, intertwiner, ring_wp=ring_wp)
+    return GeneratorTriple(e, f, h, ring, emb, rep, orbit, case.bound, intertwiner, ring_wp=ring_wp)
 
 
 def _backed_off(attempt, margin: float):
@@ -281,7 +281,7 @@ def _fit_structure(gens: GeneratorTriple, frames: tuple, xy: tuple, tol: float) 
     return gens.structure_poly
 
 
-def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0, tol: float = 1e-6) -> WPoly:
+def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0, tol: float = FIT_TOL) -> WPoly:
     """Fit the invariant p with [E, F] = H tensor p and attach it.
 
     The scalar function is recovered as the projection of [E, F] onto H
@@ -353,13 +353,12 @@ def _invariance(gens: GeneratorTriple, frames: tuple, start: int, n: int) -> flo
     """The residual of invariance_residual from (E, F, H) on a point array
     holding, from row start, n probes z and then their _preimages.  The
     identity, which contributes exactly 0, is left out."""
-    elements = gens.emb.elements[1:]
-    mid, end = start + n, start + n * (1 + len(elements))
-    r = np.array([gens.rep.mats[g] for g in elements]).reshape(-1, 3, 3)
+    r = gens.rep[1:]
+    mid, end = start + n, start + n * (1 + len(r))
     worst = 0.0
     for m in frames:
         v0 = coeffs(m[start:mid])
-        v = coeffs(m[mid:end]).reshape(len(elements), n, 3)
+        v = coeffs(m[mid:end]).reshape(len(r), n, 3)
         pulled = np.einsum("gab,gzb->gza", r, v)
         worst = max(worst, float(np.max(np.abs(pulled - v0), initial=0.0)))
     return worst
@@ -377,7 +376,7 @@ def invariance_residual(gens: GeneratorTriple, n_samples: int = INVARIANCE_SAMPL
 
 
 def check_triple(
-    gens: GeneratorTriple, *, seed: int = 0, tol: float = 1e-6, verify_samples: int | None = None
+    gens: GeneratorTriple, *, seed: int = 0, verify_samples: int | None = None
 ) -> tuple:
     """(structure_polynomial(seed), verify_brackets(seed + 1),
     invariance_residual(seed + 2)) from one evaluation of the triple.
@@ -399,7 +398,7 @@ def check_triple(
         z_br = _probe(gens, BRACKET_SAMPLES, seed + 1)
         z_inv = [_probe(gens, INVARIANCE_SAMPLES, seed + 2)]
     except FitError:
-        structure_polynomial(gens, seed=seed, tol=tol)
+        structure_polynomial(gens, seed=seed)
         raise
     if verify_samples is not None:
         try:
@@ -412,7 +411,7 @@ def check_triple(
     b = a + len(z_br)
     xy = _ring_xy(gens, z, b)
     fit, probes = slice(None, a), slice(a, b)
-    poly = _fit_structure(gens, _rows(frames, fit), _rows(xy, fit), tol)
+    poly = _fit_structure(gens, _rows(frames, fit), _rows(xy, fit), FIT_TOL)
     brackets = _bracket_residuals(_rows(frames, probes), poly, _rows(xy, probes))
     invs = [None, None]
     for k, zi in enumerate(z_inv):

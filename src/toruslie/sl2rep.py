@@ -15,13 +15,15 @@ mod N); for even N it is Ad of the diag(w_2N^j, w_2N^-j) lift, the only
 way the action of C_N is faithful.  The dihedral reflection acts by
 conjugation with the antidiagonal flip (determinant -1, legitimate in
 PGL2), sending (h, e, f) -> (-h, f, e).
+
+A group action is the (order, 3, 3) array of the elements' images, in the
+order of the embedding's elements: an element's index is its handle.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +33,6 @@ __all__ = [
     "B_H",
     "B_E",
     "B_F",
-    "GroupRepresentation",
     "ad",
     "bracket",
     "coeffs",
@@ -105,14 +106,6 @@ _R2_3 = ad([[0, 1], [-1, 0]])
 _A4_S = ad(0.5 * np.array([[1 + 1j, -1 + 1j], [1 + 1j, 1 - 1j]]))
 
 
-@dataclass(frozen=True)
-class GroupRepresentation:
-    """Assignment of 3x3 sl2-automorphisms to the elements of an embedding."""
-
-    emb: GroupEmbedding
-    mats: dict
-
-
 def _cyclic_eigen(n: int, j: int) -> np.ndarray:
     """Generator image for C_N with faithful e-eigenvalue convention."""
     if n % 2 == 1:
@@ -123,13 +116,14 @@ def _cyclic_eigen(n: int, j: int) -> np.ndarray:
     return _diag_action(w)
 
 
-def _extend(emb: GroupEmbedding, gen_images: list) -> dict:
+def _extend(emb: GroupEmbedding, gen_images: list) -> np.ndarray:
     """Breadth-first extension of generator images to the whole group, with
     a well-definedness check that makes the assignment a homomorphism.
 
     gen_images[i] is the image of emb.generators[i].  The search walks the
     generator table from element 0, the identity; then the image of every
     product s g is checked against s's image times g's, all at once.
+    Returns the (order, 3, 3) images in the order of emb.elements.
     """
     table = emb.table
     mats = {table[i][0]: m for i, m in enumerate(gen_images)}
@@ -149,52 +143,42 @@ def _extend(emb: GroupEmbedding, gen_images: list) -> dict:
     products = np.array(gen_images)[:, None] @ group
     if np.max(np.abs(products - group[np.array(table[: len(gen_images)])])) > 1e-10:
         raise ValueError("generator images violate the group relations")
-    return {emb.elements[k]: m for k, m in mats.items()}
+    return group
 
 
-def standard_rep(emb: GroupEmbedding, j: int = 1) -> GroupRepresentation:
-    """The concrete sl2-action used for the normal forms.
+def standard_rep(emb: GroupEmbedding, j: int = 1) -> np.ndarray:
+    """The concrete sl2-action used for the normal forms: the (order, 3, 3)
+    images of the group's elements, in the order of emb.elements.
 
     C_N (translations and rotations): generator -> e-eigenvalue
     exp(2*pi*i*j'/N) as in the module docstring; D_N adds the antidiagonal
     flip; C2 x C2 is the quaternion double-cover action; A4 extends it by
-    the order-3 element.
+    the order-3 element.  The character index j of the cyclic kinds must
+    be coprime to N.
     """
-    kind = emb.kind
+    kind, n = emb.kind, emb.order_param
+    if kind in ("CN_translation", "Cl_rotation", "DN") and math.gcd(j, n) != 1:
+        raise ValueError(f"character index {j} is not coprime to {n}")
     if kind == "CN_translation":
-        n = emb.order_param
-        if n == 1:
-            return GroupRepresentation(emb, {emb.elements[0]: np.eye(3, dtype=complex)})
-        if math.gcd(j, n) != 1:
-            raise ValueError(f"character index {j} is not coprime to {n}")
-        return GroupRepresentation(emb, _extend(emb, [_cyclic_eigen(n, j)]))
+        return _extend(emb, [_cyclic_eigen(n, j)])
     if kind == "Cl_rotation":
-        ell = emb.order_param
-        if math.gcd(j, ell) != 1:
-            raise ValueError(f"character index {j} is not coprime to {ell}")
-        w = cmath.exp(2j * math.pi * j / ell)
-        return GroupRepresentation(emb, _extend(emb, [_diag_action(w)]))
+        return _extend(emb, [_diag_action(cmath.exp(2j * math.pi * j / n))])
     if kind == "DN":
-        n = emb.order_param
-        images = [_FLIP.copy()]
-        if n > 1:
-            if math.gcd(j, n) != 1:
-                raise ValueError(f"character index {j} is not coprime to {n}")
-            images.append(_cyclic_eigen(n, j))
-        return GroupRepresentation(emb, _extend(emb, images))
+        return _extend(emb, [_FLIP] + ([_cyclic_eigen(n, j)] if n > 1 else []))
     if kind == "C2xC2_translation":
-        return GroupRepresentation(emb, _extend(emb, [_R1_3, _R2_3]))
+        return _extend(emb, [_R1_3, _R2_3])
     if kind == "A4":
-        return GroupRepresentation(emb, _extend(emb, [_A4_S, _R1_3, _R2_3]))
+        return _extend(emb, [_A4_S, _R1_3, _R2_3])
     raise ValueError(f"unknown embedding kind {kind!r}")
 
 
-def cyclic_labels(emb: GroupEmbedding) -> dict:
-    """element -> exponent k for a cyclic embedding generated by its cyclic generator."""
+def cyclic_labels(emb: GroupEmbedding) -> tuple[int, ...]:
+    """labels[k]: the exponent of elements[k] as a power of the generator of
+    a cyclic embedding (C_N or C_l)."""
     row = emb.table[emb.generators.index(emb.cyclic_generator)]
-    labels = {}
+    labels = [0] * emb.order
     g = 0
     for k in range(emb.order):
-        labels[emb.elements[g]] = k
+        labels[g] = k
         g = row[g]
-    return labels
+    return tuple(labels)

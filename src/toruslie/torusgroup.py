@@ -47,7 +47,6 @@ __all__ = [
     "cn_translation",
     "dn_group",
     "fixed_points",
-    "inverse",
     "make_embedding",
     "mult_matrix",
 ]
@@ -59,6 +58,8 @@ Point = tuple[int, int, int]
 Key = tuple[int, int, int, int, int]
 
 _ROT_DENS = (1, 2, 3, 4, 6)
+#: the largest group a closure builds before it gives up
+_MAX_ORDER = 200
 _ZERO: Point = (0, 0, 1)
 _IDENTITY: Key = (0, 1) + _ZERO
 
@@ -177,11 +178,7 @@ class AffineAutomorphism:
         return self.rotation * z + self.shift.to_complex(self.lattice.tau)
 
 
-def inverse(g: AffineAutomorphism) -> AffineAutomorphism:
-    return AffineAutomorphism.from_key(_inverse(g.key, g.lattice.tau), g.lattice)
-
-
-def _closure(generators: list[Key], tau: complex, bound: int = 200) -> tuple[tuple, tuple]:
+def _closure(generators: list[Key], tau: complex) -> tuple[tuple, tuple]:
     """The sorted keys of the group the generator keys span, and the table
     of the products s g it composed once each: table[i][k] is the index of
     generators[i] after keys[k]."""
@@ -197,7 +194,7 @@ def _closure(generators: list[Key], tau: complex, bound: int = 200) -> tuple[tup
                     products[h] = None
                     nxt.append(h)
         frontier = nxt
-        if len(products) > bound:
+        if len(products) > _MAX_ORDER:
             raise RuntimeError("group closure exceeded bound")
     keys = tuple(sorted(products, key=lambda k: (k[1], k[0], k[4], k[2], k[3])))
     index = {k: i for i, k in enumerate(keys)}
@@ -223,10 +220,10 @@ class GroupEmbedding:
     keys: tuple[Key, ...] = field(init=False, compare=False, repr=False)
     #: table[i][k]: index in elements of generators[i] after elements[k]
     table: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
-    #: inverse_index[k]: index in elements of inverse(elements[k])
+    #: inverse_index[k]: index in elements of the inverse of elements[k]
     inverse_index: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    #: rotation and shift of inverse(elements[k]) as complex numbers, so
-    #: that inverse(elements[k]).apply(z) = inverse_rotation[k] * z + inverse_shift[k]
+    #: rotation and shift of the inverse of elements[k] as complex numbers:
+    #: it maps z to inverse_rotation[k] * z + inverse_shift[k]
     inverse_rotation: np.ndarray = field(init=False, compare=False, repr=False)
     inverse_shift: np.ndarray = field(init=False, compare=False, repr=False)
 
@@ -405,13 +402,11 @@ def _fixed(m: IntMat, shift: Point) -> set[Point]:
     return sols
 
 
-def fixed_points(g: AffineAutomorphism, lattice: Lattice | None = None) -> tuple[TorsionPoint, ...]:
+def fixed_points(g: AffineAutomorphism) -> tuple[TorsionPoint, ...]:
     """All torus solutions of g(z) = z, exactly.
 
     Empty for a nontrivial translation; the identity is a domain error.
     """
-    if lattice is not None and lattice != g.lattice:
-        raise ValueError("lattice mismatch")
     if g.is_identity:
         raise ValueError("every point is fixed by the identity")
     if g.is_translation:

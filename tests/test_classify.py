@@ -223,7 +223,7 @@ def _all_elements_residual(gens, n_samples, seed):
     emb, n = gens.emb, len(z)
     pre = (emb.inverse_rotation[:, None] * z + emb.inverse_shift[:, None]).ravel()
     frames = NF_MODULE._frames(gens, np.concatenate([z, pre]))
-    r = np.stack([gens.rep.mats[g] for g in emb.elements])
+    r = gens.rep
     worst = 0.0
     for m in frames:
         v = coeffs(m[n:]).reshape(emb.order, n, -1)
@@ -231,9 +231,9 @@ def _all_elements_residual(gens, n_samples, seed):
     return worst
 
 
-def _per_check(gens, *, seed, tol):
+def _per_check(gens, *, seed):
     """The checks of cross_validate, each drawing and evaluating on its own."""
-    poly = structure_polynomial(gens, seed=seed, tol=tol)
+    poly = structure_polynomial(gens, seed=seed)
     return poly, verify_brackets(gens, seed=seed + 1), invariance_residual(gens, seed=seed + 2)
 
 

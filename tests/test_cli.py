@@ -296,13 +296,49 @@ class TestPlumbing:
             ("classify", "--group", "c2c2"),
             ("classify", "--group", "a4", "--tau-re", "0.5", "--tau-im", repr(HEX)),
             ("constants", "--group", "c2c2"),
+            ("constants", "--group", "rot", "--order", "2"),
         ],
-        ids=["rot", "c2c2", "a4", "constants-c2c2"],
+        ids=["rot", "c2c2", "a4", "constants-c2c2", "constants-rot"],
     )
     def test_torsion_the_group_cannot_take(self, capsys, argv):
         rc, out, err = run(capsys, *argv, "--torsion", "1/0/2")
         assert rc == 2 and out == ""
         assert "takes no torsion shift" in err
+
+    @pytest.mark.parametrize(
+        "group", [("--group", "a4"), ("--group", "rot", "--order", "3")], ids=["a4", "rot3"]
+    )
+    def test_constants_group_the_lattice_cannot_carry(self, capsys, group):
+        # the square lattice has no order-3 rotation: constants builds its
+        # group as classify does, before it reports anything
+        rc, out, err = run(capsys, "constants", *group, "--tau-im", "1")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and "needs a hexagonal-class lattice" in err
+
+    @pytest.mark.parametrize("char_j", ["3", "0"])
+    def test_constants_character_vanishing_mod_the_order(self, capsys, char_j):
+        # a domain error of the fit, not a fit that failed: exit 2, no report
+        rc, out, err = run(capsys, "constants", "--group", "cn", "--order", "3", "--char-j", char_j)
+        assert (rc, out) == (2, "")
+        assert err == "error: k must not vanish mod the group order\n"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("eval", "--tau-re"), ("eval", "--tau-im"), ("eval", "--z-re"), ("eval", "--z-im"),
+         ("verify", "--tol"), ("verify", "--perturb-f")],
+    )
+    def test_non_finite_float_is_a_usage_error(self, capsys, command, flag, value):
+        # "--flag=-inf": argparse reads a bare "-inf" as an option
+        argv = [command, "--group", "cn", "--order", "3", f"{flag}={value}"]
+        if flag == "--tol":  # would pass the negative control at an infinite tolerance
+            argv += ["--perturb-f", "0.5"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument {flag}: '{value}' is not a finite number" in out.err
 
     @pytest.mark.parametrize(
         "argv", [("constants", "--tau-im", "114"), ("classify", "--tau-im", "1e-3")],
@@ -317,13 +353,6 @@ class TestPlumbing:
         with pytest.raises(SystemExit):
             main(["classify", "--torsion", "1/2"])
 
-    def test_trunc_only_on_constants(self, capsys):
-        rc, out, _ = run(capsys, "constants", "--trunc", "5", "--json")
-        assert rc == 0 and json.loads(out)["command"] == "constants"
-        with pytest.raises(SystemExit) as exc:
-            main(["classify", "--trunc", "5"])
-        assert exc.value.code == 2
-
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         rc, out, _ = run(
@@ -333,11 +362,6 @@ class TestPlumbing:
         assert rc == 0 and out == ""
         doc = json.loads(target.read_text())
         assert abs(complex(*doc["j"]) - 1728) < 1e-6
-
-    def test_env_var_tolerance(self, capsys, monkeypatch):
-        monkeypatch.setenv("TORUSLIE_TOL", "1e-20")
-        rc, _, _ = run(capsys, "verify", "--group", "cn", "--order", "3")
-        assert rc == 1  # unattainable default pulled from the environment
 
     def test_eval_reports_bracket_residual(self, capsys):
         rc, out, _ = run(
@@ -356,11 +380,12 @@ EMBEDDING = {"--group", "--order", "--torsion", "--char-j"}
 READS = {
     "catalog": COMMON,
     "classify": COMMON | EMBEDDING | {"--seed"},
-    "constants": COMMON | EMBEDDING | {"--tol", "--seed", "--trunc"},
+    "constants": COMMON | EMBEDDING | {"--tol", "--seed"},
     "eval": COMMON | EMBEDDING | {"--z-re", "--z-im"},
     "verify": COMMON | EMBEDDING | {"--tol", "--samples", "--seed", "--perturb-f"},
 }
-#: a value for every flag, each a default or close to one
+#: a value for every flag, each a default or close to one; --trunc, which
+#: no command reads any more, stays to check that every command rejects it
 VALUES = {
     "--tau-re": ["0"], "--tau-im": ["1"], "--json": [], "--out": None,
     "--group": ["cn"], "--order": ["3"], "--torsion": ["1/0/2"], "--char-j": ["1"],
@@ -420,6 +445,7 @@ class TestFlags:
     def test_readme_flag_table_equals_the_commands(self):
         cli_module = importlib.import_module("toruslie.cli")
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        readme = readme.split("\n## Command line\n")[1].split("\n## ")[0]
         header = re.search(r"^\| command +\| flags besides (.*)\|$", readme, flags=re.M)
         assert set(re.findall(r"--[a-z-]+", header.group(1))) == cli_module._COMMON
         rows = re.findall(r"^\| `(\w+)` +\|(.*)\|$", readme, flags=re.M)

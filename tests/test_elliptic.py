@@ -13,7 +13,6 @@ from toruslie.elliptic import (
     scale_check,
     wp,
     wp_both,
-    wp_prime,
 )
 from toruslie.lattice import HEX_TAU, Lattice, torus_reduce_centered
 
@@ -190,7 +189,7 @@ class TestWeierstrass:
     def test_parity(self, lat):
         z = sample_cell(lat.tau, 50, 8)
         assert np.max(np.abs(wp(z, lat) - wp(-z, lat))) < 1e-9
-        assert np.max(np.abs(wp_prime(z, lat) + wp_prime(-z, lat))) < 1e-9
+        assert np.max(np.abs(wp_both(z, lat)[1] + wp_both(-z, lat)[1])) < 1e-9
 
     @pytest.mark.parametrize("lat", LATTICES, ids=["square", "hex", "generic"])
     def test_double_periodicity(self, lat):
@@ -214,13 +213,13 @@ class TestWeierstrass:
         w6 = np.exp(1j * np.pi / 3)
         z = sample_cell(HEX_TAU, 30, 11)
         assert np.max(np.abs(wp(z / w6, lat) - w6 ** 2 * wp(z, lat))) < 1e-9
-        assert np.max(np.abs(wp_prime(z / w6, lat) + wp_prime(z, lat))) < 1e-9
+        assert np.max(np.abs(wp_both(z / w6, lat)[1] + wp_both(z, lat)[1])) < 1e-9
 
     @pytest.mark.parametrize("lat", LATTICES, ids=["square", "hex", "generic"])
     def test_derivative_vanishes_at_half_periods(self, lat):
         tau = lat.tau
         for h in (0.5, tau / 2, (1 + tau) / 2):
-            assert abs(wp_prime(h, lat)) < 1e-8
+            assert abs(wp_both(h, lat)[1]) < 1e-8
 
     def test_any_input_shape(self):
         lat = Lattice(1j)
@@ -371,6 +370,22 @@ def _old_n_terms(qabs):
     return int(min(600, max(10, np.ceil(2.0 * np.log(1e-28) / np.log(qabs)))))
 
 
+def _cell_sums(cell, k_terms):
+    """s1, g2, g3, the discriminant and the split coefficients of a cell, as
+    _cell sums them, over a series of k_terms terms."""
+    q = cell.q
+    ks = np.arange(1, k_terms + 1, dtype=float)
+    qk = q ** ks
+    denom = 1.0 - qk
+    lam = ks * qk / denom
+    e4 = 1.0 + 240.0 * complex(np.sum(ks ** 2 * lam))
+    e6 = 1.0 - 504.0 * complex(np.sum(ks ** 4 * lam))
+    discr = (2.0 * np.pi) ** 12 * complex(q) * complex(np.prod(denom)) ** 24
+    g2, g3 = (4.0 * np.pi ** 4 / 3.0) * e4, (8.0 * np.pi ** 6 / 27.0) * e6
+    coef = np.stack((lam, ks * lam), axis=1)[: elliptic._split_terms(abs(q))]
+    return (complex(np.sum(lam)), g2, g3, discr), coef
+
+
 TALL_TAUS = [2j, 3j, 4j, 5j, 0.5 + 4.5j, -0.3 + 3.7j]
 
 
@@ -399,7 +414,7 @@ class TestSeriesCut:
         taus = (HEX_TAU, 1j, 3.5j)
         assert [len(elliptic._cell(t).coef) for t in taus] == [5, 4, 1]
         # s1, g2, g3 and the discriminant keep the longer sums
-        assert [elliptic._n_terms(abs(elliptic._cell(t).q), None) for t in taus] == [16, 14, 4]
+        assert [elliptic._n_terms(abs(elliptic._cell(t).q)) for t in taus] == [16, 14, 4]
 
     def test_invariants_equal_the_longer_series(self):
         # the terms the cut drops are below the last bit of s1, g2, g3 and
@@ -411,11 +426,14 @@ class TestSeriesCut:
         ]
         for tau in taus:
             cell = elliptic._cell(tau)
+            k = elliptic._n_terms(abs(cell.q))
             k_old = _old_n_terms(abs(cell.q))
-            ref = elliptic._cell(tau, k_old)
-            assert k_old > elliptic._n_terms(abs(cell.q), None)
-            assert (cell.s1, cell.g2r, cell.g3r, cell.discr) == (ref.s1, ref.g2r, ref.g3r, ref.discr)
-            assert cell.coef.tobytes() == ref.coef.tobytes()
+            assert k_old > k
+            # the sums written out reproduce the cell at its own count
+            assert _cell_sums(cell, k)[0] == (cell.s1, cell.g2r, cell.g3r, cell.discr)
+            sums, coef = _cell_sums(cell, k_old)
+            assert (cell.s1, cell.g2r, cell.g3r, cell.discr) == sums
+            assert cell.coef.tobytes() == coef.tobytes()
 
 
 # The split series written out of place, the bit-for-bit reference of the
@@ -457,7 +475,7 @@ def _ref_wp_series(zc, cell):
 
 
 def _ref_wp_both(z, lattice, series=_ref_wp_series):
-    cell = elliptic._cell(lattice.tau, None)
+    cell = elliptic._cell(lattice.tau)
     zz = np.asarray(z, dtype=complex)
     zc = torus_reduce_centered(zz.reshape(-1) / cell.m, cell.tau_r)
     wpv, wppv = series(zc, cell)
@@ -473,7 +491,7 @@ def _ref_wp_both(z, lattice, series=_ref_wp_series):
 
 
 def _unsplit_wp_series(zc, cell):
-    ks = np.arange(1, elliptic._n_terms(abs(cell.q), None) + 1, dtype=float)
+    ks = np.arange(1, elliptic._n_terms(abs(cell.q)) + 1, dtype=float)
     w = ks / (1.0 - cell.q ** ks)
     dist = np.abs(zc)
     pole = dist < elliptic.POLE_EPS

@@ -82,7 +82,7 @@ class TestPhi:
         z = probe(m, 20, 6)
         for zz in z[:10]:
             lhs = ad(m(r.apply(zz)))
-            rhs = rep.mats[r] @ ad(m(zz))
+            rhs = rep[emb.elements.index(r)] @ ad(m(zz))
             assert np.max(np.abs(lhs - rhs)) < 1e-7
 
     def test_invalid_character_rejected(self):
@@ -129,7 +129,7 @@ class TestCheckIntertwining:
             (),
             (3, 3),
         )
-        res = check_intertwining(ident, rep.mats, rep.mats, emb, 20)
+        res = check_intertwining(ident, rep, rep, emb, 20)
         assert res < 1e-12
 
     def test_phi_intertwines_cyclic_action(self):
@@ -140,7 +140,7 @@ class TestCheckIntertwining:
         from toruslie.sl2rep import cyclic_labels
 
         labels = cyclic_labels(emb)
-        rho = {g: np.diag([w ** k, w ** -k]).astype(complex) for g, k in labels.items()}
+        rho = np.array([np.diag([w ** k, w ** -k]) for k in labels], dtype=complex)
         res = check_intertwining(m, rho, None, emb, 30)
         assert res < 1e-8
 
@@ -162,7 +162,7 @@ class TestCheckIntertwining:
         from toruslie.sl2rep import cyclic_labels
 
         labels = cyclic_labels(emb)
-        rho = {g: np.diag([w ** k, w ** -k]).astype(complex) for g, k in labels.items()}
+        rho = np.array([np.diag([w ** k, w ** -k]) for k in labels], dtype=complex)
         res = check_intertwining(mbad, rho, None, emb, 30)
         assert res > 0.1
 
@@ -179,7 +179,7 @@ class TestPsi:
         emb = c2c2_translation(lat)
         rep = standard_rep(emb)
         m = psi(emb)
-        res = check_intertwining(m, rep.mats, None, emb, 40)
+        res = check_intertwining(m, rep, None, emb, 40)
         assert res < 1e-8
 
     def test_entries_bounded_off_divisor(self):
@@ -194,7 +194,7 @@ class TestPsi:
         s = emb.generators[0]
         z = probe(m, 40, 10)
         h_col = m(z)[..., :, 0]
-        lhs = np.einsum("ab,zb->za", rep.mats[s], h_col)
+        lhs = np.einsum("ab,zb->za", rep[emb.elements.index(s)], h_col)
         rhs = m(s.apply(z))[..., :, 0]
         assert np.max(np.abs(lhs - rhs)) < 1e-8
 

@@ -22,7 +22,6 @@ from toruslie.torusgroup import (
     cl_rotation,
     cn_translation,
     dn_group,
-    inverse,
 )
 
 GENERIC = complex(0.31, 1.07)
@@ -217,9 +216,10 @@ class TestStructurePolynomial:
 
         def project(chi):
             # (1/|G|) sum conj(chi(g)) wp(g^-1 z) with chi(r^k) = w^(chi k)
+            els, inv = emb.elements, emb.inverse_index
             return sum(
-                np.conj(w ** (chi * k)) * wp_both(inverse(g).apply(z), slat)[0]
-                for g, k in cyclic_labels(emb).items()
+                np.conj(w ** (chi * k)) * wp_both(els[inv[g]].apply(z), slat)[0]
+                for g, k in enumerate(cyclic_labels(emb))
             ) / 3
 
         # e-factor wp sits in chi_2 = chi_{l-1}; untouched by that projector
@@ -324,13 +324,14 @@ class TestNonCanonicalBases:
         # always picks up w^2 under s (the normal form pairs it with wp^2)
         emb = a4_group(Lattice(tau))
         s = emb.generators[0]
-        rho_s = standard_rep(emb).mats[s]
+        k = emb.elements.index(s)
+        rho_s = standard_rep(emb)[k]
         m = psi(emb)
         z = sample_points(m.lattice, 6, np.random.default_rng(0), avoid=m.poles, margin=0.15)
         at_z = m(z)
         h_moved = np.einsum("ab,zb->za", rho_s, at_z[..., :, 0])
         assert np.max(np.abs(h_moved - m(s.apply(z))[..., :, 0])) < 1e-8
-        pulled = np.einsum("ab,zbc->zac", rho_s, m(inverse(s).apply(z)))
+        pulled = np.einsum("ab,zbc->zac", rho_s, m(emb.elements[emb.inverse_index[k]].apply(z)))
         scale = max(1.0, float(np.max(np.abs(at_z))))
         assert np.max(np.abs(pulled[..., :, 1] - W3 ** 2 * at_z[..., :, 1])) < 1e-6 * scale
         assert np.max(np.abs(pulled[..., :, 2] - W3 * at_z[..., :, 2])) < 1e-6 * scale

@@ -88,22 +88,21 @@ class TestStandardRep:
     def test_c2c2_action(self):
         emb = c2c2_translation(L_GEN)
         rep = standard_rep(emb)
-        r1, r2 = emb.generators
+        r1, r2 = (emb.elements.index(g) for g in emb.generators)
         # r1 fixes h and negates e, f
-        assert np.allclose(rep.mats[r1], np.diag([1, -1, -1]))
-        assert np.allclose(rep.mats[r2], [[-1, 0, 0], [0, 0, -1], [0, -1, 0]])
+        assert np.allclose(rep[r1], np.diag([1, -1, -1]))
+        assert np.allclose(rep[r2], [[-1, 0, 0], [0, 0, -1], [0, -1, 0]])
 
     def test_c3_rotation_diag(self):
         emb = cl_rotation(L_HEX, 3)
         rep = standard_rep(emb)
-        s = emb.generators[0]
-        assert np.allclose(rep.mats[s], np.diag([1, W3, W3 ** -1]))
+        s = emb.elements.index(emb.generators[0])
+        assert np.allclose(rep[s], np.diag([1, W3, W3 ** -1]))
 
     def test_a4_generator_cubes_to_identity(self):
         emb = a4_group(L_HEX)
         rep = standard_rep(emb)
-        s = emb.generators[0]
-        u = rep.mats[s]
+        u = rep[emb.elements.index(emb.generators[0])]
         assert np.max(np.abs(u @ u @ u - np.eye(3))) < 1e-10
         # quoted matrix of the order-3 generator over (h, e, f)
         expect = 0.5 * np.array([[0, -1j, 1j], [2, 1j, 1j], [2, -1j, -1j]])
@@ -113,26 +112,29 @@ class TestStandardRep:
         for lat in (L_SQ, L_HEX, L_GEN):
             for emb in catalog(lat):
                 rep = standard_rep(emb)
+                assert rep.shape == (emb.order, 3, 3)
                 # faithful: only the identity acts trivially
-                for g in emb.elements:
-                    assert g.is_identity or np.max(np.abs(rep.mats[g] - np.eye(3))) > 1e-10
+                for g, m in zip(emb.elements, rep):
+                    assert g.is_identity or np.max(np.abs(m - np.eye(3))) > 1e-10
                 # homomorphic on the generator table: rho(s g) = rho(s) rho(g)
                 for s, row in zip(emb.generators, emb.table):
-                    for g, k in zip(emb.elements, row):
-                        lhs = rep.mats[emb.elements[k]]
-                        rhs = rep.mats[s] @ rep.mats[g]
+                    for g, k in enumerate(row):
+                        lhs = rep[k]
+                        rhs = rep[emb.elements.index(s)] @ rep[g]
                         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_dihedral_flip(self):
         emb = dn_group(L_GEN, 3)
         rep = standard_rep(emb)
-        s = emb.generators[0]
+        s = emb.elements.index(emb.generators[0])
         # conjugation by the antidiagonal flip: (h, e, f) -> (-h, f, e)
-        assert np.allclose(rep.mats[s], [[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
+        assert np.allclose(rep[s], [[-1, 0, 0], [0, 0, 1], [0, 1, 0]])
 
     def test_non_coprime_character_rejected(self):
-        with pytest.raises(ValueError):
-            standard_rep(cn_translation(L_GEN, 4), 2)
+        # one check, with one message, for the three cyclic kinds
+        for emb in (cn_translation(L_GEN, 4), cl_rotation(L_SQ, 4), dn_group(L_GEN, 4)):
+            with pytest.raises(ValueError, match="character index 2 is not coprime to 4"):
+                standard_rep(emb, 2)
 
     def test_images_violating_the_relations_rejected(self):
         # an order-3 image for the half-period translation r2: every
@@ -152,9 +154,7 @@ class TestIsotypical:
         w = np.exp(2j * np.pi / 5)
         total = np.zeros((3, 3), dtype=complex)
         for j in range(5):
-            proj = sum(
-                np.conj(w ** (j * k)) * rep.mats[g] for g, k in labels.items()
-            ) / 5
+            proj = sum(np.conj(w ** (j * k)) * rep[g] for g, k in enumerate(labels)) / 5
             assert np.max(np.abs(proj @ proj - proj)) < 1e-10
             total += proj
         assert np.max(np.abs(total - np.eye(3))) < 1e-10
