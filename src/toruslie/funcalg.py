@@ -11,7 +11,8 @@ wp'/(wp - wp(alpha)) attached to a cyclic translation group (simple poles
 on the orbit of the origin, residue -2 + 2 cos(2 pi j / N) at the origin),
 the linear relation P_2j P_-j^2 - P_-2j P_j^2 = lam * P_-k P_k + mu fitted
 numerically, the quartet of odd half-period functions built from 1/wp',
-and the half-period constants entering the 3x3 intertwiner.
+and the half-period constants entering the 3x3 intertwiner.  p0, p1 and
+p2 are the rows of one stack from one 1/wp' evaluation, which psi reads.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ DEFAULT_MARGIN = 0.05
 FIT_TOL = 1e-6
 #: sample draws of the lambda/mu fit before it gives up
 FIT_RETRIES = 8
+#: held-out points of each lambda/mu draw
+FIT_HOLDOUT = 20
 #: trapezoidal nodes of residue_at's contour
 RESIDUE_NODES = 128
 
@@ -123,11 +126,11 @@ def _shifted(z: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 def _last_points_memo(fn):
     """fn remembering its value at the last point array it was called on.
 
-    Evaluators that run in turn on the same points (the three generators
-    of a triple, the three half-period functions of Psi) share one such
-    base evaluation.  The key is the array's dtype, shape and bytes, never
-    its identity, so a reused buffer with new contents misses.  Callers
-    must not write into the returned value.
+    The three generators of a normal-form triple run in turn on the same
+    points and share one such evaluation of their frame.  The key is the
+    array's dtype, shape and bytes, never its identity, so a reused buffer
+    with new contents misses.  Callers must not write into the returned
+    value.
     """
     last_key = None
     last_value = None
@@ -271,25 +274,17 @@ def p_system(emb: GroupEmbedding) -> PSystem:
 
 
 def fit_lambda_mu(
-    emb: GroupEmbedding,
-    j: int,
-    k: int | None = None,
-    *,
-    seed: int = 0,
-    tol: float = 1e-7,
-    n_holdout: int = 20,
+    emb: GroupEmbedding | PSystem, j: int, k: int | None = None, *, seed: int = 0, tol: float = 1e-7
 ):
     """Constants (lam, mu) with P_2j P_-j^2 - P_-2j P_j^2 = lam P_-k P_k + mu.
 
-    Two-point linear solve plus held-out validation; ill-conditioned draws
+    The P_j are those of p_system(emb), or of emb itself when it is a
+    PSystem (phi's, on the index-two cover at even orders).  Two-point
+    linear solve plus FIT_HOLDOUT held-out points; ill-conditioned draws
     are resampled up to FIT_RETRIES draws.  When N >= 3, k = +-j and
     2j != 0 mod N the constant mu is asserted nonzero.
     """
-    ps = p_system(emb)
-    return _fit_lambda_mu_ps(ps, j, k, seed=seed, tol=tol, n_holdout=n_holdout)
-
-
-def _fit_lambda_mu_ps(ps: PSystem, j, k=None, *, seed=0, tol=1e-7, n_holdout=20):
+    ps = emb if isinstance(emb, PSystem) else p_system(emb)
     n = ps.n
     if k is None:
         k = j
@@ -309,7 +304,7 @@ def _fit_lambda_mu_ps(ps: PSystem, j, k=None, *, seed=0, tol=1e-7, n_holdout=20)
 
     last_res = np.inf
     for _ in range(FIT_RETRIES):
-        z = sample_points(ps.lattice, 2 + n_holdout, rng, avoid=ps.orbit, margin=0.08)
+        z = sample_points(ps.lattice, 2 + FIT_HOLDOUT, rng, avoid=ps.orbit, margin=0.08)
         lhs, basis = lhs_rhs(z)
         det = basis[0] - basis[1]
         scale = max(1.0, float(np.max(np.abs(basis[:2]))))
@@ -368,40 +363,36 @@ def _half_periods(emb: GroupEmbedding) -> tuple[complex, complex]:
     return complex(r1.shift.to_complex(emb.tau)), complex(r2.shift.to_complex(emb.tau))
 
 
+#: the signs of (p0, p1, p2) over the shifts (0, s1, s2, s1 + s2)
+_P_SIGNS = np.array([[1.0, -1.0, -1.0, 1.0], [1.0, -1.0, 1.0, -1.0], [1.0, 1.0, -1.0, -1.0]])
+
+
+def _p_stack(emb: GroupEmbedding) -> tuple:
+    """(fn, poles): z -> the (3, n) stack (p0, p1, p2)(z), from one 1/wp'
+    evaluation at the four half-period shifts; psi reads it directly."""
+    s1, s2 = _half_periods(emb)
+    shifts = np.array([0.0, s1, s2, s1 + s2])
+    poles = tuple(complex(torus_reduce_centered(s, emb.tau)) for s in shifts)
+
+    def fn(z):
+        inv_wpp = 1.0 / wp_both(_shifted(z, shifts), emb.lattice)[1]
+        out = np.zeros((3,) + z.shape, dtype=complex)
+        for c, row in zip(_P_SIGNS.T, inv_wpp):
+            out += c[:, None] * row
+        return out
+
+    return fn, poles
+
+
 def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFunction]:
-    """(p0, p1, p2): signed half-period averages of 1/wp'.
+    """(p0, p1, p2): signed half-period averages of 1/wp', rows of _p_stack.
 
     p2 is even under the first Klein generator and odd under the second,
     p1 the reverse, p0 odd under both; all three are odd in z with simple
     poles on the four half-period points.
     """
-    s1, s2 = _half_periods(emb)
-    shifts = np.array([0.0, s1, s2, s1 + s2])
-    signs = {
-        "p2": (1.0, 1.0, -1.0, -1.0),
-        "p1": (1.0, -1.0, 1.0, -1.0),
-        "p0": (1.0, -1.0, -1.0, 1.0),
-    }
-    poles = tuple(
-        complex(torus_reduce_centered(s, emb.tau)) for s in shifts
-    )
-
-    # p0, p1 and p2 are evaluated together (by psi) on the same points:
-    # one wp' evaluation at the four shifts serves all three
-    inv_wpp = _last_points_memo(
-        lambda z: 1.0 / wp_both(_shifted(z, shifts), emb.lattice)[1]
-    )
-
-    def make(sgn):
-        def fn(z):
-            acc = np.zeros_like(z, dtype=complex)
-            for c, row in zip(sgn, inv_wpp(z)):
-                acc += c * row
-            return acc
-
-        return fn
-
-    return tuple(TorusFunction(make(signs[name]), emb.lattice, poles) for name in ("p0", "p1", "p2"))
+    fn, poles = _p_stack(emb)
+    return tuple(TorusFunction(lambda z, k=k: fn(z)[k], emb.lattice, poles) for k in range(3))
 
 
 @dataclass(frozen=True)

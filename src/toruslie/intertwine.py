@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .funcalg import (
-    PSystem, TorusFunction, _fit_lambda_mu_ps, c2c2_constants_for, p_small, p_system, sample_points,
+    PSystem, TorusFunction, _p_stack, c2c2_constants_for, fit_lambda_mu, p_system, sample_points,
 )
 from .lattice import Lattice
 from .torusgroup import GroupEmbedding, UnsupportedEmbeddingError
@@ -85,7 +85,7 @@ def phi(emb: GroupEmbedding, j: int = 1) -> TorusFunction:
     ps, m = _psystem_for(emb)
     if (2 * j) % m == 0:
         raise ValueError(f"character index {j} has 2j = 0 mod {m}: the corner column degenerates")
-    lam, mu = _fit_lambda_mu_ps(ps, j, j)
+    lam, mu = fit_lambda_mu(ps, j, j)
     js = (j % m, (-j) % m, (2 * j) % m, (-2 * j) % m)
 
     def fn(z):
@@ -110,13 +110,13 @@ def phi(emb: GroupEmbedding, j: int = 1) -> TorusFunction:
     )
 
 
-def _psi_fn(p0, p1, p2, cc):
+def _psi_fn(stack, cc):
     k = cc.sqrt_a2b2
     a1a, b1b = cc.A1 / cc.alpha1, cc.B1 / cc.beta1
     A1, B1 = cc.A1, cc.B1
 
     def fn(z):
-        v0, v1, v2 = p0.fn(z), p1.fn(z), p2.fn(z)
+        v0, v1, v2 = stack(z)
         tp = v0 * v1 + k
         tm = v0 * v1 - k
         out = np.empty(z.shape + (3, 3), dtype=complex)
@@ -147,10 +147,10 @@ def psi(emb: GroupEmbedding) -> TorusFunction:
     """
     if emb.kind not in ("C2xC2_translation", "A4"):
         raise ValueError("psi is attached to the Klein translation group")
-    p0, p1, p2 = p_small(emb)
+    stack, poles = _p_stack(emb)
     cc = c2c2_constants_for(emb)
     return TorusFunction(
-        _psi_fn(p0, p1, p2, cc), p0.lattice, p0.poles, (3, 3),
+        _psi_fn(stack, cc), emb.lattice, poles, (3, 3),
         meta={"constants": cc, "kind": "psi"},
     )
 

@@ -67,6 +67,16 @@ class Lattice:
         object.__setattr__(self, "scale", scale)
 
 
+def _reduce_torsion(a: int, b: int, n: int) -> tuple[int, int, int]:
+    """(a + b*tau)/n as (a, b, n) with 0 <= a, b < n and gcd(a, b, n) = 1."""
+    if n < 1:
+        raise ValueError("torsion denominator must be >= 1")
+    a %= n
+    b %= n
+    g = gcd(a, b, n)
+    return a // g, b // g, n // g
+
+
 @dataclass(frozen=True)
 class TorsionPoint:
     """The point (a + b*tau)/n modulo the lattice, stored gcd-reduced.
@@ -80,13 +90,7 @@ class TorsionPoint:
     n: int
 
     def __post_init__(self):
-        a, b, n = int(self.a), int(self.b), int(self.n)
-        if n < 1:
-            raise ValueError("torsion denominator must be >= 1")
-        a %= n
-        b %= n
-        g = gcd(gcd(a, b), n)
-        a, b, n = a // g, b // g, n // g
+        a, b, n = _reduce_torsion(int(self.a), int(self.b), int(self.n))
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "n", n)

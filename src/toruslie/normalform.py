@@ -20,6 +20,14 @@ ad(Phi) or Psi), the ring variable, the structure bound, the bracket
 sampling margin and the factors of e and f.  The factors live on the
 lattice of T / t(Gamma), which for rotations is the lattice itself.
 
+Each triple has one frame, z -> (n, 3, 2, 2): the constant (h, e, f),
+or from_coeffs of the columns of ad(Phi) or of Psi.  The frame and, where
+the row has factors, (wp, wp') of the ring lattice are evaluated once per
+point array under one memo; E, F and H are its columns times their
+factors.  They stay three evaluators because a wrapper set on E.fn, F.fn
+or H.fn after normal_form (a tracer's span, verify's --perturb-f scaling
+of F) must see every evaluation the checks make.
+
 The order-4 pairing puts wp' on the e-side: that is the character-correct
 match for the generator action e -> i e (the product of the two function
 factors must be the full invariant wp (wp')^2 either way, so the bracket
@@ -47,7 +55,7 @@ from .funcalg import (
     _last_points_memo, sample_points,
 )
 from .intertwine import phi, psi
-from .lattice import Lattice, shortest_period, torus_reduce_centered
+from .lattice import shortest_period, torus_reduce_centered
 from .sl2rep import B_E, B_F, B_H, ad, bracket, coeffs, from_coeffs, standard_rep
 from .torusgroup import GroupEmbedding
 
@@ -117,40 +125,10 @@ class GeneratorTriple:
     #: the Phi or Psi that E, F and H are built on, if any
     intertwiner: TorusFunction | None
     structure_poly: WPoly | None = None
-    #: z -> (wp, wp') of the ring lattice, evaluated once per point set,
-    #: when a factor of E or F is a function on that lattice; else None
+    #: z -> (wp, wp') of the ring lattice, from the evaluation that E, F
+    #: and H share, when a factor of E or F is a function on that lattice;
+    #: else None
     ring_wp: object = None
-
-
-def _const_mat(x: np.ndarray, lattice: Lattice, poles=()) -> TorusFunction:
-    def fn(z):
-        out = np.empty(z.shape + (2, 2), dtype=complex)
-        out[...] = x
-        return out
-
-    return TorusFunction(fn, lattice, poles, (2, 2))
-
-
-def _times(factor, frame: TorusFunction) -> TorusFunction:
-    """z -> factor(z) * frame(z) for a scalar-valued factor."""
-
-    def fn(z):
-        return factor(z)[..., None, None] * frame.fn(z)
-
-    return TorusFunction(fn, frame.lattice, frame.poles, (2, 2))
-
-
-def _columns(frame, like: TorusFunction) -> tuple:
-    """The columns (h, e, f images) of the 3x3 map frame as sl2-valued maps
-    on the lattice and poles of like; frame runs once per point set."""
-    memo = _last_points_memo(frame)
-
-    def column(c):
-        return TorusFunction(
-            lambda z: from_coeffs(memo(z)[..., :, c]), like.lattice, like.poles, (2, 2)
-        )
-
-    return tuple(column(c) for c in (0, 1, 2))
 
 
 def _orbit_points(emb: GroupEmbedding) -> tuple:
@@ -169,38 +147,46 @@ def _case(emb: GroupEmbedding) -> _Case:
 def normal_form(emb: GroupEmbedding, j: int = 1) -> GeneratorTriple:
     """Construct the invariant generator triple for a catalog embedding.
 
-    The frames come from the case's row of _CASES: constant, the columns
-    of ad(Phi) or the columns of Psi; E, F and H share that base, so
-    evaluated in turn on one point array the three of them evaluate it
-    once.  Where the row has factors of e and f, they are functions of wp
-    on the ring lattice T / t(Gamma) (for rotations the lattice itself);
-    that wp is the triple's ring_wp, so the ring values at those points
-    come from the same evaluation.
+    The frame and the factors of e and f come from the case's row of
+    _CASES.  Each call of E, F or H returns a fresh array; the triple's
+    ring_wp reads the (wp, wp') of the same evaluation.
     """
     rep = standard_rep(emb, j)
     case = _case(emb)
     orbit = _orbit_points(emb)
     intertwiner = None
-    ring_wp = None
-    if case.frames == "B" and j != 1:
+    if case.frames == "B" and j % emb.order_param != 1:
         raise ValueError("rotation normal forms are tabulated for character index 1")
     # the trivial translation has no Phi: its frames are constant too
     if case.frames == "B" or emb.order_param == 1:
-        xs = from_coeffs(_D1_FRAME.T) if emb.kind == "DN" else (B_H, B_E, B_F)
-        h, e, f = (_const_mat(x, emb.lattice, orbit) for x in xs)
-    elif case.frames == "phi":
-        intertwiner = phi(emb, j)
-        # ad divides by the computed det(Phi), which the fitted constants
-        # leave 1 only up to their noise: the frames stay an automorphism
-        h, e, f = _columns(lambda z: ad(intertwiner.fn(z)), intertwiner)
+        const = from_coeffs(_D1_FRAME.T) if emb.kind == "DN" else np.array((B_H, B_E, B_F))
+        frame = lambda z: const
+        lattice, poles = emb.lattice, orbit
     else:
-        intertwiner = psi(emb)
-        h, e, f = _columns(lambda z: intertwiner.fn(z), intertwiner)
+        intertwiner = phi(emb, j) if case.frames == "phi" else psi(emb)
+        # ad divides by the computed det(Phi), which the fitted constants
+        # leave 1 only up to their noise: the frames stay an automorphism.
+        # intertwiner.fn is looked up per call, so a wrapper set on it
+        # after normal_form sees every evaluation
+        conj = ad if case.frames == "phi" else np.asarray
+        frame = lambda z: from_coeffs(np.swapaxes(conj(intertwiner.fn(z)), -1, -2))
+        lattice, poles = intertwiner.lattice, intertwiner.poles
     ring_lattice = emb.quotient
-    if case.fe is not None:
-        ring_wp = _last_points_memo(lambda z: wp_both(z, ring_lattice))
-        e = _times(lambda z: case.fe(*ring_wp(z)), e)
-        f = _times(lambda z: case.ff(*ring_wp(z)), f)
+    memo = _last_points_memo(
+        lambda z: (frame(z), None if case.fe is None else wp_both(z, ring_lattice))
+    )
+
+    def column(c, factor):
+        def fn(z):
+            frames, wp = memo(z)
+            if factor is None:
+                return np.broadcast_to(frames[..., c, :, :], z.shape + (2, 2)).copy()
+            return factor(*wp)[..., None, None] * frames[..., c, :, :]
+
+        return TorusFunction(fn, lattice, poles, (2, 2))
+
+    h, e, f = column(0, None), column(1, case.fe), column(2, case.ff)
+    ring_wp = None if case.fe is None else (lambda z: memo(z)[1])
     ring = InvariantRing(ring_lattice, case.var)
     return GeneratorTriple(e, f, h, ring, emb, rep, orbit, case.bound, intertwiner, ring_wp=ring_wp)
 
@@ -252,7 +238,8 @@ def _preimages(gens: GeneratorTriple, z: np.ndarray) -> np.ndarray:
 
 
 def _frames(gens: GeneratorTriple, z: np.ndarray) -> tuple:
-    """(E, F, H) at z; their shared base is evaluated once."""
+    """(E, F, H) at z, through each generator's fn; their frame is
+    evaluated once."""
     return gens.E.fn(z), gens.F.fn(z), gens.H.fn(z)
 
 

@@ -154,11 +154,15 @@ def standard_rep(emb: GroupEmbedding, j: int = 1) -> np.ndarray:
     exp(2*pi*i*j'/N) as in the module docstring; D_N adds the antidiagonal
     flip; C2 x C2 is the quaternion double-cover action; A4 extends it by
     the order-3 element.  The character index j of the cyclic kinds must
-    be coprime to N.
+    be coprime to N and is reduced mod N first.
     """
     kind, n = emb.kind, emb.order_param
-    if kind in ("CN_translation", "Cl_rotation", "DN") and math.gcd(j, n) != 1:
-        raise ValueError(f"character index {j} is not coprime to {n}")
+    if kind in ("CN_translation", "Cl_rotation", "DN"):
+        if math.gcd(j, n) != 1:
+            raise ValueError(f"character index {j} is not coprime to {n}")
+        # the characters depend on j mod N alone; reducing first keeps the
+        # exponentials' rounding that of an index below N
+        j %= n
     if kind == "CN_translation":
         return _extend(emb, [_cyclic_eigen(n, j)])
     if kind == "Cl_rotation":

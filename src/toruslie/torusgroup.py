@@ -30,6 +30,7 @@ import numpy as np
 from .lattice import (
     Lattice,
     TorsionPoint,
+    _reduce_torsion,
     is_hexagonal_class,
     is_square_class,
     sublattice_vectors,
@@ -96,14 +97,6 @@ def mult_matrix(num: int, den: int, tau: complex) -> IntMat:
     return ((p, r), (q, s))
 
 
-def _point(a: int, b: int, n: int) -> Point:
-    """(a + b*tau)/n with 0 <= a, b < n and gcd(a, b, n) = 1."""
-    a %= n
-    b %= n
-    g = gcd(a, b, n)
-    return a // g, b // g, n // g
-
-
 def _rot(num: int, den: int) -> tuple[int, int]:
     """The rotation index num/den reduced into [0, 1), 0 as 0/1."""
     num %= den
@@ -118,7 +111,7 @@ def _act(m: IntMat, a: int, b: int, n: int, shift: Point) -> Point:
     sa, sb, sn = shift
     d = lcm(n, sn)
     u, v = d // n, d // sn
-    return _point((p * a + q * b) * u + sa * v, (r * a + s * b) * u + sb * v, d)
+    return _reduce_torsion((p * a + q * b) * u + sa * v, (r * a + s * b) * u + sb * v, d)
 
 
 def _product(g: Key, m: IntMat, h: Key) -> Key:
@@ -397,7 +390,7 @@ def _fixed(m: IntMat, shift: Point) -> set[Point]:
     for k1 in range(d1):
         for k2 in range(det // d1):
             x, y = k1 * n - sa, k2 * n - sb
-            sols.add(_point(a22 * x - a12 * y, a11 * y - a21 * x, det * n))
+            sols.add(_reduce_torsion(a22 * x - a12 * y, a11 * y - a21 * x, det * n))
     assert len(sols) == det
     return sols
 

@@ -137,7 +137,7 @@ def test_criterion_05_lambda_mu():
     details = []
     for n, j, k in ((5, 1, 1), (5, 2, 2), (4, 1, 1), (3, 1, 1), (6, 1, 1)):
         emb = cn_translation(GEN, n)
-        lam, mu = fit_lambda_mu(emb, j, k, tol=1e-7, n_holdout=20)
+        lam, mu = fit_lambda_mu(emb, j, k, tol=1e-7)
         ps = p_system(emb)
         rng = np.random.default_rng(200 + n)
         z = sample_points(ps.lattice, 20, rng, avoid=ps.orbit, margin=0.1)

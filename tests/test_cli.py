@@ -155,9 +155,9 @@ class TestEval:
         # E, F and H are built on the lambda/mu fit of normal_form; the
         # reported Phi is that map, from that single fit
         fits = []
-        fit = intertwine._fit_lambda_mu_ps
+        fit = intertwine.fit_lambda_mu
         monkeypatch.setattr(
-            intertwine, "_fit_lambda_mu_ps", lambda *a, **kw: fits.append(a) or fit(*a, **kw)
+            intertwine, "fit_lambda_mu", lambda *a, **kw: fits.append(a) or fit(*a, **kw)
         )
         rc, out, _ = run(capsys, "eval", "--group", "cn", "--order", "3", "--json")
         assert rc == 0
@@ -321,6 +321,32 @@ class TestPlumbing:
         rc, out, err = run(capsys, "constants", "--group", "cn", "--order", "3", "--char-j", char_j)
         assert (rc, out) == (2, "")
         assert err == "error: k must not vanish mod the group order\n"
+
+    @pytest.mark.parametrize("command", ["classify", "verify"])
+    @pytest.mark.parametrize(
+        "group, order, char_j, reduced",
+        [("cn", "3", 100000, 1), ("cn", "3", -1, 2), ("cn", "4", 9, 1), ("dn", "5", -2, 3),
+         ("rot", "4", 5, 1), ("rot", "2", -1, 1)],
+    )
+    def test_character_index_reduced_mod_the_order(
+        self, capsys, command, group, order, char_j, reduced
+    ):
+        # the report at j equals the one at j mod N but for config.char_j
+        docs = []
+        for j in (char_j, reduced):
+            rc, out, err = run(
+                capsys, command, "--group", group, "--order", order, "--char-j", str(j), "--json"
+            )
+            assert (rc, err) == (0, "")
+            doc = json.loads(out)
+            assert doc["config"].pop("char_j") == j
+            docs.append(doc)
+        assert docs[0] == docs[1]
+
+    def test_rotation_index_other_than_one_mod_the_order(self, capsys):
+        rc, out, err = run(capsys, "classify", "--group", "rot", "--order", "4", "--char-j", "7")
+        assert (rc, out) == (2, "")
+        assert err == "error: rotation normal forms are tabulated for character index 1\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize(

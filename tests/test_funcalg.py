@@ -11,6 +11,7 @@ from toruslie.funcalg import (
     _constants_from_e,
     _half_periods,
     _last_points_memo,
+    _p_stack,
     c2c2_constants,
     c2c2_constants_for,
     fit_in_ring,
@@ -31,7 +32,7 @@ from toruslie.lattice import (
     torus_reduce_centered,
 )
 from toruslie.intertwine import double_cover
-from toruslie.torusgroup import c2c2_translation, cn_translation, quotient_scaled
+from toruslie.torusgroup import a4_group, c2c2_translation, cn_translation, quotient_scaled
 
 GENERIC = complex(0.31, 1.07)
 L_GEN = Lattice(GENERIC)
@@ -359,6 +360,26 @@ class TestPSmall:
     def test_wrong_kind_rejected(self):
         with pytest.raises(ValueError):
             p_small(cn_translation(L_GEN, 2))
+
+    @pytest.mark.parametrize("make, lat", [(c2c2_translation, L_GEN), (a4_group, L_HEX)])
+    def test_rows_equal_the_per_function_sums(self, make, lat, monkeypatch, count_wp_calls):
+        # the reference: each p_k summed on its own, sign by sign, over
+        # 1/wp' at the shifts (0, s1, s2, s1 + s2)
+        emb = make(lat)
+        s1, s2 = _half_periods(emb)
+        rng = np.random.default_rng(16)
+        z = sample_points(lat, 25, rng, avoid=(0j, s1, s2, s1 + s2), margin=0.08)
+        inv = [1.0 / wp_both(z - s, lat)[1] for s in (0.0, s1, s2, s1 + s2)]
+        signs = ((1.0, -1.0, -1.0, 1.0), (1.0, -1.0, 1.0, -1.0), (1.0, 1.0, -1.0, -1.0))
+        fn, _ = _p_stack(emb)
+        calls = count_wp_calls(monkeypatch)
+        stack = fn(z)
+        assert len(calls) == 1
+        for row, p, sgn in zip(stack, p_small(emb), signs):
+            acc = np.zeros_like(z)
+            for c, v in zip(sgn, inv):
+                acc += c * v
+            assert row.tobytes() == acc.tobytes() == p.fn(z).tobytes()
 
 
 class TestC2C2Constants:

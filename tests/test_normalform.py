@@ -8,6 +8,7 @@ from toruslie.intertwine import psi
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, transport_torsion
 from toruslie.normalform import (
     abelianization_dim,
+    check_triple,
     invariance_residual,
     normal_form,
     structure_polynomial,
@@ -411,3 +412,78 @@ class TestAdPhiFrames:
         for got, want in ((gens.H.fn(z), h), (gens.E.fn(z), e), (gens.F.fn(z), f)):
             assert got.tobytes() == want.tobytes()
             assert np.all(np.trace(got, axis1=-2, axis2=-1) == 0)
+
+
+# every catalog case of the three lattices, the trivial C_1 and D_1 included
+CATALOG_CASES = [
+    emb for lat in LATTICES for emb in catalog(lat, orders=(1, 2, 3, 4, 5))
+]
+
+
+def _case_id(emb):
+    return f"{emb.kind}-{emb.order_param}-{emb.tau}"
+
+
+class TestOneFrameEvaluation:
+    """E, F and H are columns of one frame evaluation under one memo."""
+
+    @pytest.mark.parametrize("emb", CATALOG_CASES, ids=_case_id)
+    def test_one_frame_evaluation_per_point_array(self, emb, monkeypatch, count_wp_calls):
+        gens = normal_form(emb)
+        frame_calls = []
+        if gens.intertwiner is not None:
+            fn = gens.intertwiner.fn
+            gens.intertwiner.fn = lambda z: frame_calls.append(len(z)) or fn(z)
+        calls = count_wp_calls(monkeypatch)
+        z = probe_points(gens, 7, 5)
+        for m in (gens.E, gens.F, gens.H):
+            m.fn(z)
+        # one wp_both call for the intertwiner's frame, one for the ring's
+        # (wp, wp') where the row has factors of e and f
+        assert len(calls) == (gens.intertwiner is not None) + (gens.ring_wp is not None)
+        assert frame_calls == ([7] if gens.intertwiner is not None else [])
+        if gens.ring_wp is not None:
+            gens.ring_wp(z)
+        gens.H.fn(z.copy())
+        assert len(calls) == (gens.intertwiner is not None) + (gens.ring_wp is not None)
+
+    @pytest.mark.parametrize("emb", CATALOG_CASES, ids=_case_id)
+    def test_writing_into_a_result_changes_no_later_call(self, emb):
+        gens = normal_form(emb)
+        z = probe_points(gens, 5, 6)
+        ms = (gens.E, gens.F, gens.H)
+        before = [m.fn(z).tobytes() for m in ms]
+        for m in ms:
+            m.fn(z)[...] = np.nan
+        assert [m.fn(z).tobytes() for m in ms] == before
+
+    @pytest.mark.parametrize(
+        "emb",
+        [cn_translation(L_GEN, 3), dn_group(L_SQ, 4), cl_rotation(L_HEX, 6),
+         c2c2_translation(L_GEN), a4_group(L_HEX)],
+        ids=_case_id,
+    )
+    def test_wrapped_evaluators_see_every_evaluation(self, emb):
+        # bench/spans.py and verify --perturb-f wrap or replace E.fn, F.fn,
+        # H.fn and the intertwiner's fn after normal_form returns
+        gens = normal_form(emb)
+        seen = {}
+
+        def wrap(name, fn):
+            def wrapper(z):
+                seen.setdefault(name, []).append(len(z))
+                return fn(z)
+
+            return wrapper
+
+        for name in "EFH":
+            m = getattr(gens, name)
+            m.fn = wrap(name, m.fn)
+        if gens.intertwiner is not None:
+            gens.intertwiner.fn = wrap("intertwiner", gens.intertwiner.fn)
+        check_triple(gens, verify_samples=17)
+        n = seen["H"][0]
+        expect = {name: [n] for name in "EFH"}
+        if gens.intertwiner is not None:
+            expect["intertwiner"] = [n]
+        assert seen == expect
