@@ -7,10 +7,10 @@ twisted family parametrised by [tau] of T/t(Gamma).  No other branch
 counts occur; seeing one is an internal inconsistency.
 
 cross_validate rebuilds the normal form and checks that the independent
-routes agree: abelianisation dimension against branch count, the shape of
-the structure polynomial against the family, and the j-invariant of the
-reported class against the invariants that actually appear in the
-extracted polynomial.
+routes agree: the root count of the exact structure polynomial against
+the branch count, the degree of the fitted one against the exact one's,
+and the j-invariant of the reported class against the invariants that
+actually appear in the fitted polynomial.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .elliptic import invariants, j_invariant
 from .funcalg import FIT_TOL
 from .lattice import ModularClass, reduce_modular
 from .normalform import GeneratorTriple, abelianization_dim, check_triple, normal_form
+from .normalform import exact_structure_polynomial
 from .torusgroup import GroupEmbedding, branch_points
 
 __all__ = [
@@ -105,14 +106,6 @@ class CrossValidation:
     verify_invariance: float | None = field(default=None, compare=False, repr=False)
 
 
-def _poly_root_shape(kind: str, abel_dim: int, is_const: bool) -> bool:
-    if kind == "CurrentAlgebra":
-        return is_const and abel_dim == 0
-    if kind == "Onsager":
-        return abel_dim == 2
-    return abel_dim == 3
-
-
 def cross_validate(
     emb: GroupEmbedding, j: int = 1, *, seed: int = 0, verify_samples: int | None = None
 ) -> CrossValidation:
@@ -145,31 +138,15 @@ def cross_validate(
         "brackets": max(brackets["he"], brackets["hf"], brackets["ef"]) < BRACKET_TOL,
         "structure_fit": brackets.get("ef_fit", 0.0) < FIT_TOL,
         "invariance": inv_res < inv_floor,
+        # the exact p's root count against the branch points, and the
+        # fitted p's shape against the exact one's
+        "abel_matches_branch": abel == cls.branch_count,
+        "poly_shape": poly.degree() == exact_structure_polynomial(gens).degree(),
     }
 
     ring_inv = invariants(gens.ring.lattice)
     j_poly = None
     if cls.kind == "SFamily":
-        exact_gap = min(
-            abs(ring_inv.e1 - ring_inv.e2),
-            abs(ring_inv.e1 - ring_inv.e3),
-            abs(ring_inv.e2 - ring_inv.e3),
-        )
-        cluster_tol = 1e-6 * max(abs(ring_inv.e1), abs(ring_inv.e2), abs(ring_inv.e3))
-        resolvable = exact_gap > 3.0 * cluster_tol
-        if resolvable:
-            checks["abel_matches_branch"] = abel == cls.branch_count
-            checks["poly_shape"] = _poly_root_shape(cls.kind, abel, poly.is_constant())
-        else:
-            # roots closer than the clustering tolerance merge by design;
-            # distinctness is certified by the exact ring invariants instead
-            checks["abel_matches_branch"] = abel in (2, cls.branch_count)
-            checks["poly_shape"] = not poly.is_constant()
-            checks["ring_discriminant_nonzero"] = exact_gap > 0.0
-            notes.append(
-                "half-period gap below the root-clustering tolerance; "
-                "distinct roots certified via exact ring invariants"
-            )
         # the cubic extracted from the fit carries its own invariants; the
         # check degrades gracefully when the discriminant sits below the
         # fit's coefficient noise (tall quotient lattices, huge j)
@@ -194,11 +171,8 @@ def cross_validate(
                 "fitted-cubic discriminant below coefficient noise; "
                 "j comparison via the polynomial skipped"
             )
-    else:
-        checks["abel_matches_branch"] = abel == cls.branch_count
-        checks["poly_shape"] = _poly_root_shape(cls.kind, abel, poly.is_constant())
-        if cls.kind == "CurrentAlgebra":
-            j_poly = ring_inv.j
+    elif cls.kind == "CurrentAlgebra":
+        j_poly = ring_inv.j
 
     if cls.j_invariant is not None:
         # quotient class versus the lattice the invariant ring actually uses

@@ -108,11 +108,6 @@ class WPoly:
     def degree(self) -> tuple[int, int]:
         return len(_poly_trim(self.a, 1e-12)) - 1, len(_poly_trim(self.b, 1e-12)) - 1
 
-    def is_constant(self) -> bool:
-        a = _poly_trim(self.a, 1e-9)
-        b = _poly_trim(self.b, 1e-9)
-        return len(a) <= 1 and len(b) == 0
-
 
 # ---------------------------------------------------------------------------
 # numeric functions on the torus
@@ -389,10 +384,13 @@ def p_small(emb: GroupEmbedding) -> tuple[TorusFunction, TorusFunction, TorusFun
 
     p2 is even under the first Klein generator and odd under the second,
     p1 the reverse, p0 odd under both; all three are odd in z with simple
-    poles on the four half-period points.
+    poles on the four half-period points.  On one point array the three
+    read one evaluation of the stack.
     """
     fn, poles = _p_stack(emb)
-    return tuple(TorusFunction(lambda z, k=k: fn(z)[k], emb.lattice, poles) for k in range(3))
+    stack = _last_points_memo(fn)
+    row = lambda k: lambda z: stack(z)[k].copy()
+    return tuple(TorusFunction(row(k), emb.lattice, poles) for k in range(3))
 
 
 @dataclass(frozen=True)
@@ -503,7 +501,7 @@ def _fit_points(ring: InvariantRing, pole_bound: int, avoid, *, seed: int, margi
     return sample_points(ring.lattice, n_fit + n_hold, rng, avoid=avoid, margin=margin)
 
 
-def _fit_values(x, y, rhs: np.ndarray, ring: InvariantRing, pole_bound: int, tol: float) -> WPoly:
+def _fit_values(x, y, rhs: np.ndarray, ring: InvariantRing, pole_bound: int) -> WPoly:
     """The expansion of fit_in_ring from the ring's (x, y) and f at its rows."""
     da, db, n_fit, _ = _fit_shape(ring, pole_bound)
     # precondition: work in x/c with c the typical magnitude, so the
@@ -537,9 +535,9 @@ def _fit_values(x, y, rhs: np.ndarray, ring: InvariantRing, pole_bound: int, tol
         coeff[keep] = reduced
     resid = np.abs(design[n_fit:] @ coeff - rhs[n_fit:]) * w[n_fit:]
     rel = float(np.max(resid))
-    if rel > tol:
+    if rel > FIT_TOL:
         raise NotInRingError(
-            f"held-out residual {rel:.3g} exceeds {tol:.3g} for variable {ring.variable!r}"
+            f"held-out residual {rel:.3g} exceeds {FIT_TOL:.3g} for variable {ring.variable!r}"
         )
     a = tuple(coeff[i] / c ** i for i in range(da + 1))
     b = tuple(coeff[da + 1 + i] / c ** (1.5 + i) for i in range(db + 1)) if db >= 0 else ()
@@ -558,4 +556,4 @@ def fit_in_ring(f: TorusFunction, ring: InvariantRing, pole_bound: int) -> WPoly
     """
     z = _fit_points(ring, pole_bound, f.poles, seed=0, margin=0.12)
     x, y = ring.values(z)
-    return _fit_values(x, y, f(z), ring, pole_bound, FIT_TOL)
+    return _fit_values(x, y, f(z), ring, pole_bound)

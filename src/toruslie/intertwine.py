@@ -78,13 +78,16 @@ def phi(emb: GroupEmbedding, j: int = 1) -> TorusFunction:
 
     Requires 2j != 0 mod the twist order (P_j and P_2j must be nonzero).
     meta records the twist order M, the shift alpha, and lam, mu; the map
-    satisfies Phi(z + alpha) = diag(w_M^j, w_M^-j) Phi(z).
+    satisfies Phi(z + alpha) = diag(w_M^j, w_M^-j) Phi(z).  j counts mod
+    N, as in standard_rep (on the cover of an even N, j and j + N would
+    build different Phi for the same action).
     """
     if emb.kind not in ("CN_translation", "DN"):
         raise ValueError("phi is attached to cyclic translation data")
     ps, m = _psystem_for(emb)
     if (2 * j) % m == 0:
         raise ValueError(f"character index {j} has 2j = 0 mod {m}: the corner column degenerates")
+    j %= emb.order_param
     lam, mu = fit_lambda_mu(ps, j, j)
     js = (j % m, (-j) % m, (2 * j) % m, (-2 * j) % m)
 

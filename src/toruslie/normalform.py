@@ -3,17 +3,20 @@
 Each case produces three sl2-valued meromorphic maps, invariant under the
 combined action on the torus and on sl2, with constant bracket structure
 [H, E] = 2E, [H, F] = -2F and [E, F] = H tensor p for a polynomial p in
-the invariant ring of the case:
+the invariant ring of the case.  p = fe ff, the product of the factors
+of e and f, is exact in g2 and g3 of the ring lattice, in its ring
+variable x = wp, y = wp' or u = wp^2, wp^3 (_EXACT_P):
 
   cyclic translations   columns of ad(Phi_j),         p = 1
   order-2 rotation      (h, e wp', f wp'),            p = 4x^3 - g2 x - g3
-  order-3 rotation      (h, e wp, f wp^2),            p in C[wp']
-  order-4 rotation      (h, e wp', f wp wp'),         p in C[wp^2]
-  order-6 rotation      (h, e wp wp', f wp^2 wp'),    p in C[wp^3]
-  dihedral              cyclic frames times wp' of the invariant lattice
+  order-3 rotation      (h, e wp, f wp^2),            p = (y^2 + g3)/4
+  order-4 rotation      (h, e wp', f wp wp'),         p = 4u^2 - g2 u
+  order-6 rotation      (h, e wp wp', f wp^2 wp'),    p = 4u^2 - g3 u
+  dihedral              cyclic frames times wp' of the invariant lattice,
+                                                      p = 4x^3 - g2 x - g3
   Klein translations    columns of Psi,               p = 1
   A4                    Klein columns paired with powers of wp of the
-                        half lattice,                 p in C[wp']
+                        half lattice,                 p = (y^2 + g3)/4
 
 _CASES holds this list, one row per case: the frame source (constant,
 ad(Phi) or Psi), the ring variable, the structure bound, the bracket
@@ -49,9 +52,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .elliptic import wp_both
+from .elliptic import invariants, wp_both
 from .funcalg import (
-    FIT_TOL, FitError, InvariantRing, TorusFunction, WPoly, _fit_points, _fit_values,
+    FitError, InvariantRing, TorusFunction, WPoly, _fit_points, _fit_values,
     _last_points_memo, sample_points,
 )
 from .intertwine import phi, psi
@@ -63,6 +66,7 @@ __all__ = [
     "GeneratorTriple",
     "abelianization_dim",
     "check_triple",
+    "exact_structure_polynomial",
     "invariance_residual",
     "normal_form",
     "structure_polynomial",
@@ -82,6 +86,16 @@ class _Case(NamedTuple):
     fe: object = None  # the factor of e as a function of (wp, wp') of the ring lattice
     ff: object = None  # the factor of f, likewise
 
+
+#: p = fe ff of the rows on each ring variable from the ring lattice's invariants:
+#: (its ascending coefficients, a value that vanishes exactly with its discriminant)
+_EXACT_P = {
+    "full": lambda inv: ((1.0,), 1.0),
+    "wp": lambda inv: ((-inv.g3, -inv.g2, 0.0, 4.0), inv.discriminant),
+    "wp_prime": lambda inv: ((inv.g3 / 4, 0.0, 0.25), inv.g3),  # g2 = 0
+    "wp2": lambda inv: ((0.0, -inv.g2, 4.0), inv.g2),  # g3 = 0
+    "wp3": lambda inv: ((0.0, -inv.g3, 4.0), inv.g3),  # g2 = 0
+}
 
 #: one row per case, keyed by kind and by (kind, order) for rotations.
 #: Generator products scale like distance^(-bound); the margin keeps the
@@ -260,15 +274,15 @@ def _rows(values: tuple, rows: slice) -> tuple:
     return tuple(None if v is None else v[rows] for v in values)
 
 
-def _fit_structure(gens: GeneratorTriple, frames: tuple, xy: tuple, tol: float) -> WPoly:
+def _fit_structure(gens: GeneratorTriple, frames: tuple, xy: tuple) -> WPoly:
     """Fit p from the triple and the ring values at the ring-fit rows; attach it."""
     e, f, h = frames
     p = _h_projection(bracket(e, f), h)
-    gens.structure_poly = _fit_values(*xy, p, gens.ring, gens.structure_bound, tol)
+    gens.structure_poly = _fit_values(*xy, p, gens.ring, gens.structure_bound)
     return gens.structure_poly
 
 
-def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0, tol: float = FIT_TOL) -> WPoly:
+def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0) -> WPoly:
     """Fit the invariant p with [E, F] = H tensor p and attach it.
 
     The scalar function is recovered as the projection of [E, F] onto H
@@ -276,7 +290,7 @@ def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0, tol: float = F
     function, at rows drawn from seed.
     """
     z = _fit_rows(gens, seed)
-    return _fit_structure(gens, _frames(gens, z), _ring_xy(gens, z, len(z)), tol)
+    return _fit_structure(gens, _frames(gens, z), _ring_xy(gens, z, len(z)))
 
 
 def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -398,7 +412,7 @@ def check_triple(
     b = a + len(z_br)
     xy = _ring_xy(gens, z, b)
     fit, probes = slice(None, a), slice(a, b)
-    poly = _fit_structure(gens, _rows(frames, fit), _rows(xy, fit), FIT_TOL)
+    poly = _fit_structure(gens, _rows(frames, fit), _rows(xy, fit))
     brackets = _bracket_residuals(_rows(frames, probes), poly, _rows(xy, probes))
     invs = [None, None]
     for k, zi in enumerate(z_inv):
@@ -407,37 +421,18 @@ def check_triple(
     return (poly, brackets, *invs[: 1 if verify_samples is None else 2])
 
 
-def _cluster_roots(roots: np.ndarray) -> int:
-    if roots.size == 0:
-        return 0
-    scale = max(1e-9, float(np.max(np.abs(roots))))
-    tol = 1e-6 * max(scale, 1e-3)
-    remaining = list(roots)
-    count = 0
-    while remaining:
-        r = remaining.pop()
-        remaining = [s for s in remaining if abs(s - r) > tol]
-        count += 1
-    return count
+def exact_structure_polynomial(gens: GeneratorTriple) -> WPoly:
+    """p = fe ff in the ring variable, from the exact g2 and g3 of the ring
+    lattice (_EXACT_P); no sampling, no fit.  A repeated root, which only
+    a degenerate ring lattice could give, raises."""
+    coeff, disc = _EXACT_P[gens.ring.variable](invariants(gens.ring.lattice))
+    if disc == 0:
+        raise ValueError("exact structure polynomial has a repeated root")
+    return WPoly(tuple(complex(c) for c in coeff))
 
 
 def abelianization_dim(gens: GeneratorTriple) -> int:
-    """Number of distinct roots of the structure polynomial, 0 for constants.
-
-    Equals the dimension of the abelianisation of the algebra; a vanishing
-    structure polynomial would be degenerate and raises.
-    """
-    w = gens.structure_poly if gens.structure_poly is not None else structure_polynomial(gens)
-    coeff = np.asarray(w.a, dtype=complex)
-    if w.b:
-        raise ValueError("structure polynomial acquired an odd part; inconsistent ring")
-    if coeff.size == 0 or np.max(np.abs(coeff)) < 1e-12:
-        raise ValueError("structure polynomial vanished; degenerate construction")
-    lead = np.max(np.abs(coeff))
-    deg = coeff.size - 1
-    while deg > 0 and abs(coeff[deg]) < 1e-9 * lead:
-        deg -= 1
-    if deg == 0:
-        return 0
-    roots = np.roots(coeff[: deg + 1][::-1])
-    return _cluster_roots(roots)
+    """Number of distinct roots of the exact structure polynomial, 0 for
+    constants: its degree, as its exact discriminant is nonzero.  Equals
+    the dimension of the abelianisation of the algebra."""
+    return len(exact_structure_polynomial(gens).a) - 1

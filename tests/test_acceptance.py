@@ -207,7 +207,7 @@ def test_criterion_07_normal_forms():
     for lat in THREE:
         for emb in catalog(lat):
             gens = normal_form(emb)
-            structure_polynomial(gens, tol=1e-6)
+            structure_polynomial(gens)
             br = verify_brackets(gens)
             inv_res = invariance_residual(gens)
             worst["he"] = max(worst["he"], br["he"])

@@ -326,7 +326,8 @@ class TestPlumbing:
     @pytest.mark.parametrize(
         "group, order, char_j, reduced",
         [("cn", "3", 100000, 1), ("cn", "3", -1, 2), ("cn", "4", 9, 1), ("dn", "5", -2, 3),
-         ("rot", "4", 5, 1), ("rot", "2", -1, 1)],
+         ("rot", "4", 5, 1), ("rot", "2", -1, 1), ("cn", "4", 5, 1), ("cn", "4", -3, 1),
+         ("dn", "4", 5, 1), ("dn", "4", -3, 1)],
     )
     def test_character_index_reduced_mod_the_order(
         self, capsys, command, group, order, char_j, reduced
@@ -342,6 +343,15 @@ class TestPlumbing:
             assert doc["config"].pop("char_j") == j
             docs.append(doc)
         assert docs[0] == docs[1]
+
+    def test_d16_square_reports_its_failed_check(self, capsys):
+        # the fitted cubic's coefficients are all below 1.5e-20 there; the
+        # root count comes from the exact cubic, so the report prints
+        rc, out, err = run(capsys, "classify", "--group", "dn", "--order", "16", "--json")
+        assert (rc, err) == (1, "")
+        cv = json.loads(out)["cross_validation"]
+        assert cv["abelianization_dim"] == 3 and cv["passed"] is False
+        assert [k for k, ok in cv["checks"].items() if not ok] == ["leading_coefficient"]
 
     def test_rotation_index_other_than_one_mod_the_order(self, capsys):
         rc, out, err = run(capsys, "classify", "--group", "rot", "--order", "4", "--char-j", "7")

@@ -380,6 +380,8 @@ class TestPSmall:
             for c, v in zip(sgn, inv):
                 acc += c * v
             assert row.tobytes() == acc.tobytes() == p.fn(z).tobytes()
+        # p0, p1 and p2 on one point array share one evaluation of the stack
+        assert len(calls) == 2
 
 
 class TestC2C2Constants:

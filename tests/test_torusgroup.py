@@ -8,6 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from sweep import SWEEP_TAUS, sweep_cases
 from toruslie import normalform, sl2rep
 from toruslie.classify import classify
 from toruslie import torusgroup as tg
@@ -520,27 +521,8 @@ def object_orbit_points(emb) -> tuple:
     return tuple(sorted(pts, key=lambda c: (round(c.real, 9), round(c.imag, 9))))
 
 
-#: the moduli sweep's lattices: random_taus(default_rng(7), 12) of
-#: bench/workloads.py written out, and its four fixed lattices
-SWEEP_TAUS = [
-    -0.5893857908086169 + 1.2735055474703787j,
-    0.39853471437602295 + 0.4601842813566953j,
-    2.23396747642186 + 2.22753101665419j,
-    -2.8484837865903434 + 0.8261519606790553j,
-    -2.3607871939496134 + 1.7388668289443447j,
-    -1.3725652061729374 + 2.827555502964597j,
-    1.2225381529413237 + 1.8568694641868244j,
-    0.7522741294789768 + 1.4399254913299668j,
-    -1.7232513239627538 + 0.6377573610354215j,
-    -0.002249858282803885 + 2.5876390409136865j,
-    1.8963309596068765 + 2.397185404513006j,
-    2.811089614720582 + 0.9383557638036008j,
-    2.5j,
-    3.5j,
-    0.49 + 0.9j,
-    7.3 + 0.2j,
-]
-#: and the square and hexagonal lattices, for the rotations of order 3, 4, 6 and A4
+#: the moduli sweep's lattices, and the square and hexagonal lattices for
+#: the rotations of order 3, 4, 6 and A4
 KEY_TAUS = SWEEP_TAUS + [1j, HEX_TAU]
 
 
@@ -548,14 +530,9 @@ KEY_TAUS = SWEEP_TAUS + [1j, HEX_TAU]
 def _sweep_embeddings(tau: complex) -> tuple:
     """rot2, c2c2, and cn/dn for N = 1..8 at the shifts 1/N, tau/N and
     (1+tau)/N; on the square and hexagonal lattices also their catalog."""
-    lat = Lattice(tau)
-    out = [tg.cl_rotation(lat, 2), tg.c2c2_translation(lat)]
-    for n in range(1, 9):
-        for a, b in ((1, 0), (0, 1), (1, 1)):
-            shift = TorsionPoint(a, b, n)
-            out += [tg.cn_translation(lat, n, shift), tg.dn_group(lat, n, shift)]
+    out = [emb for _, emb in sweep_cases(tau, range(1, 9))]
     if tau in (1j, HEX_TAU):
-        out += tg.catalog(lat, orders=(2, 3, 4, 5, 6, 7, 8))
+        out += tg.catalog(Lattice(tau), orders=(2, 3, 4, 5, 6, 7, 8))
     return tuple(out)
 
 
