@@ -15,6 +15,7 @@ a failed lambda/mu fit (FitError) as null lambda and mu.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -48,16 +49,10 @@ def _cx(z: complex) -> list[float]:
 
 
 def _jsonable(obj):
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, complex):
         return _cx(obj)
-    if isinstance(obj, (np.complexfloating,)):
-        return _cx(complex(obj))
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -148,6 +143,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_constants(args: argparse.Namespace) -> int:
+    """Invariants of the lattice, the C2xC2 constants, and the lambda, mu of
+    the order-N P-system; for even N, phi fits its own on the 2N cover."""
     emb = _embedding(args)
     inv = invariants(emb.lattice)
     report = {
@@ -162,16 +159,9 @@ def cmd_constants(args: argparse.Namespace) -> int:
         "j": inv.j,
     }
     if args.group == "c2c2":
-        cc = c2c2_constants_for(emb)
-        report["c2c2"] = {
-            "alpha1": cc.alpha1,
-            "alpha2": cc.alpha2,
-            "beta1": cc.beta1,
-            "beta2": cc.beta2,
-            "A1": cc.A1,
-            "B1": cc.B1,
-            "sqrt_alpha2_beta2": cc.sqrt_a2b2,
-        }
+        cc = dataclasses.asdict(c2c2_constants_for(emb))
+        cc["sqrt_alpha2_beta2"] = cc.pop("sqrt_a2b2")
+        report["c2c2"] = cc
     if args.group in ("cn", "dn") and args.order >= 2:
         # the invariants above do not depend on the fit: a failed fit nulls lambda, mu
         try:

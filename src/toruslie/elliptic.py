@@ -181,7 +181,8 @@ def wp_both(z, lattice: Lattice):
 
     Accepts a scalar or an array of any shape; arrays come back in the
     shape they came in, with values equal to those of the flattened call.
-    On lattice points both values are complex infinity.
+    On lattice points both values are complex infinity; a non-finite
+    point raises ValueError.
     """
     s = lattice.scale
     cell = _cell(lattice.tau)
@@ -195,6 +196,8 @@ def wp_both(z, lattice: Lattice):
         with np.errstate(invalid="ignore"):
             out = np.stack((out[0] / s ** 2, out[1] / s ** 3))
     if not np.isfinite(out).all():
+        if not np.isfinite(zz).all():
+            raise ValueError("wp_both needs finite points; a non-finite point is not a pole")
         out[~np.isfinite(out)] = complex(np.inf, 0.0)
     if zz.ndim == 0:
         return complex(out[0, 0]), complex(out[1, 0])

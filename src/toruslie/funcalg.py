@@ -20,12 +20,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .elliptic import wp_both
-from .lattice import Lattice, is_hexagonal_class, shortest_period, torus_reduce_centered
+from .lattice import Lattice, _reduce_torsion, is_hexagonal_class, shortest_period, torus_reduce_centered
 from .torusgroup import GroupEmbedding, c2c2_translation
 
 __all__ = [
@@ -91,7 +90,7 @@ class WPoly:
     """Canonical element a(x) + b(x) y of C[x, y]/(y^2 - 4x^3 + g2 x + g3).
 
     Coefficients ascend in degree; x and y are the values that
-    InvariantRing.values gives.
+    InvariantRing.from_wp gives.
     """
 
     a: tuple = ()
@@ -207,18 +206,22 @@ def sample_points(
 class PSystem:
     """The family P_j attached to a cyclic translation by an n-torsion point.
 
-    P_j = sum_k w^(-kj) v(z - k alpha) with v = wp'/(wp - wp(alpha)); the
-    lattice may be scaled (used for the even-order double covers).
+    The shift is the integer triple (a, b, n) of the point
+    alpha = scale * (a + b*tau)/n; it is gcd-reduced here, so n is its exact
+    order.  P_j = sum_k w^(-kj) v(z - k alpha) with v = wp'/(wp - wp(alpha));
+    the lattice may be scaled (used for the even-order double covers).
     wp_alpha is evaluated as one more point of the first _v_stack call
     (wp_both's values do not depend on the batch) and is None until then.
     """
 
-    def __init__(self, lattice: Lattice, shift: tuple[Fraction, Fraction], n: int):
+    def __init__(self, lattice: Lattice, shift: tuple[int, int, int]):
+        a, b, n = _reduce_torsion(*shift)
         if n < 2:
             raise ValueError("P functions need a translation of order >= 2")
         self.lattice = lattice
         self.n = n
-        self.alpha = complex(lattice.scale * (shift[0] + shift[1] * lattice.tau))
+        # a/n and b/n round on their own: (a + b*tau)/n rounds differently
+        self.alpha = lattice.scale * (complex(a / n) + complex(b / n) * lattice.tau)
         self.w = cmath.exp(2j * math.pi / n)
         self.wp_alpha = None
         ks = np.arange(n) * self.alpha / lattice.scale
@@ -264,8 +267,7 @@ def p_system(emb: GroupEmbedding) -> PSystem:
     """The P_j family of a C_N translation or of the translations of D_N."""
     if emb.kind not in ("CN_translation", "DN"):
         raise ValueError("P functions are attached to cyclic translations")
-    n = emb.order_param
-    return PSystem(emb.lattice, emb.cyclic_generator.shift.fractions, n)
+    return PSystem(emb.lattice, emb.cyclic_generator.key[2:])
 
 
 def fit_lambda_mu(
@@ -274,9 +276,11 @@ def fit_lambda_mu(
     """Constants (lam, mu) with P_2j P_-j^2 - P_-2j P_j^2 = lam P_-k P_k + mu.
 
     The P_j are those of p_system(emb), or of emb itself when it is a
-    PSystem (phi's, on the index-two cover at even orders).  Two-point
-    linear solve plus FIT_HOLDOUT held-out points; ill-conditioned draws
-    are resampled up to FIT_RETRIES draws.  When N >= 3, k = +-j and
+    PSystem (phi's, on the index-two cover at even orders).  So for even
+    N, fit_lambda_mu(emb, j), which the constants command reports, is not
+    the lam, mu of phi(emb, j); for odd N the two agree bit for bit.
+    Two-point linear solve plus FIT_HOLDOUT held-out points; ill-conditioned
+    draws are resampled up to FIT_RETRIES draws.  When N >= 3, k = +-j and
     2j != 0 mod N the constant mu is asserted nonzero.
     """
     ps = emb if isinstance(emb, PSystem) else p_system(emb)
@@ -474,12 +478,6 @@ class InvariantRing:
     lattice: Lattice
     variable: str = "full"
 
-    def var_order(self) -> int:
-        return _RING_VARIABLES[self.variable][0]
-
-    def values(self, z):
-        return self.from_wp(*wp_both(z, self.lattice))
-
     def from_wp(self, wp, wpp):
         """The ring's (x, y) from wp and wp' of lattice; y is None unless full."""
         return _RING_VARIABLES[self.variable][1](wp, wpp)
@@ -487,7 +485,7 @@ class InvariantRing:
 
 def _fit_shape(ring: InvariantRing, pole_bound: int) -> tuple[int, int, int, int]:
     """(da, db, fit rows, held-out rows) of a ring fit with this pole bound."""
-    da = pole_bound // ring.var_order()
+    da = pole_bound // _RING_VARIABLES[ring.variable][0]
     db = (pole_bound - 3) // 2 if ring.variable == "full" else -1
     n_cols = (da + 1) + (db + 1)
     return da, db, 3 * n_cols + 8, max(12, n_cols + 4)
@@ -555,5 +553,5 @@ def fit_in_ring(f: TorusFunction, ring: InvariantRing, pole_bound: int) -> WPoly
     -> NotInRingError.
     """
     z = _fit_points(ring, pole_bound, f.poles, seed=0, margin=0.12)
-    x, y = ring.values(z)
+    x, y = ring.from_wp(*wp_both(z, ring.lattice))
     return _fit_values(x, y, f(z), ring, pole_bound)

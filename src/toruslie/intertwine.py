@@ -21,8 +21,6 @@ radical-free in the p's and has unit determinant.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .funcalg import (
@@ -40,37 +38,30 @@ __all__ = [
 
 
 def double_cover(emb: GroupEmbedding):
-    """Cover data for an even-order cyclic translation.
+    """Cover data for an even-order cyclic translation by (a + b*tau)/N.
 
-    Returns (lattice, shift fractions over the cover basis, 2N).  The cover
+    Returns (cover lattice, shift triple over the cover basis): (a, 2b, 2N)
+    or (2a, b, 2N), reduced, so the shift acquires order 2N.  The cover
     lattice is index two in the original one, chosen by where N*alpha/2
-    lands among the half-period classes, so the shift acquires order 2N.
+    lands among the half-period classes.
     """
-    n = emb.order_param
+    a, b, n = emb.cyclic_generator.key[2:]
     if n % 2:
         raise ValueError("double cover applies to even order")
-    r = emb.cyclic_generator
-    a, b = r.shift.a, r.shift.b
-    assert r.shift.n == n
     tau = emb.tau
     if a % 2 == 1:  # N*alpha/2 = 1/2 or (1+tau)/2: keep tau, double the real period
-        cover = Lattice(tau / 2.0, 2.0)
-        shift = (Fraction(a, 2 * n), Fraction(b, n))
-    else:  # N*alpha/2 = tau/2
-        cover = Lattice(2.0 * tau)
-        shift = (Fraction(a, n), Fraction(b, 2 * n))
-    return cover, shift, 2 * n
+        return Lattice(tau / 2.0, 2.0), (a, 2 * b, 2 * n)
+    # N*alpha/2 = tau/2
+    return Lattice(2.0 * tau), (2 * a, b, 2 * n)
 
 
-def _psystem_for(emb: GroupEmbedding):
-    """(PSystem, twist order) realising the intertwiner for emb."""
-    n = emb.order_param
-    if n < 2:
+def _psystem_for(emb: GroupEmbedding) -> PSystem:
+    """The PSystem realising the intertwiner for emb; its n is the twist order."""
+    if emb.order_param < 2:
         raise UnsupportedEmbeddingError("no intertwiner for the trivial translation")
-    if n % 2 == 0:
-        cover, shift, m = double_cover(emb)
-        return PSystem(cover, shift, m), m
-    return p_system(emb), n
+    if emb.order_param % 2 == 0:
+        return PSystem(*double_cover(emb))
+    return p_system(emb)
 
 
 def phi(emb: GroupEmbedding, j: int = 1) -> TorusFunction:
@@ -84,7 +75,8 @@ def phi(emb: GroupEmbedding, j: int = 1) -> TorusFunction:
     """
     if emb.kind not in ("CN_translation", "DN"):
         raise ValueError("phi is attached to cyclic translation data")
-    ps, m = _psystem_for(emb)
+    ps = _psystem_for(emb)
+    m = ps.n
     if (2 * j) % m == 0:
         raise ValueError(f"character index {j} has 2j = 0 mod {m}: the corner column degenerates")
     j %= emb.order_param

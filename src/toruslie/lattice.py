@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -98,10 +97,6 @@ class TorsionPoint:
     @classmethod
     def zero(cls) -> "TorsionPoint":
         return cls(0, 0, 1)
-
-    @property
-    def fractions(self) -> tuple[Fraction, Fraction]:
-        return Fraction(self.a, self.n), Fraction(self.b, self.n)
 
     def matrix_apply(self, m: tuple[tuple[int, int], tuple[int, int]]) -> "TorsionPoint":
         """Apply an integer matrix to the (a, b) coordinates."""
@@ -201,45 +196,25 @@ def torus_reduce_centered(z, tau: complex):
 
 
 def _hnf_2col(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Row Hermite normal form of an integer k x 2 matrix of rank 2.
+    """Row Hermite normal form ((g, y), (0, d)) of an integer k x 2 matrix of
+    rank 2, with g, d > 0 and 0 <= y < d.
 
-    Returns ((g, y), (0, d)) with g, d > 0 and 0 <= y < d.
+    One Euclid loop: each row is folded into the pivot (g, y) by Euclid's
+    steps on the first column, and the second coordinate it leaves behind
+    joins d by gcd.
     """
-    work = [(int(x), int(y)) for x, y in rows if (x, y) != (0, 0)]
-    if not work:
-        raise DegenerateLatticeError("all generators vanish")
-
-    # Clear the first column down to a single pivot by extended gcd steps.
-    pivot = None
-    rest: list[tuple[int, int]] = []
-    for row in work:
-        if pivot is None:
-            pivot = row
-            continue
-        x1, y1 = pivot
-        x2, y2 = row
+    g, y, d = 0, 0, 0
+    for x2, y2 in rows:
+        x2, y2 = int(x2), int(y2)
         while x2:
-            q = x1 // x2
-            x1, y1, x2, y2 = x2, y2, x1 - q * x2, y1 - q * y2
-        pivot = (x1, y1)
-        rest.append((0, y2))
-    assert pivot is not None
-    if pivot[0] == 0:
-        rest.append((0, pivot[1]))
-        pivot = None
-
-    d = 0
-    for _, y in rest:
-        d = gcd(d, y)
-    if pivot is None:
+            q = g // x2
+            g, y, x2, y2 = x2, y2, g - q * x2, y - q * y2
+        d = gcd(d, y2)
+    if g == 0 or d == 0:
         raise DegenerateLatticeError("generators span rank < 2")
-    if pivot[0] < 0:
-        pivot = (-pivot[0], -pivot[1])
-    if d == 0:
-        raise DegenerateLatticeError("generators span rank < 2")
-    g, y = pivot
-    y %= d
-    return (g, y), (0, d)
+    if g < 0:
+        g, y = -g, -y
+    return (g, y % d), (0, d)
 
 
 def sublattice_vectors(

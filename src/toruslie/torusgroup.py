@@ -188,7 +188,7 @@ def _closure(generators: list[Key], tau: complex) -> tuple[tuple, tuple]:
                     nxt.append(h)
         frontier = nxt
         if len(products) > _MAX_ORDER:
-            raise RuntimeError("group closure exceeded bound")
+            raise UnsupportedEmbeddingError(f"group order exceeds the closure bound {_MAX_ORDER}")
     keys = tuple(sorted(products, key=lambda k: (k[1], k[0], k[4], k[2], k[3])))
     index = {k: i for i, k in enumerate(keys)}
     return keys, tuple(zip(*(tuple(index[h] for h in products[k]) for k in keys)))

@@ -10,6 +10,7 @@ import pytest
 import toruslie
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(toruslie.__path__))
+SRC = Path(toruslie.__file__).resolve().parent
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
 
@@ -43,3 +44,26 @@ def test_traced_targets_resolve():
             assert hasattr(obj, part), f"toruslie.{module}.{attr}"
             obj = getattr(obj, part)
         assert callable(obj), f"toruslie.{module}.{attr}"
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports (``__future__`` aside) and never reads."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_unused_import_is_found():
+    assert _unused_imports("import math\nfrom fractions import Fraction\nmath.pi\n") == ["Fraction"]
+    assert _unused_imports("import os.path\nos.sep\n") == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_unused_imports(module):
+    assert _unused_imports((SRC / f"{module}.py").read_text()) == []

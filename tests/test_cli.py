@@ -9,12 +9,12 @@ import pytest
 
 from toruslie import intertwine
 from toruslie.classify import cross_validate
-from toruslie.funcalg import FitError, NotInRingError
+from toruslie.funcalg import FitError, NotInRingError, fit_lambda_mu, p_system
 from toruslie.cli import main
 from toruslie.normalform import invariance_residual
 from toruslie.intertwine import phi
 from toruslie.lattice import Lattice
-from toruslie.torusgroup import cn_translation
+from toruslie.torusgroup import cn_translation, dn_group
 
 HEX = math.sqrt(3.0) / 2.0
 nf_module = importlib.import_module("toruslie.normalform")
@@ -131,6 +131,41 @@ class TestConstants:
         )
         doc = json.loads(out)
         assert abs(complex(*doc["mu"])) > 1e-9
+
+    @pytest.mark.parametrize(
+        "build, n", [(cn_translation, 3), (cn_translation, 5), (dn_group, 5),
+                     (cn_translation, 4), (dn_group, 4), (cn_translation, 6)],
+        ids=["cn3", "cn5", "dn5", "cn4", "dn4", "cn6"],
+    )
+    def test_lambda_mu_source(self, capsys, build, n):
+        # constants fits lambda and mu on the order-N P-system of the
+        # lattice; phi, and so eval and every C_N/D_N frame, fits them on
+        # the order-2N cover when N is even
+        group = "cn" if build is cn_translation else "dn"
+        rc, out, _ = run(
+            capsys, "constants", "--group", group, "--order", str(n),
+            "--tau-re", "0.31", "--tau-im", "1.07", "--json",
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        got = (complex(*doc["lambda"]), complex(*doc["mu"]))
+        emb = build(Lattice(complex(0.31, 1.07)), n)
+        meta = phi(emb).meta
+        if n % 2:
+            assert got == (meta["lam"], meta["mu"])
+        else:
+            assert got == fit_lambda_mu(p_system(emb), 1)
+            assert abs(got[0] - meta["lam"]) > 1.0 and abs(got[1] - meta["mu"]) > 1.0
+
+
+class TestClosureBound:
+    @pytest.mark.parametrize("command", ["classify", "verify", "eval", "constants"])
+    @pytest.mark.parametrize("group, order", [("cn", "201"), ("dn", "101")])
+    def test_past_the_bound_is_a_domain_error(self, capsys, command, group, order):
+        rc, out, err = run(capsys, command, "--group", group, "--order", order)
+        assert rc == 2
+        assert out == ""
+        assert err == "error: group order exceeds the closure bound 200\n"
 
 
 class TestEval:

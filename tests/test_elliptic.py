@@ -304,6 +304,22 @@ class TestWeierstrass:
             assert v == complex(np.inf, 0.0)  # inf+nanj compares unequal
         assert np.all(np.isfinite(wp_both(scale * 0.5, lat)))
 
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), complex(np.inf, 0.0), complex(np.nan, 1.0)], ids=["nan", "inf", "nan+1j"]
+    )
+    def test_non_finite_point_is_not_a_pole(self, scale, bad):
+        # a non-finite point raises instead of reading as a lattice point;
+        # its nan arithmetic warns, which pytest would turn into an error
+        lat = Lattice(GENERIC, scale)
+        with np.errstate(invalid="ignore"):
+            for z in (bad, np.array([0.3 + 0.2j, bad]), np.array([[bad]])):
+                with pytest.raises(ValueError, match="finite"):
+                    wp_both(z, lat)
+            w, wq = wp_both(np.array([0.3 + 0.2j, scale * GENERIC]), lat)
+        assert w[1] == wq[1] == complex(np.inf, 0.0)
+        assert np.isfinite(w[0]) and np.isfinite(wq[0])
+
     def test_laurent_guard_consistent_with_series(self):
         # the guarded branch and the series agree in the crossover zone
         lat = Lattice(GENERIC)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -52,6 +54,39 @@ def wpp_function(lat: Lattice) -> TorusFunction:
 def squared(f: TorusFunction) -> TorusFunction:
     """The pointwise square of f, with the poles of f."""
     return TorusFunction(lambda z: f.fn(z) * f.fn(z), f.lattice, f.poles)
+
+
+class TestPSystemShift:
+    @pytest.mark.parametrize("lat", [L_GEN, L_HEX, Lattice(GENERIC / 2, 2.0), Lattice(1j, 0.7 - 0.4j)],
+                             ids=["generic", "hex", "cover", "scaled"])
+    def test_alpha_bit_for_bit(self, lat):
+        # alpha rounds a/n and b/n on their own, as the former pair of
+        # Fractions did; (a + b tau)/n would round differently
+        for n in range(2, 13):
+            for a in range(n):
+                for b in range(n):
+                    if TorsionPoint(a, b, n).n != n:
+                        continue
+                    ps = PSystem(lat, (a, b, n))
+                    want = lat.scale * (complex(a / n) + complex(b / n) * lat.tau)
+                    frac = complex(lat.scale * (Fraction(a, n) + Fraction(b, n) * lat.tau))
+                    assert np.array(ps.alpha).tobytes() == np.array(want).tobytes()
+                    assert np.array(ps.alpha).tobytes() == np.array(frac).tobytes()
+
+    def test_triple_is_reduced(self):
+        ps = PSystem(L_GEN, (2, 0, 4))
+        assert ps.n == 2
+        assert ps.alpha == PSystem(L_GEN, (1, 0, 2)).alpha == PSystem(L_GEN, (-3, 4, 2)).alpha
+        assert ps.orbit == PSystem(L_GEN, (1, 0, 2)).orbit
+        with pytest.raises(ValueError, match="order >= 2"):
+            PSystem(L_GEN, (3, 6, 3))
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_p_system_reads_the_generator_key(self, n):
+        emb = cn_translation(L_GEN, n, TorsionPoint(1, 1, n))
+        ps = p_system(emb)
+        assert ps.n == n
+        assert ps.alpha == PSystem(L_GEN, (1, 1, n)).alpha
 
 
 class TestPBig:
@@ -137,8 +172,7 @@ class TestPBig:
                     emb = cn_translation(lat, n, TorsionPoint(a, b, n))
                     systems = [p_system(emb)]
                     if n % 2 == 0:
-                        slat, shift, m = double_cover(emb)
-                        systems.append(PSystem(slat, shift, m))
+                        systems.append(PSystem(*double_cover(emb)))
                     for ps in systems:
                         assert ps.wp_alpha is None
                         z = sample_points(ps.lattice, 7, rng, avoid=ps.orbit, margin=0.05)

@@ -93,14 +93,30 @@ class TestPhi:
 
     def test_double_cover_case_split(self):
         # shift 1/N with odd numerator doubles the real period
-        slat, shift, m = double_cover(cn_translation(L_GEN, 4))
+        slat, (_, _, m) = double_cover(cn_translation(L_GEN, 4))
         assert m == 8
         assert abs(slat.scale - 2.0) < 1e-12 and abs(slat.tau - GENERIC / 2) < 1e-12
         # shift tau/2-type doubles the tau period
         emb = cn_translation(L_GEN, 2, TorsionPoint(0, 1, 2))
-        slat, shift, m = double_cover(emb)
+        slat, (_, _, m) = double_cover(emb)
         assert m == 4
         assert abs(slat.scale - 1.0) < 1e-12 and abs(slat.tau - 2 * GENERIC) < 1e-12
+
+    def test_double_cover_triple_is_reduced_of_order_2n(self):
+        # the cover shift is (a, 2b, 2N) or (2a, b, 2N) for the shift
+        # (a + b tau)/N, already gcd-reduced, and it is the original point
+        for n in (2, 4, 6, 8):
+            for a in range(n):
+                for b in range(n):
+                    if TorsionPoint(a, b, n).n != n:
+                        continue
+                    slat, shift = double_cover(cn_translation(L_GEN, n, TorsionPoint(a, b, n)))
+                    assert shift[2] == 2 * n
+                    assert shift in ((a, 2 * b, 2 * n), (2 * a, b, 2 * n))
+                    p = TorsionPoint(*shift)
+                    assert (p.a, p.b, p.n) == shift
+                    alpha = slat.scale * p.to_complex(slat.tau)
+                    assert abs(alpha - (a + b * GENERIC) / n) < 1e-12
 
     def test_wrong_sign_column_breaks_determinant(self):
         # negative control: flipping the sign of the second column makes

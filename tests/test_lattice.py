@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import gcd
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from toruslie.lattice import (
     DegenerateLatticeError,
     HEX_TAU,
     TorsionPoint,
+    _hnf_2col,
     moebius,
     reduce_modular,
     shortest_period,
@@ -125,6 +129,51 @@ class TestSublattice:
     def test_rank_deficient(self):
         with pytest.raises(DegenerateLatticeError):
             sublattice_vectors([(1, 0), (2, 0)], 1, 1j)
+
+
+def _random_rows(rng) -> list:
+    """1-6 integer rows with entries up to +-1000, some zero, some repeated,
+    some sets of rank one."""
+    k = int(rng.integers(1, 7))
+    bound = int(rng.choice([3, 1000]))
+    rows = [tuple(int(v) for v in rng.integers(-bound, bound + 1, 2)) for _ in range(k)]
+    if rng.random() < 0.2:  # rank one: multiples of the first row
+        rows = [(c * rows[0][0], c * rows[0][1]) for c in rng.integers(-5, 6, k).tolist()]
+    if rng.random() < 0.3:
+        rows.insert(int(rng.integers(0, len(rows) + 1)), (0, 0))
+    if rng.random() < 0.3:
+        rows.append(rows[int(rng.integers(0, len(rows)))])
+    return rows
+
+
+class TestHermiteNormalForm:
+    def test_random_row_sets(self):
+        rng = np.random.default_rng(18)
+        degenerate = 0
+        for _ in range(3000):
+            rows = _random_rows(rng)
+            minors = 0
+            for (x1, y1), (x2, y2) in combinations(rows, 2):
+                minors = gcd(minors, x1 * y2 - x2 * y1)
+            if minors == 0:
+                degenerate += 1
+                with pytest.raises(DegenerateLatticeError):
+                    _hnf_2col(rows)
+                continue
+            (g, y), (zero, d) = _hnf_2col(rows)
+            assert zero == 0 and g > 0 and d > 0 and 0 <= y < d
+            # the index of the span is the gcd of the 2x2 minors ...
+            assert g * d == minors
+            # ... and every row lies in the span of (g, y), (0, d), so the
+            # two lattices are equal
+            for x, v in rows:
+                assert x % g == 0 and (v - (x // g) * y) % d == 0
+        assert degenerate > 100
+
+    def test_degenerate_inputs(self):
+        for rows in ([], [(0, 0)], [(0, 0), (0, 5)], [(2, 4), (-3, -6)], [(0, 3), (0, 7)]):
+            with pytest.raises(DegenerateLatticeError):
+                _hnf_2col(rows)
 
 
 class TestTorsionPoint:

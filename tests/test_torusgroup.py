@@ -227,6 +227,18 @@ class TestBranchPoints:
         assert n == 3
 
 
+class TestClosureBound:
+    def test_past_the_bound_is_unsupported(self):
+        for build, n in ((cn_translation, 201), (dn_group, 101)):
+            with pytest.raises(UnsupportedEmbeddingError, match="200"):
+                build(L_SQ, n)
+        assert issubclass(UnsupportedEmbeddingError, ValueError)
+
+    def test_at_the_bound_builds(self):
+        assert cn_translation(L_SQ, 200).order == 200
+        assert dn_group(L_SQ, 100).order == 200
+
+
 class TestTranslationSubgroup:
     """t(Gamma) and T / t(Gamma) as classify reports them."""
 
