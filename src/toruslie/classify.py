@@ -96,7 +96,7 @@ class CrossValidation:
     bracket_residuals: dict
     invariance: float
     abel_dim: int
-    poly_degrees: tuple
+    poly_degree: int
     j_from_polynomial: complex | None
     checks: dict
     passed: bool

@@ -1,10 +1,10 @@
 """The function algebra of a punctured torus and its equivariant elements.
 
-Meromorphic functions on the torus holomorphic away from the origin form
-the ring C[wp, wp'] modulo (wp')^2 = 4 wp^3 - g2 wp - g3.  WPoly stores a
-canonical representative a(x) + b(x) y of that quotient; TorusFunction is
-the numeric side: an evaluator, scalar- or matrix-valued, together with
-its declared poles, which every sampling routine respects.
+The invariant rings of the symmetry cases are one-variable: C[x] with x
+one of wp, wp', wp^2 or wp^3 of a lattice.  WPoly is a polynomial a(x) in
+that variable; TorusFunction is the numeric side: an evaluator, scalar- or
+matrix-valued, together with its declared poles, which every sampling
+routine respects.
 
 The construction kernels live here as well: the character projections of
 wp'/(wp - wp(alpha)) attached to a cyclic translation group (simple poles
@@ -56,6 +56,8 @@ FIT_RETRIES = 8
 FIT_HOLDOUT = 20
 #: trapezoidal nodes of residue_at's contour
 RESIDUE_NODES = 128
+#: periods out, in either lattice coordinate, beyond which _shifted moves a point in
+FAR_PERIODS = 8
 
 
 class FitError(RuntimeError):
@@ -67,7 +69,7 @@ class NotInRingError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# the quotient ring
+# polynomials in a ring variable
 
 
 def _poly_trim(p, tol=0.0):
@@ -87,33 +89,32 @@ def _poly_eval(p, x):
 
 @dataclass(frozen=True)
 class WPoly:
-    """Canonical element a(x) + b(x) y of C[x, y]/(y^2 - 4x^3 + g2 x + g3).
-
-    Coefficients ascend in degree; x and y are the values that
-    InvariantRing.from_wp gives.
-    """
+    """Polynomial a(x) in a ring variable x, the values InvariantRing.from_wp
+    gives; coefficients ascend in degree."""
 
     a: tuple = ()
-    b: tuple = ()
 
-    def eval_xy(self, x, y=None):
-        out = _poly_eval(self.a, x)
-        if self.b:
-            if y is None:
-                raise ValueError("y values required for a polynomial with a y part")
-            out = out + _poly_eval(self.b, x) * y
-        return out
+    def __call__(self, x):
+        return _poly_eval(self.a, x)
 
-    def degree(self) -> tuple[int, int]:
-        return len(_poly_trim(self.a, 1e-12)) - 1, len(_poly_trim(self.b, 1e-12)) - 1
+    def degree(self) -> int:
+        return len(_poly_trim(self.a, 1e-12)) - 1
 
 
 # ---------------------------------------------------------------------------
 # numeric functions on the torus
 
 
-def _shifted(z: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """z - s for every shift s, stacked on a new leading axis."""
+def _shifted(z: np.ndarray, shifts: np.ndarray, lattice: Lattice) -> np.ndarray:
+    """z - s for every shift s, stacked on a new leading axis.  A point more
+    than FAR_PERIODS periods out in either coordinate first moves in by
+    rounded whole periods, so that a huge z cannot absorb the shifts."""
+    w = z / lattice.scale
+    t = w.imag / lattice.tau.imag
+    s = w.real - t * lattice.tau.real
+    far = np.maximum(np.abs(s), np.abs(t)) > FAR_PERIODS
+    if far.any():
+        z = np.where(far, z - lattice.scale * (np.round(s) + np.round(t) * lattice.tau), z)
     return z[None, ...] - shifts.reshape((-1,) + (1,) * z.ndim)
 
 
@@ -229,7 +230,7 @@ class PSystem:
 
     def _v_stack(self, z: np.ndarray) -> np.ndarray:
         """v(z - k alpha) for k = 0..n-1, stacked on a leading axis."""
-        pts = _shifted(z, np.arange(self.n) * self.alpha)
+        pts = _shifted(z, np.arange(self.n) * self.alpha, self.lattice)
         first = self.wp_alpha is None
         wpv, wppv = wp_both(np.append(pts, self.alpha) if first else pts, self.lattice)
         if first:
@@ -374,7 +375,7 @@ def _p_stack(emb: GroupEmbedding) -> tuple:
     poles = tuple(complex(torus_reduce_centered(s, emb.tau)) for s in shifts)
 
     def fn(z):
-        inv_wpp = 1.0 / wp_both(_shifted(z, shifts), emb.lattice)[1]
+        inv_wpp = 1.0 / wp_both(_shifted(z, shifts, emb.lattice), emb.lattice)[1]
         out = np.zeros((3,) + z.shape, dtype=complex)
         for c, row in zip(_P_SIGNS.T, inv_wpp):
             out += c[:, None] * row
@@ -456,61 +457,53 @@ def c2c2_constants_for(emb: GroupEmbedding) -> C2C2Constants:
 # fitting numeric functions into the ring
 
 
-#: variable -> (its pole order, the ring's (x, y) as functions of (wp, wp'))
+#: variable -> (its pole order, the variable as a function of (wp, wp'))
 _RING_VARIABLES = {
-    "full": (2, lambda wp, wpp: (wp, wpp)),
-    "wp": (2, lambda wp, wpp: (wp, None)),
-    "wp2": (4, lambda wp, wpp: (wp ** 2, None)),
-    "wp3": (6, lambda wp, wpp: (wp ** 3, None)),
-    "wp_prime": (3, lambda wp, wpp: (wpp, None)),
+    "wp": (2, lambda wp, wpp: wp),
+    "wp2": (4, lambda wp, wpp: wp ** 2),
+    "wp3": (6, lambda wp, wpp: wp ** 3),
+    "wp_prime": (3, lambda wp, wpp: wpp),
 }
 
 
 @dataclass(frozen=True)
 class InvariantRing:
-    """Descriptor of the invariant function ring of one symmetry case.
-
-    variable: "full" means C[x, y] with x = wp, y = wp' of lattice; the other
-    flavours are the single-generator rings C[wp], C[wp^2], C[wp^3],
-    C[wp'].
-    """
+    """Descriptor of the invariant function ring of one symmetry case: the
+    one-variable ring C[x], x = wp, wp^2, wp^3 or wp' of lattice."""
 
     lattice: Lattice
-    variable: str = "full"
+    variable: str = "wp"
 
     def from_wp(self, wp, wpp):
-        """The ring's (x, y) from wp and wp' of lattice; y is None unless full."""
+        """The ring variable x from wp and wp' of lattice."""
         return _RING_VARIABLES[self.variable][1](wp, wpp)
 
 
-def _fit_shape(ring: InvariantRing, pole_bound: int) -> tuple[int, int, int, int]:
-    """(da, db, fit rows, held-out rows) of a ring fit with this pole bound."""
+def _fit_shape(ring: InvariantRing, pole_bound: int) -> tuple[int, int, int]:
+    """(degree, fit rows, held-out rows) of a ring fit with this pole bound."""
     da = pole_bound // _RING_VARIABLES[ring.variable][0]
-    db = (pole_bound - 3) // 2 if ring.variable == "full" else -1
-    n_cols = (da + 1) + (db + 1)
-    return da, db, 3 * n_cols + 8, max(12, n_cols + 4)
+    return da, 3 * (da + 1) + 8, max(12, da + 5)
 
 
 def _fit_points(ring: InvariantRing, pole_bound: int, avoid, *, seed: int, margin: float) -> np.ndarray:
     """The rows fit_in_ring samples: its fit rows, then its held-out rows."""
-    _, _, n_fit, n_hold = _fit_shape(ring, pole_bound)
+    _, n_fit, n_hold = _fit_shape(ring, pole_bound)
     rng = np.random.default_rng(seed)
     avoid = tuple(avoid) + (0.0 + 0.0j,)
     return sample_points(ring.lattice, n_fit + n_hold, rng, avoid=avoid, margin=margin)
 
 
-def _fit_values(x, y, rhs: np.ndarray, ring: InvariantRing, pole_bound: int) -> WPoly:
-    """The expansion of fit_in_ring from the ring's (x, y) and f at its rows."""
-    da, db, n_fit, _ = _fit_shape(ring, pole_bound)
+def _fit_values(x, rhs: np.ndarray, ring: InvariantRing, pole_bound: int) -> WPoly:
+    """The expansion of fit_in_ring from the ring variable x and f at its
+    rows; x is None for a constant fit (pole bound 0), which reads no ring."""
+    da, n_fit, _ = _fit_shape(ring, pole_bound)
+    if x is None:
+        x = np.ones(len(rhs))
     # precondition: work in x/c with c the typical magnitude, so the
     # Vandermonde columns stay O(1) even on small-covolume lattices
     c = float(np.median(np.abs(x))) or 1.0
     xs = x / c
-    cols = [xs ** i for i in range(da + 1)]
-    if db >= 0:
-        ys = y / c ** 1.5
-        cols += [ys * xs ** i for i in range(db + 1)]
-    design = np.stack(cols, axis=1)
+    design = np.stack([xs ** i for i in range(da + 1)], axis=1)
     w = 1.0 / np.maximum(1.0, np.abs(rhs))
     a_mat = design[:n_fit] * w[:n_fit, None]
     b_vec = rhs[:n_fit] * w[:n_fit]
@@ -537,9 +530,7 @@ def _fit_values(x, y, rhs: np.ndarray, ring: InvariantRing, pole_bound: int) -> 
         raise NotInRingError(
             f"held-out residual {rel:.3g} exceeds {FIT_TOL:.3g} for variable {ring.variable!r}"
         )
-    a = tuple(coeff[i] / c ** i for i in range(da + 1))
-    b = tuple(coeff[da + 1 + i] / c ** (1.5 + i) for i in range(db + 1)) if db >= 0 else ()
-    return WPoly(_poly_trim(a), _poly_trim(b))
+    return WPoly(_poly_trim(tuple(coeff[i] / c ** i for i in range(da + 1))))
 
 
 def fit_in_ring(f: TorusFunction, ring: InvariantRing, pole_bound: int) -> WPoly:
@@ -553,5 +544,5 @@ def fit_in_ring(f: TorusFunction, ring: InvariantRing, pole_bound: int) -> WPoly
     -> NotInRingError.
     """
     z = _fit_points(ring, pole_bound, f.poles, seed=0, margin=0.12)
-    x, y = ring.from_wp(*wp_both(z, ring.lattice))
-    return _fit_values(x, y, f(z), ring, pole_bound)
+    x = ring.from_wp(*wp_both(z, ring.lattice))
+    return _fit_values(x, f(z), ring, pole_bound)

@@ -13,6 +13,7 @@ representative.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from math import gcd
@@ -58,6 +59,9 @@ class Lattice:
     def __post_init__(self):
         tau = complex(self.tau)
         scale = complex(self.scale)
+        for name, v in (("tau", tau), ("scale", scale)):
+            if not cmath.isfinite(v):
+                raise ValueError(f"lattice {name} must be finite, got {v!r}")
         if not tau.imag > 0:
             raise ValueError(f"lattice parameter needs Im(tau) > 0, got {tau!r}")
         if scale == 0:

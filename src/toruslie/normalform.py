@@ -3,9 +3,9 @@
 Each case produces three sl2-valued meromorphic maps, invariant under the
 combined action on the torus and on sl2, with constant bracket structure
 [H, E] = 2E, [H, F] = -2F and [E, F] = H tensor p for a polynomial p in
-the invariant ring of the case.  p = fe ff, the product of the factors
-of e and f, is exact in g2 and g3 of the ring lattice, in its ring
-variable x = wp, y = wp' or u = wp^2, wp^3 (_EXACT_P):
+the one-variable invariant ring of the case.  p = fe ff, the product of
+the factors of e and f, is exact in g2 and g3 of the ring lattice, in its
+ring variable x = wp, y = wp' or u = wp^2, wp^3:
 
   cyclic translations   columns of ad(Phi_j),         p = 1
   order-2 rotation      (h, e wp', f wp'),            p = 4x^3 - g2 x - g3
@@ -20,16 +20,18 @@ variable x = wp, y = wp' or u = wp^2, wp^3 (_EXACT_P):
 
 _CASES holds this list, one row per case: the frame source (constant,
 ad(Phi) or Psi), the ring variable, the structure bound, the bracket
-sampling margin and the factors of e and f.  The factors live on the
-lattice of T / t(Gamma), which for rotations is the lattice itself.
+sampling margin, the exact p and the factors of e and f.  The factors
+live on the lattice of T / t(Gamma), which for rotations is the lattice
+itself; the p = 1 rows have none.
 
 Each triple has one frame, z -> (n, 3, 2, 2): the constant (h, e, f),
 or from_coeffs of the columns of ad(Phi) or of Psi.  The frame and, where
 the row has factors, (wp, wp') of the ring lattice are evaluated once per
 point array under one memo; E, F and H are its columns times their
-factors.  They stay three evaluators because a wrapper set on E.fn, F.fn
-or H.fn after normal_form (a tracer's span, verify's --perturb-f scaling
-of F) must see every evaluation the checks make.
+factors, and the ring variable is read off the same (wp, wp').  They stay
+three evaluators because a wrapper set on E.fn, F.fn or H.fn after
+normal_form (a tracer's span, verify's --perturb-f scaling of F) must see
+every evaluation the checks make.
 
 The order-4 pairing puts wp' on the e-side: that is the character-correct
 match for the generator action e -> i e (the product of the two function
@@ -83,19 +85,19 @@ class _Case(NamedTuple):
     var: str  # the variable of the invariant ring
     bound: int  # the structure bound
     margin: float  # the bracket sampling margin
+    # p = fe ff in the ring variable from the ring lattice's invariants: (its
+    # ascending coefficients, a value that vanishes exactly with its discriminant)
+    p: object
     fe: object = None  # the factor of e as a function of (wp, wp') of the ring lattice
     ff: object = None  # the factor of f, likewise
 
 
-#: p = fe ff of the rows on each ring variable from the ring lattice's invariants:
-#: (its ascending coefficients, a value that vanishes exactly with its discriminant)
-_EXACT_P = {
-    "full": lambda inv: ((1.0,), 1.0),
-    "wp": lambda inv: ((-inv.g3, -inv.g2, 0.0, 4.0), inv.discriminant),
-    "wp_prime": lambda inv: ((inv.g3 / 4, 0.0, 0.25), inv.g3),  # g2 = 0
-    "wp2": lambda inv: ((0.0, -inv.g2, 4.0), inv.g2),  # g3 = 0
-    "wp3": lambda inv: ((0.0, -inv.g3, 4.0), inv.g3),  # g2 = 0
-}
+#: the rows' exact p: 1, or the p of their ring variable (the table above)
+_P_ONE = lambda inv: ((1.0,), 1.0)
+_P_WP = lambda inv: ((-inv.g3, -inv.g2, 0.0, 4.0), inv.discriminant)
+_P_WP_PRIME = lambda inv: ((inv.g3 / 4, 0.0, 0.25), inv.g3)  # g2 = 0
+_P_WP2 = lambda inv: ((0.0, -inv.g2, 4.0), inv.g2)  # g3 = 0
+_P_WP3 = lambda inv: ((0.0, -inv.g3, 4.0), inv.g3)  # g2 = 0
 
 #: one row per case, keyed by kind and by (kind, order) for rotations.
 #: Generator products scale like distance^(-bound); the margin keeps the
@@ -104,18 +106,18 @@ _EXACT_P = {
 #: on top of the conjugated frames, so they get the widest berth (their
 #: pole rows sit on a line, leaving the mid-band free).
 _CASES = {
-    "CN_translation": _Case("phi", "full", 0, 0.15),
-    "DN": _Case("phi", "wp", 6, 0.34, lambda x, y: y, lambda x, y: y),
-    ("Cl_rotation", 2): _Case("B", "wp", 6, 0.22, lambda x, y: y, lambda x, y: y),
-    ("Cl_rotation", 3): _Case("B", "wp_prime", 6, 0.22, lambda x, y: x, lambda x, y: x ** 2),
-    ("Cl_rotation", 4): _Case("B", "wp2", 8, 0.3, lambda x, y: y, lambda x, y: x * y),
-    ("Cl_rotation", 6): _Case("B", "wp3", 12, 0.34, lambda x, y: x * y, lambda x, y: x ** 2 * y),
-    "C2xC2_translation": _Case("psi", "full", 0, 0.15),
+    "CN_translation": _Case("phi", "wp", 0, 0.15, _P_ONE),
+    "DN": _Case("phi", "wp", 6, 0.34, _P_WP, lambda x, y: y, lambda x, y: y),
+    ("Cl_rotation", 2): _Case("B", "wp", 6, 0.22, _P_WP, lambda x, y: y, lambda x, y: y),
+    ("Cl_rotation", 3): _Case("B", "wp_prime", 6, 0.22, _P_WP_PRIME, lambda x, y: x, lambda x, y: x ** 2),
+    ("Cl_rotation", 4): _Case("B", "wp2", 8, 0.3, _P_WP2, lambda x, y: y, lambda x, y: x * y),
+    ("Cl_rotation", 6): _Case("B", "wp3", 12, 0.34, _P_WP3, lambda x, y: x * y, lambda x, y: x ** 2 * y),
+    "C2xC2_translation": _Case("psi", "wp", 0, 0.15, _P_ONE),
     # a4_group makes the rotation s cycle the half periods s1 -> s1 + s2
     # -> s2 on every basis, so under s the e-column picks up w^2 and the
     # f-column w, w = exp(2 pi i/3), while wp of the half lattice picks up
     # w^2: wp^2 e and wp f are invariant
-    "A4": _Case("psi", "wp_prime", 6, 0.22, lambda x, y: x ** 2, lambda x, y: x),
+    "A4": _Case("psi", "wp_prime", 6, 0.22, _P_WP_PRIME, lambda x, y: x ** 2, lambda x, y: x),
 }
 
 #: ad(M) for M = [[1, 1], [1, -1]]: the flip S has S M = M diag(1, -1), so it fixes
@@ -257,28 +259,19 @@ def _frames(gens: GeneratorTriple, z: np.ndarray) -> tuple:
     return gens.E.fn(z), gens.F.fn(z), gens.H.fn(z)
 
 
-def _ring_xy(gens: GeneratorTriple, z: np.ndarray, n: int) -> tuple:
-    """The ring's (x, y) at the first n points of z, once the frames ran on z.
-
-    Where a frame factor lives on the ring lattice, its (wp, wp') at z is
-    reused; otherwise wp is evaluated at those n points alone.
-    """
+def _ring_x(gens: GeneratorTriple, z: np.ndarray, rows: slice = slice(None)):
+    """The ring variable at z[rows], read off the (wp, wp') that the frame
+    factors evaluated on z; None on the p = 1 rows, which have no factors."""
     if gens.ring_wp is None:
-        wp = wp_both(z[:n], gens.ring.lattice)
-    else:
-        wp = (v[:n] for v in gens.ring_wp(z))
-    return gens.ring.from_wp(*wp)
+        return None
+    return gens.ring.from_wp(*(v[rows] for v in gens.ring_wp(z)))
 
 
-def _rows(values: tuple, rows: slice) -> tuple:
-    return tuple(None if v is None else v[rows] for v in values)
-
-
-def _fit_structure(gens: GeneratorTriple, frames: tuple, xy: tuple) -> WPoly:
-    """Fit p from the triple and the ring values at the ring-fit rows; attach it."""
+def _fit_structure(gens: GeneratorTriple, frames: tuple, x) -> WPoly:
+    """Fit p from the triple and the ring variable at the ring-fit rows; attach it."""
     e, f, h = frames
     p = _h_projection(bracket(e, f), h)
-    gens.structure_poly = _fit_values(*xy, p, gens.ring, gens.structure_bound)
+    gens.structure_poly = _fit_values(x, p, gens.ring, gens.structure_bound)
     return gens.structure_poly
 
 
@@ -290,7 +283,7 @@ def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0) -> WPoly:
     function, at rows drawn from seed.
     """
     z = _fit_rows(gens, seed)
-    return _fit_structure(gens, _frames(gens, z), _ring_xy(gens, z, len(z)))
+    return _fit_structure(gens, _frames(gens, z), _ring_x(gens, z))
 
 
 def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -305,9 +298,9 @@ def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def _bracket_residuals(frames: tuple, poly: WPoly | None, xy: tuple | None) -> dict:
+def _bracket_residuals(frames: tuple, poly: WPoly | None, x) -> dict:
     """The residuals of verify_brackets from the triple (and, with a
-    structure polynomial, the ring values) at the probes."""
+    structure polynomial, the ring variable) at the probes."""
     e, f, h = frames
     he = bracket(h, e) - 2.0 * e
     hf = bracket(h, f) + 2.0 * f
@@ -324,10 +317,9 @@ def _bracket_residuals(frames: tuple, poly: WPoly | None, xy: tuple | None) -> d
         "frame_scale": max(float(np.max(np.abs(m))) for m in (e, f, h)),
     }
     if poly is not None:
-        p = poly.eval_xy(*xy)
-        diff = comm - p[..., None, None] * h
-        scale = 1.0 + np.abs(p[..., None, None] * h)
-        out["ef_fit"] = float(np.max(np.abs(diff) / scale))
+        # a p = 1 row reads no ring values, and its fitted p is a constant
+        ph = poly(0.0 if x is None else x)[..., None, None] * h
+        out["ef_fit"] = float(np.max(np.abs(comm - ph) / (1.0 + np.abs(ph))))
     return out
 
 
@@ -347,7 +339,7 @@ def verify_brackets(gens: GeneratorTriple, n_samples: int = BRACKET_SAMPLES, see
     z = _probe(gens, n_samples, seed)
     frames = _frames(gens, z)
     poly = gens.structure_poly
-    return _bracket_residuals(frames, poly, None if poly is None else _ring_xy(gens, z, len(z)))
+    return _bracket_residuals(frames, poly, None if poly is None else _ring_x(gens, z))
 
 
 def _invariance(gens: GeneratorTriple, frames: tuple, start: int, n: int) -> float:
@@ -410,10 +402,9 @@ def check_triple(
     frames = _frames(gens, z)
     a = len(z_fit)
     b = a + len(z_br)
-    xy = _ring_xy(gens, z, b)
     fit, probes = slice(None, a), slice(a, b)
-    poly = _fit_structure(gens, _rows(frames, fit), _rows(xy, fit))
-    brackets = _bracket_residuals(_rows(frames, probes), poly, _rows(xy, probes))
+    poly = _fit_structure(gens, tuple(m[fit] for m in frames), _ring_x(gens, z, fit))
+    brackets = _bracket_residuals(tuple(m[probes] for m in frames), poly, _ring_x(gens, z, probes))
     invs = [None, None]
     for k, zi in enumerate(z_inv):
         invs[k] = _invariance(gens, frames, b, len(zi))
@@ -423,9 +414,9 @@ def check_triple(
 
 def exact_structure_polynomial(gens: GeneratorTriple) -> WPoly:
     """p = fe ff in the ring variable, from the exact g2 and g3 of the ring
-    lattice (_EXACT_P); no sampling, no fit.  A repeated root, which only
-    a degenerate ring lattice could give, raises."""
-    coeff, disc = _EXACT_P[gens.ring.variable](invariants(gens.ring.lattice))
+    lattice (the p of the case's row); no sampling, no fit.  A repeated
+    root, which only a degenerate ring lattice could give, raises."""
+    coeff, disc = _case(gens.emb).p(invariants(gens.ring.lattice))
     if disc == 0:
         raise ValueError("exact structure polynomial has a repeated root")
     return WPoly(tuple(complex(c) for c in coeff))

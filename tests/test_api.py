@@ -67,3 +67,39 @@ def test_unused_import_is_found():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert _unused_imports((SRC / f"{module}.py").read_text()) == []
+
+
+def _dead_private_names(sources: dict) -> list[str]:
+    """Module-level ``_name`` definitions of the modules (name -> source)
+    that no module reads, as "module._name"."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            dead += [f"{module}.{n}" for n in names
+                     if n.startswith("_") and not n.startswith("__") and n not in read]
+    return sorted(dead)
+
+
+def test_dead_private_name_is_found():
+    sources = {"a": "_TABLE = {}\n_used = 1\ndef _helper():\n    return _used\n",
+               "b": "from .a import _helper\n_helper()\n"}
+    assert _dead_private_names(sources) == ["a._TABLE"]
+
+
+def test_no_dead_private_names():
+    assert _dead_private_names({m: (SRC / f"{m}.py").read_text() for m in MODULES}) == []

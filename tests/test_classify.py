@@ -167,7 +167,9 @@ class TestCrossValidate:
         # mutation: the order-3 rotation's p in wp' given rot2's cubic
         emb = cl_rotation(L_HEX, 3)
         assert cross_validate(emb).passed
-        monkeypatch.setitem(NF_MODULE._EXACT_P, "wp_prime", NF_MODULE._EXACT_P["wp"])
+        rows = NF_MODULE._CASES
+        rot3 = rows[("Cl_rotation", 3)]._replace(p=rows[("Cl_rotation", 2)].p)
+        monkeypatch.setitem(rows, ("Cl_rotation", 3), rot3)
         cv = cross_validate(emb)
         assert cv.abel_dim == 3
         assert not cv.checks["abel_matches_branch"]

@@ -221,6 +221,21 @@ class TestEval:
         assert out == ""
         assert "pole divisor" in err
 
+    @pytest.mark.parametrize("group", [("cn", "--order", "3"), ("dn", "--order", "4"), ("c2c2",)],
+                             ids=["cn3", "dn4", "c2c2"])
+    def test_far_point_prints_the_cell_values(self, capsys, group):
+        # 1e8 and 1e17 are periods of the square lattice: E, F, H and the
+        # intertwiner there equal their values at z = 0.31i bit for bit
+        def matrices(z_re):
+            rc, out, _ = run(capsys, "eval", "--group", *group, "--z-re", z_re)
+            assert rc == 0
+            return [line for line in out.splitlines() if re.match(r"(E|F|H|Phi|Psi)\.", line)]
+
+        at_zero = matrices("0")
+        assert len(at_zero) == (21 if group == ("c2c2",) else 16)
+        for z_re in ("1e8", "1e17"):
+            assert matrices(z_re) == at_zero
+
 
 class TestVerify:
     def test_default_passes(self, capsys):

@@ -7,6 +7,7 @@ import pytest
 from toruslie.lattice import (
     DegenerateLatticeError,
     HEX_TAU,
+    Lattice,
     TorsionPoint,
     _hnf_2col,
     moebius,
@@ -204,6 +205,16 @@ class TestTorsionPoint:
         p = TorsionPoint(1, 2, 5)
         q = transport_torsion(transport_torsion(p, m), inv)
         assert q == p
+
+
+@pytest.mark.parametrize(
+    "tau, scale, field",
+    [(1j, np.nan, "scale"), (1j, np.inf, "scale"), (1j, complex(1, np.nan), "scale"),
+     (complex(np.inf) * 1j, 1.0, "tau"), (complex(np.nan, 1), 1.0, "tau"), (complex(np.inf, 1), 1.0, "tau")],
+)
+def test_non_finite_lattice_is_rejected(tau, scale, field):
+    with pytest.raises(ValueError, match=f"lattice {field} must be finite"):
+        Lattice(tau, scale)
 
 
 def test_shortest_period():

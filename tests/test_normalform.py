@@ -176,12 +176,12 @@ class TestStructurePolynomial:
         for n in (1, 2, 3, 5):
             gens = normal_form(cn_translation(L_GEN, n))
             w = structure_polynomial(gens)
-            assert w.degree() == (0, -1)
+            assert w.degree() == 0
             assert abs(w.a[0] - 1.0) < 1e-8
 
     def test_klein_constant_one(self):
         w = structure_polynomial(normal_form(c2c2_translation(L_GEN)))
-        assert w.degree() == (0, -1) and abs(w.a[0] - 1.0) < 1e-8
+        assert w.degree() == 0 and abs(w.a[0] - 1.0) < 1e-8
 
     def test_dn_cubic_matches_ring_invariants(self):
         gens = normal_form(dn_group(L_GEN, 3))
@@ -519,10 +519,10 @@ class TestExactStructurePolynomial:
         z = sample_points(ring.lattice, 40, np.random.default_rng(0), avoid=(0j,), margin=0.1)
         wp, wpp = wp_both(z, ring.lattice)
         product = 1.0 if case.fe is None else case.fe(wp, wpp) * case.ff(wp, wpp)
-        x, y = ring.from_wp(wp, wpp)
+        x = ring.from_wp(wp, wpp)
         p = exact_structure_polynomial(gens)
-        scale = WPoly(tuple(abs(c) for c in p.a)).eval_xy(np.abs(x)).real
-        assert np.max(np.abs(product - p.eval_xy(x, y)) / scale) < 1e-12
+        scale = WPoly(tuple(abs(c) for c in p.a))(np.abs(x)).real
+        assert np.max(np.abs(product - p(x)) / scale) < 1e-12
         assert abelianization_dim(gens) == branch_points(emb)[0]
 
     @pytest.mark.parametrize(
@@ -539,5 +539,25 @@ class TestExactStructurePolynomial:
         exact = exact_structure_polynomial(gens)
         n = max(len(fit.a), len(exact.a))
         got, want = (np.array(list(w.a) + [0.0] * (n - len(w.a))) for w in (fit, exact))
-        assert fit.b == ()
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("emb", _catalog_params(THREE_CATALOGS))
+    def test_case_row_is_consistent(self, emb):
+        # the row's bound is its ring variable's pole order times the degree
+        # of its exact p; exactly the p = 1 rows have no factors, so they
+        # read no ring values and fit one column on 11 rows, held out on 12
+        from toruslie.funcalg import _RING_VARIABLES, _fit_shape
+
+        gens = normal_form(emb)
+        case = normalform._case(emb)
+        exact = exact_structure_polynomial(gens)
+        degree = len(exact.a) - 1
+        assert case.bound == _RING_VARIABLES[case.var][0] * degree
+        is_one = exact.a == (1.0,)
+        assert (case.fe is None) == (case.ff is None) == is_one == (gens.ring_wp is None)
+        z = normalform._fit_rows(gens, 0)
+        assert (normalform._ring_x(gens, z) is None) == is_one
+        shape = _fit_shape(gens.ring, case.bound)
+        assert shape[0] == degree and len(z) == shape[1] + shape[2]
+        if is_one:
+            assert shape == (0, 11, 12)
