@@ -26,7 +26,7 @@ import numpy as np
 from .classify import FIT_TOL, INVARIANCE_TOL, cross_validate
 from .elliptic import invariants
 from .funcalg import FitError, c2c2_constants_for, fit_lambda_mu, torus_distance
-from .lattice import Lattice, TorsionPoint
+from .lattice import Lattice, TorsionPoint, fold_far
 from .normalform import (
     BRACKET_SAMPLES, _h_projection, invariance_residual, normal_form, verify_brackets,
 )
@@ -179,7 +179,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     z = complex(args.z_re, args.z_im)
     emb = _embedding(args)
     gens = normal_form(emb, j=args.char_j)
-    if np.any(torus_distance(z, np.asarray(gens.poles), emb.lattice) < 1e-8):
+    if np.any(torus_distance(fold_far(z, emb.lattice), np.asarray(gens.poles), emb.lattice) < 1e-8):
         raise ValueError(f"evaluation point {z} is on the pole divisor")
     e, f, h = gens.E(z), gens.F(z), gens.H(z)
     comm = bracket(e, f)

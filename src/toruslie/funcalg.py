@@ -24,7 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import wp_both
-from .lattice import Lattice, _reduce_torsion, is_hexagonal_class, shortest_period, torus_reduce_centered
+from .lattice import Lattice, _reduce_torsion, fold_far, is_hexagonal_class, shortest_period
+from .lattice import torus_reduce_centered
 from .torusgroup import GroupEmbedding, c2c2_translation
 
 __all__ = [
@@ -56,8 +57,6 @@ FIT_RETRIES = 8
 FIT_HOLDOUT = 20
 #: trapezoidal nodes of residue_at's contour
 RESIDUE_NODES = 128
-#: periods out, in either lattice coordinate, beyond which _shifted moves a point in
-FAR_PERIODS = 8
 
 
 class FitError(RuntimeError):
@@ -105,16 +104,8 @@ class WPoly:
 # numeric functions on the torus
 
 
-def _shifted(z: np.ndarray, shifts: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """z - s for every shift s, stacked on a new leading axis.  A point more
-    than FAR_PERIODS periods out in either coordinate first moves in by
-    rounded whole periods, so that a huge z cannot absorb the shifts."""
-    w = z / lattice.scale
-    t = w.imag / lattice.tau.imag
-    s = w.real - t * lattice.tau.real
-    far = np.maximum(np.abs(s), np.abs(t)) > FAR_PERIODS
-    if far.any():
-        z = np.where(far, z - lattice.scale * (np.round(s) + np.round(t) * lattice.tau), z)
+def _shifted(z: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """z - s for every shift s, stacked on a new leading axis."""
     return z[None, ...] - shifts.reshape((-1,) + (1,) * z.ndim)
 
 
@@ -165,7 +156,7 @@ class TorusFunction:
     meta: dict = field(default_factory=dict)
 
     def __call__(self, z):
-        zz = np.asarray(z, dtype=complex)
+        zz = fold_far(z, self.lattice)
         out = self.fn(np.atleast_1d(zz))
         if zz.ndim == 0:
             return out[0] if self.shape else complex(out[0])
@@ -230,7 +221,7 @@ class PSystem:
 
     def _v_stack(self, z: np.ndarray) -> np.ndarray:
         """v(z - k alpha) for k = 0..n-1, stacked on a leading axis."""
-        pts = _shifted(z, np.arange(self.n) * self.alpha, self.lattice)
+        pts = _shifted(z, np.arange(self.n) * self.alpha)
         first = self.wp_alpha is None
         wpv, wppv = wp_both(np.append(pts, self.alpha) if first else pts, self.lattice)
         if first:
@@ -245,7 +236,7 @@ class PSystem:
         point's value does not depend on which other points share the call
         (a BLAS contraction would round differently with the batch size).
         """
-        zz = np.atleast_1d(np.asarray(z, dtype=complex))
+        zz = fold_far(np.atleast_1d(z), self.lattice)
         stack = self._v_stack(zz)
         ks = np.arange(self.n)
         out = {}
@@ -375,7 +366,7 @@ def _p_stack(emb: GroupEmbedding) -> tuple:
     poles = tuple(complex(torus_reduce_centered(s, emb.tau)) for s in shifts)
 
     def fn(z):
-        inv_wpp = 1.0 / wp_both(_shifted(z, shifts, emb.lattice), emb.lattice)[1]
+        inv_wpp = 1.0 / wp_both(_shifted(z, shifts), emb.lattice)[1]
         out = np.zeros((3,) + z.shape, dtype=complex)
         for c, row in zip(_P_SIGNS.T, inv_wpp):
             out += c[:, None] * row
@@ -479,58 +470,46 @@ class InvariantRing:
         return _RING_VARIABLES[self.variable][1](wp, wpp)
 
 
-def _fit_shape(ring: InvariantRing, pole_bound: int) -> tuple[int, int, int]:
-    """(degree, fit rows, held-out rows) of a ring fit with this pole bound."""
-    da = pole_bound // _RING_VARIABLES[ring.variable][0]
-    return da, 3 * (da + 1) + 8, max(12, da + 5)
+def _fit_shape(degree: int) -> tuple[int, int]:
+    """(fit rows, held-out rows) of a ring fit of this degree."""
+    return 3 * (degree + 1) + 8, max(12, degree + 5)
 
 
-def _fit_points(ring: InvariantRing, pole_bound: int, avoid, *, seed: int, margin: float) -> np.ndarray:
-    """The rows fit_in_ring samples: its fit rows, then its held-out rows."""
-    _, n_fit, n_hold = _fit_shape(ring, pole_bound)
+def _fit_points(ring: InvariantRing, degree: int, avoid, *, seed: int, margin: float) -> np.ndarray:
+    """The rows a ring fit of this degree samples: fit rows, then held-out rows."""
+    n_fit, n_hold = _fit_shape(degree)
     rng = np.random.default_rng(seed)
     avoid = tuple(avoid) + (0.0 + 0.0j,)
     return sample_points(ring.lattice, n_fit + n_hold, rng, avoid=avoid, margin=margin)
 
 
-def _fit_values(x, rhs: np.ndarray, ring: InvariantRing, pole_bound: int) -> WPoly:
-    """The expansion of fit_in_ring from the ring variable x and f at its
-    rows; x is None for a constant fit (pole bound 0), which reads no ring."""
-    da, n_fit, _ = _fit_shape(ring, pole_bound)
+def _fit_values(x, rhs: np.ndarray, ring: InvariantRing, powers) -> WPoly:
+    """The expansion of f in the monomials x^i, i in powers, from the ring
+    variable x and f at the rows of _fit_points; x is None for a constant
+    fit (powers (0,)), which reads no ring."""
+    degree = max(powers)
+    n_fit, _ = _fit_shape(degree)
     if x is None:
         x = np.ones(len(rhs))
     # precondition: work in x/c with c the typical magnitude, so the
     # Vandermonde columns stay O(1) even on small-covolume lattices
     c = float(np.median(np.abs(x))) or 1.0
     xs = x / c
-    design = np.stack([xs ** i for i in range(da + 1)], axis=1)
+    design = np.stack([xs ** i for i in powers], axis=1)
     w = 1.0 / np.maximum(1.0, np.abs(rhs))
     a_mat = design[:n_fit] * w[:n_fit, None]
     b_vec = rhs[:n_fit] * w[:n_fit]
-
-    def solve(mat, vec):
-        sol, *_ = np.linalg.lstsq(mat, vec, rcond=None)
-        # one step of iterative refinement squeezes out the last digits
-        sol += np.linalg.lstsq(mat, vec - mat @ sol, rcond=None)[0]
-        return sol
-
-    coeff = solve(a_mat, b_vec)
-    # drop columns whose coefficient is at the noise floor, then refit the
-    # reduced model: the surviving coefficients re-optimise, so no
-    # accuracy is lost to the deletion (never zero a coefficient in place;
-    # least-squares errors are correlated and cancel at evaluation time)
-    keep = np.abs(coeff) > 1e-10 * max(1e-300, float(np.max(np.abs(coeff))))
-    if not np.all(keep) and np.any(keep):
-        reduced = solve(a_mat[:, keep], b_vec)
-        coeff = np.zeros_like(coeff)
-        coeff[keep] = reduced
+    coeff, *_ = np.linalg.lstsq(a_mat, b_vec, rcond=None)
+    # one step of iterative refinement squeezes out the last digits
+    coeff += np.linalg.lstsq(a_mat, b_vec - a_mat @ coeff, rcond=None)[0]
     resid = np.abs(design[n_fit:] @ coeff - rhs[n_fit:]) * w[n_fit:]
     rel = float(np.max(resid))
     if rel > FIT_TOL:
         raise NotInRingError(
             f"held-out residual {rel:.3g} exceeds {FIT_TOL:.3g} for variable {ring.variable!r}"
         )
-    return WPoly(_poly_trim(tuple(coeff[i] / c ** i for i in range(da + 1))))
+    a = dict(zip(powers, coeff))
+    return WPoly(_poly_trim(tuple(a[i] / c ** i if i in a else 0j for i in range(degree + 1))))
 
 
 def fit_in_ring(f: TorusFunction, ring: InvariantRing, pole_bound: int) -> WPoly:
@@ -543,6 +522,7 @@ def fit_in_ring(f: TorusFunction, ring: InvariantRing, pole_bound: int) -> WPoly
     above FIT_TOL means f does not live in the ring (or the bound is wrong)
     -> NotInRingError.
     """
-    z = _fit_points(ring, pole_bound, f.poles, seed=0, margin=0.12)
+    degree = pole_bound // _RING_VARIABLES[ring.variable][0]
+    z = _fit_points(ring, degree, f.poles, seed=0, margin=0.12)
     x = ring.from_wp(*wp_both(z, ring.lattice))
-    return _fit_values(x, f(z), ring, pole_bound)
+    return _fit_values(x, f(z), ring, range(degree + 1))

@@ -27,6 +27,7 @@ __all__ = [
     "ModularClass",
     "SQUARE_TAU",
     "TorsionPoint",
+    "fold_far",
     "is_hexagonal_class",
     "is_square_class",
     "moebius",
@@ -43,6 +44,8 @@ HEX_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 _MAX_REDUCTION_STEPS = 10_000
 _REDUCTION_EPS = 1e-12  # reduce_modular's boundary tolerance
 _CLASS_ATOL = 1e-9
+#: periods out, in either lattice coordinate, beyond which fold_far moves a point in
+FAR_PERIODS = 8
 
 
 class DegenerateLatticeError(ValueError):
@@ -197,6 +200,19 @@ def torus_reduce_centered(z, tau: complex):
     s -= np.floor(s + 0.5)
     t -= np.floor(t + 0.5)
     return s + t * tau.real + 1j * (t * tau.imag)
+
+
+def fold_far(z, lattice: Lattice) -> np.ndarray:
+    """z, each point more than FAR_PERIODS periods out moved in by rounded
+    whole periods subtracted from z itself; other points stay bit for bit."""
+    z = np.asarray(z, dtype=complex)
+    w = z / lattice.scale
+    t = w.imag / lattice.tau.imag
+    s = w.real - t * lattice.tau.real
+    far = np.maximum(np.abs(s), np.abs(t)) > FAR_PERIODS
+    if far.any():
+        z = np.where(far, z - lattice.scale * (np.round(s) + np.round(t) * lattice.tau), z)
+    return z
 
 
 def _hnf_2col(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:

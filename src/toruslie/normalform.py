@@ -19,10 +19,10 @@ ring variable x = wp, y = wp' or u = wp^2, wp^3:
                         half lattice,                 p = (y^2 + g3)/4
 
 _CASES holds this list, one row per case: the frame source (constant,
-ad(Phi) or Psi), the ring variable, the structure bound, the bracket
-sampling margin, the exact p and the factors of e and f.  The factors
-live on the lattice of T / t(Gamma), which for rotations is the lattice
-itself; the p = 1 rows have none.
+ad(Phi) or Psi), the ring variable, the bracket sampling margin, the
+exact p, which fixes the structure fit's degree and monomials, and the
+factors of e and f.  The factors live on the lattice of T / t(Gamma),
+which for rotations is the lattice itself; the p = 1 rows have none.
 
 Each triple has one frame, z -> (n, 3, 2, 2): the constant (h, e, f),
 or from_coeffs of the columns of ad(Phi) or of Psi.  The frame and, where
@@ -83,7 +83,6 @@ INVARIANCE_SAMPLES = 40
 class _Case(NamedTuple):
     frames: str  # "B" constant, "phi" columns of ad(Phi), "psi" columns of Psi
     var: str  # the variable of the invariant ring
-    bound: int  # the structure bound
     margin: float  # the bracket sampling margin
     # p = fe ff in the ring variable from the ring lattice's invariants: (its
     # ascending coefficients, a value that vanishes exactly with its discriminant)
@@ -100,24 +99,24 @@ _P_WP2 = lambda inv: ((0.0, -inv.g2, 4.0), inv.g2)  # g3 = 0
 _P_WP3 = lambda inv: ((0.0, -inv.g3, 4.0), inv.g3)  # g2 = 0
 
 #: one row per case, keyed by kind and by (kind, order) for rotations.
-#: Generator products scale like distance^(-bound); the margin keeps the
-#: bracket magnitudes low enough that 64-bit roundoff stays below the
-#: absolute residual targets.  Dihedral frames carry the extra wp' factor
-#: on top of the conjugated frames, so they get the widest berth (their
-#: pole rows sit on a line, leaving the mid-band free).
+#: Generator products grow like a power of 1/distance to the poles; the
+#: margin keeps bracket magnitudes low enough that 64-bit roundoff stays
+#: below the absolute residual targets.  Dihedral frames carry the extra
+#: wp' factor on top of the conjugated frames, so they get the widest
+#: berth (their pole rows sit on a line, leaving the mid-band free).
 _CASES = {
-    "CN_translation": _Case("phi", "wp", 0, 0.15, _P_ONE),
-    "DN": _Case("phi", "wp", 6, 0.34, _P_WP, lambda x, y: y, lambda x, y: y),
-    ("Cl_rotation", 2): _Case("B", "wp", 6, 0.22, _P_WP, lambda x, y: y, lambda x, y: y),
-    ("Cl_rotation", 3): _Case("B", "wp_prime", 6, 0.22, _P_WP_PRIME, lambda x, y: x, lambda x, y: x ** 2),
-    ("Cl_rotation", 4): _Case("B", "wp2", 8, 0.3, _P_WP2, lambda x, y: y, lambda x, y: x * y),
-    ("Cl_rotation", 6): _Case("B", "wp3", 12, 0.34, _P_WP3, lambda x, y: x * y, lambda x, y: x ** 2 * y),
-    "C2xC2_translation": _Case("psi", "wp", 0, 0.15, _P_ONE),
+    "CN_translation": _Case("phi", "wp", 0.15, _P_ONE),
+    "DN": _Case("phi", "wp", 0.34, _P_WP, lambda x, y: y, lambda x, y: y),
+    ("Cl_rotation", 2): _Case("B", "wp", 0.22, _P_WP, lambda x, y: y, lambda x, y: y),
+    ("Cl_rotation", 3): _Case("B", "wp_prime", 0.22, _P_WP_PRIME, lambda x, y: x, lambda x, y: x ** 2),
+    ("Cl_rotation", 4): _Case("B", "wp2", 0.3, _P_WP2, lambda x, y: y, lambda x, y: x * y),
+    ("Cl_rotation", 6): _Case("B", "wp3", 0.34, _P_WP3, lambda x, y: x * y, lambda x, y: x ** 2 * y),
+    "C2xC2_translation": _Case("psi", "wp", 0.15, _P_ONE),
     # a4_group makes the rotation s cycle the half periods s1 -> s1 + s2
     # -> s2 on every basis, so under s the e-column picks up w^2 and the
     # f-column w, w = exp(2 pi i/3), while wp of the half lattice picks up
     # w^2: wp^2 e and wp f are invariant
-    "A4": _Case("psi", "wp_prime", 6, 0.22, _P_WP_PRIME, lambda x, y: x ** 2, lambda x, y: x),
+    "A4": _Case("psi", "wp_prime", 0.22, _P_WP_PRIME, lambda x, y: x ** 2, lambda x, y: x),
 }
 
 #: ad(M) for M = [[1, 1], [1, -1]]: the flip S has S M = M diag(1, -1), so it fixes
@@ -137,7 +136,6 @@ class GeneratorTriple:
     #: standard_rep(emb, j): rep[k] acts as emb.elements[k]
     rep: np.ndarray
     poles: tuple
-    structure_bound: int
     #: the Phi or Psi that E, F and H are built on, if any
     intertwiner: TorusFunction | None
     structure_poly: WPoly | None = None
@@ -204,7 +202,7 @@ def normal_form(emb: GroupEmbedding, j: int = 1) -> GeneratorTriple:
     h, e, f = column(0, None), column(1, case.fe), column(2, case.ff)
     ring_wp = None if case.fe is None else (lambda z: memo(z)[1])
     ring = InvariantRing(ring_lattice, case.var)
-    return GeneratorTriple(e, f, h, ring, emb, rep, orbit, case.bound, intertwiner, ring_wp=ring_wp)
+    return GeneratorTriple(e, f, h, ring, emb, rep, orbit, intertwiner, ring_wp=ring_wp)
 
 
 def _backed_off(attempt, margin: float):
@@ -241,8 +239,9 @@ def _fit_rows(gens: GeneratorTriple, seed: int) -> np.ndarray:
     ring = gens.ring.lattice
     short_ring = shortest_period(ring.tau) * abs(ring.scale)
     margin = _case(gens.emb).margin * short_orig / short_ring
+    degree = len(exact_structure_polynomial(gens).a) - 1
     return _backed_off(
-        lambda m: _fit_points(gens.ring, gens.structure_bound, (), seed=seed, margin=m),
+        lambda m: _fit_points(gens.ring, degree, (), seed=seed, margin=m),
         margin,
     )
 
@@ -271,7 +270,8 @@ def _fit_structure(gens: GeneratorTriple, frames: tuple, x) -> WPoly:
     """Fit p from the triple and the ring variable at the ring-fit rows; attach it."""
     e, f, h = frames
     p = _h_projection(bracket(e, f), h)
-    gens.structure_poly = _fit_values(x, p, gens.ring, gens.structure_bound)
+    exact = exact_structure_polynomial(gens).a
+    gens.structure_poly = _fit_values(x, p, gens.ring, [i for i, c in enumerate(exact) if c != 0])
     return gens.structure_poly
 
 
@@ -279,7 +279,7 @@ def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0) -> WPoly:
     """Fit the invariant p with [E, F] = H tensor p and attach it.
 
     The scalar function is recovered as the projection of [E, F] onto H
-    and expanded in the case's invariant ring, as fit_in_ring expands a
+    and expanded in the exact p's monomials, as fit_in_ring expands a
     function, at rows drawn from seed.
     """
     z = _fit_rows(gens, seed)

@@ -236,6 +236,26 @@ class TestEval:
         for z_re in ("1e8", "1e17"):
             assert matrices(z_re) == at_zero
 
+    @pytest.mark.parametrize(
+        "group",
+        [("rot", "--order", "3"), ("rot", "--order", "6"), ("a4",),
+         ("cn", "--order", "3", "--torsion", "0/1/3")],
+        ids=["rot3", "rot6", "a4", "cn3-tau/3"],
+    )
+    def test_far_point_on_the_hexagonal_lattice(self, capsys, group):
+        # on a lattice with Re(tau) != 0 a huge Re z would absorb t Re(tau):
+        # the ring factors would be evaluated, and the pole check made, at
+        # t tau; here that is the pole tau/3 of cn 3 with shift tau/3
+        def lines(z_re):
+            rc, out, _ = run(capsys, "eval", "--group", *group, "--tau-re", "0.5",
+                             "--tau-im", repr(HEX), f"--z-re={z_re}", "--z-im", repr(HEX / 3))
+            assert rc == 0
+            return [line for line in out.splitlines() if not line.startswith("z")]
+
+        at_zero = lines("0")
+        for z_re in ("1e8", "1e17", "-1e17"):
+            assert lines(z_re) == at_zero
+
 
 class TestVerify:
     def test_default_passes(self, capsys):

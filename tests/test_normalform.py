@@ -349,7 +349,6 @@ class TestCaseTable:
                 keys = [k for k, v in _CASES.items() if v is row]
                 assert len(keys) == 1, (emb.kind, emb.order_param)
                 used.add(keys[0])
-                assert normal_form(emb).structure_bound == row.bound
         assert used == set(_CASES)
         assert _case(cn_translation(L_GEN, 1)) is _CASES["CN_translation"]
 
@@ -487,23 +486,16 @@ class TestOneFrameEvaluation:
         assert seen == expect
 
 
-def _catalog_params(lattices, marks=None):
-    """One param per catalog case of each (name, lattice), id "name-KindN";
-    marks maps such an id to its marks."""
-    params = []
-    for name, lat in lattices:
-        for emb in catalog(lat):
-            i = f"{name}-{emb.kind}{emb.order_param}"
-            params.append(pytest.param(emb, id=i, marks=(marks or {}).get(i, ())))
-    return params
+def _catalog_params(lattices):
+    """One param per catalog case of each (name, lattice), id "name-KindN"."""
+    return [
+        pytest.param(emb, id=f"{name}-{emb.kind}{emb.order_param}")
+        for name, lat in lattices
+        for emb in catalog(lat)
+    ]
 
 
 THREE_CATALOGS = [("square", L_SQ), ("hex", L_HEX), ("generic", L_GEN)]
-DN5_COEFFICIENTS = (
-    "the monomial cubic fitted for DN5 differs from the exact one by 2.4e-5 (square) "
-    "and 2.1e-6 (generic) of its largest coefficient at seed 0, while the bracket "
-    "against it (ef_fit) stays below 1e-8: the fit's known defect on the x^2 coefficient"
-)
 
 
 class TestExactStructurePolynomial:
@@ -525,14 +517,7 @@ class TestExactStructurePolynomial:
         assert np.max(np.abs(product - p(x)) / scale) < 1e-12
         assert abelianization_dim(gens) == branch_points(emb)[0]
 
-    @pytest.mark.parametrize(
-        "emb",
-        _catalog_params(
-            THREE_CATALOGS,
-            {i: pytest.mark.xfail(strict=True, reason=DN5_COEFFICIENTS)
-             for i in ("square-DN5", "generic-DN5")},
-        ),
-    )
+    @pytest.mark.parametrize("emb", _catalog_params(THREE_CATALOGS))
     def test_fitted_coefficients_match_at_seed_0(self, emb):
         gens = normal_form(emb)
         fit = structure_polynomial(gens, seed=0)
@@ -543,21 +528,49 @@ class TestExactStructurePolynomial:
 
     @pytest.mark.parametrize("emb", _catalog_params(THREE_CATALOGS))
     def test_case_row_is_consistent(self, emb):
-        # the row's bound is its ring variable's pole order times the degree
-        # of its exact p; exactly the p = 1 rows have no factors, so they
-        # read no ring values and fit one column on 11 rows, held out on 12
-        from toruslie.funcalg import _RING_VARIABLES, _fit_shape
+        # the exact p fixes the fit's degree and so its row counts; exactly
+        # the p = 1 rows have no factors, so they read no ring values and
+        # fit one column on 11 rows, held out on 12
+        from toruslie.funcalg import _fit_shape
 
         gens = normal_form(emb)
         case = normalform._case(emb)
         exact = exact_structure_polynomial(gens)
         degree = len(exact.a) - 1
-        assert case.bound == _RING_VARIABLES[case.var][0] * degree
         is_one = exact.a == (1.0,)
         assert (case.fe is None) == (case.ff is None) == is_one == (gens.ring_wp is None)
         z = normalform._fit_rows(gens, 0)
         assert (normalform._ring_x(gens, z) is None) == is_one
-        shape = _fit_shape(gens.ring, case.bound)
-        assert shape[0] == degree and len(z) == shape[1] + shape[2]
+        assert len(z) == sum(_fit_shape(degree))
         if is_one:
-            assert shape == (0, 11, 12)
+            assert _fit_shape(degree) == (11, 12)
+
+    @pytest.mark.parametrize(
+        "emb", _catalog_params(THREE_CATALOGS + [(n, Lattice(t)) for n, t in HEX_BASES])
+    )
+    def test_fit_is_zero_where_the_exact_p_is(self, emb):
+        # the monomials the exact p lacks (x^2 of the cubic, y of
+        # (y^2 + g3)/4, u^0 of 4u^2 - g2 u and 4u^2 - g3 u) are never fitted
+        gens = normal_form(emb)
+        fit = structure_polynomial(gens, seed=0)
+        exact = exact_structure_polynomial(gens)
+        assert len(fit.a) == len(exact.a)
+        assert [c == 0 for c in fit.a] == [c == 0 for c in exact.a]
+
+
+class TestFarPoints:
+    """E, F and H at a point many periods out equal their values in the
+    cell bit for bit: the point moves in by whole periods, subtracted from
+    z itself, before anything is added to it."""
+
+    Z = 0.25 + 0.375j
+
+    @pytest.mark.parametrize("emb", _catalog_params(THREE_CATALOGS))
+    def test_frames(self, emb):
+        # Z + 2**k stays exact up to k = 50, and Z + 2**k tau up to k = 40
+        far = np.concatenate([self.Z + 2.0 ** np.arange(4, 51), self.Z + 2.0 ** np.arange(4, 41) * emb.tau])
+        gens = normal_form(emb)
+        for m in (gens.E, gens.F, gens.H):
+            want = m(np.array([self.Z]))
+            assert np.all(np.isfinite(want))
+            assert m(far).tobytes() == np.repeat(want, len(far), axis=0).tobytes()
