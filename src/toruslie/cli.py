@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .classify import FIT_TOL, INVARIANCE_TOL, cross_validate
+from .classify import BRACKET_TOL, FIT_TOL, INVARIANCE_TOL, cross_validate
 from .elliptic import invariants
 from .funcalg import FitError, c2c2_constants_for, fit_lambda_mu, torus_distance
 from .lattice import Lattice, TorsionPoint, fold_far
@@ -146,17 +146,10 @@ def cmd_constants(args: argparse.Namespace) -> int:
     """Invariants of the lattice, the C2xC2 constants, and the lambda, mu of
     the order-N P-system; for even N, phi fits its own on the 2N cover."""
     emb = _embedding(args)
-    inv = invariants(emb.lattice)
     report = {
         "command": "constants",
         "config": _config_dict(args),
-        "g2": inv.g2,
-        "g3": inv.g3,
-        "e1": inv.e1,
-        "e2": inv.e2,
-        "e3": inv.e3,
-        "discriminant": inv.discriminant,
-        "j": inv.j,
+        **dataclasses.asdict(invariants(emb.lattice)),
     }
     if args.group == "c2c2":
         cc = dataclasses.asdict(c2c2_constants_for(emb))
@@ -287,7 +280,7 @@ _FLAGS = {
     "--order": dict(type=int, default=2, help="N for cn/dn, l for rot"),
     "--torsion": dict(type=_parse_torsion, default=None, metavar="a/b/n"),
     "--char-j": dict(type=int, default=1),
-    "--tol": dict(type=_finite, default=1e-7),
+    "--tol": dict(type=_finite, default=BRACKET_TOL),
     "--samples": dict(type=int, default=BRACKET_SAMPLES),
     "--seed": dict(type=int, default=0),
     "--json": dict(action="store_true"),

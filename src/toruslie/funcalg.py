@@ -318,22 +318,19 @@ def fit_lambda_mu(
 # contour residues
 
 
-def residue_at(f: TorusFunction, p: complex, radius: float | None = None) -> complex:
+def residue_at(f: TorusFunction, p: complex) -> complex:
     """(1/2*pi*i) * contour integral of f on a circle around p.
 
     Trapezoidal quadrature on the circle is spectrally accurate for the
-    meromorphic integrand; the radius defaults to just under half the
-    distance to the nearest other declared pole, capped well inside the
-    fundamental cell.
+    meromorphic integrand; the radius is just under half the distance to
+    the nearest other declared pole, capped well inside the fundamental
+    cell.
     """
     p = complex(p)
     short = shortest_period(f.lattice.tau) * abs(f.lattice.scale)
     d = torus_distance(p, np.asarray(f.poles, dtype=complex), f.lattice)
     others = d[d > 1e-9 * short]
-    if radius is None:
-        radius = 0.45 * float(np.min(others, initial=short))
-    if radius >= 0.5 * short:
-        raise ValueError("contour circle leaves the isolation cell of the pole")
+    radius = 0.45 * float(np.min(others, initial=short))
     if np.any(others < radius + 1e-9 * short):
         raise ValueError("contour circle intersects another declared pole")
     theta = 2.0 * math.pi * np.arange(RESIDUE_NODES) / RESIDUE_NODES
@@ -419,7 +416,8 @@ def _constants_from_e(e1, e2, e3, hexagonal: bool) -> C2C2Constants:
     B1 = b ** 1.5
     if hexagonal and abs(A1 - 1j) < 1e-6 and abs(B1 + 1.0) < 1e-6:
         # simultaneous sign flip: keeps A1*B1, makes the order-3 element of
-        # A4 fix the Cartan generator
+        # A4 fix the Cartan generator.  It fires on every A4 embedding; on a
+        # C2 x C2 one it fires on some bases only and moves no checked value
         A1, B1 = -A1, -B1
     sqrt_a2b2 = A1 * B1 * (alpha2 / alpha1 - beta2 / beta1)
     return C2C2Constants(alpha1, alpha2, beta1, beta2, A1, B1, sqrt_a2b2)

@@ -136,9 +136,10 @@ def psi(emb: GroupEmbedding) -> TorusFunction:
     action of C2 x C2 on sl2.  For the tetrahedral group the Klein part is
     its last two generators (r1, r2) with r2 := r1 (s r1 s^-1), so on
     every basis the rotation s cycles the half periods s1 -> s1 + s2 ->
-    s2.  The shift-matched constants therefore need no sign change: with
-    them the Cartan column is invariant under s (cross_validate certifies
-    this through its invariance check).
+    s2.  The shift-matched constants alone do not make the Cartan column
+    invariant under s: on every A4 embedding _constants_from_e also flips
+    A1 and B1 together (cross_validate certifies the result through its
+    invariance check).
     """
     if emb.kind not in ("C2xC2_translation", "A4"):
         raise ValueError("psi is attached to the Klein translation group")
@@ -157,7 +158,6 @@ def check_intertwining(
     emb: GroupEmbedding,
     n_samples: int = 40,
     seed: int = 0,
-    margin: float = 0.08,
 ) -> float:
     """max over samples and group elements of |M(g.z) - rho(g) M(z) rho~(g)^-1|.
 
@@ -166,7 +166,7 @@ def check_intertwining(
     means the trivial action on the right.
     """
     rng = np.random.default_rng(seed)
-    z = sample_points(m.lattice, n_samples, rng, avoid=m.poles, margin=margin)
+    z = sample_points(m.lattice, n_samples, rng, avoid=m.poles, margin=0.08)
     worst = 0.0
     for k, g in enumerate(emb.elements):
         left = m(g.apply(z))

@@ -44,7 +44,7 @@ HEX_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 _MAX_REDUCTION_STEPS = 10_000
 _REDUCTION_EPS = 1e-12  # reduce_modular's boundary tolerance
 _CLASS_ATOL = 1e-9
-#: periods out, in either lattice coordinate, beyond which fold_far moves a point in
+#: periods out, in either lattice coordinate, beyond which _fold_far moves a point in
 FAR_PERIODS = 8
 
 
@@ -190,13 +190,14 @@ def shortest_period(tau: complex) -> float:
 
 
 def torus_reduce_centered(z, tau: complex):
-    """Representative with coordinates s, t in [-1/2, 1/2) over (1, tau).
-
-    Accepts scalars or arrays.
-    """
+    """Representative with coordinates s, t in [-1/2, 1/2) over (1, tau), of
+    scalars or arrays; a far point is first moved in as fold_far moves it."""
     z = np.asarray(z, dtype=complex)
     t = z.imag / tau.imag
     s = z.real - t * tau.real
+    folded = _fold_far(z, s, t, tau, 1.0)
+    if folded is not z:
+        return torus_reduce_centered(folded, tau)
     s -= np.floor(s + 0.5)
     t -= np.floor(t + 0.5)
     return s + t * tau.real + 1j * (t * tau.imag)
@@ -208,10 +209,14 @@ def fold_far(z, lattice: Lattice) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     w = z / lattice.scale
     t = w.imag / lattice.tau.imag
-    s = w.real - t * lattice.tau.real
+    return _fold_far(z, w.real - t * lattice.tau.real, t, lattice.tau, lattice.scale)
+
+
+def _fold_far(z: np.ndarray, s, t, tau: complex, scale: complex) -> np.ndarray:
+    """fold_far of z = scale * (s + t*tau); z itself when no point is far."""
     far = np.maximum(np.abs(s), np.abs(t)) > FAR_PERIODS
     if far.any():
-        z = np.where(far, z - lattice.scale * (np.round(s) + np.round(t) * lattice.tau), z)
+        z = np.where(far, z - scale * (np.round(s) + np.round(t) * tau), z)
     return z
 
 

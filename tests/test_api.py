@@ -103,3 +103,58 @@ def test_dead_private_name_is_found():
 
 def test_no_dead_private_names():
     assert _dead_private_names({m: (SRC / f"{m}.py").read_text() for m in MODULES}) == []
+
+
+def _unset_defaults(defining: dict, calling: list) -> list[str]:
+    """Defaulted parameters of the functions in the ``defining`` sources
+    (module -> source) that no call in the ``calling`` sources passes, by
+    keyword or by position, as "function.parameter".  A call is matched by
+    the called name alone (a class name stands for its ``__init__``), and a
+    ``*args`` or ``**kwargs`` in it passes everything."""
+    defaulted = []  # (called name, parameter, positional index or None)
+    for tree in map(ast.parse, defining.values()):
+        # a method is called without its self, and __init__ by the class name
+        methods = {id(f): c.name if f.name == "__init__" else f.name
+                   for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for f in c.body if isinstance(f, ast.FunctionDef)}
+        for f in ast.walk(tree):
+            if not isinstance(f, ast.FunctionDef):
+                continue
+            name, skip = methods.get(id(f), f.name), id(f) in methods
+            a = f.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            defaulted += [(name, p.arg, i - skip) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(name, p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+    passed = set()  # (called name, parameter, positional index, "*" or "**")
+    for tree in map(ast.parse, calling):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            passed |= {(name, "*") for a in node.args if isinstance(a, ast.Starred)}
+            passed |= {(name, k.arg or "**") for k in node.keywords}
+            passed |= {(name, i) for i in range(len(node.args))}
+    return sorted(
+        f"{name}.{p}" for name, p, i in defaulted
+        if not {(name, p), (name, "**"), (name, i)} & passed
+        and not (i is not None and (name, "*") in passed)
+    )
+
+
+def test_unset_default_is_found():
+    defining = {"a": "def f(x, y=1, *, z=2):\n    pass\n"
+                     "class C:\n    def __init__(self, u=0):\n        pass\n"
+                     "    def m(self, v=0, w=0):\n        pass\n"}
+    assert _unset_defaults(defining, ["f(0, 1)\nC()\nc.m(1)\n"]) == ["C.u", "f.z", "m.w"]
+    assert _unset_defaults(defining, ["f(0, z=1)\nC(*a)\nc.m(**k)\n"]) == ["f.y"]
+
+
+def test_every_default_is_set_outside_the_tests():
+    root = SRC.parents[1]
+    callers = [*root.glob("src/**/*.py"), *root.glob("demos/*.py"), *root.glob("bench/*.py"),
+               root / "tests" / "test_acceptance.py"]
+    defining = {m: (SRC / f"{m}.py").read_text() for m in MODULES}
+    assert _unset_defaults(defining, [p.read_text() for p in callers]) == []

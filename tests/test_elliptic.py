@@ -198,6 +198,22 @@ class TestWeierstrass:
         assert np.max(np.abs(wp(z + 1, lat) - a)) < 1e-9
         assert np.max(np.abs(wp(z + lat.tau, lat) - a)) < 1e-9
 
+    @pytest.mark.parametrize("tau, z0, offsets", [
+        (HEX_TAU, 0.3j, [1e17, -1e17, 2.0 ** 50, 1e8, -1e8]),
+        # 2**k tau + z0 stops being exact at k = 50, where the sum rounds
+        # the 0.375 itself
+        (GENERIC, 0.25 + 0.375j,
+         [2.0 ** k for k in range(4, 51)] + [2.0 ** k * GENERIC for k in range(4, 50)]),
+    ], ids=["hex", "generic"])
+    def test_far_points_keep_their_digits(self, tau, z0, offsets):
+        # wp_both called directly moves a far point in by whole periods
+        # subtracted from z itself, so it gives the near point's value bit
+        # for bit; a reduction of s = Re z - t Re(tau) alone loses them
+        lat = Lattice(tau)
+        w, wq = wp_both(z0 + np.array(offsets), lat)
+        w0, wq0 = wp_both(z0, lat)
+        assert np.array_equal(w, np.full(w.shape, w0)) and np.array_equal(wq, np.full(wq.shape, wq0))
+
     def test_square_lattice_quarter_turn(self):
         lat = Lattice(1j)
         inv = invariants(lat)

@@ -289,9 +289,11 @@ class TestResidues:
         assert abs(residue_at(f, 0.0) + 2.0) < 1e-6
 
     def test_circle_collision_rejected(self):
+        # an outside point this close to a declared pole has no circle
+        # that clears it
         f = wp_function(L_GEN)
-        with pytest.raises(ValueError):
-            residue_at(f, 0.0, radius=2.0)
+        with pytest.raises(ValueError, match="intersects another declared pole"):
+            residue_at(f, 1.5e-9)
 
 
 class TestLastPointsMemo:
