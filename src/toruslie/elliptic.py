@@ -82,6 +82,8 @@ class _Cell:
     g2r: complex          # invariants of the reduced lattice
     g3r: complex
     discr: complex        # discriminant via the eta product (no cancellation)
+    scaling: np.ndarray   # (2, 1): -4 pi^2 / m^2 and -8i pi^3 / m^3, the series' factors
+    const: complex        # pi^2 (8 s1 - 1/3) / m^2, the constant term of wp
 
 
 def _n_terms(qabs: float) -> int:
@@ -118,7 +120,10 @@ def _cell(tau: complex) -> _Cell:
     # g2^3 - 27 g3^2 cancels catastrophically for elongated lattices
     discr = (2.0 * _PI) ** 12 * complex(q) * complex(np.prod(denom)) ** 24
     coef = np.stack((lam, ks * lam), axis=1)[: _split_terms(abs(q))]
-    return _Cell(tau_r, m, complex(q), coef, s1, g2r, g3r, discr)
+    m2, m3 = m ** 2, m ** 3
+    scaling = np.array([[-4.0 * _PI ** 2 / m2], [-8j * _PI ** 3 / m3]])
+    const = _PI ** 2 * (8.0 * s1 - 1.0 / 3.0) / m2
+    return _Cell(tau_r, m, complex(q), coef, s1, g2r, g3r, discr, scaling, const)
 
 
 def _wp_series(zc: np.ndarray, cell: _Cell, out: np.ndarray) -> None:
@@ -163,11 +168,11 @@ def _wp_series(zc: np.ndarray, cell: _Cell, out: np.ndarray) -> None:
 
     # on m (Z + Z*tau_r) wp scales by m^-2, wp' by m^-3, out of place: numpy
     # rounds an in-place complex product of one element on another path
-    m2, m3 = cell.m ** 2, cell.m ** 3
-    np.multiply(x[1:], [[-4.0 * _PI ** 2 / m2], [-8j * _PI ** 3 / m3]], out=out)
-    out[0] += _PI ** 2 * (8.0 * cell.s1 - 1.0 / 3.0) / m2
+    np.multiply(x[1:], cell.scaling, out=out)
+    out[0] += cell.const
     out[1] *= sign
     if near is not None:
+        m2, m3 = cell.m ** 2, cell.m ** 3
         pole = dist < POLE_EPS
         zl = np.where(pole, 1.0, zc)
         wp_l = 1.0 / zl ** 2 + (cell.g2r / 20.0) * zl ** 2 + (cell.g3r / 28.0) * zl ** 4

@@ -135,8 +135,11 @@ def _last_points_memo(fn):
 def torus_distance(z, p, lattice: Lattice) -> np.ndarray:
     """Distance from z to p modulo the lattice; z and p broadcast
     against each other."""
-    zz = (np.asarray(z, dtype=complex) - p) / lattice.scale
-    return np.abs(lattice.scale) * np.abs(torus_reduce_centered(zz, lattice.tau))
+    s = lattice.scale
+    zz = np.asarray(z, dtype=complex) - p
+    if s == 1:  # dividing by 1+0j flips at most the sign of a zero, which abs drops
+        return np.abs(torus_reduce_centered(zz, lattice.tau))
+    return np.abs(s) * np.abs(torus_reduce_centered(zz / s, lattice.tau))
 
 
 @dataclass
@@ -239,13 +242,11 @@ class PSystem:
         zz = fold_far(np.atleast_1d(z), self.lattice)
         stack = self._v_stack(zz)
         ks = np.arange(self.n)
-        out = {}
-        for j in js:
-            phases = self.w ** (-(ks * (j % self.n)))
-            acc = phases[0] * stack[0]
-            for c, row in zip(phases[1:], stack[1:]):
-                acc += c * row
-            out[j] = acc
+        phases = {j: self.w ** (-(ks * (j % self.n))) for j in js}
+        out = {j: c[0] * stack[0] for j, c in phases.items()}
+        for k in range(1, self.n):
+            for j, c in phases.items():
+                out[j] += c[k] * stack[k]
         return out
 
     def pj(self, j: int) -> TorusFunction:

@@ -212,10 +212,16 @@ def fold_far(z, lattice: Lattice) -> np.ndarray:
     return _fold_far(z, w.real - t * lattice.tau.real, t, lattice.tau, lattice.scale)
 
 
+def _abs_max(x) -> float:
+    return np.fmax.reduce(np.abs(x), None, initial=0.0)
+
+
 def _fold_far(z: np.ndarray, s, t, tau: complex, scale: complex) -> np.ndarray:
     """fold_far of z = scale * (s + t*tau); z itself when no point is far."""
-    far = np.maximum(np.abs(s), np.abs(t)) > FAR_PERIODS
-    if far.any():
+    # the mask is built only when some point is far; fmax skips a nan
+    # point, which the mask leaves where it is
+    if _abs_max(s) > FAR_PERIODS or _abs_max(t) > FAR_PERIODS:
+        far = np.maximum(np.abs(s), np.abs(t)) > FAR_PERIODS
         z = np.where(far, z - scale * (np.round(s) + np.round(t) * tau), z)
     return z
 

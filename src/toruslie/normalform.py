@@ -20,9 +20,9 @@ ring variable x = wp, y = wp' or u = wp^2, wp^3:
 
 _CASES holds this list, one row per case: the frame source (constant,
 ad(Phi) or Psi), the ring variable, the bracket sampling margin, the
-exact p, which fixes the structure fit's degree and monomials, and the
-factors of e and f.  The factors live on the lattice of T / t(Gamma),
-which for rotations is the lattice itself; the p = 1 rows have none.
+exact p, as coefficients and as its roots, and the factors of e and f.
+The factors live on the lattice of T / t(Gamma), which for rotations is
+the lattice itself; the p = 1 rows have none.
 
 Each triple has one frame, z -> (n, 3, 2, 2): the constant (h, e, f),
 or from_coeffs of the columns of ad(Phi) or of Psi.  The frame and, where
@@ -38,17 +38,26 @@ match for the generator action e -> i e (the product of the two function
 factors must be the full invariant wp (wp')^2 either way, so the bracket
 polynomial is unchanged).
 
+The structure check compares [E, F] with H times the exact p.  p is
+evaluated at the (wp, wp') that the frames' memo already holds, as its
+leading coefficient times the product over its roots, because the
+monomial form cancels where p is small against its terms.  Sampling p
+and fitting it in the ring (structure_polynomial) is an independent
+route that no check runs.
+
 Each check is three steps: draw its points, evaluate the triple (and the
 ring) there, and compute the residual from those values.
 structure_polynomial, verify_brackets and invariance_residual run the
-three steps for one check; check_triple draws the point sets of all
-three (and, on request, the verify command's invariance probes) first
-and evaluates the triple and its ring once on their concatenation, with
-results equal to those of the functions run one by one.
+three steps for one check; check_triple draws the point sets of the
+bracket and invariance checks (and, on request, the verify command's
+invariance probes) first and evaluates the triple and its ring once on
+their concatenation, with results equal to those of the functions run
+one by one.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -85,18 +94,21 @@ class _Case(NamedTuple):
     var: str  # the variable of the invariant ring
     margin: float  # the bracket sampling margin
     # p = fe ff in the ring variable from the ring lattice's invariants: (its
-    # ascending coefficients, a value that vanishes exactly with its discriminant)
+    # ascending coefficients, a value that vanishes exactly with its
+    # discriminant, its roots)
     p: object
     fe: object = None  # the factor of e as a function of (wp, wp') of the ring lattice
     ff: object = None  # the factor of f, likewise
 
 
 #: the rows' exact p: 1, or the p of their ring variable (the table above)
-_P_ONE = lambda inv: ((1.0,), 1.0)
-_P_WP = lambda inv: ((-inv.g3, -inv.g2, 0.0, 4.0), inv.discriminant)
-_P_WP_PRIME = lambda inv: ((inv.g3 / 4, 0.0, 0.25), inv.g3)  # g2 = 0
-_P_WP2 = lambda inv: ((0.0, -inv.g2, 4.0), inv.g2)  # g3 = 0
-_P_WP3 = lambda inv: ((0.0, -inv.g3, 4.0), inv.g3)  # g2 = 0
+_P_ONE = lambda inv: ((1.0,), 1.0, ())
+_P_WP = lambda inv: ((-inv.g3, -inv.g2, 0.0, 4.0), inv.discriminant, (inv.e1, inv.e2, inv.e3))
+_P_WP_PRIME = lambda inv: (  # g2 = 0
+    (inv.g3 / 4, 0.0, 0.25), inv.g3, (cmath.sqrt(-inv.g3), -cmath.sqrt(-inv.g3))
+)
+_P_WP2 = lambda inv: ((0.0, -inv.g2, 4.0), inv.g2, (0.0, inv.g2 / 4))  # g3 = 0
+_P_WP3 = lambda inv: ((0.0, -inv.g3, 4.0), inv.g3, (0.0, inv.g3 / 4))  # g2 = 0
 
 #: one row per case, keyed by kind and by (kind, order) for rotations.
 #: Generator products grow like a power of 1/distance to the poles; the
@@ -266,24 +278,19 @@ def _ring_x(gens: GeneratorTriple, z: np.ndarray, rows: slice = slice(None)):
     return gens.ring.from_wp(*(v[rows] for v in gens.ring_wp(z)))
 
 
-def _fit_structure(gens: GeneratorTriple, frames: tuple, x) -> WPoly:
-    """Fit p from the triple and the ring variable at the ring-fit rows; attach it."""
-    e, f, h = frames
-    p = _h_projection(bracket(e, f), h)
-    exact = exact_structure_polynomial(gens).a
-    gens.structure_poly = _fit_values(x, p, gens.ring, [i for i, c in enumerate(exact) if c != 0])
-    return gens.structure_poly
-
-
-def structure_polynomial(gens: GeneratorTriple, *, seed: int = 0) -> WPoly:
+def structure_polynomial(gens: GeneratorTriple) -> WPoly:
     """Fit the invariant p with [E, F] = H tensor p and attach it.
 
     The scalar function is recovered as the projection of [E, F] onto H
     and expanded in the exact p's monomials, as fit_in_ring expands a
-    function, at rows drawn from seed.
+    function, at rows drawn from seed 0.
     """
-    z = _fit_rows(gens, seed)
-    return _fit_structure(gens, _frames(gens, z), _ring_x(gens, z))
+    z = _fit_rows(gens, 0)
+    e, f, h = _frames(gens, z)
+    p = _h_projection(bracket(e, f), h)
+    powers = [i for i, c in enumerate(exact_structure_polynomial(gens).a) if c != 0]
+    gens.structure_poly = _fit_values(_ring_x(gens, z), p, gens.ring, powers)
+    return gens.structure_poly
 
 
 def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -298,9 +305,25 @@ def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
     return num / den
 
 
-def _bracket_residuals(frames: tuple, poly: WPoly | None, x) -> dict:
-    """The residuals of verify_brackets from the triple (and, with a
-    structure polynomial, the ring variable) at the probes."""
+def _exact_p(gens: GeneratorTriple, x):
+    """The exact p at the ring variable x (None on the p = 1 rows): its
+    leading coefficient times the product over its roots."""
+    coeff, _, roots = _case(gens.emb).p(invariants(gens.ring.lattice))
+    value = coeff[-1]
+    for r in roots:
+        value = value * (x - r)
+    return value
+
+
+def _relative_residual(comm: np.ndarray, p, h: np.ndarray) -> float:
+    """max |[E, F] - p H| / (1 + |p H|) over the points and entries."""
+    ph = np.asarray(p)[..., None, None] * h
+    return float(np.max(np.abs(comm - ph) / (1.0 + np.abs(ph))))
+
+
+def _bracket_residuals(gens: GeneratorTriple, frames: tuple, x) -> dict:
+    """The residuals of verify_brackets from the triple and the ring
+    variable x (None on the p = 1 rows) at the probes."""
     e, f, h = frames
     he = bracket(h, e) - 2.0 * e
     hf = bracket(h, f) + 2.0 * f
@@ -311,15 +334,15 @@ def _bracket_residuals(frames: tuple, poly: WPoly | None, x) -> dict:
         "he": float(np.max(np.abs(he))),
         "hf": float(np.max(np.abs(hf))),
         "ef": float(np.max(np.abs(ef))),
+        "ef_exact": _relative_residual(comm, _exact_p(gens, x), h),
         "trace": max(
             float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1)))) for m in (e, f, h)
         ),
         "frame_scale": max(float(np.max(np.abs(m))) for m in (e, f, h)),
     }
-    if poly is not None:
+    if gens.structure_poly is not None:
         # a p = 1 row reads no ring values, and its fitted p is a constant
-        ph = poly(0.0 if x is None else x)[..., None, None] * h
-        out["ef_fit"] = float(np.max(np.abs(comm - ph) / (1.0 + np.abs(ph))))
+        out["ef_fit"] = _relative_residual(comm, gens.structure_poly(0.0 if x is None else x), h)
     return out
 
 
@@ -327,19 +350,18 @@ def verify_brackets(gens: GeneratorTriple, n_samples: int = BRACKET_SAMPLES, see
     """Max pointwise residuals of the three bracket relations.
 
     `ef` is the absolute residual of [E, F] against its projection onto H:
-    it certifies that [E, F] is a scalar function times H.  When a
-    structure polynomial is attached, `ef_fit` additionally reports the
-    relative residual of [E, F] against H times that fitted polynomial;
-    relative, because the polynomial's coefficients on small-covolume
-    invariant lattices are large and an absolute target would only measure
-    float granularity.  `trace` is the worst deviation of the generators
-    from tracelessness, and `frame_scale` the largest entry seen (the
-    noise floor of every absolute residual is proportional to it).
+    it certifies that [E, F] is a scalar function times H.  `ef_exact` is
+    the relative residual of [E, F] against H times the exact p, and,
+    when structure_polynomial has attached a fitted p, `ef_fit` the same
+    against H times that; relative, because p's coefficients on
+    small-covolume invariant lattices are large and an absolute target
+    would only measure float granularity.  `trace` is the worst deviation
+    of the generators from tracelessness, and `frame_scale` the largest
+    entry seen (the noise floor of every absolute residual is
+    proportional to it).
     """
     z = _probe(gens, n_samples, seed)
-    frames = _frames(gens, z)
-    poly = gens.structure_poly
-    return _bracket_residuals(frames, poly, None if poly is None else _ring_x(gens, z))
+    return _bracket_residuals(gens, _frames(gens, z), _ring_x(gens, z))
 
 
 def _invariance(gens: GeneratorTriple, frames: tuple, start: int, n: int) -> float:
@@ -371,52 +393,43 @@ def invariance_residual(gens: GeneratorTriple, n_samples: int = INVARIANCE_SAMPL
 def check_triple(
     gens: GeneratorTriple, *, seed: int = 0, verify_samples: int | None = None
 ) -> tuple:
-    """(structure_polynomial(seed), verify_brackets(seed + 1),
-    invariance_residual(seed + 2)) from one evaluation of the triple.
+    """(verify_brackets(seed + 1), invariance_residual(seed + 2)) from one
+    evaluation of the triple.
 
-    The point sets of the three checks are drawn first, each from its own
-    seed as those functions draw it: the ring-fit rows, the bracket probes,
-    and the invariance probes with their preimages.  E, F, H and the ring
-    values are then evaluated once on the concatenation and sliced per
-    check.  Results and exceptions equal those of the three functions run
-    in turn; in particular a ring fit that fails outranks a probe sampler
-    that starves.
+    The point sets of the checks are drawn first, each from its own seed
+    as those functions draw it: the bracket probes, and the invariance
+    probes with their preimages.  E, F, H and the ring values are then
+    evaluated once on the concatenation and sliced per check.  Results
+    and exceptions equal those of the two functions run in turn.
 
-    verify_samples adds a fourth value from the same evaluation:
+    verify_samples adds a third value from the same evaluation:
     invariance_residual(gens, verify_samples, seed + 2), or None when that
     sampler starves (invariance_residual, run after the checks, raises).
     """
-    z_fit = _fit_rows(gens, seed)
-    try:
-        z_br = _probe(gens, BRACKET_SAMPLES, seed + 1)
-        z_inv = [_probe(gens, INVARIANCE_SAMPLES, seed + 2)]
-    except FitError:
-        structure_polynomial(gens, seed=seed)
-        raise
+    z_br = _probe(gens, BRACKET_SAMPLES, seed + 1)
+    z_inv = [_probe(gens, INVARIANCE_SAMPLES, seed + 2)]
     if verify_samples is not None:
         try:
             z_inv.append(_probe(gens, verify_samples, seed + 2))
         except FitError:
             pass
-    z = np.concatenate([z_fit, z_br] + [w for zi in z_inv for w in (zi, _preimages(gens, zi))])
+    z = np.concatenate([z_br] + [w for zi in z_inv for w in (zi, _preimages(gens, zi))])
     frames = _frames(gens, z)
-    a = len(z_fit)
-    b = a + len(z_br)
-    fit, probes = slice(None, a), slice(a, b)
-    poly = _fit_structure(gens, tuple(m[fit] for m in frames), _ring_x(gens, z, fit))
-    brackets = _bracket_residuals(tuple(m[probes] for m in frames), poly, _ring_x(gens, z, probes))
+    b = len(z_br)
+    probes = slice(None, b)
+    brackets = _bracket_residuals(gens, tuple(m[probes] for m in frames), _ring_x(gens, z, probes))
     invs = [None, None]
     for k, zi in enumerate(z_inv):
         invs[k] = _invariance(gens, frames, b, len(zi))
         b += len(zi) * gens.emb.order
-    return (poly, brackets, *invs[: 1 if verify_samples is None else 2])
+    return (brackets, *invs[: 1 if verify_samples is None else 2])
 
 
 def exact_structure_polynomial(gens: GeneratorTriple) -> WPoly:
     """p = fe ff in the ring variable, from the exact g2 and g3 of the ring
     lattice (the p of the case's row); no sampling, no fit.  A repeated
     root, which only a degenerate ring lattice could give, raises."""
-    coeff, disc = _case(gens.emb).p(invariants(gens.ring.lattice))
+    coeff, disc, _ = _case(gens.emb).p(invariants(gens.ring.lattice))
     if disc == 0:
         raise ValueError("exact structure polynomial has a repeated root")
     return WPoly(tuple(complex(c) for c in coeff))

@@ -33,6 +33,7 @@ from .lattice import (
     _reduce_torsion,
     is_hexagonal_class,
     is_square_class,
+    reduce_modular,
     sublattice_vectors,
 )
 
@@ -73,28 +74,39 @@ def _rotation_value(num: int, den: int) -> complex:
     return cmath.exp(2j * math.pi * num / den)
 
 
+#: g -> the matrix of multiplication by exp(2*pi*i/g) on (1, tau_r) of the
+#: reduced class: tau_r = exp(i*pi/3) (g = 6), tau_r = i (g = 4), and -1 on
+#: any lattice (g = 2)
+_UNITS = {6: ((0, -1), (1, 1)), 4: ((0, -1), (1, 0)), 2: ((-1, 0), (0, -1))}
+
+
+def _matmul(m: IntMat, n: IntMat) -> IntMat:
+    (a, b), (c, d) = m
+    (p, q), (r, s) = n
+    return ((a * p + b * r, a * q + b * s), (c * p + d * r, c * q + d * s))
+
+
 @lru_cache(maxsize=1024)
 def mult_matrix(num: int, den: int, tau: complex) -> IntMat:
     """Integer matrix of multiplication by exp(2*pi*i*num/den) on (1, tau).
 
-    Raises UnsupportedEmbeddingError when the lattice does not admit the
-    rotation (residual above 1e-9 after rounding to integers).
+    A power of the reduced class's unit in _UNITS, carried to (1, tau) by
+    reduce_modular(tau).transform; no coordinate is rounded.  Raises
+    UnsupportedEmbeddingError when the lattice's class does not admit
+    the rotation.
     """
-    eps = _rotation_value(num, den)
-    rows = []
-    for w in (1.0 + 0.0j, tau):
-        v = eps * w
-        y = v.imag / tau.imag
-        x = v.real - y * tau.real
-        xi, yi = round(x), round(y)
-        if abs(x - xi) > 1e-9 or abs(y - yi) > 1e-9:
-            raise UnsupportedEmbeddingError(
-                f"lattice tau={tau:.6g} has no multiplication by exp(2*pi*i*{num}/{den})"
-            )
-        rows.append((xi, yi))
-    # matrix acts on column coordinates (a, b) of a + b*tau
-    (p, q), (r, s) = rows
-    return ((p, r), (q, s))
+    g = 6 if is_hexagonal_class(tau) else 4 if is_square_class(tau) else 2
+    if g * num % den:
+        raise UnsupportedEmbeddingError(
+            f"lattice tau={tau:.6g} has no multiplication by exp(2*pi*i*{num}/{den})"
+        )
+    m = ((1, 0), (0, 1))
+    for _ in range(g * num // den % g):
+        m = _matmul(_UNITS[g], m)
+    # Z + Z tau = (c tau + d)(Z + Z tau_r): the reduced basis has
+    # (1, tau)-coordinates P = ((d, b), (c, a)), and P^-1 = ((a, -b), (-c, d))
+    (a, b), (c, d) = reduce_modular(tau).transform
+    return _matmul(_matmul(((d, b), (c, a)), m), ((a, -b), (-c, d)))
 
 
 def _rot(num: int, den: int) -> tuple[int, int]:

@@ -113,6 +113,7 @@ class TestBracketsAcrossCatalog:
             assert rep["hf"] < 1e-7, emb.kind
             assert rep["ef"] < 1e-7, emb.kind
             assert rep["ef_fit"] < 1e-6, emb.kind
+            assert rep["ef_exact"] < 1e-6, emb.kind
             assert rep["trace"] < 1e-10, emb.kind
 
     @pytest.mark.parametrize("lat", LATTICES, ids=["square", "hex", "generic"])
@@ -128,6 +129,7 @@ class TestBracketsAcrossCatalog:
         gens.F.fn = lambda z: 1.01 * f0(z)
         rep = verify_brackets(gens)
         assert rep["ef_fit"] > 1e-3
+        assert rep["ef_exact"] > 1e-3
 
 
 class TestPeriodicity:
@@ -516,11 +518,17 @@ class TestExactStructurePolynomial:
         scale = WPoly(tuple(abs(c) for c in p.a))(np.abs(x)).real
         assert np.max(np.abs(product - p(x)) / scale) < 1e-12
         assert abelianization_dim(gens) == branch_points(emb)[0]
+        # the row's roots form: its leading coefficient times the product
+        # over its roots expands to its coefficients
+        coeff, _, roots = case.p(invariants(ring.lattice))
+        expanded = coeff[-1] * np.atleast_1d(np.poly(roots))[::-1]
+        assert len(expanded) == len(coeff)
+        assert np.max(np.abs(expanded - coeff)) <= 1e-13 * max(abs(c) for c in coeff)
 
     @pytest.mark.parametrize("emb", _catalog_params(THREE_CATALOGS))
     def test_fitted_coefficients_match_at_seed_0(self, emb):
         gens = normal_form(emb)
-        fit = structure_polynomial(gens, seed=0)
+        fit = structure_polynomial(gens)
         exact = exact_structure_polynomial(gens)
         n = max(len(fit.a), len(exact.a))
         got, want = (np.array(list(w.a) + [0.0] * (n - len(w.a))) for w in (fit, exact))
@@ -552,7 +560,7 @@ class TestExactStructurePolynomial:
         # the monomials the exact p lacks (x^2 of the cubic, y of
         # (y^2 + g3)/4, u^0 of 4u^2 - g2 u and 4u^2 - g3 u) are never fitted
         gens = normal_form(emb)
-        fit = structure_polynomial(gens, seed=0)
+        fit = structure_polynomial(gens)
         exact = exact_structure_polynomial(gens)
         assert len(fit.a) == len(exact.a)
         assert [c == 0 for c in fit.a] == [c == 0 for c in exact.a]

@@ -12,7 +12,9 @@ from sweep import SWEEP_TAUS, sweep_cases
 from toruslie import normalform, sl2rep
 from toruslie.classify import classify
 from toruslie import torusgroup as tg
-from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, reduce_modular, torus_reduce_centered
+from toruslie.lattice import (
+    HEX_TAU, Lattice, TorsionPoint, moebius, reduce_modular, torus_reduce_centered,
+)
 from toruslie.torusgroup import (
     AffineAutomorphism,
     UnsupportedEmbeddingError,
@@ -681,3 +683,65 @@ class TestGeneratorTable:
                 "quotient_tau": Lattice(quotient_scaled(emb).tau).tau,
                 "branch_orbits": branch_points(emb)[0],
             }
+
+
+def _rounded_mult_matrix(num, den, tau):
+    """Multiplication by exp(2 pi i num/den) on (1, tau) by rounding the
+    images of 1 and tau to integer coordinates; None where a coordinate
+    is more than 1e-9 from an integer."""
+    eps = cmath.exp(2j * math.pi * num / den)
+    cols = []
+    for w in (1.0, tau):
+        v = eps * w
+        y = v.imag / tau.imag
+        x = v.real - y * tau.real
+        if abs(x - round(x)) > 1e-9 or abs(y - round(y)) > 1e-9:
+            return None
+        cols.append((round(x), round(y)))
+    (p, q), (r, s) = cols
+    return ((p, r), (q, s))
+
+
+def _sl2z_images(tau, n, seed):
+    """n images moebius(m, tau) of SL2(Z) matrices m with |a|, |b| <= 60."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < n:
+        a, b = (int(v) for v in rng.integers(-60, 61, size=2))
+        if gcd(a, b) != 1:
+            continue
+        # a d - b c = 1 by extended Euclid on (a, b)
+        r0, r1, s0, s1, t0, t1 = a, b, 1, 0, 0, 1
+        while r1:
+            k = r0 // r1
+            r0, r1, s0, s1, t0, t1 = r1, r0 - k * r1, s1, s0 - k * s1, t1, t0 - k * t1
+        d, c = (s0, -t0) if r0 == 1 else (-s0, t0)
+        assert a * d - b * c == 1
+        out.append(moebius(((a, b), (c, d)), tau))
+    return out
+
+
+class TestExactRotationMatrices:
+    @pytest.mark.parametrize(
+        "tau, rotations",
+        [(1j, [(1, 4), (3, 4), (1, 2), (0, 1)]), (HEX_TAU, [(1, 3), (2, 3), (1, 6), (5, 6), (1, 2)])],
+        ids=["square", "hex"],
+    )
+    def test_equal_the_rounded_ones_where_those_exist(self, tau, rotations):
+        agree = 0
+        for t in _sl2z_images(tau, 300, seed=5):
+            for num, den in rotations:
+                exact = tg.mult_matrix(num, den, t)
+                rounded = _rounded_mult_matrix(num, den, t)
+                if rounded is not None:
+                    assert exact == rounded, (t, num, den)
+                    agree += 1
+        assert agree >= 0.9 * 300 * len(rotations)
+
+    def test_catalog_on_a_flat_hexagonal_basis(self):
+        # the order-3 rotation's images of 1 and tau sit more than 1e-9
+        # from integer coordinates here, so rounding rejected it
+        tau = moebius(((-47, -40), (20, 17)), HEX_TAU)
+        assert _rounded_mult_matrix(1, 3, tau) is None
+        kinds = [(e.kind, e.order_param) for e in catalog(Lattice(tau))]
+        assert ("Cl_rotation", 3) in kinds and ("Cl_rotation", 6) in kinds and ("A4", 3) in kinds
