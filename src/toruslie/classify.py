@@ -96,21 +96,16 @@ class CrossValidation:
     checks: dict
     passed: bool
     triple: GeneratorTriple | None = field(default=None, compare=False, repr=False)
-    #: invariance_residual(triple, verify_samples, seed + 2), if asked for
-    verify_invariance: float | None = field(default=None, compare=False, repr=False)
 
 
-def cross_validate(
-    emb: GroupEmbedding, j: int = 1, *, seed: int = 0, verify_samples: int | None = None
-) -> CrossValidation:
+def cross_validate(emb: GroupEmbedding, j: int = 1, *, seed: int = 0) -> CrossValidation:
     """Build the normal form and check it against the classification.
 
     The bracket residuals and invariance residual are those of
-    verify_brackets(seed + 1) and invariance_residual(seed + 2), computed
-    by check_triple: every point set is drawn first and the triple and
-    its ring are evaluated once.  verify_samples adds the verify
-    command's invariance probes to that evaluation; their residual is
-    verify_invariance.
+    verify_brackets(seed + 1) and invariance_residual(seed + 2) at their
+    default probe counts, computed by check_triple: every point set is
+    drawn first and the triple and its ring are evaluated once.  The
+    verify command at its defaults reports these two residuals.
 
     The structure check is ef_exact, [E, F] against H times the exact p
     of the case; no p is fitted.  Where the class has a j-invariant, the
@@ -118,9 +113,7 @@ def cross_validate(
     """
     cls = classify(emb)
     gens = normal_form(emb, j=j)
-    # asked for verify's probes, check_triple returns their residual third
-    extra = {} if verify_samples is None else {"verify_samples": verify_samples}
-    brackets, inv_res, *verify_inv = check_triple(gens, seed=seed, **extra)
+    brackets, inv_res = check_triple(gens, seed=seed)
     abel = abelianization_dim(gens)
 
     # generator entries can be large (small mu, elongated lattices); the
@@ -141,6 +134,4 @@ def cross_validate(
             1.0, abs(cls.j_invariant)
         )
 
-    return CrossValidation(
-        cls, brackets, inv_res, abel, checks, all(checks.values()), gens, *verify_inv
-    )
+    return CrossValidation(cls, brackets, inv_res, abel, checks, all(checks.values()), gens)

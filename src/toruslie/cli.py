@@ -27,9 +27,8 @@ from .classify import BRACKET_TOL, FIT_TOL, INVARIANCE_TOL, cross_validate
 from .elliptic import invariants
 from .funcalg import FitError, c2c2_constants_for, fit_lambda_mu, torus_distance
 from .lattice import Lattice, TorsionPoint, fold_far
-from .normalform import (
-    BRACKET_SAMPLES, _h_projection, invariance_residual, normal_form, verify_brackets,
-)
+from .normalform import BRACKET_SAMPLES, _h_projection, invariance_residual, invariance_samples
+from .normalform import normal_form, verify_brackets
 from .sl2rep import bracket
 from .torusgroup import GroupEmbedding, catalog, make_embedding
 
@@ -199,13 +198,9 @@ def _mat(m: np.ndarray) -> list:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     emb = _embedding(args)
-    n_inv = max(20, args.samples // 2)
-    # cross_validate checks the unperturbed triple (evaluating verify's
-    # invariance probes with its own); --perturb-f then scales F of that
-    # triple, which ef_exact, against the exact p, must catch
-    cv = cross_validate(
-        emb, args.char_j, seed=args.seed, verify_samples=None if args.perturb_f else n_inv
-    )
+    # cross_validate checks the unperturbed triple; --perturb-f then scales
+    # F of that triple, which ef_exact, against the exact p, must catch
+    cv = cross_validate(emb, args.char_j, seed=args.seed)
     gens = cv.triple
     if args.perturb_f:
         f0 = gens.F.fn
@@ -213,12 +208,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         gens.F.fn = lambda z: factor * f0(z)
     if args.perturb_f or args.samples != BRACKET_SAMPLES:
         br = verify_brackets(gens, args.samples, seed=args.seed + 1)
+        inv_res = invariance_residual(gens, invariance_samples(args.samples), seed=args.seed + 2)
     else:
-        # the triple, seed and probes of cross_validate's bracket check
-        br = cv.bracket_residuals
-    inv_res = cv.verify_invariance
-    if inv_res is None:  # F perturbed, or the probe sampler starved
-        inv_res = invariance_residual(gens, n_inv, seed=args.seed + 2)
+        # the triple, seeds and probes of cross_validate's checks
+        br, inv_res = cv.bracket_residuals, cv.invariance
     checks = {
         "he": br["he"] < args.tol,
         "hf": br["hf"] < args.tol,

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .elliptic import wp_both
-from .lattice import Lattice, _reduce_torsion, fold_far, is_hexagonal_class, shortest_period
-from .lattice import torus_reduce_centered
-from .torusgroup import GroupEmbedding, c2c2_translation
+from .lattice import Lattice, TorsionPoint, _reduce_torsion, fold_far, is_hexagonal_class
+from .lattice import shortest_period, torus_reduce_centered
+from .torusgroup import GroupEmbedding, c2c2_translation, mult_matrix
 
 __all__ = [
     "C2C2Constants",
@@ -48,7 +48,6 @@ __all__ = [
     "torus_distance",
 ]
 
-DEFAULT_MARGIN = 0.05
 #: bound of a ring fit's held-out residual, per point and relative
 FIT_TOL = 1e-6
 #: sample draws of the lambda/mu fit before it gives up
@@ -71,10 +70,9 @@ class NotInRingError(ValueError):
 # polynomials in a ring variable
 
 
-def _poly_trim(p, tol=0.0):
-    lim = max([abs(c) for c in p], default=0.0) * tol
+def _poly_trim(p):
     out = list(p)
-    while out and abs(out[-1]) <= lim:
+    while out and out[-1] == 0:
         out.pop()
     return tuple(out)
 
@@ -95,9 +93,6 @@ class WPoly:
 
     def __call__(self, x):
         return _poly_eval(self.a, x)
-
-    def degree(self) -> int:
-        return len(_poly_trim(self.a, 1e-12)) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +162,7 @@ class TorusFunction:
 
 
 def sample_points(
-    lattice: Lattice,
-    n: int,
-    rng: np.random.Generator,
-    avoid=(),
-    margin: float = DEFAULT_MARGIN,
+    lattice: Lattice, n: int, rng: np.random.Generator, avoid=(), *, margin: float
 ) -> np.ndarray:
     """Seeded points of the fundamental cell, rejection-sampled to keep a
     margin (as a fraction of the shortest period) from every avoided point."""
@@ -406,7 +397,7 @@ class C2C2Constants:
     sqrt_a2b2: complex
 
 
-def _constants_from_e(e1, e2, e3, hexagonal: bool) -> C2C2Constants:
+def _constants_from_e(e1, e2, e3, flip: bool) -> C2C2Constants:
     a = (e1 - e3) / (e2 - e3)
     b = (e1 - e2) / (e2 - e3)
     alpha1 = a ** 2
@@ -415,10 +406,9 @@ def _constants_from_e(e1, e2, e3, hexagonal: bool) -> C2C2Constants:
     beta2 = 4.0 / ((e1 - e3) * (e2 - e3) ** 2)
     A1 = a ** 1.5
     B1 = b ** 1.5
-    if hexagonal and abs(A1 - 1j) < 1e-6 and abs(B1 + 1.0) < 1e-6:
+    if flip:
         # simultaneous sign flip: keeps A1*B1, makes the order-3 element of
-        # A4 fix the Cartan generator.  It fires on every A4 embedding; on a
-        # C2 x C2 one it fires on some bases only and moves no checked value
+        # A4 fix the Cartan generator
         A1, B1 = -A1, -B1
     sqrt_a2b2 = A1 * B1 * (alpha2 / alpha1 - beta2 / beta1)
     return C2C2Constants(alpha1, alpha2, beta1, beta2, A1, B1, sqrt_a2b2)
@@ -440,7 +430,12 @@ def c2c2_constants_for(emb: GroupEmbedding) -> C2C2Constants:
     """
     s1, s2 = _half_periods(emb)
     e1, e2, e3 = (complex(e) for e in wp_both(np.array([s1, s2, s1 + s2]), emb.lattice)[0])
-    return _constants_from_e(e1, e2, e3, is_hexagonal_class(emb.tau))
+    # on a hexagonal-class basis w = exp(2 pi i/3) sends s1 to s2 or to
+    # s1 + s2; in the second case e3 = w e1, e2 = w^2 e1, so a = exp(i pi/3)
+    # gives A1 = i and B1 = -1, which flip.  a4_group puts every A4 there
+    t1, t2 = (g.shift for g in emb.generators[-2:])
+    w_t1 = t1.matrix_apply(mult_matrix(1, 3, emb.tau)) if is_hexagonal_class(emb.tau) else None
+    return _constants_from_e(e1, e2, e3, w_t1 == TorsionPoint(t1.a + t2.a, t1.b + t2.b, 2))
 
 
 # ---------------------------------------------------------------------------

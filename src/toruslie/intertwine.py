@@ -137,9 +137,9 @@ def psi(emb: GroupEmbedding) -> TorusFunction:
     its last two generators (r1, r2) with r2 := r1 (s r1 s^-1), so on
     every basis the rotation s cycles the half periods s1 -> s1 + s2 ->
     s2.  The shift-matched constants alone do not make the Cartan column
-    invariant under s: on every A4 embedding _constants_from_e also flips
-    A1 and B1 together (cross_validate certifies the result through its
-    invariance check).
+    invariant under s: c2c2_constants_for also flips A1 and B1 together
+    where exp(2 pi i/3) sends s1 to s1 + s2, on every A4 embedding
+    (cross_validate certifies the result through its invariance check).
     """
     if emb.kind not in ("C2xC2_translation", "A4"):
         raise ValueError("psi is attached to the Klein translation group")

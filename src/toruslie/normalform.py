@@ -49,10 +49,11 @@ Each check is three steps: draw its points, evaluate the triple (and the
 ring) there, and compute the residual from those values.
 structure_polynomial, verify_brackets and invariance_residual run the
 three steps for one check; check_triple draws the point sets of the
-bracket and invariance checks (and, on request, the verify command's
-invariance probes) first and evaluates the triple and its ring once on
-their concatenation, with results equal to those of the functions run
-one by one.
+bracket and invariance checks first and evaluates the triple and its
+ring once on their concatenation, with results equal to those of the
+functions run one by one.  invariance_samples gives the verify command
+INVARIANCE_SAMPLES at BRACKET_SAMPLES, so at its defaults it reads
+check_triple's residuals.
 """
 
 from __future__ import annotations
@@ -79,15 +80,22 @@ __all__ = [
     "check_triple",
     "exact_structure_polynomial",
     "invariance_residual",
+    "invariance_samples",
     "normal_form",
     "structure_polynomial",
     "verify_brackets",
 ]
 
+
+def invariance_samples(n_brackets: int) -> int:
+    """The invariance probe count that goes with n_brackets bracket probes."""
+    return max(20, 2 * n_brackets // 3)
+
+
 #: bracket probes of verify_brackets and of check_triple
 BRACKET_SAMPLES = 60
 #: invariance probes of invariance_residual and of check_triple
-INVARIANCE_SAMPLES = 40
+INVARIANCE_SAMPLES = invariance_samples(BRACKET_SAMPLES)
 
 class _Case(NamedTuple):
     frames: str  # "B" constant, "phi" columns of ad(Phi), "psi" columns of Psi
@@ -390,9 +398,7 @@ def invariance_residual(gens: GeneratorTriple, n_samples: int = INVARIANCE_SAMPL
     return _invariance(gens, frames, 0, len(z))
 
 
-def check_triple(
-    gens: GeneratorTriple, *, seed: int = 0, verify_samples: int | None = None
-) -> tuple:
+def check_triple(gens: GeneratorTriple, *, seed: int = 0) -> tuple:
     """(verify_brackets(seed + 1), invariance_residual(seed + 2)) from one
     evaluation of the triple.
 
@@ -401,28 +407,15 @@ def check_triple(
     probes with their preimages.  E, F, H and the ring values are then
     evaluated once on the concatenation and sliced per check.  Results
     and exceptions equal those of the two functions run in turn.
-
-    verify_samples adds a third value from the same evaluation:
-    invariance_residual(gens, verify_samples, seed + 2), or None when that
-    sampler starves (invariance_residual, run after the checks, raises).
     """
     z_br = _probe(gens, BRACKET_SAMPLES, seed + 1)
-    z_inv = [_probe(gens, INVARIANCE_SAMPLES, seed + 2)]
-    if verify_samples is not None:
-        try:
-            z_inv.append(_probe(gens, verify_samples, seed + 2))
-        except FitError:
-            pass
-    z = np.concatenate([z_br] + [w for zi in z_inv for w in (zi, _preimages(gens, zi))])
+    z_inv = _probe(gens, INVARIANCE_SAMPLES, seed + 2)
+    z = np.concatenate([z_br, z_inv, _preimages(gens, z_inv)])
     frames = _frames(gens, z)
     b = len(z_br)
     probes = slice(None, b)
     brackets = _bracket_residuals(gens, tuple(m[probes] for m in frames), _ring_x(gens, z, probes))
-    invs = [None, None]
-    for k, zi in enumerate(z_inv):
-        invs[k] = _invariance(gens, frames, b, len(zi))
-        b += len(zi) * gens.emb.order
-    return (brackets, *invs[: 1 if verify_samples is None else 2])
+    return brackets, _invariance(gens, frames, b, len(z_inv))
 
 
 def exact_structure_polynomial(gens: GeneratorTriple) -> WPoly:

@@ -11,7 +11,7 @@ from toruslie import intertwine
 from toruslie.classify import cross_validate
 from toruslie.funcalg import FitError, fit_lambda_mu, p_system
 from toruslie.cli import main
-from toruslie.normalform import invariance_residual
+from toruslie.normalform import invariance_residual, verify_brackets
 from toruslie.intertwine import phi
 from toruslie.lattice import Lattice
 from toruslie.torusgroup import cn_translation, dn_group
@@ -598,29 +598,42 @@ def _verify_argv(group, order, lat, seed, *extra):
 
 
 class TestVerifyFold:
-    """verify's own invariance probes join cross_validate's evaluation; its
-    report equals invariance_residual run on the triple afterwards."""
+    """At its defaults verify reports the residuals cross_validate computed;
+    off them it runs the two checks on the triple at its own probe counts."""
 
     @pytest.mark.parametrize("seed", [0, 7])
     @pytest.mark.parametrize(
         "group, order, lat", FOLD_CASES, ids=[f"{g}{n}-{t[0]}" for g, n, t in FOLD_CASES]
     )
-    def test_equals_invariance_residual(self, capsys, group, order, lat, seed):
+    def test_defaults_equal_classify(self, capsys, group, order, lat, seed):
+        rc, out, _ = run(capsys, *_verify_argv(group, order, lat, seed))
+        assert rc in (0, 1)
+        argv = ("classify",) + _verify_argv(group, order, lat, seed)[1:]
+        cv = json.loads(run(capsys, *argv)[1])["cross_validation"]
+        report = json.loads(out)
+        assert report["bracket_residuals"] == cv["bracket_residuals"]
+        assert report["invariance_residual"] == cv["invariance_residual"]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "group, order, lat", FOLD_CASES, ids=[f"{g}{n}-{t[0]}" for g, n, t in FOLD_CASES]
+    )
+    def test_samples_90_equal_the_checks_on_the_triple(self, capsys, group, order, lat, seed):
         cli_module = importlib.import_module("toruslie.cli")
         args = cli_module._build_parser().parse_args(_verify_argv(group, order, lat, seed))
         args.tau = complex(args.tau_re, args.tau_im)
-        cv = cross_validate(cli_module._embedding(args), seed=seed)
-        for extra, n in (((), 30), (("--samples", "40"), 20)):
-            rc, out, _ = run(capsys, *_verify_argv(group, order, lat, seed, *extra))
-            assert rc in (0, 1)
-            ref = invariance_residual(cv.triple, n, seed=seed + 2)
-            assert json.loads(out)["invariance_residual"] == ref
+        gens = cross_validate(cli_module._embedding(args), seed=seed).triple
+        rc, out, _ = run(capsys, *_verify_argv(group, order, lat, seed, "--samples", "90"))
+        assert rc in (0, 1)
+        report = json.loads(out)
+        assert report["bracket_residuals"] == verify_brackets(gens, 90, seed=seed + 1)
+        assert report["invariance_residual"] == invariance_residual(gens, 60, seed=seed + 2)
 
     @pytest.mark.parametrize(
-        "extra, calls", [((), 0), (("--samples", "40"), 0), (("--perturb-f", "0.5"), 1)],
+        "extra, calls", [((), 0), (("--samples", "40"), 1), (("--perturb-f", "0.5"), 1)],
         ids=["defaults", "samples", "perturbed"],
     )
-    def test_invariance_residual_runs_only_when_perturbed(self, capsys, monkeypatch, extra, calls):
+    def test_invariance_residual_runs_only_off_the_defaults(self, capsys, monkeypatch, extra, calls):
         cli_module = importlib.import_module("toruslie.cli")
         seen = []
         original = cli_module.invariance_residual
@@ -651,10 +664,11 @@ class TestVerifyFold:
                 calls = count_wp_calls(m)
                 run(capsys, command, *argv)
             counts.append(len(calls))
-        assert 0 < counts[1] <= counts[0]
+        assert 0 < counts[1] == counts[0]
 
     def test_a_starving_probe_set_raises_as_before(self, capsys, monkeypatch):
-        # only verify's 30-probe draw starves: the error verify always gave
+        # only the 30-probe invariance draw of --samples 45 starves: the
+        # error verify always gave
         original = nf_module.sample_points
 
         def starving(slat, n, *args, **kwargs):
@@ -663,7 +677,7 @@ class TestVerifyFold:
             return original(slat, n, *args, **kwargs)
 
         monkeypatch.setattr(nf_module, "sample_points", starving)
-        argv = ("verify", "--group", "cn", "--order", "3")
+        argv = ("verify", "--group", "cn", "--order", "3", "--samples", "45")
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err == "error: no sampling margin admits points away from the pole orbit\n"

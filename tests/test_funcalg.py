@@ -34,6 +34,7 @@ from toruslie.lattice import (
     torus_reduce_centered,
 )
 from toruslie.intertwine import double_cover
+from test_torusgroup import _sl2z_images
 from toruslie.torusgroup import a4_group, c2c2_translation, cn_translation, dn_group, quotient_scaled
 
 GENERIC = complex(0.31, 1.07)
@@ -363,7 +364,7 @@ class TestSamplePoints:
     @pytest.mark.parametrize("n", [0, -4])
     def test_fewer_than_one_point_raises(self, n):
         with pytest.raises(ValueError, match="at least one sample point"):
-            sample_points(Lattice(GENERIC), n, np.random.default_rng(0))
+            sample_points(Lattice(GENERIC), n, np.random.default_rng(0), margin=0.05)
 
     @pytest.mark.parametrize("avoid", [(0j,), tuple(np.arange(12) / 12.0 + 0.3j)])
     def test_starved_margin_raises(self, avoid):
@@ -491,15 +492,23 @@ class TestC2C2Constants:
             slat = Lattice(emb.tau)
             s1, s2 = _half_periods(emb)
             e = [complex(wp_both(s, slat)[0]) for s in (s1, s2, s1 + s2)]
-            expect = _constants_from_e(*e, is_hexagonal_class(emb.tau))
+            expect = _constants_from_e(*e, _numeric_flip(*e, emb.tau))
             assert c2c2_constants_for(emb) == expect
+
+
+def _numeric_flip(e1, e2, e3, tau) -> bool:
+    """The A1/B1 sign flip as it was decided numerically, before
+    c2c2_constants_for read it off the rotation matrix: A1 near i and B1
+    near -1 on a hexagonal-class basis."""
+    a, b = (e1 - e3) / (e2 - e3), (e1 - e2) / (e2 - e3)
+    return is_hexagonal_class(tau) and abs(a ** 1.5 - 1j) < 1e-6 and abs(b ** 1.5 + 1.0) < 1e-6
 
 
 def invariants_route_constants(lat: Lattice):
     """c2c2_constants as formed before it became c2c2_constants_for of the
     standard Klein generators: from e1, e2, e3 of invariants(lat)."""
     inv = invariants(lat)
-    return _constants_from_e(inv.e1, inv.e2, inv.e3, is_hexagonal_class(lat.tau))
+    return _constants_from_e(inv.e1, inv.e2, inv.e3, _numeric_flip(inv.e1, inv.e2, inv.e3, lat.tau))
 
 
 class TestC2C2ConstantsRoutes:
@@ -514,6 +523,27 @@ class TestC2C2ConstantsRoutes:
         for tau in taus:
             lat = Lattice(tau)
             assert c2c2_constants(lat) == invariants_route_constants(lat), tau
+
+    @pytest.mark.parametrize("tau", [1j, HEX_TAU], ids=["square", "hex"])
+    def test_exact_flip_equals_the_numeric_probe(self, tau):
+        # the flip read off the rotation matrix, against the numeric probe
+        # on the e-values, for both Klein-carrying kinds on every basis
+        flips = {"A4": 0, "C2xC2_translation": 0}
+        images = _sl2z_images(tau, 300, seed=5)
+        for t in images:
+            lat = Lattice(t)
+            embs = [c2c2_translation(lat)] + ([a4_group(lat)] if is_hexagonal_class(t) else [])
+            for emb in embs:
+                s1, s2 = _half_periods(emb)
+                e = [complex(v) for v in wp_both(np.array([s1, s2, s1 + s2]), emb.lattice)[0]]
+                flip = _numeric_flip(*e, emb.tau)
+                assert c2c2_constants_for(emb) == _constants_from_e(*e, flip), (t, emb.kind)
+                flips[emb.kind] += flip
+        # A4 always flips, C2 x C2 on some hexagonal bases only, never on square ones
+        if tau == HEX_TAU:
+            assert flips["A4"] == len(images) and 0 < flips["C2xC2_translation"] < len(images)
+        else:
+            assert flips == {"A4": 0, "C2xC2_translation": 0}
 
 
 class TestFitWPoly:

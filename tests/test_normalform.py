@@ -178,12 +178,12 @@ class TestStructurePolynomial:
         for n in (1, 2, 3, 5):
             gens = normal_form(cn_translation(L_GEN, n))
             w = structure_polynomial(gens)
-            assert w.degree() == 0
+            assert len(w.a) == 1
             assert abs(w.a[0] - 1.0) < 1e-8
 
     def test_klein_constant_one(self):
         w = structure_polynomial(normal_form(c2c2_translation(L_GEN)))
-        assert w.degree() == 0 and abs(w.a[0] - 1.0) < 1e-8
+        assert len(w.a) == 1 and abs(w.a[0] - 1.0) < 1e-8
 
     def test_dn_cubic_matches_ring_invariants(self):
         gens = normal_form(dn_group(L_GEN, 3))
@@ -480,7 +480,7 @@ class TestOneFrameEvaluation:
             m.fn = wrap(name, m.fn)
         if gens.intertwiner is not None:
             gens.intertwiner.fn = wrap("intertwiner", gens.intertwiner.fn)
-        check_triple(gens, verify_samples=17)
+        check_triple(gens)
         n = seen["H"][0]
         expect = {name: [n] for name in "EFH"}
         if gens.intertwiner is not None:
