@@ -6,7 +6,8 @@ emitted as structured text with a stable key schema (or JSON with
 seeded, so equal configurations produce byte-identical reports.
 
 Each subcommand accepts only the flags it reads (_COMMANDS), and every
-float flag must be finite.  Exit status: 0 all checks passed, 1
+float flag must be finite; its value may follow it as its own word, a
+negative one in exponent form included.  Exit status: 0 all checks passed, 1
 verification failure, 2 usage or domain error, including a fit that
 fails and a group the lattice does not carry; constants instead reports
 a failed lambda/mu fit (FitError) as null lambda and mu.
@@ -142,7 +143,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_constants(args: argparse.Namespace) -> int:
     """Invariants of the lattice, the C2xC2 constants, and the lambda, mu of
-    the order-N P-system; for even N, phi fits its own on the 2N cover."""
+    the order-N P-system, fitted; phi takes its own in closed form, for even
+    N on the 2N cover."""
     emb = _embedding(args)
     report = {
         "command": "constants",
@@ -184,7 +186,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "H": _mat(h),
         "bracket_residual": float(np.max(np.abs(comm - p_point * h))),
     }
-    # the map the frames were built from: no second lambda/mu fit
+    # the map the frames were built from: no second lambda, mu
     if gens.intertwiner is not None:
         name = "Psi" if emb.kind in ("C2xC2_translation", "A4") else "Phi"
         report[name] = _mat(gens.intertwiner(z))
@@ -283,6 +285,7 @@ _FLAGS = {
         type=_finite, default=0.0, help="scale F by (1 + value) after the checks; negative control"
     ),
 }
+_FLOAT_FLAGS = {flag for flag, spec in _FLAGS.items() if spec.get("type") is _finite}
 _COMMON = {"--tau-re", "--tau-im", "--json", "--out"}
 _EMBEDDING = {"--group", "--order", "--torsion", "--char-j"}
 #: each command and the flags it reads besides _COMMON; it accepts no other
@@ -312,8 +315,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _join_float_values(argv: list) -> list:
+    """argv with each float flag and the word after it joined as flag=value.
+
+    argparse takes a word such as -1e-3 or -inf for an option, since only
+    words such as -0.001 count as negative numbers; joined, every value
+    reaches the flag's type check.
+    """
+    out = []
+    words = iter(argv)
+    for word in words:
+        value = next(words, None) if word in _FLOAT_FLAGS else None
+        out.append(word if value is None else f"{word}={value}")
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser().parse_args(_join_float_values(argv))
     args.tau = complex(args.tau_re, args.tau_im)
     try:
         return _COMMANDS[args.command][0](args)

@@ -9,10 +9,12 @@ routine respects.
 The construction kernels live here as well: the character projections of
 wp'/(wp - wp(alpha)) attached to a cyclic translation group (simple poles
 on the orbit of the origin, residue -2 + 2 cos(2 pi j / N) at the origin),
-the linear relation P_2j P_-j^2 - P_-2j P_j^2 = lam * P_-k P_k + mu fitted
-numerically, the quartet of odd half-period functions built from 1/wp',
-and the half-period constants entering the 3x3 intertwiner.  p0, p1 and
-p2 are the rows of one stack from one 1/wp' evaluation, which psi reads.
+the linear relation P_2j P_-j^2 - P_-2j P_j^2 = lam * P_-k P_k + mu, whose
+constants lambda_mu reads off the Laurent expansions at z = 0 and
+fit_lambda_mu fits from sampled values, the quartet of odd half-period
+functions built from 1/wp', and the half-period constants entering the 3x3
+intertwiner.  p0, p1 and p2 are the rows of one stack from one 1/wp'
+evaluation, which psi reads.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import wp_both
+from .elliptic import _cell, wp_both
 from .lattice import Lattice, TorsionPoint, _reduce_torsion, fold_far, is_hexagonal_class
 from .lattice import shortest_period, torus_reduce_centered
 from .torusgroup import GroupEmbedding, c2c2_translation, mult_matrix
@@ -41,6 +43,7 @@ __all__ = [
     "c2c2_constants_for",
     "fit_in_ring",
     "fit_lambda_mu",
+    "lambda_mu",
     "p_small",
     "p_system",
     "residue_at",
@@ -196,8 +199,9 @@ class PSystem:
     alpha = scale * (a + b*tau)/n; it is gcd-reduced here, so n is its exact
     order.  P_j = sum_k w^(-kj) v(z - k alpha) with v = wp'/(wp - wp(alpha));
     the lattice may be scaled (used for the even-order double covers).
-    wp_alpha is evaluated as one more point of the first _v_stack call
-    (wp_both's values do not depend on the batch) and is None until then.
+    orbit_wp holds (wp, wp') at k alpha, k = 1..n-1, from one wp_both call;
+    wp_alpha is its first wp value, equal to wp_both's at alpha alone
+    (wp_both's values do not depend on the batch).
     """
 
     def __init__(self, lattice: Lattice, shift: tuple[int, int, int]):
@@ -209,18 +213,14 @@ class PSystem:
         # a/n and b/n round on their own: (a + b*tau)/n rounds differently
         self.alpha = lattice.scale * (complex(a / n) + complex(b / n) * lattice.tau)
         self.w = cmath.exp(2j * math.pi / n)
-        self.wp_alpha = None
+        self.orbit_wp = wp_both(np.arange(1, n) * self.alpha, lattice)
+        self.wp_alpha = complex(self.orbit_wp[0][0])
         ks = np.arange(n) * self.alpha / lattice.scale
         self.orbit = tuple((lattice.scale * torus_reduce_centered(ks, lattice.tau)).tolist())
 
     def _v_stack(self, z: np.ndarray) -> np.ndarray:
         """v(z - k alpha) for k = 0..n-1, stacked on a leading axis."""
-        pts = _shifted(z, np.arange(self.n) * self.alpha)
-        first = self.wp_alpha is None
-        wpv, wppv = wp_both(np.append(pts, self.alpha) if first else pts, self.lattice)
-        if first:
-            self.wp_alpha = complex(wpv[-1])
-            wpv, wppv = wpv[:-1].reshape(pts.shape), wppv[:-1].reshape(pts.shape)
+        wpv, wppv = wp_both(_shifted(z, np.arange(self.n) * self.alpha), self.lattice)
         return wppv / (wpv - self.wp_alpha)
 
     def values(self, z, js) -> dict:
@@ -257,12 +257,14 @@ def p_system(emb: GroupEmbedding) -> PSystem:
 def fit_lambda_mu(
     emb: GroupEmbedding | PSystem, j: int, k: int | None = None, *, seed: int = 0, tol: float = 1e-7
 ):
-    """Constants (lam, mu) with P_2j P_-j^2 - P_-2j P_j^2 = lam P_-k P_k + mu.
+    """Constants (lam, mu) with P_2j P_-j^2 - P_-2j P_j^2 = lam P_-k P_k + mu,
+    fitted from sampled values: the route independent of lambda_mu.
 
     The P_j are those of p_system(emb), or of emb itself when it is a
-    PSystem (phi's, on the index-two cover at even orders).  So for even
-    N, fit_lambda_mu(emb, j), which the constants command reports, is not
-    the lam, mu of phi(emb, j); for odd N the two agree bit for bit.
+    PSystem.  phi takes its constants from lambda_mu on its own PSystem,
+    the index-two cover at even orders; so for even N fit_lambda_mu(emb, j),
+    which the constants command reports, is not the lam, mu of phi(emb, j),
+    and for odd N the two agree within the fit's held-out residual tol.
     Two-point linear solve plus FIT_HOLDOUT held-out points; ill-conditioned
     draws are resampled up to FIT_RETRIES draws.  When N >= 3, k = +-j and
     2j != 0 mod N the constant mu is asserted nonzero.
@@ -304,6 +306,77 @@ def fit_lambda_mu(
             return complex(lam), complex(mu)
         last_res = res
     raise FitError(f"lambda/mu fit failed; final residual {last_res:.3g}")
+
+
+def _v_laurent(ps: PSystem) -> np.ndarray:
+    """(n, 4): row k holds the coefficients of z^-1, z^0, z^1, z^2 of
+    v(z - k alpha) at z = 0, from ps.orbit_wp and the derivatives
+    wp2 = 6 wp^2 - g2/2, wp3 = 12 wp wp' (DLMF 23.3.10, 23.3.11).
+
+    v = wp'/(wp - e), e = wp(alpha), is odd, with v(z) = -2/z - 2e z + O(z^3)
+    at 0.  At u = k alpha, 2 <= k <= n - 2, v is regular: with D = wp(u) - e,
+    v' = wp2/D - v^2 and v'' = wp3/D - 3 v wp2/D + 2 v^3, and the row is
+    the Taylor series at -u, (0, -v(u), v'(u), -v''(u)/2).  wp - e has
+    simple zeros at alpha and -alpha (n >= 3), where
+    v(alpha + z) = 1/z + a + (4e - a^2) z + (3 wp'(alpha)/2 - 3ea + a^3) z^2
+    with a = wp2(alpha) / (2 wp'(alpha)); oddness gives v(-alpha + z).
+    g2 comes from the reduced cell, which stays finite where j overflows.
+    """
+    cell = _cell(ps.lattice.tau)
+    g2 = cell.g2r / cell.m ** 4 / ps.lattice.scale ** 4
+    wpk, wppk = ps.orbit_wp
+    e, p1 = wpk[0], wppk[0]
+    a = (6.0 * e * e - 0.5 * g2) / (2.0 * p1)
+    c3 = 1.5 * p1 - 3.0 * e * a + a ** 3
+    w, w1 = wpk[1:-1], wppk[1:-1]
+    d = w - e
+    v = w1 / d
+    w2 = 6.0 * w * w - 0.5 * g2
+    out = np.zeros((ps.n, 4), dtype=complex)
+    out[0] = (-2.0, 0.0, -2.0 * e, 0.0)
+    out[1] = (1.0, -a, 4.0 * e - a * a, -c3)
+    out[-1] = (1.0, a, 4.0 * e - a * a, c3)
+    out[2:-1, 1] = -v
+    out[2:-1, 2] = w2 / d - v * v
+    out[2:-1, 3] = -0.5 * (12.0 * w * w1 / d - 3.0 * v * w2 / d + 2.0 * v ** 3)
+    return out
+
+
+def lambda_mu(ps: PSystem, j: int) -> tuple[complex, complex]:
+    """Constants (lam, mu) with P_2j P_-j^2 - P_-2j P_j^2 = lam P_-j P_j + mu,
+    in closed form from the Laurent expansions at z = 0 (DLMF 23.9, 23.10).
+
+    Each P_i = r_i/z + A_i + B_i z + C_i z^2 + ... is the orbit sum of the
+    rows of _v_laurent with the phases w^(-ki).  lam is the left side's
+    z^-2 coefficient over r_j r_-j, and mu is its z^0 coefficient minus lam
+    times that of P_-j P_j.  Requires 2j != 0 mod n.  mu is nonzero for
+    n >= 3; a mu within its rounding bound raises FitError.  The bound is
+    n eps times the same two z^0 coefficients formed from the rows'
+    absolute values: an orbit sum of n terms rounds within n eps of its
+    absolute sum.
+    """
+    n = ps.n
+    if (2 * j) % n == 0:
+        raise ValueError(f"character index {j} has 2j = 0 mod {n}: the corner column degenerates")
+    rows = _v_laurent(ps)
+    ks = np.arange(n)
+    p = {i: ps.w ** (-(ks * (i % n))) @ rows for i in (j, -j, 2 * j, -2 * j)}
+    # lhs[i] is the coefficient of z^(i-3), basis[i] that of z^(i-2)
+    lhs = (np.convolve(p[2 * j], np.convolve(p[-j], p[-j]))
+           - np.convolve(p[-2 * j], np.convolve(p[j], p[j])))
+    basis = np.convolve(p[-j], p[j])
+    lam = lhs[1] / basis[0]
+    mu = lhs[3] - lam * basis[2]
+    # every phase has modulus 1, so size bounds the terms of each P_i
+    size = np.abs(rows).sum(axis=0)
+    sq = np.convolve(size, size)
+    bound = n * np.finfo(float).eps * (2.0 * np.convolve(size, sq)[3] + abs(lam) * sq[2])
+    if abs(mu) <= bound:
+        raise FitError(
+            f"mu vanishes within its rounding: |mu| = {abs(mu):.3g} <= {bound:.3g}"
+            f" (twist order {n}, j={j})"
+        )
+    return complex(lam), complex(mu)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,9 @@ lowest-order poles,
     q1 = (P_j P_-2j + (lam/2) P_-j) / mu,
     q2 = (P_-j P_2j - (lam/2) P_j) / mu,
 
-so that Phi_j(z + alpha) = diag(w^j, w^-j) Phi_j(z) and
+with lam and mu the constants of P_2j P_-j^2 - P_-2j P_j^2 = lam P_-j P_j + mu,
+read off the Laurent expansions at z = 0 (funcalg.lambda_mu), so that
+Phi_j(z + alpha) = diag(w^j, w^-j) Phi_j(z) and
 Phi_j(-z) = S Phi_j(z) diag(-1, 1) with S the antidiagonal flip.  For even
 group order the same construction runs on an index-two cover lattice where
 the shift has twice the order; conjugation kills the extra sign, so the
@@ -24,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .funcalg import (
-    PSystem, TorusFunction, _p_stack, c2c2_constants_for, fit_lambda_mu, p_system, sample_points,
+    PSystem, TorusFunction, _p_stack, c2c2_constants_for, lambda_mu, p_system, sample_points,
 )
 from .lattice import Lattice
 from .torusgroup import GroupEmbedding, UnsupportedEmbeddingError
@@ -77,10 +79,8 @@ def phi(emb: GroupEmbedding, j: int = 1) -> TorusFunction:
         raise ValueError("phi is attached to cyclic translation data")
     ps = _psystem_for(emb)
     m = ps.n
-    if (2 * j) % m == 0:
-        raise ValueError(f"character index {j} has 2j = 0 mod {m}: the corner column degenerates")
     j %= emb.order_param
-    lam, mu = fit_lambda_mu(ps, j, j)
+    lam, mu = lambda_mu(ps, j)
     js = (j % m, (-j) % m, (2 * j) % m, (-2 * j) % m)
 
     def fn(z):

@@ -198,7 +198,7 @@ def normal_form(emb: GroupEmbedding, j: int = 1) -> GeneratorTriple:
         lattice, poles = emb.lattice, orbit
     else:
         intertwiner = phi(emb, j) if case.frames == "phi" else psi(emb)
-        # ad divides by the computed det(Phi), which the fitted constants
+        # ad divides by the computed det(Phi), which the computed constants
         # leave 1 only up to their noise: the frames stay an automorphism.
         # intertwiner.fn is looked up per call, so a wrapper set on it
         # after normal_form sees every evaluation

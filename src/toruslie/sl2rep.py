@@ -47,10 +47,19 @@ B_F = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    # BLAS @ on purpose: an elementwise commutator changes last bits that
-    # the DN5 structure fit is sensitive to (its failing seeds on the square
-    # and generic lattices rose 87 -> 89 of 0-799 and 133 -> 140 of 800-1999)
-    return x @ y - y @ x
+    """xy - yx of 2x2 matrices, elementwise over stacks (..., 2, 2).
+
+    With dx = x11 - x22 and dy = y11 - y22 the entries are
+    (x12 y21 - x21 y12, dx y12 - dy x12; dy x21 - dx y21, -(x12 y21 - x21 y12)).
+    """
+    dx = x[..., 0, 0] - x[..., 1, 1]
+    dy = y[..., 0, 0] - y[..., 1, 1]
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
+    out[..., 0, 0] = x[..., 0, 1] * y[..., 1, 0] - x[..., 1, 0] * y[..., 0, 1]
+    out[..., 0, 1] = dx * y[..., 0, 1] - dy * x[..., 0, 1]
+    out[..., 1, 0] = dy * x[..., 1, 0] - dx * y[..., 1, 0]
+    out[..., 1, 1] = -out[..., 0, 0]
+    return out
 
 
 def coeffs(x: np.ndarray) -> np.ndarray:

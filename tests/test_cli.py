@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from toruslie import intertwine
-from toruslie.classify import cross_validate
+from toruslie.classify import BRACKET_TOL, cross_validate
 from toruslie.funcalg import FitError, fit_lambda_mu, p_system
 from toruslie.cli import main
 from toruslie.normalform import invariance_residual, verify_brackets
@@ -141,8 +141,9 @@ class TestConstants:
     )
     def test_lambda_mu_source(self, capsys, build, n):
         # constants fits lambda and mu on the order-N P-system of the
-        # lattice; phi, and so eval and every C_N/D_N frame, fits them on
-        # the order-2N cover when N is even
+        # lattice; phi, and so eval and every C_N/D_N frame, takes them in
+        # closed form, on the order-2N cover when N is even.  For odd N the
+        # two routes agree within the fit's tol
         group = "cn" if build is cn_translation else "dn"
         rc, out, _ = run(
             capsys, "constants", "--group", group, "--order", str(n),
@@ -154,7 +155,9 @@ class TestConstants:
         emb = build(Lattice(complex(0.31, 1.07)), n)
         meta = phi(emb).meta
         if n % 2:
-            assert got == (meta["lam"], meta["mu"])
+            tol = BRACKET_TOL  # the --tol default, which constants passes to the fit
+            assert abs(got[0] - meta["lam"]) <= tol * max(1.0, abs(meta["lam"]))
+            assert abs(got[1] - meta["mu"]) <= tol * max(1.0, abs(meta["mu"]))
         else:
             assert got == fit_lambda_mu(p_system(emb), 1)
             assert abs(got[0] - meta["lam"]) > 1.0 and abs(got[1] - meta["mu"]) > 1.0
@@ -189,16 +192,16 @@ class TestEval:
         assert abs(det - 1) < 1e-8
 
     def test_reports_the_phi_its_frames_use(self, capsys, monkeypatch):
-        # E, F and H are built on the lambda/mu fit of normal_form; the
-        # reported Phi is that map, from that single fit
-        fits = []
-        fit = intertwine.fit_lambda_mu
+        # E, F and H are built on the closed-form lambda, mu of normal_form;
+        # the reported Phi is that map, from that single evaluation
+        calls = []
+        closed = intertwine.lambda_mu
         monkeypatch.setattr(
-            intertwine, "fit_lambda_mu", lambda *a, **kw: fits.append(a) or fit(*a, **kw)
+            intertwine, "lambda_mu", lambda *a, **kw: calls.append(a) or closed(*a, **kw)
         )
         rc, out, _ = run(capsys, "eval", "--group", "cn", "--order", "3", "--json")
         assert rc == 0
-        assert len(fits) == 1
+        assert len(calls) == 1
         doc = json.loads(out)
         got = np.array([[complex(*v) for v in row] for row in doc["Phi"]])
         expect = phi(cn_translation(Lattice(1j), 3), 1)(complex(*doc["z"]))
@@ -454,6 +457,24 @@ class TestPlumbing:
         out = capsys.readouterr()
         assert out.out == ""
         assert f"argument {flag}: '{value}' is not a finite number" in out.err
+
+    @pytest.mark.parametrize(
+        "command, flag, value, rc",
+        [("classify", "--tau-re", "-1e-3", 0), ("classify", "--tau-im", "-1e0", 2),
+         ("verify", "--tol", "-1e-7", 1), ("eval", "--z-re", "-1e17", 0),
+         ("eval", "--z-im", "-3.1e-1", 0), ("verify", "--perturb-f", "-1e-3", 1)],
+    )
+    def test_negative_exponent_value_as_its_own_word(self, capsys, command, flag, value, rc):
+        # argparse reads only -0.001-style words as negative numbers: the
+        # value given as its own word must read as flag=value does
+        base = (command, "--group", "cn", "--order", "3")
+        joined = run(capsys, *base, f"{flag}={value}")
+        assert joined[0] == rc
+        assert run(capsys, *base, flag, value) == joined
+        if flag == "--z-re":  # -1e17 is a period of the square lattice
+            lines = lambda out: [s for s in out.splitlines() if re.match(r"(E|F|H|Phi)\.", s)]
+            at_zero = run(capsys, *base, "--z-re", "0")
+            assert len(lines(at_zero[1])) == 16 and lines(joined[1]) == lines(at_zero[1])
 
     @pytest.mark.parametrize(
         "argv", [("constants", "--tau-im", "114"), ("classify", "--tau-im", "1e-3")],

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from toruslie.funcalg import (
     c2c2_constants_for,
     fit_in_ring,
     fit_lambda_mu,
+    lambda_mu,
     p_small,
     p_system,
     residue_at,
@@ -29,11 +31,14 @@ from toruslie.lattice import (
     Lattice,
     is_hexagonal_class,
     TorsionPoint,
+    _reduce_torsion,
     moebius,
     shortest_period,
     torus_reduce_centered,
 )
-from toruslie.intertwine import double_cover
+from sweep import SHIFTS, SWEEP_TAUS
+from toruslie.classify import cross_validate
+from toruslie.intertwine import double_cover, phi
 from test_torusgroup import _sl2z_images
 from toruslie.torusgroup import a4_group, c2c2_translation, cn_translation, dn_group, quotient_scaled
 
@@ -187,9 +192,10 @@ class TestPBig:
 
     @pytest.mark.parametrize("tau", [1j, HEX_TAU, GENERIC], ids=["square", "hex", "generic"])
     def test_wp_alpha_and_orbit_equal_the_scalar_route(self, tau):
-        # wp(alpha) rides along as the last point of the first evaluation
-        # and the orbit is reduced in one call; both equal, bit for bit,
-        # a call of wp's own at alpha and the reduction of each k alpha
+        # wp(alpha) is the first point of the orbit evaluation made at
+        # construction and the orbit is reduced in one call; both equal,
+        # bit for bit, a call of wp's own at alpha and the reduction of each
+        # k alpha
         lat = Lattice(tau)
         rng = np.random.default_rng(31)
         checked = 0
@@ -203,7 +209,6 @@ class TestPBig:
                     if n % 2 == 0:
                         systems.append(PSystem(*double_cover(emb)))
                     for ps in systems:
-                        assert ps.wp_alpha is None
                         z = sample_points(ps.lattice, 7, rng, avoid=ps.orbit, margin=0.05)
                         js = tuple(range(1, ps.n))
                         first = ps.values(z, js)
@@ -269,6 +274,143 @@ class TestLambdaMu:
         emb = cn_translation(L_GEN, 4)
         with pytest.raises(ValueError):
             fit_lambda_mu(emb, 1, 4)
+
+
+def _reference_lambda_mu(ps: PSystem, shift: tuple, j: int) -> tuple[complex, complex]:
+    """lam, mu of ps at 40 digits: a two-point solve of the relation with wp
+    from Jacobi theta functions (as bench/oracle.py), every step in mpmath.
+
+    shift is ps's torsion triple; alpha is formed from it in mpmath, not
+    read from ps.alpha, so nothing is rounded to complex before the end.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    a, b, n = _reduce_torsion(*shift)
+    with mpmath.workdps(40):
+        tau = mpmath.mpc(ps.lattice.tau.real, ps.lattice.tau.imag)
+        s = mpmath.mpc(complex(ps.lattice.scale).real, complex(ps.lattice.scale).imag)
+        q = mpmath.exp(1j * mpmath.pi * tau)
+        t2, t3 = mpmath.jtheta(2, 0, q), mpmath.jtheta(3, 0, q)
+        c = (mpmath.pi * t2 * t3) ** 2
+        const = mpmath.pi ** 2 / 3 * (t2 ** 4 + t3 ** 4)
+
+        def wp_pair(z):  # wp and wp' of s (Z + Z tau)
+            v = mpmath.pi * z / s
+            t1, t4 = mpmath.jtheta(1, v, q), mpmath.jtheta(4, v, q)
+            t1d, t4d = mpmath.jtheta(1, v, q, 1), mpmath.jtheta(4, v, q, 1)
+            g = t4 / t1
+            gd = mpmath.pi * (t4d * t1 - t4 * t1d) / t1 ** 2
+            return (c * g ** 2 - const) / s ** 2, 2 * c * g * gd / s ** 3
+
+        alpha = s * (a + b * tau) / n
+        e = wp_pair(alpha)[0]
+        w = mpmath.exp(2j * mpmath.pi / n)
+
+        def sides(z):
+            v = []
+            for k in range(n):
+                wp, wpp = wp_pair(z - k * alpha)
+                v.append(wpp / (wp - e))
+            p = {i: mpmath.fsum(w ** (-k * (i % n)) * v[k] for k in range(n))
+                 for i in (j, -j, 2 * j, -2 * j)}
+            return p[2 * j] * p[-j] ** 2 - p[-2 * j] * p[j] ** 2, p[-j] * p[j]
+
+        (l1, b1), (l2, b2) = (
+            sides(s * (mpmath.mpf(x) + mpmath.mpf(y) * tau)) for x, y in (("0.23", "0.37"), ("0.61", "0.19"))
+        )
+        lam = (l1 - l2) / (b1 - b2)
+        return complex(lam), complex(l1 - lam * b1)
+
+
+def _relation_residual(ps: PSystem, lam: complex, mu: complex, j: int = 1) -> float:
+    """fit_lambda_mu's held-out measure of the relation at 20 seeded points:
+    max |LHS - (lam basis + mu)| / max(1, max |LHS|)."""
+    n = ps.n
+    z = sample_points(ps.lattice, 20, np.random.default_rng(0), avoid=ps.orbit, margin=0.08)
+    v = ps.values(z, {j % n, -j % n, 2 * j % n, -2 * j % n})
+    lhs = v[2 * j % n] * v[-j % n] ** 2 - v[-2 * j % n] * v[j % n] ** 2
+    basis = v[-j % n] * v[j % n]
+    return float(np.max(np.abs(lhs - (lam * basis + mu))) / max(1.0, np.max(np.abs(lhs))))
+
+
+def _cover_system(emb) -> tuple[PSystem, tuple]:
+    """phi's PSystem of a C_N or D_N embedding and its torsion triple."""
+    if emb.order_param % 2:
+        return p_system(emb), emb.cyclic_generator.key[2:]
+    lattice, shift = double_cover(emb)
+    return PSystem(lattice, shift), shift
+
+
+#: the relation test's lattices and orders; its shifts are those of the sweep
+RELATION_TAUS = SWEEP_TAUS + [1j, HEX_TAU, GENERIC]
+RELATION_ORDERS = (3, 4, 5, 6, 7, 8, 28, 30, 32)
+#: the only case where lambda_mu raises: C8 at (1+tau)/8 on 7.3+0.2i, whose
+#: mu is 7.45e-11 at 40 digits, far below its rounding bound
+MU_BELOW_ROUNDING = [(7.3 + 0.2j, 8, "(1+tau)/N")]
+
+
+class TestLambdaMuClosedForm:
+    @pytest.mark.parametrize("tau", RELATION_TAUS, ids=lambda t: f"{t:.3f}")
+    def test_relation_holds_and_sees_a_changed_mu(self, tau):
+        # the closed form keeps the relation to 1e-9 on all 512 cases it
+        # builds of these 513, the fit raising on 44; 2.7e-10 is the worst
+        # seen.  Scaling mu by 1 + 1e-6 takes the same measure past 1e-9 on
+        # every lattice
+        worst = worst_mutated = 0.0
+        raised = []
+        for n in RELATION_ORDERS:
+            for a, b, label in SHIFTS:
+                ps, _ = _cover_system(cn_translation(Lattice(tau), n, TorsionPoint(a, b, n)))
+                try:
+                    lam, mu = lambda_mu(ps, 1)
+                except FitError:
+                    raised.append((tau, n, label))
+                    continue
+                worst = max(worst, _relation_residual(ps, lam, mu))
+                worst_mutated = max(worst_mutated, _relation_residual(ps, lam, mu * (1 + 1e-6)))
+        assert worst <= 1e-9
+        assert worst_mutated > 1e-9
+        assert raised == [c for c in MU_BELOW_ROUNDING if c[0] == tau]
+
+    @pytest.mark.parametrize(
+        "build, tau, n",
+        [(cn_translation, GENERIC, 5), (cn_translation, GENERIC, 4),
+         (dn_group, HEX_TAU, 3), (cn_translation, 2.5j, 7)],
+        ids=["cn5-generic", "cn4-generic-cover", "dn3-hex", "cn7-2.5i"],
+    )
+    def test_against_a_40_digit_two_point_solve(self, build, tau, n):
+        # relative errors seen: lam 1.3e-16 to 8.2e-15; mu 5.2e-15 to
+        # 3.2e-14, and 2.7e-9 for cn7 at 2.5i, where |mu| = 0.018 is small
+        # against the z^0 terms it is the difference of
+        ps, shift = _cover_system(build(Lattice(tau), n))
+        ref_lam, ref_mu = _reference_lambda_mu(ps, shift, 1)
+        lam, mu = lambda_mu(ps, 1)
+        assert abs(lam - ref_lam) <= 1e-13 * abs(ref_lam)
+        assert abs(mu - ref_mu) <= 1e-8 * abs(ref_mu)
+
+    @pytest.mark.parametrize("build", [cn_translation, dn_group], ids=["cn8", "dn8"])
+    def test_mu_below_its_rounding_raises(self, build):
+        # at 7.3+0.2i, shift (1+tau)/8, the 40-digit mu is 7.45e-11 and the
+        # closed form reads 1.2e-9, no digit right: the guard names both
+        # |mu| and its rounding bound, and the reference lies below it
+        emb = build(Lattice(7.3 + 0.2j), 8, TorsionPoint(1, 1, 8))
+        with pytest.raises(FitError, match=r"mu vanishes within its rounding") as info:
+            phi(emb)
+        got, bound = (float(x) for x in re.search(r"= (\S+) <= (\S+) ", str(info.value)).groups())
+        ref_mu = _reference_lambda_mu(*_cover_system(emb), 1)[1]
+        assert abs(ref_mu) < bound and abs(got - abs(ref_mu)) > abs(ref_mu)
+
+    @pytest.mark.parametrize("n", [28, 30, 32])
+    def test_large_even_orders_pass_cross_validate(self, n):
+        # the fit raised "lambda/mu fit failed" here: its two-point
+        # determinant on the cover Lattice(2i) is 6e-15 to 8e-9
+        emb = cn_translation(L_SQ, n, TorsionPoint(0, 1, n))
+        with pytest.raises(FitError, match="lambda/mu fit failed"):
+            fit_lambda_mu(_cover_system(emb)[0], 1, 1)
+        assert cross_validate(emb, seed=0).passed
+
+    def test_twice_j_zero_rejected(self):
+        with pytest.raises(ValueError, match="2j = 0 mod 8"):
+            lambda_mu(PSystem(L_GEN, (1, 0, 8)), 4)
 
 
 class TestResidues:

@@ -169,6 +169,31 @@ def _ad_by_products(m):
     return np.stack([coeffs(m @ b @ minv) for b in (B_H, B_E, B_F)], axis=1)
 
 
+class TestBracket:
+    def test_agrees_with_matrix_products(self):
+        # the elementwise commutator against x @ y - y @ x on random stacks,
+        # traceless and not, within 4 eps |x| |y| (Frobenius norms)
+        rng = np.random.default_rng(12)
+        eps = np.finfo(float).eps
+        for traceless in (True, False):
+            x = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+            y = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+            x *= 10.0 ** rng.uniform(-3, 3, size=(200, 1, 1))
+            if traceless:
+                x[:, 1, 1] = -x[:, 0, 0]
+                y[:, 1, 1] = -y[:, 0, 0]
+            norms = np.linalg.norm(x, axis=(1, 2)) * np.linalg.norm(y, axis=(1, 2))
+            err = np.max(np.abs(bracket(x, y) - (x @ y - y @ x)), axis=(1, 2))
+            assert np.all(err <= 4 * eps * norms)
+
+    def test_broadcasts_and_keeps_the_basis_relations(self):
+        assert np.array_equal(bracket(B_H, B_E), 2 * B_E)
+        assert np.array_equal(bracket(B_H, B_F), -2 * B_F)
+        assert np.array_equal(bracket(B_E, B_F), B_H)
+        stack = np.stack([B_H, B_E, B_F])
+        assert np.array_equal(bracket(stack, B_F), np.stack([-2 * B_F, B_H, 0 * B_F]))
+
+
 class TestAdClosedForm:
     def test_stacked_equals_per_matrix_bitwise(self):
         rng = np.random.default_rng(5)
