@@ -10,7 +10,8 @@ float flag must be finite; its value may follow it as its own word, a
 negative one in exponent form included.  Exit status: 0 all checks passed, 1
 verification failure, 2 usage or domain error, including a fit that
 fails and a group the lattice does not carry; constants instead reports
-a failed lambda/mu fit (FitError) as null lambda and mu.
+a failed lambda/mu fit (FitError), or a fitted pair off the closed form
+by more than --tol, as null lambda and mu.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ import numpy as np
 
 from .classify import BRACKET_TOL, FIT_TOL, INVARIANCE_TOL, cross_validate
 from .elliptic import invariants
-from .funcalg import FitError, c2c2_constants_for, fit_lambda_mu, torus_distance
+from .funcalg import FitError, c2c2_constants_for, fit_lambda_mu, lambda_mu, p_system
+from .funcalg import torus_distance
 from .lattice import Lattice, TorsionPoint, fold_far
 from .normalform import BRACKET_SAMPLES, _h_projection, invariance_residual, invariance_samples
 from .normalform import normal_form, verify_brackets
@@ -144,7 +146,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_constants(args: argparse.Namespace) -> int:
     """Invariants of the lattice, the C2xC2 constants, and the lambda, mu of
     the order-N P-system, fitted; phi takes its own in closed form, for even
-    N on the 2N cover."""
+    N on the 2N cover.  Where 2j != 0 mod N, a fit off the order-N closed
+    form by more than --tol (relative to max(1, |closed form|)) is nulled."""
     emb = _embedding(args)
     report = {
         "command": "constants",
@@ -156,14 +159,17 @@ def cmd_constants(args: argparse.Namespace) -> int:
         cc["sqrt_alpha2_beta2"] = cc.pop("sqrt_a2b2")
         report["c2c2"] = cc
     if args.group in ("cn", "dn") and args.order >= 2:
-        # the invariants above do not depend on the fit: a failed fit nulls lambda, mu
+        # the invariants above do not depend on the fit: a failed fit nulls lambda,
+        # mu, as does one off the closed form (its residual does not bound them)
         try:
-            lam, mu = fit_lambda_mu(emb, args.char_j, seed=args.seed, tol=args.tol)
-            report["lambda"] = lam
-            report["mu"] = mu
+            ps = p_system(emb)
+            lam, mu = fit_lambda_mu(ps, args.char_j, seed=args.seed, tol=args.tol)
+            exact = lambda_mu(ps, args.char_j) if (2 * args.char_j) % ps.n else (lam, mu)
+            if any(abs(a - b) > args.tol * max(1.0, abs(b)) for a, b in zip((lam, mu), exact)):
+                lam = mu = None
         except FitError:
-            report["lambda"] = None
-            report["mu"] = None
+            lam = mu = None
+        report["lambda"], report["mu"] = lam, mu
     _emit(report, args)
     return 0
 

@@ -168,21 +168,32 @@ def sample_points(
     lattice: Lattice, n: int, rng: np.random.Generator, avoid=(), *, margin: float
 ) -> np.ndarray:
     """Seeded points of the fundamental cell, rejection-sampled to keep a
-    margin (as a fraction of the shortest period) from every avoided point."""
+    margin (as a fraction of the shortest period) from every avoided point.
+
+    Each round draws m = max(2 (n - kept), 16) values for s, then m for t,
+    and keeps, in draw order, each scale * (s + t tau) that clears the
+    margin.  The test runs in coordinates over (1, tau), with differences
+    to the avoided points reduced to [-1/2, 1/2) as torus_distance reduces
+    them; only kept points are formed."""
     if n < 1:
         raise ValueError(f"need at least one sample point, got {n}")
-    short = shortest_period(lattice.tau) * abs(lattice.scale)
-    avoid = np.asarray(list(avoid), dtype=complex)
+    tau = lattice.tau
+    limit = margin * shortest_period(tau)
+    w = np.asarray(list(avoid), dtype=complex)[:, None] / lattice.scale
+    t_avoid = w.imag / tau.imag
+    s_avoid = w.real - t_avoid * tau.real
     out: list[complex] = []
     for _ in range(200):
         m = max(2 * (n - len(out)), 16)
         s = rng.random(m)
         t = rng.random(m)
-        z = lattice.scale * (s + t * lattice.tau)
-        if avoid.size:
-            d = torus_distance(z[None, :], avoid[:, None], lattice).min(axis=0)
-            z = z[d >= margin * short]
-        out.extend(z.tolist())
+        if w.size:
+            ds, dt = s - s_avoid, t - t_avoid
+            ds -= np.floor(ds + 0.5)
+            dt -= np.floor(dt + 0.5)
+            keep = np.abs(ds + dt * tau).min(axis=0) >= limit
+            s, t = s[keep], t[keep]
+        out.extend((lattice.scale * (s + t * tau)).tolist())
         if len(out) >= n:
             return np.asarray(out[:n], dtype=complex)
     raise FitError("rejection sampling starved; margin too large for the pole set")
@@ -226,19 +237,25 @@ class PSystem:
     def values(self, z, js) -> dict:
         """P_j(z) for each j in js, sharing the shifted evaluations.
 
-        The phase sum is accumulated shift by shift, elementwise, so a
-        point's value does not depend on which other points share the call
-        (a BLAS contraction would round differently with the batch size).
+        The phase sums of all js are accumulated in one stacked array,
+        elementwise and shift by shift, so a point's value does not depend
+        on which other points share the call.  The shift loop stays
+        sequential: a BLAS contraction would round by batch size, and so
+        would a .sum over the shift axis, pairwise where that axis is the
+        innermost, as in a one-point call for one j.
         """
         zz = fold_far(np.atleast_1d(z), self.lattice)
-        stack = self._v_stack(zz)
-        ks = np.arange(self.n)
-        phases = {j: self.w ** (-(ks * (j % self.n))) for j in js}
-        out = {j: c[0] * stack[0] for j, c in phases.items()}
+        # a j axis of length 1 gives phases[k] and stack[k] equal ndim: numpy
+        # rounds a one-element complex product that broadcasts (1, 1) against
+        # (1,) apart from the same product in a longer array
+        stack = self._v_stack(zz)[:, None]
+        js = tuple(js)
+        jj = np.array(js, dtype=int).reshape((-1,) + (1,) * zz.ndim) % self.n
+        phases = self.w ** (-np.multiply.outer(np.arange(self.n), jj))
+        out = phases[0] * stack[0]
         for k in range(1, self.n):
-            for j, c in phases.items():
-                out[j] += c[k] * stack[k]
-        return out
+            out += phases[k] * stack[k]
+        return dict(zip(js, out))
 
     def pj(self, j: int) -> TorusFunction:
         jj = j % self.n

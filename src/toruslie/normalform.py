@@ -51,7 +51,9 @@ structure_polynomial, verify_brackets and invariance_residual run the
 three steps for one check; check_triple draws the point sets of the
 bracket and invariance checks first and evaluates the triple and its
 ring once on their concatenation, with results equal to those of the
-functions run one by one.  invariance_samples gives the verify command
+functions run one by one.  The residuals are computed on E, F and H
+stacked (3, n, 2, 2), one bracket call and one invariance einsum for all
+three, bit for bit as one generator at a time.  invariance_samples gives the verify command
 INVARIANCE_SAMPLES at BRACKET_SAMPLES, so at its defaults it reads
 check_triple's residuals.
 """
@@ -272,10 +274,10 @@ def _preimages(gens: GeneratorTriple, z: np.ndarray) -> np.ndarray:
     return (emb.inverse_rotation[1:, None] * z + emb.inverse_shift[1:, None]).ravel()
 
 
-def _frames(gens: GeneratorTriple, z: np.ndarray) -> tuple:
-    """(E, F, H) at z, through each generator's fn; their frame is
-    evaluated once."""
-    return gens.E.fn(z), gens.F.fn(z), gens.H.fn(z)
+def _frames(gens: GeneratorTriple, z: np.ndarray) -> np.ndarray:
+    """(E, F, H) at z, stacked (3, len(z), 2, 2), through each generator's
+    fn; their frame is evaluated once."""
+    return np.stack((gens.E.fn(z), gens.F.fn(z), gens.H.fn(z)))
 
 
 def _ring_x(gens: GeneratorTriple, z: np.ndarray, rows: slice = slice(None)):
@@ -329,13 +331,14 @@ def _relative_residual(comm: np.ndarray, p, h: np.ndarray) -> float:
     return float(np.max(np.abs(comm - ph) / (1.0 + np.abs(ph))))
 
 
-def _bracket_residuals(gens: GeneratorTriple, frames: tuple, x) -> dict:
-    """The residuals of verify_brackets from the triple and the ring
-    variable x (None on the p = 1 rows) at the probes."""
+def _bracket_residuals(gens: GeneratorTriple, frames: np.ndarray, x) -> dict:
+    """The residuals of verify_brackets from the stacked (E, F, H) and the
+    ring variable x (None on the p = 1 rows) at the probes."""
     e, f, h = frames
-    he = bracket(h, e) - 2.0 * e
-    hf = bracket(h, f) + 2.0 * f
-    comm = bracket(e, f)
+    # [h, e], [h, f] and [e, f] in one call
+    he, hf, comm = bracket(frames[[2, 2, 0]], frames[[0, 1, 1]])
+    he -= 2.0 * e
+    hf += 2.0 * f
     p_point = _h_projection(comm, h)
     ef = comm - p_point[..., None, None] * h
     out = {
@@ -343,10 +346,8 @@ def _bracket_residuals(gens: GeneratorTriple, frames: tuple, x) -> dict:
         "hf": float(np.max(np.abs(hf))),
         "ef": float(np.max(np.abs(ef))),
         "ef_exact": _relative_residual(comm, _exact_p(gens, x), h),
-        "trace": max(
-            float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1)))) for m in (e, f, h)
-        ),
-        "frame_scale": max(float(np.max(np.abs(m))) for m in (e, f, h)),
+        "trace": float(np.max(np.abs(np.trace(frames, axis1=-2, axis2=-1)))),
+        "frame_scale": float(np.max(np.abs(frames))),
     }
     if gens.structure_poly is not None:
         # a p = 1 row reads no ring values, and its fitted p is a constant
@@ -372,19 +373,16 @@ def verify_brackets(gens: GeneratorTriple, n_samples: int = BRACKET_SAMPLES, see
     return _bracket_residuals(gens, _frames(gens, z), _ring_x(gens, z))
 
 
-def _invariance(gens: GeneratorTriple, frames: tuple, start: int, n: int) -> float:
-    """The residual of invariance_residual from (E, F, H) on a point array
-    holding, from row start, n probes z and then their _preimages.  The
-    identity, which contributes exactly 0, is left out."""
+def _invariance(gens: GeneratorTriple, frames: np.ndarray, start: int, n: int) -> float:
+    """The residual of invariance_residual from the stacked (E, F, H) on a
+    point array holding, from row start, n probes z and then their
+    _preimages.  The identity, which contributes exactly 0, is left out."""
     r = gens.rep[1:]
     mid, end = start + n, start + n * (1 + len(r))
-    worst = 0.0
-    for m in frames:
-        v0 = coeffs(m[start:mid])
-        v = coeffs(m[mid:end]).reshape(len(r), n, 3)
-        pulled = np.einsum("gab,gzb->gza", r, v)
-        worst = max(worst, float(np.max(np.abs(pulled - v0), initial=0.0)))
-    return worst
+    v0 = coeffs(frames[:, start:mid])
+    v = coeffs(frames[:, mid:end]).reshape(3, len(r), n, 3)
+    pulled = np.einsum("gab,mgzb->mgza", r, v)
+    return float(np.max(np.abs(pulled - v0[:, None]), initial=0.0))
 
 
 def invariance_residual(gens: GeneratorTriple, n_samples: int = INVARIANCE_SAMPLES, seed: int = 2) -> float:
@@ -413,8 +411,7 @@ def check_triple(gens: GeneratorTriple, *, seed: int = 0) -> tuple:
     z = np.concatenate([z_br, z_inv, _preimages(gens, z_inv)])
     frames = _frames(gens, z)
     b = len(z_br)
-    probes = slice(None, b)
-    brackets = _bracket_residuals(gens, tuple(m[probes] for m in frames), _ring_x(gens, z, probes))
+    brackets = _bracket_residuals(gens, frames[:, :b], _ring_x(gens, z, slice(None, b)))
     return brackets, _invariance(gens, frames, b, len(z_inv))
 
 

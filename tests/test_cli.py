@@ -9,11 +9,11 @@ import pytest
 
 from toruslie import intertwine
 from toruslie.classify import BRACKET_TOL, cross_validate
-from toruslie.funcalg import FitError, fit_lambda_mu, p_system
+from toruslie.funcalg import FitError, fit_lambda_mu, lambda_mu, p_system
 from toruslie.cli import main
 from toruslie.normalform import invariance_residual, verify_brackets
 from toruslie.intertwine import phi
-from toruslie.lattice import Lattice
+from toruslie.lattice import Lattice, TorsionPoint
 from toruslie.torusgroup import cn_translation, dn_group
 
 HEX = math.sqrt(3.0) / 2.0
@@ -705,6 +705,25 @@ class TestVerifyFold:
 
 
 class TestConstantsFitFailure:
+    @pytest.mark.parametrize("n", [5, 7, 28])
+    def test_a_fit_off_the_closed_form_is_nulled(self, capsys, n):
+        # CN at tau/N on the square lattice: at N = 28 the fit passes its
+        # held-out check at --tol while its lambda is 8.9e-7 relative off
+        # the closed form; at N = 5 and 7 the two agree and the fit prints
+        rc, out, err = run(capsys, "constants", "--group", "cn", "--order", str(n),
+                           "--torsion", f"0/1/{n}", "--json")
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        ps = p_system(cn_translation(Lattice(1j), n, TorsionPoint(0, 1, n)))
+        fit, exact = fit_lambda_mu(ps, 1), lambda_mu(ps, 1)
+        off = max(abs(a - b) / max(1.0, abs(b)) for a, b in zip(fit, exact))
+        if n == 28:
+            assert off > BRACKET_TOL
+            assert doc["lambda"] is None and doc["mu"] is None
+        else:
+            assert off <= BRACKET_TOL
+            assert (complex(*doc["lambda"]), complex(*doc["mu"])) == fit
+
     def test_report_kept_when_the_fit_fails(self, capsys):
         argv = ("constants", "--group", "cn", "--order", "3", "--tau-re", "0.31",
                 "--tau-im", "1.07", "--json")

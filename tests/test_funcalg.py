@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from toruslie.lattice import (
     _reduce_torsion,
     moebius,
     shortest_period,
+    fold_far,
     torus_reduce_centered,
 )
 from sweep import SHIFTS, SWEEP_TAUS
@@ -123,7 +125,35 @@ class TestFarPoints:
             assert p(self.FAR).tobytes() == np.repeat(p(np.array([self.Z])), len(self.FAR)).tobytes()
 
 
+def per_j_values(ps, z, js):
+    """PSystem.values as it summed the phases of each j on its own, shift
+    by shift: the reference the stacked sum must equal bit for bit."""
+    stack = ps._v_stack(fold_far(np.atleast_1d(z), ps.lattice))
+    ks = np.arange(ps.n)
+    phases = {j: ps.w ** (-(ks * (j % ps.n))) for j in js}
+    out = {j: c[0] * stack[0] for j, c in phases.items()}
+    for k in range(1, ps.n):
+        for j, c in phases.items():
+            out[j] += c[k] * stack[k]
+    return out
+
+
 class TestPBig:
+    def test_values_equal_the_per_j_loop(self):
+        rng = np.random.default_rng(23)
+        for lat in (L_GEN, Lattice(GENERIC / 2, 2.0)):
+            for n in range(2, 41):
+                ps = PSystem(lat, (1, 1, n))
+                z = lat.scale * (rng.random(30) + rng.random(30) * lat.tau)
+                for js, pts in itertools.product(
+                    (tuple(range(-n, n + 2)), (1,)), (z, z.reshape(5, 6), z[0])
+                ):
+                    got, want = ps.values(pts, js), per_j_values(ps, pts, js)
+                    assert got.keys() == want.keys()
+                    for j in js:
+                        assert got[j].shape == want[j].shape
+                        assert got[j].tobytes() == want[j].tobytes(), (n, j)
+
     def test_p0_vanishes(self):
         emb = cn_translation(L_GEN, 4)
         p0 = p_system(emb).pj(0)
@@ -177,18 +207,28 @@ class TestPBig:
         assert abs(r1 - (-1j) * r0) < 1e-6
         assert abs(abs(r1) - abs(r0)) < 1e-6
 
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_values_do_not_depend_on_the_batch(self, n):
-        # a point's P_j must not change with the points that share its call
-        ps = p_system(cn_translation(L_GEN, n))
-        js = tuple(range(1, n))
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: p_system(cn_translation(L_GEN, 3)),
+         lambda: p_system(cn_translation(L_GEN, 6)),
+         lambda: PSystem(*double_cover(cn_translation(L_GEN, 4))),
+         lambda: PSystem(*double_cover(cn_translation(L_GEN, 6)))],
+        ids=["3", "6", "cn4-cover", "cn6-cover"],
+    )
+    def test_values_do_not_depend_on_the_batch(self, make):
+        # a point's P_j must not change with the points that share its call,
+        # for all js at once and for one j (pj's call); the covers' 8 and 12
+        # shifts are where numpy's pairwise reduction over the shift axis
+        # would start to round by batch
+        ps = make()
         rng = np.random.default_rng(22)
         z = sample_points(ps.lattice, 200, rng, avoid=ps.orbit, margin=0.05)
-        batch = ps.values(z, js)
-        for i, zi in enumerate(z):
-            single = ps.values(zi, js)
-            for j in js:
-                assert single[j][0] == batch[j][i], (i, j)
+        for js in (tuple(range(1, ps.n)), (1,)):
+            batch = ps.values(z, js)
+            for i, zi in enumerate(z):
+                single = ps.values(zi, js)
+                for j in js:
+                    assert single[j][0] == batch[j][i], (i, j)
 
     @pytest.mark.parametrize("tau", [1j, HEX_TAU, GENERIC], ids=["square", "hex", "generic"])
     def test_wp_alpha_and_orbit_equal_the_scalar_route(self, tau):
@@ -480,20 +520,23 @@ def per_pole_sample_points(slat, n, rng, avoid=(), margin=0.05):
 
 
 class TestSamplePoints:
-    SLATS = [Lattice(GENERIC), Lattice(HEX_TAU, 0.7 - 0.4j), Lattice(0.2 + 2.5j)]
+    SLATS = [Lattice(GENERIC), Lattice(HEX_TAU, 0.7 - 0.4j), Lattice(0.2 + 2.5j), Lattice(7.3 + 0.2j)]
 
     @pytest.mark.parametrize("n_avoid", [0, 1, 40])
-    @pytest.mark.parametrize("slat", SLATS, ids=["generic", "hex-scaled", "tall"])
+    @pytest.mark.parametrize("slat", SLATS, ids=["generic", "hex-scaled", "tall", "flat"])
     def test_matches_per_pole_loop(self, slat, n_avoid):
+        # sample_points tests the margin in lattice coordinates and never
+        # folds an avoided point 20 periods out, as torus_distance does here
         pts = np.random.default_rng(n_avoid).random((2, n_avoid))
-        avoid = tuple(slat.scale * (pts[0] + pts[1] * slat.tau))
-        for seed in range(5):
-            for margin in (0.02, 0.08, 0.15):
-                rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = sample_points(slat, 60, rng_new, avoid=avoid, margin=margin)
-                want = per_pole_sample_points(slat, 60, rng_old, avoid=avoid, margin=margin)
-                assert got.tobytes() == want.tobytes()
-                assert rng_new.bit_generator.state == rng_old.bit_generator.state
+        for periods in (0, 20):
+            avoid = tuple(slat.scale * ((pts[0] + periods) + (pts[1] - periods) * slat.tau))
+            for seed in range(5):
+                for margin in (0.02, 0.08, 0.15):
+                    rng_new, rng_old = np.random.default_rng(seed), np.random.default_rng(seed)
+                    got = sample_points(slat, 60, rng_new, avoid=avoid, margin=margin)
+                    want = per_pole_sample_points(slat, 60, rng_old, avoid=avoid, margin=margin)
+                    assert got.tobytes() == want.tobytes()
+                    assert rng_new.bit_generator.state == rng_old.bit_generator.state
 
     def test_keeps_the_margin(self):
         slat = Lattice(GENERIC)

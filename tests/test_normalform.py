@@ -16,7 +16,7 @@ from toruslie.normalform import (
     structure_polynomial,
     verify_brackets,
 )
-from toruslie.sl2rep import B_E, B_F, B_H, cyclic_labels, standard_rep
+from toruslie.sl2rep import B_E, B_F, B_H, bracket, coeffs, cyclic_labels, standard_rep
 from toruslie.torusgroup import (
     a4_group,
     branch_points,
@@ -564,6 +564,71 @@ class TestExactStructurePolynomial:
         exact = exact_structure_polynomial(gens)
         assert len(fit.a) == len(exact.a)
         assert [c == 0 for c in fit.a] == [c == 0 for c in exact.a]
+
+
+def per_generator_bracket_residuals(gens, frames, x):
+    """_bracket_residuals as it ran one relation and one generator at a
+    time: the reference the stacked pass must equal bit for bit."""
+    e, f, h = frames
+    he = bracket(h, e) - 2.0 * e
+    hf = bracket(h, f) + 2.0 * f
+    comm = bracket(e, f)
+    ef = comm - normalform._h_projection(comm, h)[..., None, None] * h
+    out = {
+        "he": float(np.max(np.abs(he))),
+        "hf": float(np.max(np.abs(hf))),
+        "ef": float(np.max(np.abs(ef))),
+        "ef_exact": normalform._relative_residual(comm, normalform._exact_p(gens, x), h),
+        "trace": max(float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1)))) for m in frames),
+        "frame_scale": max(float(np.max(np.abs(m))) for m in frames),
+    }
+    if gens.structure_poly is not None:
+        p = gens.structure_poly(0.0 if x is None else x)
+        out["ef_fit"] = normalform._relative_residual(comm, p, h)
+    return out
+
+
+def per_generator_invariance(gens, frames, start, n):
+    """_invariance as it ran one generator at a time."""
+    r = gens.rep[1:]
+    mid, end = start + n, start + n * (1 + len(r))
+    worst = 0.0
+    for m in frames:
+        v = coeffs(m[mid:end]).reshape(len(r), n, 3)
+        pulled = np.einsum("gab,gzb->gza", r, v)
+        worst = max(worst, float(np.max(np.abs(pulled - coeffs(m[start:mid])), initial=0.0)))
+    return worst
+
+
+class TestStackedChecks:
+    """check_triple's stacked bracket and invariance passes equal the
+    per-generator ones bit for bit, with and without a fitted p."""
+
+    @pytest.mark.parametrize(
+        "emb",
+        _catalog_params(THREE_CATALOGS)
+        + [pytest.param(build(Lattice(2.5j), n), id=f"tall-{build.__name__}{n}")
+           for build in (cn_translation, dn_group) for n in (7, 8)],
+    )
+    def test_equal_the_per_generator_checks(self, emb):
+        gens = normal_form(emb)
+        for fitted in (False, True):
+            if fitted:
+                structure_polynomial(gens)  # the ef_fit branch
+            for seed in (0, 3, 11):
+                z_br = normalform._probe(gens, normalform.BRACKET_SAMPLES, seed + 1)
+                z_inv = normalform._probe(gens, normalform.INVARIANCE_SAMPLES, seed + 2)
+                z = np.concatenate([z_br, z_inv, normalform._preimages(gens, z_inv)])
+                frames = [m.fn(z) for m in (gens.E, gens.F, gens.H)]
+                b = len(z_br)
+                x = normalform._ring_x(gens, z, slice(None, b))
+                want = (
+                    per_generator_bracket_residuals(gens, [m[:b] for m in frames], x),
+                    per_generator_invariance(gens, frames, b, len(z_inv)),
+                )
+                got = check_triple(gens, seed=seed)
+                assert ("ef_fit" in got[0]) == fitted
+                assert repr(got) == repr(want)
 
 
 class TestFarPoints:
