@@ -25,6 +25,10 @@ dividing by 1+0j would flip the sign of an exact zero.
 Values very close to a lattice point are delegated to the Laurent
 expansion 1/z^2 + (g2/20) z^2 + (g3/28) z^4 + ...; on a lattice point the
 functions return complex infinity rather than raising.
+
+The Jacobi theta1 of Z + Z*T has its q-series here too, in the nome
+exp(i pi T) (DLMF 20.2.1), with its series length from |q| as well;
+funcalg.PSystem evaluates its P_j as quotients of it.
 """
 
 from __future__ import annotations
@@ -124,6 +128,56 @@ def _cell(tau: complex) -> _Cell:
     scaling = np.array([[-4.0 * _PI ** 2 / m2], [-8j * _PI ** 3 / m3]])
     const = _PI ** 2 * (8.0 * s1 - 1.0 / 3.0) / m2
     return _Cell(tau_r, m, complex(q), coef, s1, g2r, g3r, discr, scaling, const)
+
+
+def _theta_terms(qabs: float) -> int:
+    """Smallest M >= 1 with |q|^(M (M+1)) <= 2^-53: the first term _theta_series
+    drops, q^((M+1)^2) t^(M+1) at |t| <= 1/|q|, is then below half an ulp of
+    its O(1) leading terms."""
+    cut = -53.0 * math.log(2.0) / math.log(max(qabs, 1e-300))
+    return max(1, math.ceil((math.sqrt(1.0 + 4.0 * cut) - 1.0) / 2.0))
+
+
+@dataclass(frozen=True)
+class _Theta:
+    """theta1 of Z + Z*T in the nome q = exp(i pi T) (DLMF 20.2.1, with
+    theta1(x) here DLMF's theta1(pi x | T)).
+
+    Summing DLMF 20.2.1's exponential form term by term gives, at every x,
+    theta1(x) = i q^(1/4) exp(-i pi x) R(exp(2 pi i x)) with the Laurent
+    series R(W) = sum_k (-1)^k q^(k(k-1)) W^k = H(q/W) - W H(q W),
+    H(t) = sum_(m>=0) (-1)^m q^(m^2) t^m.  _theta_series evaluates R.
+    """
+
+    q: complex
+    coef: np.ndarray      # (-1)^m q^(m^2), m = M..1: H's Horner coefficients past its 1
+    prime: complex        # theta1'(0) / (i q^(1/4)) = -2 pi i sum_m (-1)^m (2m + 1) q^(m(m+1))
+
+
+def _theta(T: complex) -> _Theta:
+    q = cmath.exp(1j * _PI * T)
+    ms = range(_theta_terms(abs(q)), -1, -1)
+    coef = np.array([(-1) ** m * q ** (m * m) for m in ms[:-1]])
+    return _Theta(q, coef, -2j * _PI * sum((-1) ** m * (2 * m + 1) * q ** (m * (m + 1)) for m in ms))
+
+
+def _theta_series(w: np.ndarray, th: _Theta) -> np.ndarray:
+    """R(w) of _Theta at |q|^2 <= |w| <= |q|^-2, where |q/w| and |q w| are at
+    most 1/|q|: H's terms then fall like |q|^(m(m-1)), and _theta_terms
+    keeps those above the roundoff.  H - 1 of both arguments runs on one
+    Horner accumulator, elementwise; their leading 1 - w is formed on its
+    own, exact next to w = 1, the zero of theta1."""
+    t = np.empty((2,) + w.shape, dtype=complex)
+    np.divide(th.q, w, out=t[0])
+    np.multiply(w, th.q, out=t[1])
+    acc = t * th.coef[0]
+    for c in th.coef[1:]:
+        acc += c
+        acc *= t
+    acc[1] *= w
+    acc[0] -= acc[1]
+    acc[0] += 1.0 - w
+    return acc[0]
 
 
 def _wp_series(zc: np.ndarray, cell: _Cell, out: np.ndarray) -> None:

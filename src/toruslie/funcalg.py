@@ -6,15 +6,17 @@ that variable; TorusFunction is the numeric side: an evaluator, scalar- or
 matrix-valued, together with its declared poles, which every sampling
 routine respects.
 
-The construction kernels live here as well: the character projections of
-wp'/(wp - wp(alpha)) attached to a cyclic translation group (simple poles
-on the orbit of the origin, residue -2 + 2 cos(2 pi j / N) at the origin),
-the linear relation P_2j P_-j^2 - P_-2j P_j^2 = lam * P_-k P_k + mu, whose
-constants lambda_mu reads off the Laurent expansions at z = 0 and
-fit_lambda_mu fits from sampled values, the quartet of odd half-period
-functions built from 1/wp', and the half-period constants entering the 3x3
-intertwiner.  p0, p1 and p2 are the rows of one stack from one 1/wp'
-evaluation, which psi reads.
+The construction kernels live here as well: the character projections P_j
+of wp'/(wp - wp(alpha)) attached to a cyclic translation group (simple
+poles on the orbit of the origin, residue -2 + 2 cos(2 pi j / N) at the
+origin), evaluated not as that orbit sum but as Kronecker's theta quotient
+on the ring lattice L + Z alpha (D. Zagier, Invent. Math. 104 (1991) 449;
+theta1 from its q-series, DLMF 20.2.1), the linear relation
+P_2j P_-j^2 - P_-2j P_j^2 = lam * P_-k P_k + mu, whose constants lambda_mu
+reads off the Laurent expansions at z = 0 and fit_lambda_mu fits from
+sampled values, the quartet of odd half-period functions built from 1/wp',
+and the half-period constants entering the 3x3 intertwiner.  p0, p1 and p2
+are the rows of one stack from one 1/wp' evaluation, which psi reads.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import _cell, wp_both
-from .lattice import Lattice, TorsionPoint, _reduce_torsion, fold_far, is_hexagonal_class
-from .lattice import shortest_period, torus_reduce_centered
+from .elliptic import _cell, _theta, _theta_series, wp_both
+from .lattice import Lattice, TorsionPoint, _centred, _coordinates, _folded_coordinates, _hnf_2col
+from .lattice import _reduce_torsion, fold_far
+from .lattice import is_hexagonal_class, moebius, reduce_modular, shortest_period, torus_reduce_centered
 from .torusgroup import GroupEmbedding, c2c2_translation, mult_matrix
 
 __all__ = [
@@ -180,8 +183,7 @@ def sample_points(
     tau = lattice.tau
     limit = margin * shortest_period(tau)
     w = np.asarray(list(avoid), dtype=complex)[:, None] / lattice.scale
-    t_avoid = w.imag / tau.imag
-    s_avoid = w.real - t_avoid * tau.real
+    s_avoid, t_avoid = _coordinates(w, tau)
     out: list[complex] = []
     for _ in range(200):
         m = max(2 * (n - len(out)), 16)
@@ -208,11 +210,23 @@ class PSystem:
 
     The shift is the integer triple (a, b, n) of the point
     alpha = scale * (a + b*tau)/n; it is gcd-reduced here, so n is its exact
-    order.  P_j = sum_k w^(-kj) v(z - k alpha) with v = wp'/(wp - wp(alpha));
-    the lattice may be scaled (used for the even-order double covers).
-    orbit_wp holds (wp, wp') at k alpha, k = 1..n-1, from one wp_both call;
-    wp_alpha is its first wp value, equal to wp_both's at alpha alone
-    (wp_both's values do not depend on the batch).
+    order.  P_j = sum_k w^(-kj) v(z - k alpha) with v = wp'/(wp - wp(alpha))
+    and w = exp(2 pi i/n); the lattice L may be scaled (used for the
+    even-order double covers).  P_j is L-periodic, takes the factor
+    chi_j(alpha) = w^-j under z -> z + alpha, and has simple poles exactly on
+    the ring lattice Lam = L + Z alpha, of residue 2 cos(2 pi j/n) - 2 at 0.  So
+    it is that multiple of Kronecker's function (D. Zagier, Invent. Math.
+    104 (1991) 449):
+
+        P_j(z) = (2 cos(2 pi j/n) - 2)/om1 chi_j(lam) e^(2 pi i c_j u) F(u, v_j | T),
+        F(u, v | T) = theta1'(0) theta1(u + v) / (theta1(u) theta1(v)),
+
+    theta1 of Z + Z*T as in DLMF 20.2.1 (its argument times pi), with
+    (om1, om1 T) the reduced basis of Lam, z/om1 = u + lam/om1 and u in
+    the centred cell of (1, T), and c_j, v_j = c_j T - d_j fixed by
+    e^(2 pi i c_j) = chi_j(om1), e^(2 pi i d_j) = chi_j(om1 T), |c_j| <= 1/2.
+    orbit_wp holds (wp, wp') at k alpha, k = 1..n-1, from one wp_both call,
+    for lambda_mu; orbit holds the poles k alpha, k = 0..n-1, centred.
     """
 
     def __init__(self, lattice: Lattice, shift: tuple[int, int, int]):
@@ -225,36 +239,75 @@ class PSystem:
         self.alpha = lattice.scale * (complex(a / n) + complex(b / n) * lattice.tau)
         self.w = cmath.exp(2j * math.pi / n)
         self.orbit_wp = wp_both(np.arange(1, n) * self.alpha, lattice)
-        self.wp_alpha = complex(self.orbit_wp[0][0])
+        tau = lattice.tau
         ks = np.arange(n) * self.alpha / lattice.scale
-        self.orbit = tuple((lattice.scale * torus_reduce_centered(ks, lattice.tau)).tolist())
-
-    def _v_stack(self, z: np.ndarray) -> np.ndarray:
-        """v(z - k alpha) for k = 0..n-1, stacked on a leading axis."""
-        wpv, wppv = wp_both(_shifted(z, np.arange(self.n) * self.alpha), self.lattice)
-        return wppv / (wpv - self.wp_alpha)
+        self.orbit = tuple((lattice.scale * torus_reduce_centered(ks, tau)).tolist())
+        # Lam over (scale/n, scale tau/n): _hnf_2col's basis (g, y), (0, h),
+        # reduced by reduce_modular's matrix to (p1, q1), (p2, q2) of
+        # determinant n, whose adjugate maps L's coordinates to Lam's; each
+        # period's real part is rounded once, from the exact p + q Re tau
+        (g, y), (_, h) = _hnf_2col([(n, 0), (0, n), (a, b)])
+        (ra, rb), (rc, rd) = reduce_modular(moebius(((h, 0), (y, g)), tau)).transform
+        (p1, q1), (p2, q2) = (rd * g, rd * y + rc * h), (rb * g, rb * y + ra * h)
+        self._to_ring = ((q2, -p2), (-q1, p1))
+        num, den = tau.real.as_integer_ratio()
+        # n om1 / scale and n om1 T / scale
+        w1, w2 = (complex((p * den + q * num) / den, q * tau.imag) for p, q in ((p1, q1), (p2, q2)))
+        self._T = w2 / w1
+        self._theta = _theta(self._T)
+        # (p, q) in Lam is m alpha mod L, m its multiple of (a, b) mod n
+        self._m = [next(m for m in range(n) if (p - m * a) % n == (q - m * b) % n == 0)
+                   for p, q in ((p1, q1), (p2, q2))]
+        # row j of P_j's constants, c_j centred; row 0 doubles as that of
+        # e^(2 pi i u) = b^n
+        js = np.arange(n)
+        half = (n - 1) // 2
+        c = (half - self._m[0] * js) % n - half
+        self._exponent = np.where(js == 0, n, c)
+        self._y = np.exp((c * self._T - (-self._m[1] * js) % n) * (2j * math.pi / n))
+        roots = np.exp((-2j * math.pi / n) * js)
+        const = np.zeros(n, dtype=complex)
+        factor = self._theta.prime * n / (lattice.scale * w1)
+        const[1:] = (2.0 * roots.real[1:] - 2.0) * factor / _theta_series(self._y[1:], self._theta)
+        # [j, m]: P_j's constant times chi_j(lam) = w^(-j m), m = lam's multiple of alpha mod n
+        self._const_chi = const[:, None] * roots[np.multiply.outer(js, js) % n]
 
     def values(self, z, js) -> dict:
-        """P_j(z) for each j in js, sharing the shifted evaluations.
+        """P_j(z) for each j in js, as Kronecker theta quotients: every j of
+        one call in one stacked elementwise pass, so a point's value does not
+        depend on which other points share the call.
 
-        The phase sums of all js are accumulated in one stacked array,
-        elementwise and shift by shift, so a point's value does not depend
-        on which other points share the call.  The shift loop stays
-        sequential: a BLAS contraction would round by batch size, and so
-        would a .sum over the shift axis, pairwise where that axis is the
-        innermost, as in a one-point call for one j.
+        z moves into Lam's centred cell through its coordinates over L's
+        basis and the exact integer matrix to Lam's.  The one exp per point
+        is b = e^(2 pi i u/n); e^(2 pi i u) = b^n and e^(2 pi i c_j u) =
+        b^(n c_j) are integer powers of it.  F is kappa R(e^(2 pi i u) y_j) /
+        (R(e^(2 pi i u)) R(y_j)), with y_j = e^(2 pi i v_j), kappa =
+        theta1'(0) / (i q^(1/4)) and the series R of _theta_series, whose
+        arguments stay where it converges: |Im u| and |Im v_j| are at most
+        Im T/2.  j = 0 mod n gives exact zeros, its residue factor being 0.
         """
-        zz = fold_far(np.atleast_1d(z), self.lattice)
-        # a j axis of length 1 gives phases[k] and stack[k] equal ndim: numpy
-        # rounds a one-element complex product that broadcasts (1, 1) against
-        # (1,) apart from the same product in a longer array
-        stack = self._v_stack(zz)[:, None]
+        _, s, t = _folded_coordinates(np.atleast_1d(z), self.lattice)
         js = tuple(js)
-        jj = np.array(js, dtype=int).reshape((-1,) + (1,) * zz.ndim) % self.n
-        phases = self.w ** (-np.multiply.outer(np.arange(self.n), jj))
-        out = phases[0] * stack[0]
-        for k in range(1, self.n):
-            out += phases[k] * stack[k]
+        n = self.n
+        (a11, a12), (a21, a22) = self._to_ring
+        x, y = a11 * s + a12 * t, a21 * s + a22 * t
+        # u = x + y T centred; lam = k1 om1 + k2 om2, the whole numbers removed
+        xc, yc = x.copy(), y.copy()
+        u = _centred(xc, yc, self._T)
+        k1, k2 = x - xc, y - yc
+        rows = (np.array((0, *js), dtype=int) % n).reshape((-1,) + (1,) * u.ndim)
+        with np.errstate(all="ignore"):
+            powers = np.power(np.exp((2j * math.pi / n) * u), self._exponent[rows])
+            r = _theta_series(powers[0] * self._y[rows], self._theta)
+            const_chi = self._const_chi[rows[1:], (k1 * self._m[0] + k2 * self._m[1]).astype(int) % n]
+            # this order keeps every factor finite while e^(2 pi i u) y_j is:
+            # up to Im T of about 113 at |c_j| = 1/2, and about 225 at c_j = 0
+            out = r[1:] / r[0] * const_chi * powers[1:]
+        if not np.isfinite(out).all():
+            raise ValueError(
+                "P_j is not finite: a point on a pole, a non-finite point, or a ring"
+                f" lattice too tall for float64 (Im T = {self._T.imag:.4g})"
+            )
         return dict(zip(js, out))
 
     def pj(self, j: int) -> TorusFunction:

@@ -189,27 +189,45 @@ def shortest_period(tau: complex) -> float:
     return abs(c * tau + d)
 
 
-def torus_reduce_centered(z, tau: complex):
-    """Representative with coordinates s, t in [-1/2, 1/2) over (1, tau), of
-    scalars or arrays; a far point is first moved in as fold_far moves it."""
-    z = np.asarray(z, dtype=complex)
+def _coordinates(z, tau: complex):
+    """Real coordinates (s, t) of z = s + t*tau over (1, tau)."""
     t = z.imag / tau.imag
-    s = z.real - t * tau.real
-    folded = _fold_far(z, s, t, tau, 1.0)
-    if folded is not z:
-        return torus_reduce_centered(folded, tau)
+    return z.real - t * tau.real, t
+
+
+def _centred(s, t, tau: complex):
+    """s + t*tau moved into the centred cell of (1, tau): whole numbers are
+    subtracted from array arguments s and t in place, leaving [-1/2, 1/2)."""
     s -= np.floor(s + 0.5)
     t -= np.floor(t + 0.5)
     return s + t * tau.real + 1j * (t * tau.imag)
 
 
+def torus_reduce_centered(z, tau: complex):
+    """Representative with coordinates s, t in [-1/2, 1/2) over (1, tau), of
+    scalars or arrays; a far point is first moved in as fold_far moves it."""
+    z = np.asarray(z, dtype=complex)
+    s, t = _coordinates(z, tau)
+    folded = _fold_far(z, s, t, tau, 1.0)
+    if folded is not z:
+        return torus_reduce_centered(folded, tau)
+    return _centred(s, t, tau)
+
+
 def fold_far(z, lattice: Lattice) -> np.ndarray:
     """z, each point more than FAR_PERIODS periods out moved in by rounded
     whole periods subtracted from z itself; other points stay bit for bit."""
+    return _folded_coordinates(z, lattice)[0]
+
+
+def _folded_coordinates(z, lattice: Lattice):
+    """(fold_far(z, lattice), and its coordinates s, t over (scale, scale*tau))."""
     z = np.asarray(z, dtype=complex)
-    w = z / lattice.scale
-    t = w.imag / lattice.tau.imag
-    return _fold_far(z, w.real - t * lattice.tau.real, t, lattice.tau, lattice.scale)
+    s, t = _coordinates(z / lattice.scale, lattice.tau)
+    folded = _fold_far(z, s, t, lattice.tau, lattice.scale)
+    if folded is z:
+        return z, s, t
+    return (folded, *_coordinates(folded / lattice.scale, lattice.tau))
 
 
 def _abs_max(x) -> float:

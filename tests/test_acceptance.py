@@ -44,6 +44,7 @@ from toruslie.torusgroup import (
     cn_translation,
     dn_group,
 )
+from test_funcalg import orbit_sum
 
 GENERIC = complex(0.31, 1.07)
 SQUARE = Lattice(1j)
@@ -116,8 +117,9 @@ def test_criterion_04_p_function_suite():
         ps = p_system(emb)
         rng = np.random.default_rng(100 + n)
         z = sample_points(ps.lattice, 60, rng, avoid=ps.orbit, margin=0.05)
-        p0 = ps.pj(0)
-        worst_p0 = max(worst_p0, float(np.max(np.abs(p0(z)))))
+        # the float orbit sum sum_k v(z - k alpha), which values' exact
+        # zeros at j = 0 stand for
+        worst_p0 = max(worst_p0, float(np.max(np.abs(orbit_sum(ps, z, (0,))[0][0]))))
         vals = ps.values(z, tuple(range(n)))
         negs = ps.values(-z, tuple(range(n)))
         for j in range(1, n):

@@ -437,14 +437,16 @@ class TestOneFrameEvaluation:
         z = probe_points(gens, 7, 5)
         for m in (gens.E, gens.F, gens.H):
             m.fn(z)
-        # one wp_both call for the intertwiner's frame, one for the ring's
-        # (wp, wp') where the row has factors of e and f
-        assert len(calls) == (gens.intertwiner is not None) + (gens.ring_wp is not None)
+        # one wp_both call for Psi's frame (Phi's theta quotients make
+        # none), one for the ring's (wp, wp') where the row has factors of
+        # e and f
+        wp_frames = emb.kind in ("C2xC2_translation", "A4")
+        assert len(calls) == wp_frames + (gens.ring_wp is not None)
         assert frame_calls == ([7] if gens.intertwiner is not None else [])
         if gens.ring_wp is not None:
             gens.ring_wp(z)
         gens.H.fn(z.copy())
-        assert len(calls) == (gens.intertwiner is not None) + (gens.ring_wp is not None)
+        assert len(calls) == wp_frames + (gens.ring_wp is not None)
 
     @pytest.mark.parametrize("emb", CATALOG_CASES, ids=_case_id)
     def test_writing_into_a_result_changes_no_later_call(self, emb):
