@@ -3,7 +3,8 @@
 The character projections of wp'/(wp - wp(alpha)) attached to a cyclic
 translation have simple poles on the orbit of the origin with residues
 -2 + 2 cos(2 pi j / N); a two-point fit recovers the constants of the
-quadratic relation among them.  The Klein group's projections of 1/wp'
+quadratic relation among them, which for odd N the closed form read off
+the Laurent expansions at the origin gives as well.  The Klein group's projections of 1/wp'
 satisfy square relations with half-period constants.
 """
 
@@ -19,7 +20,7 @@ from toruslie import (
     p_small,
     residue_at,
 )
-from toruslie.funcalg import p_system, sample_points
+from toruslie.funcalg import lambda_mu, p_system, sample_points
 from toruslie.lattice import HEX_TAU
 
 lat = Lattice(0.31 + 1.07j)
@@ -38,6 +39,9 @@ print("\nfitted constants of P_2j P_-j^2 - P_-2j P_j^2 = lam P_-j P_j + mu:")
 for n in (3, 4, 5, 6):
     lam, mu = fit_lambda_mu(cn_translation(lat, n), 1)
     print(f"  N={n}: lam = {lam:.6g}, mu = {mu:.6g}")
+    if n % 2:
+        lam, mu = lambda_mu(p_system(cn_translation(lat, n)), 1)
+        print(f"       closed form: lam = {lam:.6g}, mu = {mu:.6g}")
 
 print("\nKlein quartet on three lattices:")
 for name, tau in (("square", 1j), ("hexagonal", HEX_TAU), ("generic", 0.31 + 1.07j)):

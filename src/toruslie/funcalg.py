@@ -13,21 +13,20 @@ origin), evaluated not as that orbit sum but as Kronecker's theta quotient
 on the ring lattice L + Z alpha (D. Zagier, Invent. Math. 104 (1991) 449;
 theta1 from its q-series, DLMF 20.2.1), the linear relation
 P_2j P_-j^2 - P_-2j P_j^2 = lam * P_-k P_k + mu, whose constants lambda_mu
-reads off the Laurent expansions at z = 0 and fit_lambda_mu fits from
-sampled values, the quartet of odd half-period functions built from 1/wp',
-and the half-period constants entering the 3x3 intertwiner.  p0, p1 and p2
-are the rows of one stack from one 1/wp' evaluation, which psi reads.
+reads off the theta quotients' Laurent series at z = 0 and fit_lambda_mu fits
+from sampled values, the quartet of odd half-period functions built from 1/wp',
+and the half-period constants entering the 3x3 intertwiner.  p0, p1 and p2 are
+the rows of one stack from one 1/wp' evaluation, which psi reads.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .elliptic import _cell, _theta, _theta_series, wp_both
+from .elliptic import _theta, _theta_series, _theta_terms, wp_both
 from .lattice import Lattice, TorsionPoint, _centred, _coordinates, _folded_coordinates, _hnf_2col
 from .lattice import _reduce_torsion, fold_far
 from .lattice import is_hexagonal_class, moebius, reduce_modular, shortest_period, torus_reduce_centered
@@ -225,8 +224,8 @@ class PSystem:
     (om1, om1 T) the reduced basis of Lam, z/om1 = u + lam/om1 and u in
     the centred cell of (1, T), and c_j, v_j = c_j T - d_j fixed by
     e^(2 pi i c_j) = chi_j(om1), e^(2 pi i d_j) = chi_j(om1 T), |c_j| <= 1/2.
-    orbit_wp holds (wp, wp') at k alpha, k = 1..n-1, from one wp_both call,
-    for lambda_mu; orbit holds the poles k alpha, k = 0..n-1, centred.
+    lambda_mu reads its Laurent coefficients off the same quotients; orbit
+    holds the poles k alpha, k = 0..n-1, centred.
     """
 
     def __init__(self, lattice: Lattice, shift: tuple[int, int, int]):
@@ -237,8 +236,6 @@ class PSystem:
         self.n = n
         # a/n and b/n round on their own: (a + b*tau)/n rounds differently
         self.alpha = lattice.scale * (complex(a / n) + complex(b / n) * lattice.tau)
-        self.w = cmath.exp(2j * math.pi / n)
-        self.orbit_wp = wp_both(np.arange(1, n) * self.alpha, lattice)
         tau = lattice.tau
         ks = np.arange(n) * self.alpha / lattice.scale
         self.orbit = tuple((lattice.scale * torus_reduce_centered(ks, tau)).tolist())
@@ -378,74 +375,60 @@ def fit_lambda_mu(
     raise FitError(f"lambda/mu fit failed; final residual {last_res:.3g}")
 
 
-def _v_laurent(ps: PSystem) -> np.ndarray:
-    """(n, 4): row k holds the coefficients of z^-1, z^0, z^1, z^2 of
-    v(z - k alpha) at z = 0, from ps.orbit_wp and the derivatives
-    wp2 = 6 wp^2 - g2/2, wp3 = 12 wp wp' (DLMF 23.3.10, 23.3.11).
+#: lambda_mu's moment powers p, p!, and lower triangular Toeplitz indices
+_POWERS = np.arange(5)[:, None, None]
+_FACTORIALS = np.array([1.0, 1.0, 2.0, 6.0, 24.0])[:, None, None]
+_TOEPLITZ = np.where(np.tri(4, dtype=bool), np.subtract.outer(range(4), range(4)), 4)
 
-    v = wp'/(wp - e), e = wp(alpha), is odd, with v(z) = -2/z - 2e z + O(z^3)
-    at 0.  At u = k alpha, 2 <= k <= n - 2, v is regular: with D = wp(u) - e,
-    v' = wp2/D - v^2 and v'' = wp3/D - 3 v wp2/D + 2 v^3, and the row is
-    the Taylor series at -u, (0, -v(u), v'(u), -v''(u)/2).  wp - e has
-    simple zeros at alpha and -alpha (n >= 3), where
-    v(alpha + z) = 1/z + a + (4e - a^2) z + (3 wp'(alpha)/2 - 3ea + a^3) z^2
-    with a = wp2(alpha) / (2 wp'(alpha)); oddness gives v(-alpha + z).
-    g2 comes from the reduced cell, which stays finite where j overflows.
-    """
-    cell = _cell(ps.lattice.tau)
-    g2 = cell.g2r / cell.m ** 4 / ps.lattice.scale ** 4
-    wpk, wppk = ps.orbit_wp
-    e, p1 = wpk[0], wppk[0]
-    a = (6.0 * e * e - 0.5 * g2) / (2.0 * p1)
-    c3 = 1.5 * p1 - 3.0 * e * a + a ** 3
-    w, w1 = wpk[1:-1], wppk[1:-1]
-    d = w - e
-    v = w1 / d
-    w2 = 6.0 * w * w - 0.5 * g2
-    out = np.zeros((ps.n, 4), dtype=complex)
-    out[0] = (-2.0, 0.0, -2.0 * e, 0.0)
-    out[1] = (1.0, -a, 4.0 * e - a * a, -c3)
-    out[-1] = (1.0, a, 4.0 * e - a * a, c3)
-    out[2:-1, 1] = -v
-    out[2:-1, 2] = w2 / d - v * v
-    out[2:-1, 3] = -0.5 * (12.0 * w * w1 / d - 3.0 * v * w2 / d + 2.0 * v ** 3)
-    return out
+
+def _laurent_lambda_mu(ps: PSystem, j: int) -> tuple[complex, complex, float]:
+    """lambda_mu's (lam, mu) and the rounding bound of mu."""
+    if (2 * j) % ps.n == 0:
+        raise ValueError(f"character index {j} has 2j = 0 mod {ps.n}: the corner column degenerates")
+    rows = np.array((0, j, -j, 2 * j, -2 * j)) % ps.n
+    q, y = ps._theta.q, ps._y[rows]
+    # k = -m, m + 1 for m = 0..M + 1, one past _theta_series for the weight k^4:
+    # a_k y^k = (-1)^m q^(m^2) (q/y)^m, -(-1)^m q^(m^2) y (q y)^m, finite at |q| <= |y| <= 1/|q|
+    ms = np.arange(_theta_terms(abs(q)) + 2)[:, None]
+    qm = np.array([(-1) ** m * q ** (m * m) for m in ms[:, 0]])[:, None]
+    terms = np.concatenate((qm * (q / y) ** ms, -qm * y * (q * y) ** ms))
+    c = np.where(rows == 0, 0, ps._exponent[rows]) / ps.n  # R(e^s) has c = 0
+    terms = (np.concatenate((-ms, ms + 1)) + c) ** _POWERS / _FACTORIALS * terms
+    moments, moments_abs = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+    # dividing by R(e^s)/s, y_0 = 1: the inverse of its lower triangular Toeplitz matrix
+    inverse = np.linalg.inv(np.append(moments[1:, 0], 0.0)[_TOEPLITZ])
+    laurent = ps._const_chi[rows[1:], 0] * (inverse @ moments[:4, 1:])
+    size = np.abs(ps._const_chi[rows[1:], 0]) * (np.abs(inverse) @ moments_abs[:4, 1:])
+
+    def sides(pj, pmj, p2j, pm2j, sign):
+        # the left side's coefficients from s^-3 on, P_-j P_j's from s^-2 on
+        cube = lambda a, b: np.convolve(a, np.convolve(b, b))
+        return cube(p2j, pmj) + sign * cube(pm2j, pj), np.convolve(pmj, pj)
+
+    lhs, basis = sides(*laurent.T, -1)
+    lam = lhs[1] / basis[0]
+    mu = lhs[3] - lam * basis[2]
+    size_lhs, size_basis = sides(*size.T, 1)
+    return lam, mu, np.finfo(float).eps * (size_lhs[3] + abs(lam) * size_basis[2])
 
 
 def lambda_mu(ps: PSystem, j: int) -> tuple[complex, complex]:
     """Constants (lam, mu) with P_2j P_-j^2 - P_-2j P_j^2 = lam P_-j P_j + mu,
-    in closed form from the Laurent expansions at z = 0 (DLMF 23.9, 23.10).
+    read off the Laurent expansions at z = 0 of PSystem.values' theta quotients.
 
-    Each P_i = r_i/z + A_i + B_i z + C_i z^2 + ... is the orbit sum of the
-    rows of _v_laurent with the phases w^(-ki).  lam is the left side's
-    z^-2 coefficient over r_j r_-j, and mu is its z^0 coefficient minus lam
-    times that of P_-j P_j.  Requires 2j != 0 mod n.  mu is nonzero for
-    n >= 3; a mu within its rounding bound raises FitError.  The bound is
-    n eps times the same two z^0 coefficients formed from the rows'
-    absolute values: an orbit sum of n terms rounds within n eps of its
-    absolute sum.
+    Near 0, with s = 2 pi i u, P_i = const_i e^(c_i s) R(e^s y_i) / R(e^s) for
+    _Theta's series R(W) = sum_k a_k W^k, and e^(c s) R(e^s y) = sum_p E_p s^p
+    with the moments E_p(y, c) = sum_k a_k y^k (k + c)^p / p!, E_0(1, 0) = R(1) = 0.
+    One stacked power-series division gives each P_i = r_i/s + A_i + B_i s + C_i s^2.
+    lam is the left side's s^-2 coefficient over r_j r_-j, and mu its s^0
+    coefficient minus lam times that of P_-j P_j, both the same in z.  Needs
+    2j != 0 mod n.  mu is nonzero for n >= 3; a mu within eps times the same
+    s^0 coefficients formed from absolute values raises FitError.
     """
-    n = ps.n
-    if (2 * j) % n == 0:
-        raise ValueError(f"character index {j} has 2j = 0 mod {n}: the corner column degenerates")
-    rows = _v_laurent(ps)
-    ks = np.arange(n)
-    p = {i: ps.w ** (-(ks * (i % n))) @ rows for i in (j, -j, 2 * j, -2 * j)}
-    # lhs[i] is the coefficient of z^(i-3), basis[i] that of z^(i-2)
-    lhs = (np.convolve(p[2 * j], np.convolve(p[-j], p[-j]))
-           - np.convolve(p[-2 * j], np.convolve(p[j], p[j])))
-    basis = np.convolve(p[-j], p[j])
-    lam = lhs[1] / basis[0]
-    mu = lhs[3] - lam * basis[2]
-    # every phase has modulus 1, so size bounds the terms of each P_i
-    size = np.abs(rows).sum(axis=0)
-    sq = np.convolve(size, size)
-    bound = n * np.finfo(float).eps * (2.0 * np.convolve(size, sq)[3] + abs(lam) * sq[2])
+    lam, mu, bound = _laurent_lambda_mu(ps, j)
     if abs(mu) <= bound:
-        raise FitError(
-            f"mu vanishes within its rounding: |mu| = {abs(mu):.3g} <= {bound:.3g}"
-            f" (twist order {n}, j={j})"
-        )
+        raise FitError(f"mu vanishes within its rounding: |mu| = {abs(mu):.3g} <= {bound:.3g}"
+                       f" (twist order {ps.n}, j={j})")
     return complex(lam), complex(mu)
 
 

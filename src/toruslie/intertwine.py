@@ -8,7 +8,8 @@ lowest-order poles,
     q2 = (P_-j P_2j - (lam/2) P_j) / mu,
 
 with lam and mu the constants of P_2j P_-j^2 - P_-2j P_j^2 = lam P_-j P_j + mu,
-read off the Laurent expansions at z = 0 (funcalg.lambda_mu), so that
+read off the Laurent expansions at z = 0 of the theta quotients that
+evaluate the P_j (funcalg.lambda_mu), so that
 Phi_j(z + alpha) = diag(w^j, w^-j) Phi_j(z) and
 Phi_j(-z) = S Phi_j(z) diag(-1, 1) with S the antidiagonal flip.  For even
 group order the same construction runs on an index-two cover lattice where

@@ -255,25 +255,26 @@ class TestWorkCounts:
         assert 0 < len(calls) <= limit
 
     @pytest.mark.parametrize(
-        "emb, limit",
+        "emb, low, high",
         [
-            (cl_rotation(L_GEN, 2), 1),
-            (cn_translation(L_SQ, 5), 3),
-            (c2c2_translation(L_SQ), 3),
-            (dn_group(L_SQ, 5), 3),
-            (a4_group(L_HEX), 3),
+            (cl_rotation(L_GEN, 2), 1, 1),
+            (cn_translation(L_SQ, 5), 0, 0),
+            (c2c2_translation(L_SQ), 1, 3),
+            (dn_group(L_SQ, 5), 0, 1),
+            (a4_group(L_HEX), 1, 3),
         ],
         ids=["rot2", "cn5", "c2c2", "dn5", "a4"],
     )
-    def test_one_evaluation_per_point_set(self, emb, limit, monkeypatch, count_wp_calls):
+    def test_one_evaluation_per_point_set(self, emb, low, high, monkeypatch, count_wp_calls):
         # one call for the triple on every point set of the checks, one
         # for the ring unless a frame factor lives on the ring lattice,
-        # plus the build: the lambda/mu fit for C_N and D_N (wp at alpha
-        # rides along), the half-period constants for the Klein group and A4
+        # plus the build: the half-period constants for the Klein group and
+        # A4.  The C_N and D_N frames read P_j and their lambda and mu as
+        # theta quotients, with no wp at all
         cross_validate(emb, seed=0)  # warm the per-lattice caches
         calls = count_wp_calls(monkeypatch)
         assert cross_validate(emb, seed=0).passed
-        assert 0 < len(calls) <= limit
+        assert low <= len(calls) <= high
 
     def test_ring_lattice_built_once_per_embedding(self, monkeypatch):
         # classify and normal_form both read emb.quotient
@@ -367,12 +368,12 @@ KNOWN_SWEEP_FAILURES = {
     5: ("cn3 1/N", "dn3 1/N", "cn5 1/N", "dn5 1/N", "cn7 1/N", "dn7 1/N"),
     6: ("cn3 1/N",),
     9: ("cn3 1/N", "dn3 1/N", "cn5 1/N", "dn5 1/N", "cn7 1/N"),
-    10: ("cn3 1/N", "dn3 1/N", "cn5 1/N", "dn5 1/N", "cn7 1/N"),
+    10: ("cn3 1/N", "dn3 1/N", "cn5 1/N", "cn7 1/N"),
     12: ("cn3 1/N", "dn3 1/N", "cn5 1/N", "dn5 1/N", "cn7 1/N"),
     13: ("cn2 1/N", "dn2 1/N", "cn3 1/N", "dn3 1/N", "cn5 1/N", "dn5 1/N", "cn7 1/N",
          "dn7 1/N"),
     # cn8 and dn8 at (1+tau)/N raise FitError: mu is 7.45e-11 (40 digits),
-    # below the 6.5e-7 rounding bound of the closed form, which reads 1.2e-9
+    # below the 8.9e-11 rounding bound of the closed form, which reads 7.4e-11
     15: ("dn2 1/N", "dn2 tau/N", "dn2 (1+tau)/N", "dn3 1/N", "dn3 tau/N", "dn3 (1+tau)/N",
          "dn5 1/N", "dn5 tau/N", "dn5 (1+tau)/N", "dn6 1/N", "dn6 tau/N", "dn6 (1+tau)/N",
          "dn7 1/N", "dn7 tau/N", "dn7 (1+tau)/N", "dn8 1/N", "dn8 tau/N", "cn8 (1+tau)/N",
@@ -385,7 +386,7 @@ class TestModuliSweep:
 
     def test_size(self):
         assert sum(len(sweep_cases(tau)) for tau in SWEEP_TAUS) == 608
-        assert sum(len(v) for v in KNOWN_SWEEP_FAILURES.values()) == 53
+        assert sum(len(v) for v in KNOWN_SWEEP_FAILURES.values()) == 52
 
     @pytest.mark.parametrize("k", range(len(SWEEP_TAUS)), ids=lambda k: f"{SWEEP_TAUS[k]:.3f}")
     def test_failures_are_the_known_ones(self, k):
