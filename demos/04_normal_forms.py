@@ -6,8 +6,6 @@ the invariant function ring.  The number of distinct roots of p equals
 the number of branch points of the quotient map.
 """
 
-import numpy as np
-
 from toruslie import Lattice, catalog
 from toruslie.lattice import HEX_TAU
 from toruslie.normalform import (

@@ -58,31 +58,20 @@ class Classification:
     branch_count: int
     tau_class: ModularClass | None
     j_invariant: complex | None
-    provenance: dict = field(default_factory=dict)
     caveat: str = ""
 
 
 def classify(emb: GroupEmbedding) -> Classification:
     """Classify a catalog embedding by its branch-point count."""
-    count, orbits = branch_points(emb)
+    count, _ = branch_points(emb)
     if count not in KIND_BY_BRANCH_COUNT:
         raise InternalInconsistencyError(f"branch count {count} outside {{0, 2, 3}}")
     kind = KIND_BY_BRANCH_COUNT[count]
-    quotient = emb.quotient
-    mc = reduce_modular(quotient.tau)
-    prov = {
-        "group": emb.kind,
-        "order_param": emb.order_param,
-        "group_order": emb.order,
-        # t(Gamma): the translations, the fixed-point-free elements on a torus
-        "translation_subgroup_order": sum(g.is_translation for g in emb.elements),
-        "quotient_tau": quotient.tau,
-        "branch_orbits": len(orbits),
-    }
     if kind == "Onsager":
-        return Classification(kind, count, None, None, prov)
+        return Classification(kind, count, None, None)
+    mc = reduce_modular(emb.quotient.tau)
     caveat = _CAVEAT_SFAMILY if kind == "SFamily" else ""
-    return Classification(kind, count, mc, j_invariant(mc.tau_reduced), prov, caveat)
+    return Classification(kind, count, mc, j_invariant(mc.tau_reduced), caveat)
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .elliptic import invariants, wp_both
-from .funcalg import (
-    FitError, InvariantRing, TorusFunction, WPoly, _fit_points, _fit_values,
-    _last_points_memo, sample_points,
-)
+from .funcalg import InvariantRing, TorusFunction, WPoly, _fit_points, _fit_values
+from .funcalg import _last_points_memo, sample_points
 from .intertwine import phi, psi
 from .lattice import shortest_period, torus_reduce_centered
 from .sl2rep import B_E, B_F, B_H, ad, bracket, coeffs, from_coeffs, standard_rep
@@ -102,7 +100,7 @@ INVARIANCE_SAMPLES = invariance_samples(BRACKET_SAMPLES)
 class _Case(NamedTuple):
     frames: str  # "B" constant, "phi" columns of ad(Phi), "psi" columns of Psi
     var: str  # the variable of the invariant ring
-    margin: float  # the bracket sampling margin
+    margin: float  # the bracket sampling margin, which sample_points backs off from
     # p = fe ff in the ring variable from the ring lattice's invariants: (its
     # ascending coefficients, a value that vanishes exactly with its
     # discriminant, its roots)
@@ -227,27 +225,10 @@ def normal_form(emb: GroupEmbedding, j: int = 1) -> GeneratorTriple:
     return GeneratorTriple(e, f, h, ring, emb, rep, orbit, intertwiner, ring_wp=ring_wp)
 
 
-def _backed_off(attempt, margin: float):
-    """attempt(margin), retried at shrinking margins while sampling starves.
-
-    Spread-out orbits can exhaust the cell at the preferred margin; back
-    off rather than fail (the residual targets are calibrated for the
-    catalogued shifts, wider orbits simply report what they get).
-    """
-    for factor in (1.0, 0.75, 0.55, 0.4, 0.25):
-        try:
-            return attempt(margin * factor)
-        except FitError:
-            continue
-    raise FitError("no sampling margin admits points away from the pole orbit")
-
-
 def _probe(gens: GeneratorTriple, n_samples: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
-    return _backed_off(
-        lambda m: sample_points(gens.emb.lattice, n_samples, rng, avoid=gens.poles, margin=m),
-        _case(gens.emb).margin,
-    )
+    margin = _case(gens.emb).margin
+    return sample_points(gens.emb.lattice, n_samples, rng, avoid=gens.poles, margin=margin)
 
 
 def _fit_rows(gens: GeneratorTriple, seed: int) -> np.ndarray:
@@ -262,10 +243,7 @@ def _fit_rows(gens: GeneratorTriple, seed: int) -> np.ndarray:
     short_ring = shortest_period(ring.tau) * abs(ring.scale)
     margin = _case(gens.emb).margin * short_orig / short_ring
     degree = len(exact_structure_polynomial(gens).a) - 1
-    return _backed_off(
-        lambda m: _fit_points(gens.ring, degree, (), seed=seed, margin=m),
-        margin,
-    )
+    return _fit_points(gens.ring, degree, (), seed=seed, margin=margin)
 
 
 def _preimages(gens: GeneratorTriple, z: np.ndarray) -> np.ndarray:

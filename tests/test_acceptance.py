@@ -5,9 +5,8 @@ Tolerances are fixed here, not configurable: they are the contract.
 """
 
 import numpy as np
-import pytest
 
-from toruslie.classify import KIND_BY_BRANCH_COUNT, classify, cross_validate
+from toruslie.classify import classify, cross_validate
 from toruslie.elliptic import invariants, wp_both
 from toruslie.funcalg import (
     InvariantRing,
@@ -34,7 +33,7 @@ from toruslie.normalform import (
     structure_polynomial,
     verify_brackets,
 )
-from toruslie.sl2rep import cyclic_labels, standard_rep
+from toruslie.sl2rep import standard_rep
 from toruslie.torusgroup import (
     a4_group,
     branch_points,

@@ -11,7 +11,8 @@ import toruslie
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(toruslie.__path__))
 SRC = Path(toruslie.__file__).resolve().parent
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
 
 
 def _traced_targets():
@@ -64,9 +65,14 @@ def test_unused_import_is_found():
     assert _unused_imports("import os.path\nos.sep\n") == []
 
 
-@pytest.mark.parametrize("module", MODULES)
+#: the demos and test files, by their path from the repository root
+SCRIPTS = sorted(f"{d}/{p.name}" for d in ("demos", "tests") for p in (ROOT / d).glob("*.py"))
+
+
+@pytest.mark.parametrize("module", MODULES + SCRIPTS)
 def test_no_unused_imports(module):
-    assert _unused_imports((SRC / f"{module}.py").read_text()) == []
+    path = ROOT / module if module in SCRIPTS else SRC / f"{module}.py"
+    assert _unused_imports(path.read_text()) == []
 
 
 def _dead_private_names(sources: dict) -> list[str]:

@@ -690,13 +690,13 @@ class TestVerifyFold:
         assert (counts[0] == 0) == (argv[1] == "cn")
 
     def test_a_starving_probe_set_raises_as_before(self, capsys, monkeypatch):
-        # only the 30-probe invariance draw of --samples 45 starves: the
-        # error verify always gave
+        # only the 30-probe invariance draw of --samples 45 starves, at
+        # every share of its margin: the error verify always gave
         original = nf_module.sample_points
 
         def starving(slat, n, *args, **kwargs):
             if n == 30:
-                raise FitError("rejection sampling starved; margin too large for the pole set")
+                raise FitError("no sampling margin admits points away from the pole orbit")
             return original(slat, n, *args, **kwargs)
 
         monkeypatch.setattr(nf_module, "sample_points", starving)

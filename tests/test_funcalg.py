@@ -677,12 +677,23 @@ class TestSamplePoints:
         with pytest.raises(ValueError, match="at least one sample point"):
             sample_points(Lattice(GENERIC), n, np.random.default_rng(0), margin=0.05)
 
-    @pytest.mark.parametrize("avoid", [(0j,), tuple(np.arange(12) / 12.0 + 0.3j)])
-    def test_starved_margin_raises(self, avoid):
+    def test_a_starved_margin_backs_off(self):
+        # 0.75 around 0 on the square lattice keeps no point in 200 rounds;
+        # the draw starts over at 0.75 of that margin on the same rng
         slat = Lattice(1j)
-        for sampler in (sample_points, per_pole_sample_points):
-            with pytest.raises(FitError, match="starved"):
-                sampler(slat, 10, np.random.default_rng(0), avoid=avoid, margin=0.75)
+        rng_new, rng_old = np.random.default_rng(0), np.random.default_rng(0)
+        got = sample_points(slat, 10, rng_new, avoid=(0j,), margin=0.75)
+        with pytest.raises(FitError, match="starved"):
+            per_pole_sample_points(slat, 10, rng_old, avoid=(0j,), margin=0.75)
+        want = per_pole_sample_points(slat, 10, rng_old, avoid=(0j,), margin=0.5625)
+        assert got.tobytes() == want.tobytes()
+        assert rng_new.bit_generator.state == rng_old.bit_generator.state
+
+    @pytest.mark.parametrize("avoid", [(0j,), tuple(np.arange(12) / 12.0 + 0.3j)])
+    def test_a_margin_starved_at_every_share_raises(self, avoid):
+        # a quarter of 3.0 still clears no point of the cell
+        with pytest.raises(FitError, match="^no sampling margin admits points away from the pole orbit$"):
+            sample_points(Lattice(1j), 10, np.random.default_rng(0), avoid=avoid, margin=3.0)
 
 
 class TestPSmall:

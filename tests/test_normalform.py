@@ -16,7 +16,7 @@ from toruslie.normalform import (
     structure_polynomial,
     verify_brackets,
 )
-from toruslie.sl2rep import B_E, B_F, B_H, bracket, coeffs, cyclic_labels, standard_rep
+from toruslie.sl2rep import bracket, coeffs, cyclic_labels, standard_rep
 from toruslie.torusgroup import (
     a4_group,
     branch_points,
@@ -73,7 +73,7 @@ class TestConstructions:
 
     def test_cn_matches_explicit_displays(self):
         # the conjugated frames agree with their closed forms in the P's
-        from toruslie.funcalg import p_system, fit_lambda_mu
+        from toruslie.funcalg import p_system
         from toruslie.intertwine import phi
 
         n = 5

@@ -10,7 +10,6 @@ import pytest
 
 from sweep import SWEEP_TAUS, sweep_cases
 from toruslie import normalform, sl2rep
-from toruslie.classify import classify
 from toruslie import torusgroup as tg
 from toruslie.lattice import (
     HEX_TAU, Lattice, TorsionPoint, moebius, reduce_modular, torus_reduce_centered,
@@ -20,7 +19,6 @@ from toruslie.torusgroup import (
     UnsupportedEmbeddingError,
     a4_group,
     branch_points,
-    c2c2_translation,
     catalog,
     cl_rotation,
     cn_translation,
@@ -242,25 +240,25 @@ class TestClosureBound:
 
 
 class TestTranslationSubgroup:
-    """t(Gamma) and T / t(Gamma) as classify reports them."""
+    """t(Gamma), the translations of a group, and T / t(Gamma)."""
 
     def test_c2_rotation_trivial(self):
         emb = cl_rotation(L_GEN, 2)
-        assert classify(emb).provenance["translation_subgroup_order"] == 1
+        assert sum(g.is_translation for g in emb.elements) == 1
         quot = quotient_scaled(emb)
         assert abs(reduce_modular(quot.tau).tau_reduced
                    - reduce_modular(GENERIC).tau_reduced) < 1e-9
 
     def test_cn_translation_full(self):
         emb = cn_translation(L_SQ, 2)
-        assert classify(emb).provenance["translation_subgroup_order"] == 2
+        assert sum(g.is_translation for g in emb.elements) == 2
         quot = quotient_scaled(emb)
         # Lambda_(1/2) on the square lattice is homothetic to 2i
         assert abs(reduce_modular(quot.tau).tau_reduced - 2j) < 1e-9
 
     def test_a4_subgroup_is_klein(self):
         emb = a4_group(L_HEX)
-        assert classify(emb).provenance["translation_subgroup_order"] == 4
+        assert sum(g.is_translation for g in emb.elements) == 4
         # four translations, each shift of order at most 2: the Klein
         # group, not C4
         trans = [g for g in emb.elements if g.is_translation]
@@ -589,9 +587,8 @@ class TestKeysMatchObjectPath:
             assert [m.tobytes() for m in got] == [ref[g].tobytes() for g in emb.elements]
 
 
-# standard_rep and classify before they read the closure: the generator
-# images extended by composing again on the object path, and t(Gamma) rebuilt as a group of
-# its own to read its order.  Kept as the references of the table walk.
+# standard_rep before it read the closure: the generator images extended by
+# composing again on the object path.  Kept as the reference of the table walk.
 
 
 def _compose_extend(emb, gen_images):
@@ -635,16 +632,6 @@ def _compose_standard_rep(emb):
     )
 
 
-def _rebuilt_translation_order(emb):
-    trans = [g for g in emb.elements if g.is_translation]
-    if len(trans) == 1:
-        return 1
-    if max(t.shift.n for t in trans) == len(trans):
-        gen = next(t for t in trans if t.shift.n == len(trans))
-        return cn_translation(emb.lattice, len(trans), gen.shift).order
-    return c2c2_translation(emb.lattice).order
-
-
 TABLE_TAUS = [1j, HEX_TAU, 0.31 + 1.07j, 0.2 + 1.3j, 7.3 + 0.2j]
 
 
@@ -670,19 +657,6 @@ class TestGeneratorTable:
             ref = _compose_standard_rep(emb)
             assert set(ref) == set(emb.elements)
             assert [m.tobytes() for m in got] == [ref[g].tobytes() for g in emb.elements]
-
-    @pytest.mark.parametrize("tau", TABLE_TAUS, ids=lambda t: f"{t:.2f}")
-    def test_classify_provenance_unchanged(self, tau):
-        for emb in _table_embeddings(tau):
-            prov = classify(emb).provenance
-            assert prov == {
-                "group": emb.kind,
-                "order_param": emb.order_param,
-                "group_order": emb.order,
-                "translation_subgroup_order": _rebuilt_translation_order(emb),
-                "quotient_tau": Lattice(quotient_scaled(emb).tau).tau,
-                "branch_orbits": branch_points(emb)[0],
-            }
 
 
 def _rounded_mult_matrix(num, den, tau):
