@@ -47,7 +47,7 @@ from .funcalg import (
     p_system,
     residue_at,
 )
-from .intertwine import check_intertwining, phi, psi
+from .intertwine import phi, psi
 from .normalform import (
     GeneratorTriple,
     abelianization_dim,

@@ -90,11 +90,11 @@ class CrossValidation:
 def cross_validate(emb: GroupEmbedding, j: int = 1, *, seed: int = 0) -> CrossValidation:
     """Build the normal form and check it against the classification.
 
-    The bracket residuals and invariance residual are those of
-    verify_brackets(seed + 1) and invariance_residual(seed + 2) at their
-    default probe counts, computed by check_triple: every point set is
-    drawn first and the triple and its ring are evaluated once.  The
-    verify command at its defaults reports these two residuals.
+    The bracket residuals and invariance residual are check_triple's at
+    its default probe count, those of verify_brackets(60, seed + 1) and
+    invariance_residual(40, seed + 2): every point set is drawn first and
+    the triple and its ring are evaluated once.  The verify command at
+    its defaults reports these two residuals.
 
     The structure check is ef_exact, [E, F] against H times the exact p
     of the case; no p is fitted.  Where the class has a j-invariant, the

@@ -30,8 +30,7 @@ from .elliptic import invariants
 from .funcalg import FitError, c2c2_constants_for, fit_lambda_mu, lambda_mu, p_system
 from .funcalg import torus_distance
 from .lattice import Lattice, TorsionPoint, fold_far
-from .normalform import BRACKET_SAMPLES, _h_projection, invariance_residual, invariance_samples
-from .normalform import normal_form, verify_brackets
+from .normalform import BRACKET_SAMPLES, _h_projection, check_triple, normal_form
 from .sl2rep import bracket
 from .torusgroup import GroupEmbedding, catalog, make_embedding
 
@@ -215,8 +214,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         factor = 1.0 + args.perturb_f
         gens.F.fn = lambda z: factor * f0(z)
     if args.perturb_f or args.samples != BRACKET_SAMPLES:
-        br = verify_brackets(gens, args.samples, seed=args.seed + 1)
-        inv_res = invariance_residual(gens, invariance_samples(args.samples), seed=args.seed + 2)
+        br, inv_res = check_triple(gens, args.samples, seed=args.seed)
     else:
         # the triple, seeds and probes of cross_validate's checks
         br, inv_res = cv.bracket_residuals, cv.invariance

@@ -27,13 +27,12 @@ from __future__ import annotations
 import numpy as np
 
 from .funcalg import (
-    PSystem, TorusFunction, _p_stack, c2c2_constants_for, lambda_mu, p_system, sample_points,
+    PSystem, TorusFunction, _p_stack, c2c2_constants_for, lambda_mu, p_system,
 )
 from .lattice import Lattice
 from .torusgroup import GroupEmbedding, UnsupportedEmbeddingError
 
 __all__ = [
-    "check_intertwining",
     "double_cover",
     "phi",
     "psi",
@@ -71,16 +70,21 @@ def phi(emb: GroupEmbedding, j: int = 1) -> TorusFunction:
     """The SL2-valued map of a cyclic translation embedding.
 
     Requires 2j != 0 mod the twist order (P_j and P_2j must be nonzero).
-    meta records the twist order M, the shift alpha, and lam, mu; the map
-    satisfies Phi(z + alpha) = diag(w_M^j, w_M^-j) Phi(z).  j counts mod
-    N, as in standard_rep (on the cover of an even N, j and j + N would
-    build different Phi for the same action).
+    meta records the twist order M, the character representative j, the
+    shift alpha, and lam, mu; the map satisfies
+    Phi(z + alpha) = diag(w_M^j, w_M^-j) Phi(z).  j counts mod N, as in
+    standard_rep.  On the order-2N cover of an even N, j and j + N give
+    the same action through different Phi; phi takes the one nearer 0 mod
+    2N, j + N where 2j > N, whose P_j has the smaller |c_j| (1/(2N) at
+    j = -1, against nearly 1/2) and so the smaller frames.  j = 1 keeps j.
     """
     if emb.kind not in ("CN_translation", "DN"):
         raise ValueError("phi is attached to cyclic translation data")
     ps = _psystem_for(emb)
-    m = ps.n
-    j %= emb.order_param
+    m, n = ps.n, emb.order_param
+    j %= n
+    if m != n and 2 * j > n:
+        j += n
     lam, mu = lambda_mu(ps, j)
     js = (j % m, (-j) % m, (2 * j) % m, (-2 * j) % m)
 
@@ -151,28 +155,3 @@ def psi(emb: GroupEmbedding) -> TorusFunction:
         meta={"constants": cc, "kind": "psi"},
     )
 
-
-def check_intertwining(
-    m: TorusFunction,
-    rho: np.ndarray,
-    rho_tilde: np.ndarray | None,
-    emb: GroupEmbedding,
-    n_samples: int = 40,
-    seed: int = 0,
-) -> float:
-    """max over samples and group elements of |M(g.z) - rho(g) M(z) rho~(g)^-1|.
-
-    rho and rho_tilde hold the d x d images of the group elements, in the
-    order of emb.elements (as standard_rep gives them); rho_tilde None
-    means the trivial action on the right.
-    """
-    rng = np.random.default_rng(seed)
-    z = sample_points(m.lattice, n_samples, rng, avoid=m.poles, margin=0.08)
-    worst = 0.0
-    for k, g in enumerate(emb.elements):
-        left = m(g.apply(z))
-        right = rho[k] @ m(z)
-        if rho_tilde is not None:
-            right = right @ np.linalg.inv(rho_tilde[k])
-        worst = max(worst, float(np.max(np.abs(left - right))))
-    return worst

@@ -43,19 +43,19 @@ evaluated at the (wp, wp') that the frames' memo already holds, as its
 leading coefficient times the product over its roots, because the
 monomial form cancels where p is small against its terms.  Sampling p
 and fitting it in the ring (structure_polynomial) is an independent
-route that no check runs.
+route that no check runs; it returns its fit and leaves the triple as
+it was.
 
 Each check is three steps: draw its points, evaluate the triple (and the
 ring) there, and compute the residual from those values.
 structure_polynomial, verify_brackets and invariance_residual run the
-three steps for one check; check_triple draws the point sets of the
-bracket and invariance checks first and evaluates the triple and its
-ring once on their concatenation, with results equal to those of the
-functions run one by one.  The residuals are computed on E, F and H
-stacked (3, n, 2, 2), one bracket call and one invariance einsum for all
-three, bit for bit as one generator at a time.  invariance_samples gives the verify command
-INVARIANCE_SAMPLES at BRACKET_SAMPLES, so at its defaults it reads
-check_triple's residuals.
+three steps for one check; check_triple, the one re-check of a triple,
+draws the point sets of the bracket and invariance checks first and
+evaluates the triple and its ring once on their concatenation, with
+results equal to those of the two functions run one by one.  The
+residuals are computed on E, F and H stacked (3, n, 2, 2), one bracket
+call and one invariance einsum for all three, bit for bit as one
+generator at a time.
 """
 
 from __future__ import annotations
@@ -80,22 +80,14 @@ __all__ = [
     "check_triple",
     "exact_structure_polynomial",
     "invariance_residual",
-    "invariance_samples",
     "normal_form",
     "structure_polynomial",
     "verify_brackets",
 ]
 
 
-def invariance_samples(n_brackets: int) -> int:
-    """The invariance probe count that goes with n_brackets bracket probes."""
-    return max(20, 2 * n_brackets // 3)
-
-
-#: bracket probes of verify_brackets and of check_triple
+#: the bracket probe count of check_triple by default
 BRACKET_SAMPLES = 60
-#: invariance probes of invariance_residual and of check_triple
-INVARIANCE_SAMPLES = invariance_samples(BRACKET_SAMPLES)
 
 class _Case(NamedTuple):
     frames: str  # "B" constant, "phi" columns of ad(Phi), "psi" columns of Psi
@@ -158,7 +150,6 @@ class GeneratorTriple:
     poles: tuple
     #: the Phi or Psi that E, F and H are built on, if any
     intertwiner: TorusFunction | None
-    structure_poly: WPoly | None = None
     #: z -> (wp, wp') of the ring lattice, from the evaluation that E, F
     #: and H share, when a factor of E or F is a function on that lattice;
     #: else None
@@ -267,7 +258,7 @@ def _ring_x(gens: GeneratorTriple, z: np.ndarray, rows: slice = slice(None)):
 
 
 def structure_polynomial(gens: GeneratorTriple) -> WPoly:
-    """Fit the invariant p with [E, F] = H tensor p and attach it.
+    """Fit the invariant p with [E, F] = H tensor p.
 
     The scalar function is recovered as the projection of [E, F] onto H
     and expanded in the exact p's monomials, as fit_in_ring expands a
@@ -277,8 +268,7 @@ def structure_polynomial(gens: GeneratorTriple) -> WPoly:
     e, f, h = _frames(gens, z)
     p = _h_projection(bracket(e, f), h)
     powers = [i for i, c in enumerate(exact_structure_polynomial(gens).a) if c != 0]
-    gens.structure_poly = _fit_values(_ring_x(gens, z), p, gens.ring, powers)
-    return gens.structure_poly
+    return _fit_values(_ring_x(gens, z), p, gens.ring, powers)
 
 
 def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -319,7 +309,7 @@ def _bracket_residuals(gens: GeneratorTriple, frames: np.ndarray, x) -> dict:
     hf += 2.0 * f
     p_point = _h_projection(comm, h)
     ef = comm - p_point[..., None, None] * h
-    out = {
+    return {
         "he": float(np.max(np.abs(he))),
         "hf": float(np.max(np.abs(hf))),
         "ef": float(np.max(np.abs(ef))),
@@ -327,25 +317,20 @@ def _bracket_residuals(gens: GeneratorTriple, frames: np.ndarray, x) -> dict:
         "trace": float(np.max(np.abs(np.trace(frames, axis1=-2, axis2=-1)))),
         "frame_scale": float(np.max(np.abs(frames))),
     }
-    if gens.structure_poly is not None:
-        # a p = 1 row reads no ring values, and its fitted p is a constant
-        out["ef_fit"] = _relative_residual(comm, gens.structure_poly(0.0 if x is None else x), h)
-    return out
 
 
-def verify_brackets(gens: GeneratorTriple, n_samples: int = BRACKET_SAMPLES, seed: int = 1) -> dict:
-    """Max pointwise residuals of the three bracket relations.
+def verify_brackets(gens: GeneratorTriple, n_samples: int, seed: int) -> dict:
+    """Max pointwise residuals of the three bracket relations at n_samples
+    probes drawn from seed.
 
     `ef` is the absolute residual of [E, F] against its projection onto H:
     it certifies that [E, F] is a scalar function times H.  `ef_exact` is
-    the relative residual of [E, F] against H times the exact p, and,
-    when structure_polynomial has attached a fitted p, `ef_fit` the same
-    against H times that; relative, because p's coefficients on
-    small-covolume invariant lattices are large and an absolute target
-    would only measure float granularity.  `trace` is the worst deviation
-    of the generators from tracelessness, and `frame_scale` the largest
-    entry seen (the noise floor of every absolute residual is
-    proportional to it).
+    the relative residual of [E, F] against H times the exact p; relative,
+    because p's coefficients on small-covolume invariant lattices are
+    large and an absolute target would only measure float granularity.
+    `trace` is the worst deviation of the generators from tracelessness,
+    and `frame_scale` the largest entry seen (the noise floor of every
+    absolute residual is proportional to it).
     """
     z = _probe(gens, n_samples, seed)
     return _bracket_residuals(gens, _frames(gens, z), _ring_x(gens, z))
@@ -363,8 +348,9 @@ def _invariance(gens: GeneratorTriple, frames: np.ndarray, start: int, n: int) -
     return float(np.max(np.abs(pulled - v0[:, None]), initial=0.0))
 
 
-def invariance_residual(gens: GeneratorTriple, n_samples: int = INVARIANCE_SAMPLES, seed: int = 2) -> float:
-    """Worst deviation from rho(g) X(g^-1 z) = X(z) over the group and probes.
+def invariance_residual(gens: GeneratorTriple, n_samples: int, seed: int) -> float:
+    """Worst deviation from rho(g) X(g^-1 z) = X(z) over the group and
+    n_samples probes drawn from seed.
 
     The probes and their _preimages are stacked into one point array, so
     the triple is evaluated once.
@@ -374,9 +360,10 @@ def invariance_residual(gens: GeneratorTriple, n_samples: int = INVARIANCE_SAMPL
     return _invariance(gens, frames, 0, len(z))
 
 
-def check_triple(gens: GeneratorTriple, *, seed: int = 0) -> tuple:
-    """(verify_brackets(seed + 1), invariance_residual(seed + 2)) from one
-    evaluation of the triple.
+def check_triple(gens: GeneratorTriple, n_samples: int = BRACKET_SAMPLES, *, seed: int = 0) -> tuple:
+    """(verify_brackets(n_samples, seed + 1), invariance_residual(m, seed + 2))
+    from one evaluation of the triple, with m = max(20, 2 n_samples // 3)
+    invariance probes, 40 at BRACKET_SAMPLES.
 
     The point sets of the checks are drawn first, each from its own seed
     as those functions draw it: the bracket probes, and the invariance
@@ -384,8 +371,8 @@ def check_triple(gens: GeneratorTriple, *, seed: int = 0) -> tuple:
     evaluated once on the concatenation and sliced per check.  Results
     and exceptions equal those of the two functions run in turn.
     """
-    z_br = _probe(gens, BRACKET_SAMPLES, seed + 1)
-    z_inv = _probe(gens, INVARIANCE_SAMPLES, seed + 2)
+    z_br = _probe(gens, n_samples, seed + 1)
+    z_inv = _probe(gens, max(20, 2 * n_samples // 3), seed + 2)
     z = np.concatenate([z_br, z_inv, _preimages(gens, z_inv)])
     frames = _frames(gens, z)
     b = len(z_br)

@@ -38,7 +38,6 @@ __all__ = [
     "coeffs",
     "from_coeffs",
     "standard_rep",
-    "cyclic_labels",
 ]
 
 B_H = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -184,14 +183,3 @@ def standard_rep(emb: GroupEmbedding, j: int = 1) -> np.ndarray:
         return _extend(emb, [_A4_S, _R1_3, _R2_3])
     raise ValueError(f"unknown embedding kind {kind!r}")
 
-
-def cyclic_labels(emb: GroupEmbedding) -> tuple[int, ...]:
-    """labels[k]: the exponent of elements[k] as a power of the generator of
-    a cyclic embedding (C_N or C_l)."""
-    row = emb.table[emb.generators.index(emb.cyclic_generator)]
-    labels = [0] * emb.order
-    g = 0
-    for k in range(emb.order):
-        labels[g] = k
-        g = row[g]
-    return tuple(labels)

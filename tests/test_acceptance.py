@@ -9,17 +9,14 @@ import numpy as np
 from toruslie.classify import classify, cross_validate
 from toruslie.elliptic import invariants, wp_both
 from toruslie.funcalg import (
-    InvariantRing,
-    TorusFunction,
     c2c2_constants,
-    fit_in_ring,
     fit_lambda_mu,
     p_small,
     p_system,
     residue_at,
     sample_points,
 )
-from toruslie.intertwine import check_intertwining, phi, psi
+from toruslie.intertwine import phi, psi
 from toruslie.lattice import (
     HEX_TAU,
     Lattice,
@@ -27,12 +24,7 @@ from toruslie.lattice import (
     moebius,
     transport_torsion,
 )
-from toruslie.normalform import (
-    invariance_residual,
-    normal_form,
-    structure_polynomial,
-    verify_brackets,
-)
+from toruslie.normalform import check_triple, normal_form
 from toruslie.sl2rep import standard_rep
 from toruslie.torusgroup import (
     a4_group,
@@ -44,6 +36,7 @@ from toruslie.torusgroup import (
     dn_group,
 )
 from test_funcalg import orbit_sum
+from test_intertwine import check_intertwining
 
 GENERIC = complex(0.31, 1.07)
 SQUARE = Lattice(1j)
@@ -204,26 +197,23 @@ def test_criterion_06_intertwiners():
 
 def test_criterion_07_normal_forms():
     ok = True
-    worst = {"he": 0.0, "hf": 0.0, "ef": 0.0, "ef_fit": 0.0, "inv": 0.0}
+    worst = {"he": 0.0, "hf": 0.0, "ef": 0.0, "ef_exact": 0.0, "inv": 0.0}
     for lat in THREE:
         for emb in catalog(lat):
-            gens = normal_form(emb)
-            structure_polynomial(gens)
-            br = verify_brackets(gens)
-            inv_res = invariance_residual(gens)
+            br, inv_res = check_triple(normal_form(emb))
             worst["he"] = max(worst["he"], br["he"])
             worst["hf"] = max(worst["hf"], br["hf"])
             worst["ef"] = max(worst["ef"], br["ef"])
-            worst["ef_fit"] = max(worst["ef_fit"], br["ef_fit"])
+            worst["ef_exact"] = max(worst["ef_exact"], br["ef_exact"])
             worst["inv"] = max(worst["inv"], inv_res)
     ok = (
         worst["he"] < 1e-7
         and worst["hf"] < 1e-7
         and worst["ef"] < 1e-7
-        and worst["ef_fit"] < 1e-6
+        and worst["ef_exact"] < 1e-6
         and worst["inv"] < 1e-8
     )
-    report(7, "normal-form brackets, fits and invariance", ok,
+    report(7, "normal-form brackets, exact structure and invariance", ok,
            " ".join(f"{k}={v:.1e}" for k, v in worst.items()))
 
 
@@ -293,13 +283,11 @@ def test_criterion_09_homothety():
 
 
 def test_criterion_10_negative_controls():
-    # perturbed generator against the frozen structure polynomial
+    # perturbed generator against the exact structure polynomial
     gens = normal_form(cn_translation(GEN, 3))
-    structure_polynomial(gens)
     f0 = gens.F.fn
     gens.F.fn = lambda z: 1.01 * f0(z)
-    br = verify_brackets(gens)
-    pert_res = br["ef_fit"]
+    pert_res = check_triple(gens)[0]["ef_exact"]
 
     # sign-flipped intertwiner column: breaks unimodularity
     m = phi(cn_translation(GEN, 3), 1)
@@ -313,6 +301,19 @@ def test_criterion_10_negative_controls():
     ok = pert_res > 1e-3 and det_res > 1e-3
     report(10, "negative controls are detected", ok,
            f"perturbed bracket {pert_res:.1e}, flipped-column det {det_res:.1e}")
+
+
+def p0_squared_residual(lat: Lattice, c0_scale: float = 1.0) -> float:
+    """max |p0^2 - c0 (wp_half - 4 e3)| / |c0 (wp_half - 4 e3)| at 40 seeded
+    points, c0 = c0_scale / ((e1-e3)^2 (e2-e3)^2), wp_half the wp of the
+    half lattice: a relative residual per point, so that a change of c0
+    reads as its own size."""
+    p0, _, _ = p_small(c2c2_translation(lat))
+    inv = invariants(lat)
+    c0 = c0_scale / ((inv.e1 - inv.e3) ** 2 * (inv.e2 - inv.e3) ** 2)
+    z = sample_points(p0.lattice, 40, np.random.default_rng(15), avoid=p0.poles, margin=0.12)
+    rhs = c0 * (wp_both(z, Lattice(lat.tau, 0.5))[0] - 4 * inv.e3)
+    return float(np.max(np.abs(p0(z) ** 2 - rhs) / np.abs(rhs)))
 
 
 def test_criterion_11_klein_constants():
@@ -337,21 +338,14 @@ def test_criterion_11_klein_constants():
     cc = c2c2_constants(HEX)
     ok = ok and abs(cc.alpha1 - W3) < 1e-9
 
-    # p0^2 = (wp_half - 4 e3) / ((e1-e3)^2 (e2-e3)^2) with the stated
-    # coefficients, on all three reference lattices
-    coeff_res = 0.0
-    for lat in THREE:
-        emb = c2c2_translation(lat)
-        p0, _, _ = p_small(emb)
-        inv = invariants(lat)
-        p0_squared = TorusFunction(lambda z: p0.fn(z) * p0.fn(z), p0.lattice, p0.poles)
-        w = fit_in_ring(p0_squared, InvariantRing(Lattice(lat.tau, 0.5)), 2)
-        c0 = 1.0 / ((inv.e1 - inv.e3) ** 2 * (inv.e2 - inv.e3) ** 2)
-        coeff_res = max(
-            coeff_res,
-            abs(w.a[1] - c0) / max(1, abs(c0)),
-            abs(w.a[0] + 4 * inv.e3 * c0) / max(1, abs(4 * inv.e3 * c0)),
-        )
-    ok = ok and coeff_res < 1e-7
+    # p0^2 = (wp_half - 4 e3) / ((e1-e3)^2 (e2-e3)^2) pointwise, on all
+    # three reference lattices
+    p0_res = max(p0_squared_residual(lat) for lat in THREE)
+    ok = ok and p0_res < 1e-7
     report(11, "Klein-quartet constants", ok,
-           f"|a1*b1-1| max {worst:.1e}, p0^2 coefficient residual {coeff_res:.1e}")
+           f"|a1*b1-1| max {worst:.1e}, p0^2 relative residual {p0_res:.1e}")
+
+
+def test_criterion_11_catches_a_perturbed_c0():
+    # c0 off by 1e-6 reads about 1e-6, over the criterion's 1e-7
+    assert all(p0_squared_residual(lat, 1.0 + 1e-6) > 1e-7 for lat in THREE)

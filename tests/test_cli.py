@@ -327,13 +327,13 @@ class TestVerify:
         # at the defaults the triple, seed and probes are cross_validate's
         cli_module = importlib.import_module("toruslie.cli")
         calls = []
-        original = cli_module.verify_brackets
+        original = cli_module.check_triple
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "verify_brackets", counting)
+        monkeypatch.setattr(cli_module, "check_triple", counting)
         run(capsys, "verify", "--group", "cn", "--order", "3", *extra)
         assert len(calls) == recomputed
 
@@ -655,15 +655,16 @@ class TestVerifyFold:
         ids=["defaults", "samples", "perturbed"],
     )
     def test_invariance_residual_runs_only_off_the_defaults(self, capsys, monkeypatch, extra, calls):
+        # the invariance residual is re-checked by check_triple, with the brackets
         cli_module = importlib.import_module("toruslie.cli")
         seen = []
-        original = cli_module.invariance_residual
+        original = cli_module.check_triple
 
         def counting(*args, **kwargs):
             seen.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli_module, "invariance_residual", counting)
+        monkeypatch.setattr(cli_module, "check_triple", counting)
         run(capsys, "verify", "--group", "dn", "--order", "4", *extra)
         assert len(seen) == calls
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from toruslie.funcalg import TorusFunction, sample_points
-from toruslie.intertwine import check_intertwining, double_cover, phi, psi
+from toruslie.intertwine import double_cover, phi, psi
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint
 from toruslie.sl2rep import ad, standard_rep
 from toruslie.torusgroup import GroupEmbedding, a4_group, c2c2_translation, cn_translation
+from test_sl2rep import cyclic_labels
 
 GENERIC = complex(0.31, 1.07)
 L_GEN = Lattice(GENERIC)
@@ -19,6 +20,32 @@ D = np.diag([-1.0, 1.0]).astype(complex)
 def probe(m: TorusFunction, n, seed, margin=0.08):
     rng = np.random.default_rng(seed)
     return sample_points(m.lattice, n, rng, avoid=m.poles, margin=margin)
+
+
+def check_intertwining(
+    m: TorusFunction,
+    rho: np.ndarray,
+    rho_tilde: np.ndarray | None,
+    emb: GroupEmbedding,
+    n_samples: int = 40,
+    seed: int = 0,
+) -> float:
+    """max over samples and group elements of |M(g.z) - rho(g) M(z) rho~(g)^-1|.
+
+    rho and rho_tilde hold the d x d images of the group elements, in the
+    order of emb.elements (as standard_rep gives them); rho_tilde None
+    means the trivial action on the right.
+    """
+    rng = np.random.default_rng(seed)
+    z = sample_points(m.lattice, n_samples, rng, avoid=m.poles, margin=0.08)
+    worst = 0.0
+    for k, g in enumerate(emb.elements):
+        left = m(g.apply(z))
+        right = rho[k] @ m(z)
+        if rho_tilde is not None:
+            right = right @ np.linalg.inv(rho_tilde[k])
+        worst = max(worst, float(np.max(np.abs(left - right))))
+    return worst
 
 
 class TestPhi:
@@ -51,6 +78,25 @@ class TestPhi:
         z = probe(m, 40, 3)
         res = np.max(np.abs(m(z + m.meta["alpha"]) - np.einsum("ab,zbc->zac", dmat, m(z))))
         assert res < 1e-8
+
+    @pytest.mark.parametrize(
+        "n, j, used", [(2, 1, 1), (4, 1, 1), (4, 3, 7), (4, -1, 7), (6, 5, 11), (8, 3, 3),
+                       (8, 5, 13), (5, 4, 4), (3, 2, 2)],
+    )
+    def test_character_representative(self, n, j, used):
+        # on the order-2N cover of an even N, phi builds j + N where 2j > N
+        # (j mod N): the representative nearer 0 mod 2N, with the action of j
+        emb = cn_translation(L_GEN, n)
+        m = phi(emb, j)
+        assert m.meta["j"] == used
+        w = np.exp(2j * np.pi * used / m.meta["twist_order"])
+        dmat = np.diag([w, 1 / w])
+        z = probe(m, 40, 3)
+        res = np.max(np.abs(m(z + m.meta["alpha"]) - np.einsum("ab,zbc->zac", dmat, m(z))))
+        assert res < 1e-8
+        r = emb.generators[0]
+        lhs, rhs = ad(m(r.apply(z))), standard_rep(emb, j)[emb.elements.index(r)] @ ad(m(z))
+        assert np.max(np.abs(lhs - rhs)) < 1e-7
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_flip_equivariance(self, n):
@@ -153,8 +199,6 @@ class TestCheckIntertwining:
         emb = cn_translation(L_GEN, n)
         m = phi(emb, 1)
         w = np.exp(2j * np.pi / n)
-        from toruslie.sl2rep import cyclic_labels
-
         labels = cyclic_labels(emb)
         rho = np.array([np.diag([w ** k, w ** -k]) for k in labels], dtype=complex)
         res = check_intertwining(m, rho, None, emb, 30)
@@ -175,8 +219,6 @@ class TestCheckIntertwining:
 
         mbad = TorusFunction(bad, m.lattice, m.poles, m.shape, m.meta)
         w = np.exp(2j * np.pi / n)
-        from toruslie.sl2rep import cyclic_labels
-
         labels = cyclic_labels(emb)
         rho = np.array([np.diag([w ** k, w ** -k]) for k in labels], dtype=complex)
         res = check_intertwining(mbad, rho, None, emb, 30)

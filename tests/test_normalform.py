@@ -8,6 +8,7 @@ from toruslie.funcalg import WPoly, sample_points
 from toruslie.intertwine import psi
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, transport_torsion
 from toruslie.normalform import (
+    BRACKET_SAMPLES,
     abelianization_dim,
     check_triple,
     exact_structure_polynomial,
@@ -16,7 +17,7 @@ from toruslie.normalform import (
     structure_polynomial,
     verify_brackets,
 )
-from toruslie.sl2rep import bracket, coeffs, cyclic_labels, standard_rep
+from toruslie.sl2rep import bracket, coeffs, standard_rep
 from toruslie.torusgroup import (
     a4_group,
     branch_points,
@@ -26,6 +27,7 @@ from toruslie.torusgroup import (
     cn_translation,
     dn_group,
 )
+from test_sl2rep import cyclic_labels
 
 GENERIC = complex(0.31, 1.07)
 L_GEN = Lattice(GENERIC)
@@ -37,6 +39,16 @@ LATTICES = [L_SQ, L_HEX, L_GEN]
 def probe_points(gens, n, seed, margin=0.2):
     rng = np.random.default_rng(seed)
     return sample_points(Lattice(gens.emb.tau), n, rng, avoid=gens.poles, margin=margin)
+
+
+def fit_residual(gens, poly):
+    """The relative residual of [E, F] against H times the fitted p at the
+    bracket probes of check_triple(seed=0), as ef_exact reads the exact p."""
+    z = normalform._probe(gens, BRACKET_SAMPLES, 1)
+    e, f, h = normalform._frames(gens, z)
+    x = normalform._ring_x(gens, z)
+    # a p = 1 row reads no ring values, and its fitted p is a constant
+    return normalform._relative_residual(bracket(e, f), poly(0.0 if x is None else x), h)
 
 
 class TestConstructions:
@@ -68,7 +80,7 @@ class TestConstructions:
 
     def test_base_triple_is_exact(self):
         gens = normal_form(cn_translation(L_GEN, 1))
-        rep = verify_brackets(gens)
+        rep = verify_brackets(gens, BRACKET_SAMPLES, 1)
         assert max(rep["he"], rep["hf"], rep["ef"]) == 0.0
 
     def test_cn_matches_explicit_displays(self):
@@ -107,12 +119,12 @@ class TestBracketsAcrossCatalog:
     def test_all_cases(self, lat):
         for emb in catalog(lat):
             gens = normal_form(emb)
-            structure_polynomial(gens)
-            rep = verify_brackets(gens)
+            poly = structure_polynomial(gens)
+            rep = verify_brackets(gens, BRACKET_SAMPLES, 1)
             assert rep["he"] < 1e-7, emb.kind
             assert rep["hf"] < 1e-7, emb.kind
             assert rep["ef"] < 1e-7, emb.kind
-            assert rep["ef_fit"] < 1e-6, emb.kind
+            assert fit_residual(gens, poly) < 1e-6, emb.kind
             assert rep["ef_exact"] < 1e-6, emb.kind
             assert rep["trace"] < 1e-10, emb.kind
 
@@ -120,15 +132,15 @@ class TestBracketsAcrossCatalog:
     def test_invariance(self, lat):
         for emb in catalog(lat):
             gens = normal_form(emb)
-            assert invariance_residual(gens) < 1e-8, (emb.kind, emb.order_param)
+            assert invariance_residual(gens, 40, 2) < 1e-8, (emb.kind, emb.order_param)
 
     def test_negative_control_perturbed_f(self):
         gens = normal_form(cn_translation(L_GEN, 3))
-        structure_polynomial(gens)
+        poly = structure_polynomial(gens)
         f0 = gens.F.fn
         gens.F.fn = lambda z: 1.01 * f0(z)
-        rep = verify_brackets(gens)
-        assert rep["ef_fit"] > 1e-3
+        rep = verify_brackets(gens, BRACKET_SAMPLES, 1)
+        assert fit_residual(gens, poly) > 1e-3
         assert rep["ef_exact"] > 1e-3
 
 
@@ -576,7 +588,7 @@ def per_generator_bracket_residuals(gens, frames, x):
     hf = bracket(h, f) + 2.0 * f
     comm = bracket(e, f)
     ef = comm - normalform._h_projection(comm, h)[..., None, None] * h
-    out = {
+    return {
         "he": float(np.max(np.abs(he))),
         "hf": float(np.max(np.abs(hf))),
         "ef": float(np.max(np.abs(ef))),
@@ -584,10 +596,6 @@ def per_generator_bracket_residuals(gens, frames, x):
         "trace": max(float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1)))) for m in frames),
         "frame_scale": max(float(np.max(np.abs(m))) for m in frames),
     }
-    if gens.structure_poly is not None:
-        p = gens.structure_poly(0.0 if x is None else x)
-        out["ef_fit"] = normalform._relative_residual(comm, p, h)
-    return out
 
 
 def per_generator_invariance(gens, frames, start, n):
@@ -604,7 +612,7 @@ def per_generator_invariance(gens, frames, start, n):
 
 class TestStackedChecks:
     """check_triple's stacked bracket and invariance passes equal the
-    per-generator ones bit for bit, with and without a fitted p."""
+    per-generator ones bit for bit."""
 
     @pytest.mark.parametrize(
         "emb",
@@ -614,23 +622,36 @@ class TestStackedChecks:
     )
     def test_equal_the_per_generator_checks(self, emb):
         gens = normal_form(emb)
-        for fitted in (False, True):
-            if fitted:
-                structure_polynomial(gens)  # the ef_fit branch
-            for seed in (0, 3, 11):
-                z_br = normalform._probe(gens, normalform.BRACKET_SAMPLES, seed + 1)
-                z_inv = normalform._probe(gens, normalform.INVARIANCE_SAMPLES, seed + 2)
-                z = np.concatenate([z_br, z_inv, normalform._preimages(gens, z_inv)])
-                frames = [m.fn(z) for m in (gens.E, gens.F, gens.H)]
-                b = len(z_br)
-                x = normalform._ring_x(gens, z, slice(None, b))
-                want = (
-                    per_generator_bracket_residuals(gens, [m[:b] for m in frames], x),
-                    per_generator_invariance(gens, frames, b, len(z_inv)),
-                )
-                got = check_triple(gens, seed=seed)
-                assert ("ef_fit" in got[0]) == fitted
-                assert repr(got) == repr(want)
+        for seed in (0, 3, 11):
+            z_br = normalform._probe(gens, BRACKET_SAMPLES, seed + 1)
+            z_inv = normalform._probe(gens, 40, seed + 2)
+            z = np.concatenate([z_br, z_inv, normalform._preimages(gens, z_inv)])
+            frames = [m.fn(z) for m in (gens.E, gens.F, gens.H)]
+            b = len(z_br)
+            x = normalform._ring_x(gens, z, slice(None, b))
+            want = (
+                per_generator_bracket_residuals(gens, [m[:b] for m in frames], x),
+                per_generator_invariance(gens, frames, b, len(z_inv)),
+            )
+            assert repr(check_triple(gens, seed=seed)) == repr(want)
+
+    @pytest.mark.parametrize("emb", _catalog_params(THREE_CATALOGS))
+    def test_equal_the_two_checks_at_any_probe_count(self, emb):
+        # max(20, 2n // 3) invariance probes: 20 at n = 20, 26 at 40, 60 at 90
+        gens = normal_form(emb)
+        for n, seed in ((20, 5), (40, 7), (90, 0)):
+            want = (verify_brackets(gens, n, seed + 1),
+                    invariance_residual(gens, max(20, 2 * n // 3), seed + 2))
+            assert repr(check_triple(gens, n, seed=seed)) == repr(want)
+
+    @pytest.mark.parametrize("emb", _catalog_params(THREE_CATALOGS))
+    def test_a_fit_leaves_the_checks_as_they_were(self, emb):
+        # structure_polynomial returns its fit and attaches nothing that a
+        # later check reads
+        gens = normal_form(emb)
+        before = repr(check_triple(gens, seed=3))
+        structure_polynomial(gens)
+        assert repr(check_triple(gens, seed=3)) == before
 
 
 class TestFarPoints:

@@ -10,7 +10,6 @@ from toruslie.sl2rep import (
     ad,
     bracket,
     coeffs,
-    cyclic_labels,
     from_coeffs,
     standard_rep,
 )
@@ -27,8 +26,19 @@ GENERIC = complex(0.37, 1.2)
 L_GEN = Lattice(GENERIC)
 L_HEX = Lattice(HEX_TAU)
 L_SQ = Lattice(1j)
-
 W3 = np.exp(2j * np.pi / 3)
+
+
+def cyclic_labels(emb):
+    """labels[k]: the exponent of elements[k] as a power of the generator of
+    a cyclic embedding (C_N or C_l)."""
+    row = emb.table[emb.generators.index(emb.cyclic_generator)]
+    labels = [0] * emb.order
+    g = 0
+    for k in range(emb.order):
+        labels[g] = k
+        g = row[g]
+    return tuple(labels)
 
 
 def random_sl2(rng):
