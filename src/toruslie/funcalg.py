@@ -137,11 +137,8 @@ def _last_points_memo(fn):
 def torus_distance(z, p, lattice: Lattice) -> np.ndarray:
     """Distance from z to p modulo the lattice; z and p broadcast
     against each other."""
-    s = lattice.scale
     zz = np.asarray(z, dtype=complex) - p
-    if s == 1:  # dividing by 1+0j flips at most the sign of a zero, which abs drops
-        return np.abs(torus_reduce_centered(zz, lattice.tau))
-    return np.abs(s) * np.abs(torus_reduce_centered(zz / s, lattice.tau))
+    return np.abs(lattice.scale) * np.abs(torus_reduce_centered(zz / lattice.scale, lattice.tau))
 
 
 @dataclass
@@ -196,10 +193,7 @@ def sample_points(
             s = rng.random(m)
             t = rng.random(m)
             if w.size:
-                ds, dt = s - s_avoid, t - t_avoid
-                ds -= np.floor(ds + 0.5)
-                dt -= np.floor(dt + 0.5)
-                keep = np.abs(ds + dt * tau).min(axis=0) >= limit
+                keep = np.abs(_centred(s - s_avoid, t - t_avoid, tau)).min(axis=0) >= limit
                 s, t = s[keep], t[keep]
             out.extend((lattice.scale * (s + t * tau)).tolist())
             if len(out) >= n:
@@ -290,7 +284,7 @@ class PSystem:
         arguments stay where it converges: |Im u| and |Im v_j| are at most
         Im T/2.  j = 0 mod n gives exact zeros, its residue factor being 0.
         """
-        _, s, t = _folded_coordinates(np.atleast_1d(z), self.lattice)
+        _, s, t = _folded_coordinates(np.atleast_1d(z), self.lattice.tau, self.lattice.scale)
         js = tuple(js)
         n = self.n
         (a11, a12), (a21, a22) = self._to_ring

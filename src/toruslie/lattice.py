@@ -44,7 +44,7 @@ HEX_TAU = complex(0.5, math.sqrt(3.0) / 2.0)
 _MAX_REDUCTION_STEPS = 10_000
 _REDUCTION_EPS = 1e-12  # reduce_modular's boundary tolerance
 _CLASS_ATOL = 1e-9
-#: periods out, in either lattice coordinate, beyond which _fold_far moves a point in
+#: periods out, in either lattice coordinate, beyond which fold_far moves a point in
 FAR_PERIODS = 8
 
 
@@ -206,42 +206,32 @@ def _centred(s, t, tau: complex):
 def torus_reduce_centered(z, tau: complex):
     """Representative with coordinates s, t in [-1/2, 1/2) over (1, tau), of
     scalars or arrays; a far point is first moved in as fold_far moves it."""
-    z = np.asarray(z, dtype=complex)
-    s, t = _coordinates(z, tau)
-    folded = _fold_far(z, s, t, tau, 1.0)
-    if folded is not z:
-        return torus_reduce_centered(folded, tau)
-    return _centred(s, t, tau)
+    return _centred(*_folded_coordinates(z, tau, 1.0)[1:], tau)
 
 
 def fold_far(z, lattice: Lattice) -> np.ndarray:
     """z, each point more than FAR_PERIODS periods out moved in by rounded
-    whole periods subtracted from z itself; other points stay bit for bit."""
-    return _folded_coordinates(z, lattice)[0]
-
-
-def _folded_coordinates(z, lattice: Lattice):
-    """(fold_far(z, lattice), and its coordinates s, t over (scale, scale*tau))."""
-    z = np.asarray(z, dtype=complex)
-    s, t = _coordinates(z / lattice.scale, lattice.tau)
-    folded = _fold_far(z, s, t, lattice.tau, lattice.scale)
-    if folded is z:
-        return z, s, t
-    return (folded, *_coordinates(folded / lattice.scale, lattice.tau))
+    whole periods subtracted from z itself, until none is far; other points
+    stay bit for bit."""
+    return _folded_coordinates(z, lattice.tau, lattice.scale)[0]
 
 
 def _abs_max(x) -> float:
     return np.fmax.reduce(np.abs(x), None, initial=0.0)
 
 
-def _fold_far(z: np.ndarray, s, t, tau: complex, scale: complex) -> np.ndarray:
-    """fold_far of z = scale * (s + t*tau); z itself when no point is far."""
-    # the mask is built only when some point is far; fmax skips a nan
-    # point, which the mask leaves where it is
-    if _abs_max(s) > FAR_PERIODS or _abs_max(t) > FAR_PERIODS:
+def _folded_coordinates(z, tau: complex, scale: complex):
+    """(fold_far of z, and its coordinates s, t over (scale, scale*tau));
+    no division at scale 1."""
+    z = np.asarray(z, dtype=complex)
+    while True:
+        s, t = _coordinates(z if scale == 1 else z / scale, tau)
+        # the mask is built only when some point is far; fmax skips a nan
+        # point, which the mask leaves where it is
+        if not (_abs_max(s) > FAR_PERIODS or _abs_max(t) > FAR_PERIODS):
+            return z, s, t
         far = np.maximum(np.abs(s), np.abs(t)) > FAR_PERIODS
         z = np.where(far, z - scale * (np.round(s) + np.round(t) * tau), z)
-    return z
 
 
 def _hnf_2col(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:

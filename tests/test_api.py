@@ -111,6 +111,30 @@ def test_no_dead_private_names():
     assert _dead_private_names({m: (SRC / f"{m}.py").read_text() for m in MODULES}) == []
 
 
+def _rounding_calls(sources: dict) -> list[str]:
+    """Each call of np.floor or np.round in the modules (name -> source), as
+    "module.np.floor" or "module.np.round"."""
+    return sorted(
+        f"{module}.np.{node.func.attr}"
+        for module, source in sources.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("floor", "round")
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "np"
+    )
+
+
+def test_rounding_call_is_found():
+    sources = {"a": "np.floor(x)\nround(y)\nmath.floor(y)\n", "b": "np.round(z)\nnp.floor\n"}
+    assert _rounding_calls(sources) == ["a.np.floor", "b.np.round"]
+
+
+def test_one_centring_site():
+    # every fold and centring of a point goes through lattice.py
+    sources = {m: (SRC / f"{m}.py").read_text() for m in MODULES}
+    assert {call.split(".")[0] for call in _rounding_calls(sources)} == {"lattice"}
+
+
 def _unset_defaults(defining: dict, calling: list) -> list[str]:
     """Defaulted parameters of the functions in the ``defining`` sources
     (module -> source) that no call in the ``calling`` sources passes, by

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import toruslie.torusgroup
-from sweep import SWEEP_TAUS, sweep_cases
+from sweep import SHIFTS, SWEEP_TAUS, sweep_cases
 from toruslie.classify import KIND_BY_BRANCH_COUNT, classify, cross_validate
 from toruslie.funcalg import FitError
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, moebius, reduce_modular, transport_torsion
@@ -411,19 +411,26 @@ class TestModuliSweep:
         assert [c for c in known if c not in failing] == [], "listed cases now pass: delete them"
 
 
-#: the character grid: C_N and D_N for N = 2..10 at shift 1/N with every
-#: j coprime to N, on these lattices
+#: the character grid: C_N and D_N for N = 2..10 at the shifts 1/N, tau/N
+#: and (1+tau)/N with every j coprime to N, on these lattices
 CHARACTER_TAUS = (1j, HEX_TAU, GENERIC, 0.2 + 1.3j)
 #: the builds of the grid for which cross_validate(emb, j, seed=0) raises
 #: FitError or reports passed False, by position in CHARACTER_TAUS.  All
-#: sit at odd N with j != +-1 mod N, at frame scales from 1.7e5 up.  The
-#: list may only shrink.
+#: sit at odd N with j != +-1 mod N, at frame scales from 1.7e5 up, and
+#: none at shift (1+tau)/N.  The list may only shrink.
 KNOWN_CHARACTER_FAILURES = {
-    0: ("cn7 j=3", "cn7 j=4", "cn9 j=4", "cn9 j=5"),
-    1: ("cn7 j=3", "cn7 j=4", "cn9 j=4", "cn9 j=5"),
-    2: ("cn5 j=2", "cn5 j=3", "cn7 j=3", "cn7 j=4", "cn9 j=4", "cn9 j=5", "dn9 j=4", "dn9 j=5"),
-    3: ("cn5 j=2", "cn5 j=3", "cn7 j=2", "cn7 j=3", "cn7 j=4", "cn7 j=5", "cn9 j=2", "cn9 j=4",
-        "cn9 j=5", "cn9 j=7", "dn7 j=3", "dn7 j=4", "dn9 j=4", "dn9 j=5"),
+    0: ("cn7 1/N j=3", "cn7 1/N j=4", "cn9 1/N j=4", "cn9 1/N j=5",
+        "cn7 tau/N j=3", "cn7 tau/N j=4", "cn9 tau/N j=4", "cn9 tau/N j=5", "dn9 tau/N j=4",
+        "dn9 tau/N j=5"),
+    1: ("cn7 1/N j=3", "cn7 1/N j=4", "cn9 1/N j=4", "cn9 1/N j=5",
+        "cn7 tau/N j=3", "cn7 tau/N j=4", "cn9 tau/N j=4", "cn9 tau/N j=5"),
+    2: ("cn5 1/N j=2", "cn5 1/N j=3", "cn7 1/N j=3", "cn7 1/N j=4", "cn9 1/N j=4", "cn9 1/N j=5",
+        "dn9 1/N j=4", "dn9 1/N j=5",
+        "cn7 tau/N j=3", "cn7 tau/N j=4", "cn9 tau/N j=4", "cn9 tau/N j=5"),
+    3: ("cn5 1/N j=2", "cn5 1/N j=3", "cn7 1/N j=2", "cn7 1/N j=3", "cn7 1/N j=4", "cn7 1/N j=5",
+        "cn9 1/N j=2", "cn9 1/N j=4", "cn9 1/N j=5", "cn9 1/N j=7", "dn7 1/N j=3", "dn7 1/N j=4",
+        "dn9 1/N j=4", "dn9 1/N j=5",
+        "cn7 tau/N j=3", "cn7 tau/N j=4", "cn9 tau/N j=4", "cn9 tau/N j=5"),
 }
 
 
@@ -431,7 +438,8 @@ def character_cases(tau: complex) -> list:
     """(label, embedding, j) of the character grid on one lattice."""
     lat = Lattice(tau)
     return [
-        (f"{name}{n} j={j}", build(lat, n, TorsionPoint(1, 0, n)), j)
+        (f"{name}{n} {shift} j={j}", build(lat, n, TorsionPoint(a, b, n)), j)
+        for a, b, shift in SHIFTS
         for name, build in (("cn", cn_translation), ("dn", dn_group))
         for n in range(2, 11)
         for j in range(1, n)
@@ -440,15 +448,15 @@ def character_cases(tau: complex) -> list:
 
 
 class TestCharacterGrid:
-    """Every faithful character of C_N and D_N, N = 2..10: 248 builds."""
+    """Every faithful character of C_N and D_N, N = 2..10, at three shifts: 744 builds."""
 
     def test_size(self):
-        assert sum(len(character_cases(tau)) for tau in CHARACTER_TAUS) == 248
+        assert sum(len(character_cases(tau)) for tau in CHARACTER_TAUS) == 744
         known = [c for v in KNOWN_CHARACTER_FAILURES.values() for c in v]
-        assert len(known) == 30
+        assert len(known) == 48
         for label in known:
-            n, j = (int(v) for v in label[2:].split(" j="))
-            assert n % 2 == 1 and j not in (1, n - 1), label
+            n, j = int(label[2:label.index(" ")]), int(label.split("j=")[1])
+            assert n % 2 == 1 and j not in (1, n - 1) and "(1+tau)/N" not in label, label
 
     @pytest.mark.parametrize("k", range(len(CHARACTER_TAUS)), ids=["square", "hex", "generic", "tall"])
     def test_failures_are_the_known_ones(self, k):

@@ -318,25 +318,6 @@ class TestVerify:
         assert rc == 0
         assert len(built) == 1
 
-    @pytest.mark.parametrize(
-        "extra, recomputed",
-        [((), 0), (("--samples", "40"), 1), (("--perturb-f", "0.5"), 1)],
-        ids=["defaults", "samples", "perturbed"],
-    )
-    def test_reuses_the_bracket_check(self, capsys, monkeypatch, extra, recomputed):
-        # at the defaults the triple, seed and probes are cross_validate's
-        cli_module = importlib.import_module("toruslie.cli")
-        calls = []
-        original = cli_module.check_triple
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(cli_module, "check_triple", counting)
-        run(capsys, "verify", "--group", "cn", "--order", "3", *extra)
-        assert len(calls) == recomputed
-
     def test_reports_are_deterministic(self, capsys):
         args = (
             "verify", "--group", "c2c2", "--tau-re", "0.31", "--tau-im", "1.07",
@@ -654,8 +635,10 @@ class TestVerifyFold:
         "extra, calls", [((), 0), (("--samples", "40"), 1), (("--perturb-f", "0.5"), 1)],
         ids=["defaults", "samples", "perturbed"],
     )
-    def test_invariance_residual_runs_only_off_the_defaults(self, capsys, monkeypatch, extra, calls):
-        # the invariance residual is re-checked by check_triple, with the brackets
+    @pytest.mark.parametrize("group, order", [("cn", "3"), ("dn", "4")], ids=["cn3", "dn4"])
+    def test_check_triple_runs_only_off_the_defaults(self, capsys, monkeypatch, group, order, extra, calls):
+        # at the defaults the triple, seed and probes are cross_validate's;
+        # off them check_triple re-checks brackets and invariance together
         cli_module = importlib.import_module("toruslie.cli")
         seen = []
         original = cli_module.check_triple
@@ -665,7 +648,7 @@ class TestVerifyFold:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cli_module, "check_triple", counting)
-        run(capsys, "verify", "--group", "dn", "--order", "4", *extra)
+        run(capsys, "verify", "--group", group, "--order", order, *extra)
         assert len(seen) == calls
 
     @pytest.mark.parametrize(

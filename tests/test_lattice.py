@@ -4,16 +4,22 @@ from math import gcd
 import numpy as np
 import pytest
 
+from sweep import SWEEP_TAUS
 from toruslie.lattice import (
+    FAR_PERIODS,
     DegenerateLatticeError,
     HEX_TAU,
     Lattice,
     TorsionPoint,
+    _centred,
+    _coordinates,
     _hnf_2col,
+    fold_far,
     moebius,
     reduce_modular,
     shortest_period,
     sublattice_vectors,
+    torus_reduce_centered,
     transport_torsion,
 )
 from toruslie.torusgroup import _act
@@ -222,3 +228,18 @@ def test_shortest_period():
     assert abs(shortest_period(2j) - 1.0) < 1e-12
     # tall thin lattice reached by tau -> tau/|tau|^2 style transforms
     assert abs(shortest_period(0.5 + 0.5j) - abs(0.5 + 0.5j)) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.6 - 0.8j], ids=["unit", "complex"])
+@pytest.mark.parametrize("tau", SWEEP_TAUS, ids=lambda tau: f"{tau:.3f}")
+def test_fold_leaves_no_point_far(tau, scale):
+    # one pass of rounded whole periods can leave 1e17 + 0.3i more than
+    # FAR_PERIODS out on 7.3+0.2i; the fold repeats until none is far
+    z = np.array([1e8, 2.0 ** 50, 1e17, -1e17]) + 0.3j
+    folded = fold_far(z, Lattice(tau, scale))
+    w = folded if scale == 1 else folded / scale
+    s, t = _coordinates(w, tau)
+    assert np.max(np.maximum(np.abs(s), np.abs(t))) <= FAR_PERIODS
+    # torus_reduce_centered is _centred of the same fold's coordinates; at
+    # the complex scale, the folded point over (1, tau) takes no second fold
+    assert np.array_equal(torus_reduce_centered(z if scale == 1 else w, tau), _centred(s, t, tau))
