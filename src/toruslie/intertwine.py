@@ -20,9 +20,15 @@ For the Klein translation group no faithful SL2 representation exists, so
 the intertwiner Psi is a 3x3 automorphism-valued map built from the odd
 half-period functions p0, p1, p2 and their constants; the matrix is
 radical-free in the p's and has unit determinant.
+
+What the exact group data fixes (the P-system, the character representative,
+lam and mu of Phi; the p stack and constants of Psi) is built once per equal
+embedding and j; phi and psi return a fresh TorusFunction on every call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,13 +63,17 @@ def double_cover(emb: GroupEmbedding):
     return Lattice(2.0 * tau), (2 * a, b, 2 * n)
 
 
-def _psystem_for(emb: GroupEmbedding) -> PSystem:
-    """The PSystem realising the intertwiner for emb; its n is the twist order."""
-    if emb.order_param < 2:
+@lru_cache(maxsize=256)
+def _phi_data(emb: GroupEmbedding, j: int) -> tuple:
+    """phi's (PSystem, j representative, lam, mu); the PSystem's n is the twist order."""
+    n = emb.order_param
+    if n < 2:
         raise UnsupportedEmbeddingError("no intertwiner for the trivial translation")
-    if emb.order_param % 2 == 0:
-        return PSystem(*double_cover(emb))
-    return p_system(emb)
+    ps = PSystem(*double_cover(emb)) if n % 2 == 0 else p_system(emb)
+    j %= n
+    if ps.n != n and 2 * j > n:
+        j += n
+    return (ps, j) + lambda_mu(ps, j)
 
 
 def phi(emb: GroupEmbedding, j: int = 1) -> TorusFunction:
@@ -80,12 +90,8 @@ def phi(emb: GroupEmbedding, j: int = 1) -> TorusFunction:
     """
     if emb.kind not in ("CN_translation", "DN"):
         raise ValueError("phi is attached to cyclic translation data")
-    ps = _psystem_for(emb)
-    m, n = ps.n, emb.order_param
-    j %= n
-    if m != n and 2 * j > n:
-        j += n
-    lam, mu = lambda_mu(ps, j)
+    ps, j, lam, mu = _phi_data(emb, j)
+    m = ps.n
     js = (j % m, (-j) % m, (2 * j) % m, (-2 * j) % m)
 
     def fn(z):
@@ -134,6 +140,12 @@ def _psi_fn(stack, cc):
     return fn
 
 
+@lru_cache(maxsize=256)
+def _psi_data(emb: GroupEmbedding) -> tuple:
+    """psi's (_p_stack(emb), c2c2_constants_for(emb))."""
+    return _p_stack(emb), c2c2_constants_for(emb)
+
+
 def psi(emb: GroupEmbedding) -> TorusFunction:
     """The 3x3 intertwiner of the Klein translation group over (h, e, f).
 
@@ -148,8 +160,7 @@ def psi(emb: GroupEmbedding) -> TorusFunction:
     """
     if emb.kind not in ("C2xC2_translation", "A4"):
         raise ValueError("psi is attached to the Klein translation group")
-    stack, poles = _p_stack(emb)
-    cc = c2c2_constants_for(emb)
+    (stack, poles), cc = _psi_data(emb)
     return TorusFunction(
         _psi_fn(stack, cc), emb.lattice, poles, (3, 3),
         meta={"constants": cc, "kind": "psi"},

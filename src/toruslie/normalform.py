@@ -31,7 +31,9 @@ point array under one memo; E, F and H are its columns times their
 factors, and the ring variable is read off the same (wp, wp').  They stay
 three evaluators because a wrapper set on E.fn, F.fn or H.fn after
 normal_form (a tracer's span, verify's --perturb-f scaling of F) must see
-every evaluation the checks make.
+every evaluation the checks make.  standard_rep, the pole orbit and the data
+of Phi or Psi are built once per equal embedding; the triple, its memo and
+its evaluators are new on every call, so no such wrapper reaches a cache.
 
 The order-4 pairing puts wp' on the e-side: that is the character-correct
 match for the generator action e -> i e (the product of the two function
@@ -62,6 +64,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -156,6 +159,7 @@ class GeneratorTriple:
     ring_wp: object = None
 
 
+@lru_cache(maxsize=256)
 def _orbit_points(emb: GroupEmbedding) -> tuple:
     # g(0) is the shift of g, and the inverses run through every element
     pts = set(torus_reduce_centered(emb.inverse_shift, emb.tau).tolist())

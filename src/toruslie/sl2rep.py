@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -151,9 +152,11 @@ def _extend(emb: GroupEmbedding, gen_images: list) -> np.ndarray:
     products = np.array(gen_images)[:, None] @ group
     if np.max(np.abs(products - group[np.array(table[: len(gen_images)])])) > 1e-10:
         raise ValueError("generator images violate the group relations")
+    group.setflags(write=False)
     return group
 
 
+@lru_cache(maxsize=256)
 def standard_rep(emb: GroupEmbedding, j: int = 1) -> np.ndarray:
     """The concrete sl2-action used for the normal forms: the (order, 3, 3)
     images of the group's elements, in the order of emb.elements.
@@ -162,7 +165,8 @@ def standard_rep(emb: GroupEmbedding, j: int = 1) -> np.ndarray:
     exp(2*pi*i*j'/N) as in the module docstring; D_N adds the antidiagonal
     flip; C2 x C2 is the quaternion double-cover action; A4 extends it by
     the order-3 element.  The character index j of the cyclic kinds must
-    be coprime to N and is reduced mod N first.
+    be coprime to N and is reduced mod N first.  Built once per equal
+    (emb, j) and shared, so the array is read-only.
     """
     kind, n = emb.kind, emb.order_param
     if kind in ("CN_translation", "Cl_rotation", "DN"):

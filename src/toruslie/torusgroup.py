@@ -212,7 +212,8 @@ class GroupEmbedding:
     table and its inverses, all from one breadth-first closure on keys.
 
     kind is one of CN_translation, Cl_rotation, DN, C2xC2_translation, A4;
-    order_param is N for C_N/D_N and l for C_l rotations.
+    order_param is N for C_N/D_N and l for C_l rotations.  Equality and hash
+    read kind, order_param, lattice and generators; the rest derives from them.
     """
 
     kind: str
@@ -220,7 +221,7 @@ class GroupEmbedding:
     lattice: Lattice
     generators: tuple[AffineAutomorphism, ...]
     #: the group's elements, sorted; element 0 is the identity
-    elements: tuple[AffineAutomorphism, ...] = field(init=False)
+    elements: tuple[AffineAutomorphism, ...] = field(init=False, compare=False)
     #: keys[k]: the key (rot_num, rot_den, a, b, n) of elements[k]
     keys: tuple[Key, ...] = field(init=False, compare=False, repr=False)
     #: table[i][k]: index in elements of generators[i] after elements[k]
@@ -420,6 +421,7 @@ def fixed_points(g: AffineAutomorphism) -> tuple[TorsionPoint, ...]:
     return tuple(sorted(sols, key=lambda t: (t.n, t.a, t.b)))
 
 
+@lru_cache(maxsize=256)
 def branch_points(emb: GroupEmbedding) -> tuple[int, tuple[frozenset[TorsionPoint], ...]]:
     """Count and list the branch-point orbits of T -> T/Gamma away from Gamma.0.
 

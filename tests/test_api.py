@@ -188,3 +188,55 @@ def test_every_default_is_set_outside_the_tests():
                root / "tests" / "test_acceptance.py"]
     defining = {m: (SRC / f"{m}.py").read_text() for m in MODULES}
     assert _unset_defaults(defining, [p.read_text() for p in callers]) == []
+
+
+#: the functools decorators that keep results
+_CACHING = {"cache", "lru_cache", "cached_property"}
+
+
+def _cached_definitions(sources: dict) -> tuple[list, list]:
+    """The definitions in the modules (name -> source) that a functools
+    cache keeps results of: (module-level functions as "module.name", every
+    other one as "module.Class.name" or "module.outer.name", with each
+    cache made by a call outside a decorator as "module:line")."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+    top, inner = [], []
+
+    def visit(body, prefix, at_top):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                label = f"{prefix}.{node.name}"
+                if any(name(d) in _CACHING for d in node.decorator_list):
+                    (top if at_top else inner).append(label)
+                visit(node.body, label, False)
+
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        visit(tree.body, module, True)
+        decorators = {id(d) for n in ast.walk(tree) for d in getattr(n, "decorator_list", ())}
+        inner += [f"{module}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Call)
+                  and name(n) in _CACHING and id(n) not in decorators]
+    return sorted(top), sorted(inner)
+
+
+def test_cached_definition_is_found():
+    source = ("@lru_cache(maxsize=4)\ndef f(x):\n    return x\n"
+              "@functools.cache\ndef g():\n    @cache\n    def h():\n        pass\n"
+              "class C:\n    @cached_property\n    def p(self):\n        pass\n"
+              "k = lru_cache(len)\n")
+    assert _cached_definitions({"a": source}) == (["a.f", "a.g"], ["a.C.p", "a.g.h", "a:13"])
+
+
+def test_every_cache_is_cleared_through_its_module():
+    # the benchmark's cold mode empties each module attribute with a
+    # cache_clear; a per-instance memo lives as long as its object
+    top, inner = _cached_definitions({m: (SRC / f"{m}.py").read_text() for m in MODULES})
+    assert inner == ["torusgroup.GroupEmbedding.quotient"]
+    assert {"torusgroup.branch_points", "sl2rep.standard_rep", "normalform._orbit_points",
+            "intertwine._phi_data", "intertwine._psi_data"} <= set(top)
+    for label in top:
+        module, attr = label.split(".")
+        assert callable(getattr(importlib.import_module(f"toruslie.{module}"), attr).cache_clear)

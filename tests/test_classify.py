@@ -1,5 +1,7 @@
 import importlib
 import math
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ import pytest
 import toruslie.torusgroup
 from sweep import SHIFTS, SWEEP_TAUS, sweep_cases
 from toruslie.classify import KIND_BY_BRANCH_COUNT, classify, cross_validate
-from toruslie.funcalg import FitError
+from toruslie.funcalg import FitError, PSystem, c2c2_constants_for, lambda_mu
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, moebius, reduce_modular, transport_torsion
 from toruslie.normalform import BRACKET_SAMPLES, invariance_residual, normal_form, verify_brackets
-from toruslie.sl2rep import coeffs
+from toruslie.sl2rep import coeffs, standard_rep
 from toruslie.torusgroup import (
     a4_group,
     branch_points,
@@ -268,10 +270,11 @@ class TestWorkCounts:
     )
     def test_one_evaluation_per_point_set(self, emb, low, high, monkeypatch, count_wp_calls):
         # one call for the triple on every point set of the checks, one
-        # for the ring unless a frame factor lives on the ring lattice,
-        # plus the build: the half-period constants for the Klein group and
-        # A4.  The C_N and D_N frames read P_j and their lambda and mu as
-        # theta quotients, with no wp at all
+        # for the ring unless a frame factor lives on the ring lattice.  A
+        # warm build makes none: the half-period constants of the Klein
+        # group and A4 are kept per equal embedding, and the C_N and D_N
+        # frames read P_j and their lambda and mu as theta quotients, with
+        # no wp at all
         cross_validate(emb, seed=0)  # warm the per-lattice caches
         calls = count_wp_calls(monkeypatch)
         assert cross_validate(emb, seed=0).passed
@@ -292,6 +295,66 @@ class TestWorkCounts:
             cross_validate(emb, seed=0)
             assert emb.quotient == original(emb)
         assert calls == list(embs)
+
+
+def _clear_caches():
+    """Empty every functools cache of toruslie's modules, as the benchmark's
+    cold mode does."""
+    for name, module in list(sys.modules.items()):
+        if name == "toruslie" or name.startswith("toruslie."):
+            for obj in list(vars(module).values()):
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+#: functions of the exact group data alone, which no probe seed changes
+GROUP_DATA = (branch_points, standard_rep, PSystem.__init__, lambda_mu, c2c2_constants_for)
+
+
+def _body_runs(call) -> Counter:
+    """How often call() runs the body of each GROUP_DATA function, by its
+    qualified name: a hit in a cache runs none."""
+    codes = {getattr(f, "__wrapped__", f).__code__: f.__qualname__ for f in GROUP_DATA}
+    runs = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            runs[codes[frame.f_code]] += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return runs
+
+
+class TestEqualEmbeddings:
+    """Seed-independent group data is built once per equal embedding."""
+
+    @pytest.mark.parametrize("tau", [1j, HEX_TAU, GENERIC, 0.2 + 1.3j],
+                             ids=["square", "hex", "generic", "tall"])
+    def test_cold_warm_and_rebuilt_agree(self, tau):
+        orders = (1, 2, 3, 4, 5, 6)
+        twins = catalog(Lattice(tau), orders=orders)
+        for seed in (0, 3):
+            for emb, twin in zip(catalog(Lattice(tau), orders=orders), twins):
+                _clear_caches()
+                cold, warm, rebuilt = (repr(cross_validate(e, seed=seed)) for e in (emb, emb, twin))
+                assert cold == warm == rebuilt, (emb.kind, emb.order_param, seed)
+
+    def test_second_call_rebuilds_no_group_data(self):
+        embs, twins = catalog(L_HEX, orders=(2, 3, 4)), catalog(Lattice(HEX_TAU), orders=(2, 3, 4))
+        _clear_caches()
+        cold = _body_runs(lambda: [cross_validate(e, seed=0) for e in embs])
+        assert set(cold) == {f.__qualname__ for f in GROUP_DATA}
+        assert _body_runs(lambda: [cross_validate(e, seed=1) for e in twins]) == Counter()
+
+    def test_standard_rep_is_read_only(self):
+        rep = standard_rep(dn_group(L_GEN, 4), 1)
+        with pytest.raises(ValueError):
+            rep[1, 0, 0] = 2.0
+        assert normal_form(dn_group(L_GEN, 4)).rep is rep
 
 
 def _all_elements_residual(gens, n_samples, seed):

@@ -194,6 +194,7 @@ class TestEval:
     def test_reports_the_phi_its_frames_use(self, capsys, monkeypatch):
         # E, F and H are built on the closed-form lambda, mu of normal_form;
         # the reported Phi is that map, from that single evaluation
+        intertwine._phi_data.cache_clear()
         calls = []
         closed = intertwine.lambda_mu
         monkeypatch.setattr(

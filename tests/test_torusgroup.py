@@ -104,6 +104,23 @@ class TestCatalog:
                         assert fraction_compose(h, g) in els
 
 
+class TestEquality:
+    @pytest.mark.parametrize("lat", [L_SQ, L_HEX, L_GEN], ids=["square", "hex", "generic"])
+    def test_rebuilt_embeddings_are_equal(self, lat):
+        # equality and hash read the defining fields; the closure derives
+        # the elements from them
+        for a, b in zip(catalog(lat), catalog(Lattice(lat.tau))):
+            assert a is not b and a == b and hash(a) == hash(b)
+            assert a.elements == b.elements
+
+    def test_other_generators_are_not_equal(self):
+        # 2/5 generates the same group as 1/5, on other characters
+        a, b = cn_translation(L_GEN, 5), cn_translation(L_GEN, 5, TorsionPoint(2, 0, 5))
+        assert a.elements == b.elements and a != b
+        assert dn_group(L_GEN, 3) != dn_group(L_GEN, 3, TorsionPoint(1, 1, 3))
+        assert cn_translation(L_GEN, 2) != cn_translation(L_SQ, 2)
+
+
 class TestComposition:
     def test_involution_squares_to_identity(self):
         emb = cl_rotation(L_GEN, 2)
@@ -412,6 +429,9 @@ class TestIntegerArithmeticMatchesFractions:
             m.setattr(tg, "_rot", fraction_rot)
             m.setattr(tg, "_act", fraction_act)
             m.setattr(tg, "_fixed", fraction_fixed)
+            # branch_points keeps its result per equal embedding: its body
+            # must run again on the substituted kernel
+            m.setattr(tg, "branch_points", tg.branch_points.__wrapped__)
             old = [_group_data(e) for e in _embeddings(tau)]
         assert len(new) == len(old) >= 184
         for a, b in zip(new, old):
