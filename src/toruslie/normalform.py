@@ -32,7 +32,8 @@ factors, and the ring variable is read off the same (wp, wp').  They stay
 three evaluators because a wrapper set on E.fn, F.fn or H.fn after
 normal_form (a tracer's span, verify's --perturb-f scaling of F) must see
 every evaluation the checks make.  standard_rep, the pole orbit and the data
-of Phi or Psi are built once per equal embedding; the triple, its memo and
+of Phi or Psi are built once per equal embedding, and each check's probes
+once per equal embedding, probe count and seed; the triple, its memo and
 its evaluators are new on every call, so no such wrapper reaches a cache.
 
 The order-4 pairing puts wp' on the e-side: that is the character-correct
@@ -48,8 +49,9 @@ and fitting it in the ring (structure_polynomial) is an independent
 route that no check runs; it returns its fit and leaves the triple as
 it was.
 
-Each check is three steps: draw its points, evaluate the triple (and the
-ring) there, and compute the residual from those values.
+Each check is three steps: draw its points (kept read-only per embedding,
+count and seed), evaluate the triple (and the ring) there, and compute
+the residual from those values.
 structure_polynomial, verify_brackets and invariance_residual run the
 three steps for one check; check_triple, the one re-check of a triple,
 draws the point sets of the bracket and invariance checks first and
@@ -220,10 +222,14 @@ def normal_form(emb: GroupEmbedding, j: int = 1) -> GeneratorTriple:
     return GeneratorTriple(e, f, h, ring, emb, rep, orbit, intertwiner, ring_wp=ring_wp)
 
 
-def _probe(gens: GeneratorTriple, n_samples: int, seed: int) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _probe(emb: GroupEmbedding, n_samples: int, seed: int) -> np.ndarray:
+    """The n_samples probes of a check drawn from seed, away from the pole
+    orbit by the case's margin; shared by equal keys, so read-only."""
     rng = np.random.default_rng(seed)
-    margin = _case(gens.emb).margin
-    return sample_points(gens.emb.lattice, n_samples, rng, avoid=gens.poles, margin=margin)
+    z = sample_points(emb.lattice, n_samples, rng, avoid=_orbit_points(emb), margin=_case(emb).margin)
+    z.setflags(write=False)
+    return z
 
 
 def _fit_rows(gens: GeneratorTriple, seed: int) -> np.ndarray:
@@ -336,7 +342,7 @@ def verify_brackets(gens: GeneratorTriple, n_samples: int, seed: int) -> dict:
     and `frame_scale` the largest entry seen (the noise floor of every
     absolute residual is proportional to it).
     """
-    z = _probe(gens, n_samples, seed)
+    z = _probe(gens.emb, n_samples, seed)
     return _bracket_residuals(gens, _frames(gens, z), _ring_x(gens, z))
 
 
@@ -359,7 +365,7 @@ def invariance_residual(gens: GeneratorTriple, n_samples: int, seed: int) -> flo
     The probes and their _preimages are stacked into one point array, so
     the triple is evaluated once.
     """
-    z = _probe(gens, n_samples, seed)
+    z = _probe(gens.emb, n_samples, seed)
     frames = _frames(gens, np.concatenate([z, _preimages(gens, z)]))
     return _invariance(gens, frames, 0, len(z))
 
@@ -370,13 +376,14 @@ def check_triple(gens: GeneratorTriple, n_samples: int = BRACKET_SAMPLES, *, see
     invariance probes, 40 at BRACKET_SAMPLES.
 
     The point sets of the checks are drawn first, each from its own seed
-    as those functions draw it: the bracket probes, and the invariance
-    probes with their preimages.  E, F, H and the ring values are then
+    as those functions draw it, or read from the draw an equal embedding,
+    count and seed kept: the bracket probes, and the invariance probes
+    with their preimages.  E, F, H and the ring values are then
     evaluated once on the concatenation and sliced per check.  Results
     and exceptions equal those of the two functions run in turn.
     """
-    z_br = _probe(gens, n_samples, seed + 1)
-    z_inv = _probe(gens, max(20, 2 * n_samples // 3), seed + 2)
+    z_br = _probe(gens.emb, n_samples, seed + 1)
+    z_inv = _probe(gens.emb, max(20, 2 * n_samples // 3), seed + 2)
     z = np.concatenate([z_br, z_inv, _preimages(gens, z_inv)])
     frames = _frames(gens, z)
     b = len(z_br)

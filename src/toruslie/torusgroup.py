@@ -213,7 +213,8 @@ class GroupEmbedding:
 
     kind is one of CN_translation, Cl_rotation, DN, C2xC2_translation, A4;
     order_param is N for C_N/D_N and l for C_l rotations.  Equality and hash
-    read kind, order_param, lattice and generators; the rest derives from them.
+    read kind, order_param, lattice and generators; the rest derives from them,
+    and the hash is computed once.
     """
 
     kind: str
@@ -232,6 +233,9 @@ class GroupEmbedding:
     #: it maps z to inverse_rotation[k] * z + inverse_shift[k]
     inverse_rotation: np.ndarray = field(init=False, compare=False, repr=False)
     inverse_shift: np.ndarray = field(init=False, compare=False, repr=False)
+    #: hash((kind, order_param, lattice, generators)): every cache keyed on
+    #: the embedding looks it up
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # the keys' torsion shifts are coordinates over the basis (1, tau)
@@ -244,10 +248,14 @@ class GroupEmbedding:
         pairs = np.array([(g.rotation, g.shift.to_complex(tau)) for g in elements])[list(inv)]
         pairs.setflags(write=False)
         rotation, shift = pairs.T
+        compared = (self.kind, self.order_param, self.lattice, self.generators)
         for name, value in (("elements", elements), ("keys", keys), ("table", table),
                             ("inverse_index", inv), ("inverse_rotation", rotation),
-                            ("inverse_shift", shift)):
+                            ("inverse_shift", shift), ("_hash", hash(compared))):
             object.__setattr__(self, name, value)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def order(self) -> int:

@@ -236,7 +236,7 @@ def test_every_cache_is_cleared_through_its_module():
     top, inner = _cached_definitions({m: (SRC / f"{m}.py").read_text() for m in MODULES})
     assert inner == ["torusgroup.GroupEmbedding.quotient"]
     assert {"torusgroup.branch_points", "sl2rep.standard_rep", "normalform._orbit_points",
-            "intertwine._phi_data", "intertwine._psi_data"} <= set(top)
+            "normalform._probe", "intertwine._phi_data", "intertwine._psi_data"} <= set(top)
     for label in top:
         module, attr = label.split(".")
         assert callable(getattr(importlib.import_module(f"toruslie.{module}"), attr).cache_clear)

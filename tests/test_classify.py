@@ -360,7 +360,7 @@ class TestEqualEmbeddings:
 def _all_elements_residual(gens, n_samples, seed):
     """invariance_residual as it stacked the preimages before the identity's
     rows were dropped: the probes, then g^-1 z for every element."""
-    z = NF_MODULE._probe(gens, n_samples, seed)
+    z = NF_MODULE._probe(gens.emb, n_samples, seed)
     emb, n = gens.emb, len(z)
     pre = (emb.inverse_rotation[:, None] * z + emb.inverse_shift[:, None]).ravel()
     frames = NF_MODULE._frames(gens, np.concatenate([z, pre]))
@@ -419,6 +419,7 @@ class TestOneEvaluation:
         def starved(*args, **kwargs):
             raise FitError("no sampling margin admits points away from the pole orbit")
 
+        NF_MODULE._probe.cache_clear()
         monkeypatch.setattr(NF_MODULE, "_probe", starved)
         with pytest.raises(FitError):
             cross_validate(cn_translation(L_SQ, 3), seed=0)

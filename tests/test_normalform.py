@@ -4,7 +4,7 @@ import pytest
 from toruslie import normalform
 from toruslie.elliptic import invariants, wp_both
 from toruslie.classify import cross_validate
-from toruslie.funcalg import WPoly, sample_points
+from toruslie.funcalg import FitError, WPoly, sample_points
 from toruslie.intertwine import psi
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, transport_torsion
 from toruslie.normalform import (
@@ -44,7 +44,7 @@ def probe_points(gens, n, seed, margin=0.2):
 def fit_residual(gens, poly):
     """The relative residual of [E, F] against H times the fitted p at the
     bracket probes of check_triple(seed=0), as ef_exact reads the exact p."""
-    z = normalform._probe(gens, BRACKET_SAMPLES, 1)
+    z = normalform._probe(gens.emb, BRACKET_SAMPLES, 1)
     e, f, h = normalform._frames(gens, z)
     x = normalform._ring_x(gens, z)
     # a p = 1 row reads no ring values, and its fitted p is a constant
@@ -623,8 +623,8 @@ class TestStackedChecks:
     def test_equal_the_per_generator_checks(self, emb):
         gens = normal_form(emb)
         for seed in (0, 3, 11):
-            z_br = normalform._probe(gens, BRACKET_SAMPLES, seed + 1)
-            z_inv = normalform._probe(gens, 40, seed + 2)
+            z_br = normalform._probe(gens.emb, BRACKET_SAMPLES, seed + 1)
+            z_inv = normalform._probe(gens.emb, 40, seed + 2)
             z = np.concatenate([z_br, z_inv, normalform._preimages(gens, z_inv)])
             frames = [m.fn(z) for m in (gens.E, gens.F, gens.H)]
             b = len(z_br)
@@ -652,6 +652,70 @@ class TestStackedChecks:
         before = repr(check_triple(gens, seed=3))
         structure_polynomial(gens)
         assert repr(check_triple(gens, seed=3)) == before
+
+
+class TestProbeCache:
+    """A check's probes are drawn once per equal embedding, probe count and
+    seed; the frames and residuals run on every call."""
+
+    @staticmethod
+    def _count_draws(monkeypatch) -> list:
+        """The probe counts of the sample_points calls made from here on."""
+        calls = []
+        original = normalform.sample_points
+
+        def counting(lattice, n, *args, **kwargs):
+            calls.append(n)
+            return original(lattice, n, *args, **kwargs)
+
+        monkeypatch.setattr(normalform, "sample_points", counting)
+        return calls
+
+    @pytest.mark.parametrize("build", [cn_translation, dn_group])
+    def test_a_rebuilt_embedding_draws_nothing(self, monkeypatch, build):
+        normalform._probe.cache_clear()
+        calls = self._count_draws(monkeypatch)
+        first = cross_validate(build(L_GEN, 5), seed=4)
+        assert calls == [BRACKET_SAMPLES, 40]
+        second = cross_validate(build(Lattice(GENERIC), 5), seed=4)
+        assert calls == [BRACKET_SAMPLES, 40]
+        assert repr(second) == repr(first)
+
+    def test_a_new_seed_or_count_draws_again(self, monkeypatch):
+        normalform._probe.cache_clear()
+        gens = normal_form(cn_translation(L_SQ, 3))
+        check_triple(gens, seed=0)
+        calls = self._count_draws(monkeypatch)
+        check_triple(gens, seed=0)
+        assert calls == []
+        # seed 1 draws the brackets' 60 from seed 2, which only the 40
+        # invariance probes of seed 0 were drawn from
+        check_triple(gens, seed=1)
+        assert calls == [BRACKET_SAMPLES, 40]
+        check_triple(gens, 45, seed=0)
+        assert calls == [BRACKET_SAMPLES, 40, 45, 30]
+
+    def test_the_cached_draw_is_read_only(self):
+        z = normalform._probe(c2c2_translation(L_HEX), 20, 0)
+        assert normalform._probe(c2c2_translation(Lattice(HEX_TAU)), 20, 0) is z
+        with pytest.raises(ValueError):
+            z[0] = 0.0
+
+    def test_a_draw_that_raises_is_not_kept(self, monkeypatch):
+        gens = normal_form(cn_translation(L_SQ, 3))
+        want = verify_brackets(gens, 45, 0)
+        normalform._probe.cache_clear()
+
+        def starving(*args, **kwargs):
+            raise FitError("no sampling margin admits points away from the pole orbit")
+
+        with monkeypatch.context() as m:
+            m.setattr(normalform, "sample_points", starving)
+            with pytest.raises(FitError):
+                verify_brackets(gens, 45, 0)
+        calls = self._count_draws(monkeypatch)
+        assert verify_brackets(gens, 45, 0) == want
+        assert calls == [45]
 
 
 class TestFarPoints:

@@ -113,6 +113,19 @@ class TestEquality:
             assert a is not b and a == b and hash(a) == hash(b)
             assert a.elements == b.elements
 
+    def test_the_hash_is_computed_once(self, monkeypatch):
+        # every cache keyed on an embedding hashes it: a repeated hash(emb)
+        # reads the stored value and calls no field's __hash__
+        embs = catalog(L_GEN, orders=(2, 3, 5))
+        want = [hash((e.kind, e.order_param, e.lattice, e.generators)) for e in embs]
+
+        def refuse(obj):
+            raise AssertionError(f"{type(obj).__name__}.__hash__ called")
+
+        for cls in (Lattice, AffineAutomorphism, TorsionPoint):
+            monkeypatch.setattr(cls, "__hash__", refuse)
+        assert [hash(e) for e in embs] == want
+
     def test_other_generators_are_not_equal(self):
         # 2/5 generates the same group as 1/5, on other characters
         a, b = cn_translation(L_GEN, 5), cn_translation(L_GEN, 5, TorsionPoint(2, 0, 5))
