@@ -7,7 +7,8 @@ seeded, so equal configurations produce byte-identical reports.
 
 Each subcommand accepts only the flags it reads (_COMMANDS), and every
 float flag must be finite; its value may follow it as its own word, a
-negative one in exponent form included.  Exit status: 0 all checks passed, 1
+negative one in exponent form included.  --order and --char-j default to
+2 and 1; c2c2 and a4 take neither.  Exit status: 0 all checks passed, 1
 verification failure, 2 usage or domain error, including a fit that
 fails and a group the lattice does not carry; constants instead reports
 a failed lambda/mu fit (FitError), or a fitted pair off the closed form
@@ -94,26 +95,15 @@ def _emit(report: dict, args: argparse.Namespace) -> None:
 
 
 def _embedding(args: argparse.Namespace) -> GroupEmbedding:
-    lattice = Lattice(args.tau)
-    kind = _GROUP_NAMES[args.group]
-    shift = None
-    if args.torsion is not None:
-        a, b, n = args.torsion
-        shift = TorsionPoint(a, b, n)
-    return make_embedding(lattice, kind, args.order, shift)
+    shift = None if args.torsion is None else TorsionPoint(*args.torsion)
+    return make_embedding(Lattice(args.tau), _GROUP_NAMES[args.group], args.order, shift)
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    lattice = Lattice(args.tau)
-    entries = []
-    for emb in catalog(lattice):
-        entries.append(
-            {
-                "kind": emb.kind,
-                "order_param": emb.order_param,
-                "group_order": emb.order,
-            }
-        )
+    entries = [
+        {"kind": emb.kind, "order_param": emb.order_param, "group_order": emb.order}
+        for emb in catalog(Lattice(args.tau))
+    ]
     _emit({"command": "catalog", "tau": args.tau, "entries": entries}, args)
     return 0
 
@@ -275,9 +265,9 @@ _FLAGS = {
     "--tau-re": dict(type=_finite, default=0.0),
     "--tau-im": dict(type=_finite, default=1.0),
     "--group": dict(choices=sorted(_GROUP_NAMES), default="cn"),
-    "--order": dict(type=int, default=2, help="N for cn/dn, l for rot"),
+    "--order": dict(type=int, default=None, help="N for cn/dn, l for rot"),
     "--torsion": dict(type=_parse_torsion, default=None, metavar="a/b/n"),
-    "--char-j": dict(type=int, default=1),
+    "--char-j": dict(type=int, default=None),
     "--tol": dict(type=_finite, default=BRACKET_TOL),
     "--samples": dict(type=int, default=BRACKET_SAMPLES),
     "--seed": dict(type=int, default=0),
@@ -292,6 +282,9 @@ _FLAGS = {
 _FLOAT_FLAGS = {flag for flag, spec in _FLAGS.items() if spec.get("type") is _finite}
 _COMMON = {"--tau-re", "--tau-im", "--json", "--out"}
 _EMBEDDING = {"--group", "--order", "--torsion", "--char-j"}
+#: the values of --order and --char-j when not given; c2c2 and a4 have no
+#: order parameter or character index, so giving them either is an error
+_ORDER_DEFAULTS = {"order": 2, "char_j": 1}
 #: each command and the flags it reads besides _COMMON; it accepts no other
 _COMMANDS = {
     "catalog": (cmd_catalog, set()),
@@ -334,11 +327,21 @@ def _join_float_values(argv: list) -> list:
     return out
 
 
+def _fill_order_defaults(args: argparse.Namespace) -> None:
+    for name, default in _ORDER_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.group in ("c2c2", "a4"):
+            raise ValueError(f"{_GROUP_NAMES[args.group]} takes no --{name.replace('_', '-')}")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = _build_parser().parse_args(_join_float_values(argv))
     args.tau = complex(args.tau_re, args.tau_im)
     try:
+        if "group" in args:
+            _fill_order_defaults(args)
         return _COMMANDS[args.command][0](args)
     except (ValueError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

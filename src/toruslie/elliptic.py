@@ -270,10 +270,7 @@ def wp(z, lattice: Lattice):
 @lru_cache(maxsize=256)
 def _unit_invariants(tau: complex) -> EllipticInvariants:
     cell = _cell(tau)
-    g2 = cell.g2r / cell.m ** 4
-    g3 = cell.g3r / cell.m ** 6
-    disc = cell.discr / cell.m ** 12
-    j = 1728.0 * g2 ** 3 / disc if disc else math.inf
+    j = 1728.0 * cell.g2r ** 3 / cell.discr if cell.discr else math.inf
     if not cmath.isfinite(j):
         raise ValueError(
             f"j overflows float64 at reduced Im tau {cell.tau_r.imag:.4g};"
@@ -281,16 +278,19 @@ def _unit_invariants(tau: complex) -> EllipticInvariants:
         )
     half = np.array([0.5, tau / 2.0, (1.0 + tau) / 2.0])
     e1, e2, e3 = (complex(v) for v in wp(half, Lattice(tau)))
-    return EllipticInvariants(g2, g3, e1, e2, e3, disc, j)
+    m = cell.m
+    return EllipticInvariants(cell.g2r / m ** 4, cell.g3r / m ** 6, e1, e2, e3, cell.discr / m ** 12, j)
 
 
 def invariants(lattice: Lattice) -> EllipticInvariants:
     """g2, g3, half-period values, discriminant and j for scale * (Z + Z*tau).
 
     g2 and g3 come from the Eisenstein q-expansions on the reduced lattice
-    and are pulled back through the homothety; e1, e2, e3 are wp at the
-    half periods of the basis (scale, scale*tau).  Past a reduced Im tau
-    of about 113, where j overflows float64, a ValueError names the limit.
+    and are pulled back through the homothety; j is the reduced lattice's
+    own, a class function, with no power of the basis change.  e1, e2, e3
+    are wp at the half periods of the basis (scale, scale*tau).  Past a
+    reduced Im tau of about 113, where j overflows float64, a ValueError
+    names the limit.
     """
     inv = _unit_invariants(lattice.tau)
     s = lattice.scale

@@ -8,7 +8,9 @@ import pytest
 
 import toruslie.torusgroup
 from sweep import SHIFTS, SWEEP_TAUS, sweep_cases
+from toruslie import elliptic
 from toruslie.classify import KIND_BY_BRANCH_COUNT, classify, cross_validate
+from toruslie.elliptic import invariants
 from toruslie.funcalg import FitError, PSystem, c2c2_constants_for, lambda_mu
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, moebius, reduce_modular, transport_torsion
 from toruslie.normalform import BRACKET_SAMPLES, invariance_residual, normal_form, verify_brackets
@@ -155,10 +157,26 @@ class TestCrossValidate:
         assert cv.classification.kind == "SFamily"
         assert cv.passed
 
-    def test_sfamily_j_consistency_runs_for_small_quotients(self):
-        cv = cross_validate(dn_group(L_GEN, 2))
-        assert "j_ring_consistent" in cv.checks
-        assert cv.checks["j_ring_consistent"]
+    def test_checks_are_the_four_gates(self):
+        for emb in catalog(L_GEN):
+            cv = cross_validate(emb)
+            assert set(cv.checks) == {"brackets", "structure", "invariance", "abel_matches_branch"}
+
+    @pytest.mark.parametrize("tau", [1j, HEX_TAU, GENERIC, 0.2 + 1.3j])
+    def test_class_j_is_the_ring_lattice_j(self, tau):
+        # the class and the ring are read off one lattice, emb.quotient
+        for emb in catalog(Lattice(tau), orders=(1, 2, 3, 4, 5, 6)):
+            j = classify(emb).j_invariant
+            if j is not None:
+                assert np.complex128(j).tobytes() == np.complex128(invariants(emb.quotient).j).tobytes()
+
+    def test_class_and_ring_share_one_invariants_entry(self):
+        # a class taken on a second, reduced lattice would add an entry
+        emb = dn_group(L_GEN, 2)
+        assert reduce_modular(emb.quotient.tau).tau_reduced != emb.quotient.tau
+        _clear_caches()
+        cross_validate(emb)
+        assert elliptic._unit_invariants.cache_info().currsize == 1
 
     def test_wrong_degree_p_fails_abel_matches_branch(self, monkeypatch):
         # mutation: the order-3 rotation's p in wp' given rot2's cubic

@@ -280,14 +280,15 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "group, order, lat",
-        [("cn", "3", _GN), ("dn", "4", _GN), ("c2c2", "2", _GN), ("rot", "2", _GN),
-         ("a4", "2", _HX), ("rot", "3", _HX), ("rot", "6", _HX)],
+        [("cn", "3", _GN), ("dn", "4", _GN), ("c2c2", None, _GN), ("rot", "2", _GN),
+         ("a4", None, _HX), ("rot", "3", _HX), ("rot", "6", _HX)],
         ids=["cn3", "dn4", "c2c2", "rot2", "a4", "rot3", "rot6"],
     )
     def test_negative_control_fails_as_designed(self, capsys, group, order, lat):
         # F scaled by 1.01 is still invariant and an sl2 triple up to
         # scale: only ef_exact, against the exact p, catches it
-        argv = ("verify", "--group", group, "--order", order, "--tau-re", lat[0], "--tau-im", lat[1])
+        argv = ("verify", "--group", group, "--tau-re", lat[0], "--tau-im", lat[1])
+        argv += ("--order", order) if order else ()
         rc, out, _ = run(capsys, *argv, "--perturb-f", "0.01", "--json")
         assert rc == 1
         assert [k for k, ok in json.loads(out)["checks"].items() if not ok] == ["ef_exact"]
@@ -369,6 +370,29 @@ class TestPlumbing:
         rc, out, err = run(capsys, *argv, "--torsion", "1/0/2")
         assert rc == 2 and out == ""
         assert "takes no torsion shift" in err
+
+    @pytest.mark.parametrize("command", ["classify", "verify", "eval", "constants"])
+    @pytest.mark.parametrize("group, kind", [("c2c2", "C2xC2_translation"), ("a4", "A4")])
+    @pytest.mark.parametrize(
+        "flag, value", [("--order", "7"), ("--order", "-3"), ("--order", "2"), ("--char-j", "2"),
+                        ("--char-j", "1")],
+    )
+    def test_order_or_character_the_group_has_not(self, capsys, command, group, kind, flag, value):
+        # c2c2 and a4 read neither flag: given, even at its default, it is
+        # an error, not a value echoed in config
+        rc, out, err = run(capsys, command, "--group", group, "--tau-re", _HX[0], "--tau-im", _HX[1],
+                           flag, value)
+        assert (rc, out) == (2, "")
+        assert err == f"error: {kind} takes no {flag}\n"
+
+    @pytest.mark.parametrize("command", ["classify", "verify", "eval", "constants"])
+    @pytest.mark.parametrize("group", ["c2c2", "a4", "cn"])
+    def test_order_and_character_default_to_2_and_1(self, capsys, command, group):
+        rc, out, _ = run(capsys, command, "--group", group, "--tau-re", _HX[0], "--tau-im", _HX[1],
+                         "--json")
+        assert rc == 0
+        config = json.loads(out)["config"]
+        assert (config["order"], config["char_j"]) == (2, 1)
 
     @pytest.mark.parametrize(
         "group", [("--group", "a4"), ("--group", "rot", "--order", "3")], ids=["a4", "rot3"]
@@ -589,13 +613,15 @@ FOLD_CASES = [
     (group, order, lat)
     for lat in (_SQ, _HX, _GN)
     for group, order in [("cn", n) for n in (3, 4, 5, 6)]
-    + [("dn", n) for n in (2, 3, 4, 5)] + [("c2c2", 2), ("rot", 2)]
-] + [("rot", 4, _SQ), ("rot", 3, _HX), ("rot", 6, _HX), ("a4", 2, _HX)]
+    + [("dn", n) for n in (2, 3, 4, 5)] + [("c2c2", None), ("rot", 2)]
+] + [("rot", 4, _SQ), ("rot", 3, _HX), ("rot", 6, _HX), ("a4", None, _HX)]
+FOLD_IDS = [f"{g}{n or ''}-{t[0]}" for g, n, t in FOLD_CASES]
 
 
 def _verify_argv(group, order, lat, seed, *extra):
+    # c2c2 and a4 (order None) take no --order
     return (
-        "verify", "--group", group, "--order", str(order),
+        "verify", "--group", group, *(("--order", str(order)) if order else ()),
         "--tau-re", lat[0], "--tau-im", lat[1], "--seed", str(seed), *extra, "--json",
     )
 
@@ -605,9 +631,7 @@ class TestVerifyFold:
     off them it runs the two checks on the triple at its own probe counts."""
 
     @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize(
-        "group, order, lat", FOLD_CASES, ids=[f"{g}{n}-{t[0]}" for g, n, t in FOLD_CASES]
-    )
+    @pytest.mark.parametrize("group, order, lat", FOLD_CASES, ids=FOLD_IDS)
     def test_defaults_equal_classify(self, capsys, group, order, lat, seed):
         rc, out, _ = run(capsys, *_verify_argv(group, order, lat, seed))
         assert rc in (0, 1)
@@ -618,9 +642,7 @@ class TestVerifyFold:
         assert report["invariance_residual"] == cv["invariance_residual"]
 
     @pytest.mark.parametrize("seed", [0, 7])
-    @pytest.mark.parametrize(
-        "group, order, lat", FOLD_CASES, ids=[f"{g}{n}-{t[0]}" for g, n, t in FOLD_CASES]
-    )
+    @pytest.mark.parametrize("group, order, lat", FOLD_CASES, ids=FOLD_IDS)
     def test_samples_90_equal_the_checks_on_the_triple(self, capsys, group, order, lat, seed):
         cli_module = importlib.import_module("toruslie.cli")
         args = cli_module._build_parser().parse_args(_verify_argv(group, order, lat, seed))

@@ -14,7 +14,8 @@ from toruslie.elliptic import (
     wp,
     wp_both,
 )
-from toruslie.lattice import HEX_TAU, Lattice, torus_reduce_centered
+from toruslie.lattice import HEX_TAU, Lattice, reduce_modular, torus_reduce_centered
+from sweep import SWEEP_TAUS
 
 GENERIC = complex(0.31, 1.07)
 LATTICES = [Lattice(1j), Lattice(HEX_TAU), Lattice(GENERIC)]
@@ -137,6 +138,15 @@ class TestInvariants:
         j1 = j_invariant(6j)
         j2 = j_invariant(-1.0 / 6j)  # equivalent class
         assert abs(j1 - j2) < 1e-10 * abs(j1)
+
+    def test_j_is_taken_on_the_reduced_cell(self):
+        # j is a class function: every basis and scale of a lattice gives
+        # the j of its reduced representative, bit for bit
+        for tau in SWEEP_TAUS:
+            reduced = np.complex128(invariants(Lattice(reduce_modular(tau).tau_reduced)).j)
+            for s in (1, 0.6 - 0.8j):
+                got = np.complex128(invariants(Lattice(tau, s)).j)
+                assert got.tobytes() == reduced.tobytes(), (tau, s)
 
     def test_j_special_values(self):
         assert abs(j_invariant(1j) - 1728.0) < 1e-8

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from toruslie import normalform
 from toruslie.elliptic import invariants, wp_both
-from toruslie.classify import cross_validate
+from toruslie.classify import BRACKET_TOL, FIT_TOL, INVARIANCE_TOL, cross_validate
 from toruslie.funcalg import FitError, WPoly, sample_points
 from toruslie.intertwine import psi
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, transport_torsion
@@ -306,6 +308,39 @@ FLAT_DEFECT = (
     "flat basis (w+2)/(w+3): ef 6.3e-7 above 1e-7 at frame_scale 4.9e5, "
     "the conditioning defect of skewed lattices"
 )
+
+
+#: the Weyl element: conjugation by it swaps e and f and negates h
+WEYL = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+class TestRotationWeylImage:
+    """Rotations take character index 1 only.  Every faithful index of C_l,
+    l in {2, 3, 4, 6}, is +-1 mod l, and the action at -1 is the action at 1
+    conjugated by the Weyl element: the normal form at -1 is the Weyl image
+    of the one at 1, the same row with fe and ff swapped, with the same p."""
+
+    @pytest.mark.parametrize(
+        "lat, ell", [(L_SQ, 2), (L_SQ, 4), (L_HEX, 2), (L_HEX, 3), (L_HEX, 6)],
+        ids=["sq-rot2", "sq-rot4", "hex-rot2", "hex-rot3", "hex-rot6"],
+    )
+    def test_weyl_image_is_invariant_at_index_minus_one(self, lat, ell):
+        emb = cl_rotation(lat, ell)
+        gens = normal_form(emb)
+
+        def weyl(x, sign=1.0):
+            return dataclasses.replace(x, fn=lambda z: sign * (WEYL @ x.fn(z) @ WEYL))
+
+        # (ff e, fe f, h): E and F trade places, and -Ad(w) h = h
+        image = dataclasses.replace(
+            gens, E=weyl(gens.F), F=weyl(gens.E), H=weyl(gens.H, -1.0), rep=standard_rep(emb, ell - 1)
+        )
+        brackets, inv = check_triple(image)
+        assert inv < max(INVARIANCE_TOL, 1e-11 * brackets["frame_scale"])
+        assert max(brackets["he"], brackets["hf"], brackets["ef"]) < BRACKET_TOL
+        assert brackets["ef_exact"] < FIT_TOL
+        if ell > 2:  # index -1 is another character: the image is not invariant at 1
+            assert check_triple(dataclasses.replace(image, rep=standard_rep(emb, 1)))[1] > 1e-3
 
 
 class TestNonCanonicalBases:
