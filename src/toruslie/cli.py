@@ -8,11 +8,12 @@ seeded, so equal configurations produce byte-identical reports.
 Each subcommand accepts only the flags it reads (_COMMANDS), and every
 float flag must be finite; its value may follow it as its own word, a
 negative one in exponent form included.  --order and --char-j default to
-2 and 1; c2c2 and a4 take neither.  Exit status: 0 all checks passed, 1
-verification failure, 2 usage or domain error, including a fit that
-fails and a group the lattice does not carry; constants instead reports
-a failed lambda/mu fit (FitError), or a fitted pair off the closed form
-by more than --tol, as null lambda and mu.
+2 and 1; c2c2 and a4 take neither, nor constants --char-j, --tol or
+--seed but for cn and dn at --order 2 and up.  Exit status: 0 all checks
+passed, 1 verification failure, 2 usage or domain error, including a fit
+that fails and a group the lattice does not carry; constants instead
+reports a failed lambda/mu fit (FitError), or a fitted pair off the
+closed form by more than --tol, as null lambda and mu.
 """
 
 from __future__ import annotations
@@ -268,9 +269,9 @@ _FLAGS = {
     "--order": dict(type=int, default=None, help="N for cn/dn, l for rot"),
     "--torsion": dict(type=_parse_torsion, default=None, metavar="a/b/n"),
     "--char-j": dict(type=int, default=None),
-    "--tol": dict(type=_finite, default=BRACKET_TOL),
+    "--tol": dict(type=_finite, default=None),
     "--samples": dict(type=int, default=BRACKET_SAMPLES),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=int, default=None),
     "--json": dict(action="store_true"),
     "--out": dict(default=None),
     "--z-re": dict(type=_finite, default=0.23),
@@ -282,9 +283,9 @@ _FLAGS = {
 _FLOAT_FLAGS = {flag for flag, spec in _FLAGS.items() if spec.get("type") is _finite}
 _COMMON = {"--tau-re", "--tau-im", "--json", "--out"}
 _EMBEDDING = {"--group", "--order", "--torsion", "--char-j"}
-#: the values of --order and --char-j when not given; c2c2 and a4 have no
-#: order parameter or character index, so giving them either is an error
-_ORDER_DEFAULTS = {"order": 2, "char_j": 1}
+#: the values of flags not given; each is an error where unread: --order and --char-j
+#: for c2c2 and a4, and --char-j, --tol and --seed of constants but for cn and dn at order >= 2
+_DEFAULTS = {"order": 2, "char_j": 1, "tol": BRACKET_TOL, "seed": 0}
 #: each command and the flags it reads besides _COMMON; it accepts no other
 _COMMANDS = {
     "catalog": (cmd_catalog, set()),
@@ -327,12 +328,19 @@ def _join_float_values(argv: list) -> list:
     return out
 
 
-def _fill_order_defaults(args: argparse.Namespace) -> None:
-    for name, default in _ORDER_DEFAULTS.items():
-        if getattr(args, name) is None:
+def _fill_defaults(args: argparse.Namespace) -> None:
+    kind, flag = _GROUP_NAMES[args.group], lambda name: "--" + name.replace("_", "-")
+    for name in ("order", "char_j") if args.group in ("c2c2", "a4") else ():
+        if getattr(args, name) is not None:
+            raise ValueError(f"{kind} takes no {flag(name)}")
+    order = _DEFAULTS["order"] if args.order is None else args.order
+    given = [flag(n) for n in ("char_j", "tol", "seed") if getattr(args, n, None) is not None]
+    if args.command == "constants" and given and not (args.group in ("cn", "dn") and order >= 2):
+        at = "" if args.group in ("c2c2", "a4") else f" at --order {order}"
+        raise ValueError(f"constants of {kind}{at} read no {', '.join(given)}")
+    for name, default in _DEFAULTS.items():
+        if getattr(args, name, default) is None:
             setattr(args, name, default)
-        elif args.group in ("c2c2", "a4"):
-            raise ValueError(f"{_GROUP_NAMES[args.group]} takes no --{name.replace('_', '-')}")
 
 
 def main(argv=None) -> int:
@@ -341,7 +349,7 @@ def main(argv=None) -> int:
     args.tau = complex(args.tau_re, args.tau_im)
     try:
         if "group" in args:
-            _fill_order_defaults(args)
+            _fill_defaults(args)
         return _COMMANDS[args.command][0](args)
     except (ValueError, FitError) as exc:
         print(f"error: {exc}", file=sys.stderr)

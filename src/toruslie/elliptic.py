@@ -253,7 +253,7 @@ def wp_both(z, lattice: Lattice):
         _wp_series(zc[i:i + BLOCK], cell, out[:, i:i + BLOCK])
     if s != 1:  # out of place, like the scaling by m; inf / s is nan until reset below
         with np.errstate(invalid="ignore"):
-            out = np.stack((out[0] / s ** 2, out[1] / s ** 3))
+            out = out / np.array([[s ** 2], [s ** 3]])
     if not np.isfinite(out).all():
         if not np.isfinite(zz).all():
             raise ValueError("wp_both needs finite points; a non-finite point is not a pole")

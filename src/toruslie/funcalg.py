@@ -285,7 +285,7 @@ class PSystem:
         Im T/2.  j = 0 mod n gives exact zeros, its residue factor being 0.
         """
         _, s, t = _folded_coordinates(np.atleast_1d(z), self.lattice.tau, self.lattice.scale)
-        js = tuple(js)
+        js = tuple(dict.fromkeys(js))  # a repeated j, as Phi's (j, -j, 2j, -2j) mod 3 or 4, once
         n = self.n
         (a11, a12), (a21, a22) = self._to_ring
         x, y = a11 * s + a12 * t, a21 * s + a22 * t

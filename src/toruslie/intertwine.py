@@ -123,18 +123,18 @@ def _psi_fn(stack, cc):
 
     def fn(z):
         v0, v1, v2 = stack(z)
-        tp = v0 * v1 + k
-        tm = v0 * v1 - k
+        v01, a0, b1 = v0 * v1, A1 * v0, B1 * v1  # each shared product formed once
+        minus, plus = b1 - a0, a0 + b1
         out = np.empty(z.shape + (3, 3), dtype=complex)
-        out[..., 0, 0] = v0 * v1 / k
+        out[..., 0, 0] = v01 / k
         out[..., 0, 1] = -v2
         out[..., 0, 2] = (A1 ** 2 * v0 ** 2 - B1 ** 2 * v1 ** 2) * v2 / (4.0 * k ** 2)
-        out[..., 1, 0] = (B1 * v1 - A1 * v0) * v2 / k
+        out[..., 1, 0] = minus * v2 / k
         out[..., 1, 1] = a1a * v1 - b1b * v0
-        out[..., 1, 2] = (B1 * v1 - A1 * v0) * tm / (4.0 * k ** 2)
-        out[..., 2, 0] = (A1 * v0 + B1 * v1) * v2 / k
+        out[..., 1, 2] = minus * (v01 - k) / (4.0 * k ** 2)
+        out[..., 2, 0] = plus * v2 / k
         out[..., 2, 1] = -a1a * v1 - b1b * v0
-        out[..., 2, 2] = (A1 * v0 + B1 * v1) * tp / (4.0 * k ** 2)
+        out[..., 2, 2] = plus * (v01 + k) / (4.0 * k ** 2)
         return out
 
     return fn

@@ -24,17 +24,18 @@ exact p, as coefficients and as its roots, and the factors of e and f.
 The factors live on the lattice of T / t(Gamma), which for rotations is
 the lattice itself; the p = 1 rows have none.
 
-Each triple has one frame, z -> (n, 3, 2, 2): the constant (h, e, f),
-or from_coeffs of the columns of ad(Phi) or of Psi.  The frame and, where
-the row has factors, (wp, wp') of the ring lattice are evaluated once per
-point array under one memo; E, F and H are its columns times their
+Each triple has one frame, z -> (3, n, 2, 2), written once in the layout the
+columns slice (frame[c] is column c at every point): the constant (h, e, f),
+or from_coeffs of ad(Phi), or of Psi, with the column axis first.  The frame
+and, where the row has factors, (wp, wp') of the ring lattice are evaluated
+once per point array under one memo; E, F and H are its columns times their
 factors, and the ring variable is read off the same (wp, wp').  They stay
 three evaluators because a wrapper set on E.fn, F.fn or H.fn after
 normal_form (a tracer's span, verify's --perturb-f scaling of F) must see
 every evaluation the checks make.  standard_rep, the pole orbit and the data
 of Phi or Psi are built once per equal embedding, and each check's probes
-once per equal embedding, probe count and seed; the triple, its memo and
-its evaluators are new on every call, so no such wrapper reaches a cache.
+once per equal embedding, probe count and seed; the triple, its memo and its
+evaluators are new on every call, so no such wrapper reaches a cache.
 
 The order-4 pairing puts wp' on the e-side: that is the character-correct
 match for the generator action e -> i e (the product of the two function
@@ -50,16 +51,15 @@ route that no check runs; it returns its fit and leaves the triple as
 it was.
 
 Each check is three steps: draw its points (kept read-only per embedding,
-count and seed), evaluate the triple (and the ring) there, and compute
-the residual from those values.
-structure_polynomial, verify_brackets and invariance_residual run the
-three steps for one check; check_triple, the one re-check of a triple,
-draws the point sets of the bracket and invariance checks first and
-evaluates the triple and its ring once on their concatenation, with
-results equal to those of the two functions run one by one.  The
-residuals are computed on E, F and H stacked (3, n, 2, 2), one bracket
-call and one invariance einsum for all three, bit for bit as one
-generator at a time.
+count and seed), evaluate the triple (and the ring) there, and compute the
+residual from those values.  structure_polynomial, verify_brackets and
+invariance_residual run the three steps for one check; check_triple, the one
+re-check of a triple, draws the point sets of the bracket and invariance
+checks first and evaluates the triple and its ring once on their
+concatenation, with results equal to those of the two functions run one by
+one.  The residuals are computed on E, F and H stacked (3, n, 2, 2) in one
+array, one bracket call and one invariance einsum (on a strided view of
+their (h, e, f)) for all three, bit for bit as one generator at a time.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from .funcalg import InvariantRing, TorusFunction, WPoly, _fit_points, _fit_valu
 from .funcalg import _last_points_memo, sample_points
 from .intertwine import phi, psi
 from .lattice import shortest_period, torus_reduce_centered
-from .sl2rep import B_E, B_F, B_H, ad, bracket, coeffs, from_coeffs, standard_rep
+from .sl2rep import B_E, B_F, B_H, ad, bracket, from_coeffs, standard_rep
 from .torusgroup import GroupEmbedding
 
 __all__ = [
@@ -191,7 +191,7 @@ def normal_form(emb: GroupEmbedding, j: int = 1) -> GeneratorTriple:
     # the trivial translation has no Phi: its frames are constant too
     if case.frames == "B" or emb.order_param == 1:
         const = from_coeffs(_D1_FRAME.T) if emb.kind == "DN" else np.array((B_H, B_E, B_F))
-        frame = lambda z: const
+        frame = lambda z: np.broadcast_to(const.reshape(3, *(1,) * z.ndim, 2, 2), (3, *z.shape, 2, 2))
         lattice, poles = emb.lattice, orbit
     else:
         intertwiner = phi(emb, j) if case.frames == "phi" else psi(emb)
@@ -200,7 +200,8 @@ def normal_form(emb: GroupEmbedding, j: int = 1) -> GeneratorTriple:
         # intertwiner.fn is looked up per call, so a wrapper set on it
         # after normal_form sees every evaluation
         conj = ad if case.frames == "phi" else np.asarray
-        frame = lambda z: from_coeffs(np.swapaxes(conj(intertwiner.fn(z)), -1, -2))
+        # the column axis moved first, a view: frame[c] is column c at every point
+        frame = lambda z: from_coeffs(conj(intertwiner.fn(z)).transpose(-1, *range(z.ndim + 1)))
         lattice, poles = intertwiner.lattice, intertwiner.poles
     ring_lattice = emb.quotient
     memo = _last_points_memo(
@@ -210,9 +211,7 @@ def normal_form(emb: GroupEmbedding, j: int = 1) -> GeneratorTriple:
     def column(c, factor):
         def fn(z):
             frames, wp = memo(z)
-            if factor is None:
-                return np.broadcast_to(frames[..., c, :, :], z.shape + (2, 2)).copy()
-            return factor(*wp)[..., None, None] * frames[..., c, :, :]
+            return frames[c].copy() if factor is None else factor(*wp)[..., None, None] * frames[c]
 
         return TorusFunction(fn, lattice, poles, (2, 2))
 
@@ -256,15 +255,15 @@ def _preimages(gens: GeneratorTriple, z: np.ndarray) -> np.ndarray:
 def _frames(gens: GeneratorTriple, z: np.ndarray) -> np.ndarray:
     """(E, F, H) at z, stacked (3, len(z), 2, 2), through each generator's
     fn; their frame is evaluated once."""
-    return np.stack((gens.E.fn(z), gens.F.fn(z), gens.H.fn(z)))
+    out = np.empty((3, len(z), 2, 2), dtype=complex)
+    out[0], out[1], out[2] = gens.E.fn(z), gens.F.fn(z), gens.H.fn(z)
+    return out
 
 
 def _ring_x(gens: GeneratorTriple, z: np.ndarray, rows: slice = slice(None)):
     """The ring variable at z[rows], read off the (wp, wp') that the frame
     factors evaluated on z; None on the p = 1 rows, which have no factors."""
-    if gens.ring_wp is None:
-        return None
-    return gens.ring.from_wp(*(v[rows] for v in gens.ring_wp(z)))
+    return None if gens.ring_wp is None else gens.ring.from_wp(*(v[rows] for v in gens.ring_wp(z)))
 
 
 def structure_polynomial(gens: GeneratorTriple) -> WPoly:
@@ -288,9 +287,8 @@ def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
     products down to O(1) and inherits that cancellation error, while the
     projection divides like-sized quantities.
     """
-    num = np.einsum("...ij,...ij->...", comm, np.conj(h))
-    den = np.einsum("...ij,...ij->...", h, np.conj(h))
-    return num / den
+    hc = np.conj(h)
+    return np.einsum("...ij,...ij->...", comm, hc) / np.einsum("...ij,...ij->...", h, hc)
 
 
 def _exact_p(gens: GeneratorTriple, x):
@@ -303,10 +301,14 @@ def _exact_p(gens: GeneratorTriple, x):
     return value
 
 
+#: max |x| over every entry; a nan entry gives nan, where lattice._abs_max skips it
+_max_abs = lambda x: float(np.maximum.reduce(np.abs(x), axis=None))
+
+
 def _relative_residual(comm: np.ndarray, p, h: np.ndarray) -> float:
     """max |[E, F] - p H| / (1 + |p H|) over the points and entries."""
     ph = np.asarray(p)[..., None, None] * h
-    return float(np.max(np.abs(comm - ph) / (1.0 + np.abs(ph))))
+    return float(np.maximum.reduce(np.abs(comm - ph) / (1.0 + np.abs(ph)), axis=None))
 
 
 def _bracket_residuals(gens: GeneratorTriple, frames: np.ndarray, x) -> dict:
@@ -317,15 +319,13 @@ def _bracket_residuals(gens: GeneratorTriple, frames: np.ndarray, x) -> dict:
     he, hf, comm = bracket(frames[[2, 2, 0]], frames[[0, 1, 1]])
     he -= 2.0 * e
     hf += 2.0 * f
-    p_point = _h_projection(comm, h)
-    ef = comm - p_point[..., None, None] * h
     return {
-        "he": float(np.max(np.abs(he))),
-        "hf": float(np.max(np.abs(hf))),
-        "ef": float(np.max(np.abs(ef))),
+        "he": _max_abs(he),
+        "hf": _max_abs(hf),
+        "ef": _max_abs(comm - _h_projection(comm, h)[..., None, None] * h),
         "ef_exact": _relative_residual(comm, _exact_p(gens, x), h),
-        "trace": float(np.max(np.abs(np.trace(frames, axis1=-2, axis2=-1)))),
-        "frame_scale": float(np.max(np.abs(frames))),
+        "trace": _max_abs(frames[..., 0, 0] + frames[..., 1, 1]),
+        "frame_scale": _max_abs(frames),
     }
 
 
@@ -352,10 +352,11 @@ def _invariance(gens: GeneratorTriple, frames: np.ndarray, start: int, n: int) -
     _preimages.  The identity, which contributes exactly 0, is left out."""
     r = gens.rep[1:]
     mid, end = start + n, start + n * (1 + len(r))
-    v0 = coeffs(frames[:, start:mid])
-    v = coeffs(frames[:, mid:end]).reshape(3, len(r), n, 3)
-    pulled = np.einsum("gab,mgzb->mgza", r, v)
-    return float(np.max(np.abs(pulled - v0[:, None]), initial=0.0))
+    # (h, e, f) = entries (0, 0), (0, 1), (1, 0); coordinate axis first: einsum's inner loop runs over z
+    v = frames.reshape(3, -1, 4)[..., :3]
+    pulled = np.einsum("gab,mgzb->amgz", r, v[:, mid:end].reshape(3, len(r), n, 3))
+    pulled -= v[:, start:mid].transpose(2, 0, 1)[:, :, None]
+    return float(np.maximum.reduce(np.abs(pulled), axis=None, initial=0.0))
 
 
 def invariance_residual(gens: GeneratorTriple, n_samples: int, seed: int) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "B_F",
     "ad",
     "bracket",
-    "coeffs",
     "from_coeffs",
     "standard_rep",
 ]
@@ -54,27 +53,19 @@ def bracket(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     dx = x[..., 0, 0] - x[..., 1, 1]
     dy = y[..., 0, 0] - y[..., 1, 1]
-    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=np.result_type(x, y))
+    out = np.empty(np.broadcast(x, y).shape, dtype=np.result_type(x, y))
     out[..., 0, 0] = x[..., 0, 1] * y[..., 1, 0] - x[..., 1, 0] * y[..., 0, 1]
     out[..., 0, 1] = dx * y[..., 0, 1] - dy * x[..., 0, 1]
     out[..., 1, 0] = dy * x[..., 1, 0] - dx * y[..., 1, 0]
-    out[..., 1, 1] = -out[..., 0, 0]
+    np.negative(out[..., 0, 0], out=out[..., 1, 1])
     return out
-
-
-def coeffs(x: np.ndarray) -> np.ndarray:
-    """Coordinates of a traceless 2x2 matrix over (h, e, f)."""
-    return np.stack([x[..., 0, 0], x[..., 0, 1], x[..., 1, 0]], axis=-1)
 
 
 def from_coeffs(v) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
-    h, e, f = v[..., 0], v[..., 1], v[..., 2]
     out = np.empty(v.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = h
-    out[..., 0, 1] = e
-    out[..., 1, 0] = f
-    out[..., 1, 1] = -h
+    out.reshape(v.shape[:-1] + (4,))[..., :3] = v  # h, e, f: entries (0, 0), (0, 1), (1, 0)
+    np.negative(v[..., 0], out=out[..., 1, 1])
     return out
 
 

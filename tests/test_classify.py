@@ -8,13 +8,14 @@ import pytest
 
 import toruslie.torusgroup
 from sweep import SHIFTS, SWEEP_TAUS, sweep_cases
+from test_sl2rep import coeffs
 from toruslie import elliptic
 from toruslie.classify import KIND_BY_BRANCH_COUNT, classify, cross_validate
 from toruslie.elliptic import invariants
 from toruslie.funcalg import FitError, PSystem, c2c2_constants_for, lambda_mu
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, moebius, reduce_modular, transport_torsion
 from toruslie.normalform import BRACKET_SAMPLES, invariance_residual, normal_form, verify_brackets
-from toruslie.sl2rep import coeffs, standard_rep
+from toruslie.sl2rep import standard_rep
 from toruslie.torusgroup import (
     a4_group,
     branch_points,

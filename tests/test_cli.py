@@ -404,6 +404,37 @@ class TestPlumbing:
         assert rc == 2 and out == ""
         assert err.startswith("error: ") and "needs a hexagonal-class lattice" in err
 
+    @pytest.mark.parametrize(
+        "argv, where, named",
+        [
+            (("--group", "rot", "--order", "2", "--char-j", "5", "--tol", "1e-3", "--seed", "4"),
+             "Cl_rotation at --order 2", "--char-j, --tol, --seed"),
+            (("--group", "cn", "--order", "1", "--char-j", "7", "--tol", "5", "--seed", "9"),
+             "CN_translation at --order 1", "--char-j, --tol, --seed"),
+            (("--group", "rot", "--order", "4", "--seed", "4"), "Cl_rotation at --order 4", "--seed"),
+            (("--group", "dn", "--order", "1", "--char-j", "1"), "DN at --order 1", "--char-j"),
+            (("--group", "c2c2", "--tol", "1e-7"), "C2xC2_translation", "--tol"),
+        ],
+        ids=["rot", "cn1", "rot-seed", "dn1-default-char-j", "c2c2-default-tol"],
+    )
+    def test_constants_rejects_the_flags_it_does_not_read(self, capsys, argv, where, named):
+        # these constants are the lattice's invariants (and, for c2c2, its
+        # half-period constants): no fit, no character; a flag given there,
+        # even at its default, is an error, not a value echoed in config
+        rc, out, err = run(capsys, "constants", *argv)
+        assert (rc, out) == (2, "")
+        assert err == f"error: constants of {where} read no {named}\n"
+
+    @pytest.mark.parametrize(
+        "argv", [("--group", "rot", "--order", "2"), ("--group", "cn", "--order", "1"),
+                 ("--group", "c2c2")], ids=["rot", "cn1", "c2c2"],
+    )
+    def test_constants_config_keeps_the_defaults_it_does_not_read(self, capsys, argv):
+        rc, out, _ = run(capsys, "constants", *argv, "--json")
+        assert rc == 0
+        config = json.loads(out)["config"]
+        assert (config["char_j"], config["tol"], config["seed"]) == (1, BRACKET_TOL, 0)
+
     @pytest.mark.parametrize("char_j", ["3", "0"])
     def test_constants_character_vanishing_mod_the_order(self, capsys, char_j):
         # a domain error of the fit, not a fit that failed: exit 2, no report

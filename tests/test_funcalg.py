@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from toruslie import funcalg
 from toruslie.elliptic import invariants, wp_both
 from toruslie.funcalg import (
     FitError,
@@ -270,6 +271,22 @@ class TestPBig:
                 single = ps.values(zi, js)
                 for j in js:
                     assert single[j][0] == batch[j][i], (i, j)
+
+    @pytest.mark.parametrize("n", [3, 2], ids=["cn3", "cn2-cover"])
+    def test_a_repeated_j_is_evaluated_once(self, monkeypatch, n):
+        # Phi asks for (j, -j, 2j, -2j), which repeat mod 3 and mod 4: each j
+        # is one theta row, and its values are those of a call asking for it alone
+        emb = cn_translation(L_GEN, n)
+        ps = PSystem(*double_cover(emb)) if n % 2 == 0 else p_system(emb)
+        js = (1, -1 % ps.n, 2, -2 % ps.n)
+        z = sample_points(ps.lattice, 50, np.random.default_rng(5), avoid=ps.orbit, margin=0.05)
+        rows = []
+        series = funcalg._theta_series
+        monkeypatch.setattr(funcalg, "_theta_series", lambda w, th: rows.append(len(w)) or series(w, th))
+        got = ps.values(z, js)
+        assert rows == [1 + len(set(js))] and len(set(js)) < len(js)
+        for j in js:
+            assert got[j].tobytes() == ps.values(z, (j,))[j].tobytes()
 
     @pytest.mark.parametrize("tau", [1j, HEX_TAU, GENERIC], ids=["square", "hex", "generic"])
     def test_orbit_and_repeated_values_equal_the_scalar_route(self, tau):

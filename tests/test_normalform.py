@@ -6,7 +6,7 @@ import pytest
 from toruslie import normalform
 from toruslie.elliptic import invariants, wp_both
 from toruslie.classify import BRACKET_TOL, FIT_TOL, INVARIANCE_TOL, cross_validate
-from toruslie.funcalg import FitError, WPoly, sample_points
+from toruslie.funcalg import FitError, WPoly, _p_stack, c2c2_constants_for, sample_points
 from toruslie.intertwine import psi
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, transport_torsion
 from toruslie.normalform import (
@@ -19,7 +19,7 @@ from toruslie.normalform import (
     structure_polynomial,
     verify_brackets,
 )
-from toruslie.sl2rep import bracket, coeffs, standard_rep
+from toruslie.sl2rep import bracket, standard_rep
 from toruslie.torusgroup import (
     a4_group,
     branch_points,
@@ -29,7 +29,7 @@ from toruslie.torusgroup import (
     cn_translation,
     dn_group,
 )
-from test_sl2rep import cyclic_labels
+from test_sl2rep import coeffs, cyclic_labels
 
 GENERIC = complex(0.31, 1.07)
 L_GEN = Lattice(GENERIC)
@@ -455,6 +455,57 @@ class TestAdPhiFrames:
         h = from_coeffs(cols[..., :, 0])
         e = factor * from_coeffs(cols[..., :, 1])
         f = factor * from_coeffs(cols[..., :, 2])
+        for got, want in ((gens.H.fn(z), h), (gens.E.fn(z), e), (gens.F.fn(z), f)):
+            assert got.tobytes() == want.tobytes()
+            assert np.all(np.trace(got, axis1=-2, axis2=-1) == 0)
+
+
+def _psi_reference(emb, z):
+    """Psi at z by its entries as written out one by one: each product
+    formed where it is used, none shared."""
+    stack, _ = _p_stack(emb)
+    cc = c2c2_constants_for(emb)
+    k = cc.sqrt_a2b2
+    a1a, b1b = cc.A1 / cc.alpha1, cc.B1 / cc.beta1
+    A1, B1 = cc.A1, cc.B1
+    v0, v1, v2 = stack(z)
+    tp = v0 * v1 + k
+    tm = v0 * v1 - k
+    out = np.empty(z.shape + (3, 3), dtype=complex)
+    out[..., 0, 0] = v0 * v1 / k
+    out[..., 0, 1] = -v2
+    out[..., 0, 2] = (A1 ** 2 * v0 ** 2 - B1 ** 2 * v1 ** 2) * v2 / (4.0 * k ** 2)
+    out[..., 1, 0] = (B1 * v1 - A1 * v0) * v2 / k
+    out[..., 1, 1] = a1a * v1 - b1b * v0
+    out[..., 1, 2] = (B1 * v1 - A1 * v0) * tm / (4.0 * k ** 2)
+    out[..., 2, 0] = (A1 * v0 + B1 * v1) * v2 / k
+    out[..., 2, 1] = -a1a * v1 - b1b * v0
+    out[..., 2, 2] = (A1 * v0 + B1 * v1) * tp / (4.0 * k ** 2)
+    return out
+
+
+class TestPsiFrames:
+    """C2xC2 and A4 frames are the columns (h, e, f) of Psi, as the
+    twin of TestAdPhiFrames, byte for byte against the references."""
+
+    @pytest.mark.parametrize("emb", [
+        pytest.param(emb, id=f"{name}-{emb.kind}")
+        for name, lat in (("square", L_SQ), ("hex", L_HEX), ("generic", L_GEN))
+        for emb in catalog(lat) if emb.kind in ("C2xC2_translation", "A4")
+    ])
+    def test_frames_are_columns_of_psi(self, emb):
+        from toruslie.sl2rep import from_coeffs
+
+        gens = normal_form(emb)
+        z = probe_points(gens, 30, 4)
+        m = _psi_reference(emb, z)
+        assert gens.intertwiner.fn(z).tobytes() == m.tobytes()
+        # the frames as (n, 3, 2, 2), column c at [..., c, :, :]
+        frames = from_coeffs(np.swapaxes(m, -1, -2))
+        h, e, f = (frames[..., c, :, :] for c in range(3))
+        if gens.ring_wp is not None:  # A4: wp^2 e and wp f of the half lattice
+            x = gens.ring_wp(z)[0]
+            e, f = (x ** 2)[..., None, None] * e, x[..., None, None] * f
         for got, want in ((gens.H.fn(z), h), (gens.E.fn(z), e), (gens.F.fn(z), f)):
             assert got.tobytes() == want.tobytes()
             assert np.all(np.trace(got, axis1=-2, axis2=-1) == 0)

@@ -9,7 +9,6 @@ from toruslie.sl2rep import (
     B_H,
     ad,
     bracket,
-    coeffs,
     from_coeffs,
     standard_rep,
 )
@@ -27,6 +26,12 @@ L_GEN = Lattice(GENERIC)
 L_HEX = Lattice(HEX_TAU)
 L_SQ = Lattice(1j)
 W3 = np.exp(2j * np.pi / 3)
+
+
+def coeffs(x):
+    """Coordinates of a traceless 2x2 matrix over (h, e, f): the reference
+    that from_coeffs inverts."""
+    return np.stack([x[..., 0, 0], x[..., 0, 1], x[..., 1, 0]], axis=-1)
 
 
 def cyclic_labels(emb):
