@@ -20,9 +20,10 @@ ring variable x = wp, y = wp' or u = wp^2, wp^3:
 
 _CASES holds this list, one row per case: the frame source (constant,
 ad(Phi) or Psi), the ring variable, the bracket sampling margin, the
-exact p, as coefficients and as its roots, and the factors of e and f.
-The factors live on the lattice of T / t(Gamma), which for rotations is
-the lattice itself; the p = 1 rows have none.
+exact p as its coefficients, and the factors of e and f.  The factors
+live on the lattice of T / t(Gamma), which for rotations is the lattice
+itself; the p = 1 rows have none.  The tests prove each row exactly: fe ff
+is its p modulo the curve, and p has distinct roots.
 
 Each triple has one frame, z -> (3, n, 2, 2), written once in the layout the
 columns slice (frame[c] is column c at every point): the constant (h, e, f),
@@ -42,13 +43,11 @@ match for the generator action e -> i e (the product of the two function
 factors must be the full invariant wp (wp')^2 either way, so the bracket
 polynomial is unchanged).
 
-The structure check compares [E, F] with H times the exact p.  p is
-evaluated at the (wp, wp') that the frames' memo already holds, as its
-leading coefficient times the product over its roots, because the
-monomial form cancels where p is small against its terms.  Sampling p
-and fitting it in the ring (structure_polynomial) is an independent
-route that no check runs; it returns its fit and leaves the triple as
-it was.
+The structure check compares [E, F] with H times the exact p, read as
+fe ff of the (wp, wp') that the frames' memo already holds, so no check
+takes an invariant of the ring lattice.  Sampling p and fitting it in
+the ring (structure_polynomial) is an independent route that no check
+runs; it returns its fit and leaves the triple as it was.
 
 Each check is three steps: draw its points (kept read-only per embedding,
 count and seed), evaluate the triple (and the ring) there, and compute the
@@ -64,7 +63,6 @@ their (h, e, f)) for all three, bit for bit as one generator at a time.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -98,22 +96,19 @@ class _Case(NamedTuple):
     frames: str  # "B" constant, "phi" columns of ad(Phi), "psi" columns of Psi
     var: str  # the variable of the invariant ring
     margin: float  # the bracket sampling margin, which sample_points backs off from
-    # p = fe ff in the ring variable from the ring lattice's invariants: (its
-    # ascending coefficients, a value that vanishes exactly with its
-    # discriminant, its roots)
+    # p = fe ff in the ring variable: its ascending coefficients from the
+    # ring lattice's invariants
     p: object
     fe: object = None  # the factor of e as a function of (wp, wp') of the ring lattice
     ff: object = None  # the factor of f, likewise
 
 
 #: the rows' exact p: 1, or the p of their ring variable (the table above)
-_P_ONE = lambda inv: ((1.0,), 1.0, ())
-_P_WP = lambda inv: ((-inv.g3, -inv.g2, 0.0, 4.0), inv.discriminant, (inv.e1, inv.e2, inv.e3))
-_P_WP_PRIME = lambda inv: (  # g2 = 0
-    (inv.g3 / 4, 0.0, 0.25), inv.g3, (cmath.sqrt(-inv.g3), -cmath.sqrt(-inv.g3))
-)
-_P_WP2 = lambda inv: ((0.0, -inv.g2, 4.0), inv.g2, (0.0, inv.g2 / 4))  # g3 = 0
-_P_WP3 = lambda inv: ((0.0, -inv.g3, 4.0), inv.g3, (0.0, inv.g3 / 4))  # g2 = 0
+_P_ONE = lambda inv: (1.0,)
+_P_WP = lambda inv: (-inv.g3, -inv.g2, 0.0, 4.0)
+_P_WP_PRIME = lambda inv: (inv.g3 / 4, 0.0, 0.25)  # g2 = 0
+_P_WP2 = lambda inv: (0.0, -inv.g2, 4.0)  # g3 = 0
+_P_WP3 = lambda inv: (0.0, -inv.g3, 4.0)  # g2 = 0
 
 #: one row per case, keyed by kind and by (kind, order) for rotations.
 #: Generator products grow like a power of 1/distance to the poles; the
@@ -260,24 +255,20 @@ def _frames(gens: GeneratorTriple, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ring_x(gens: GeneratorTriple, z: np.ndarray, rows: slice = slice(None)):
-    """The ring variable at z[rows], read off the (wp, wp') that the frame
-    factors evaluated on z; None on the p = 1 rows, which have no factors."""
-    return None if gens.ring_wp is None else gens.ring.from_wp(*(v[rows] for v in gens.ring_wp(z)))
-
-
 def structure_polynomial(gens: GeneratorTriple) -> WPoly:
     """Fit the invariant p with [E, F] = H tensor p.
 
     The scalar function is recovered as the projection of [E, F] onto H
     and expanded in the exact p's monomials, as fit_in_ring expands a
-    function, at rows drawn from seed 0.
+    function, at rows drawn from seed 0, in the ring variable of the
+    (wp, wp') the frame factors evaluated there (none on the p = 1 rows).
     """
     z = _fit_rows(gens, 0)
     e, f, h = _frames(gens, z)
     p = _h_projection(bracket(e, f), h)
     powers = [i for i, c in enumerate(exact_structure_polynomial(gens).a) if c != 0]
-    return _fit_values(_ring_x(gens, z), p, gens.ring, powers)
+    x = None if gens.ring_wp is None else gens.ring.from_wp(*gens.ring_wp(z))
+    return _fit_values(x, p, gens.ring, powers)
 
 
 def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -291,14 +282,11 @@ def _h_projection(comm: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", comm, hc) / np.einsum("...ij,...ij->...", h, hc)
 
 
-def _exact_p(gens: GeneratorTriple, x):
-    """The exact p at the ring variable x (None on the p = 1 rows): its
-    leading coefficient times the product over its roots."""
-    coeff, _, roots = _case(gens.emb).p(invariants(gens.ring.lattice))
-    value = coeff[-1]
-    for r in roots:
-        value = value * (x - r)
-    return value
+def _exact_p(gens: GeneratorTriple, wp):
+    """The exact p at the ring lattice's (wp, wp') rows wp: fe ff there, or
+    1 on the p = 1 rows, whose wp is None."""
+    case = _case(gens.emb)
+    return 1.0 if wp is None else case.fe(*wp) * case.ff(*wp)
 
 
 #: max |x| over every entry; a nan entry gives nan, where lattice._abs_max skips it
@@ -311,9 +299,9 @@ def _relative_residual(comm: np.ndarray, p, h: np.ndarray) -> float:
     return float(np.maximum.reduce(np.abs(comm - ph) / (1.0 + np.abs(ph)), axis=None))
 
 
-def _bracket_residuals(gens: GeneratorTriple, frames: np.ndarray, x) -> dict:
+def _bracket_residuals(gens: GeneratorTriple, frames: np.ndarray, wp) -> dict:
     """The residuals of verify_brackets from the stacked (E, F, H) and the
-    ring variable x (None on the p = 1 rows) at the probes."""
+    ring lattice's (wp, wp') wp (None on the p = 1 rows) at the probes."""
     e, f, h = frames
     # [h, e], [h, f] and [e, f] in one call
     he, hf, comm = bracket(frames[[2, 2, 0]], frames[[0, 1, 1]])
@@ -323,7 +311,7 @@ def _bracket_residuals(gens: GeneratorTriple, frames: np.ndarray, x) -> dict:
         "he": _max_abs(he),
         "hf": _max_abs(hf),
         "ef": _max_abs(comm - _h_projection(comm, h)[..., None, None] * h),
-        "ef_exact": _relative_residual(comm, _exact_p(gens, x), h),
+        "ef_exact": _relative_residual(comm, _exact_p(gens, wp), h),
         "trace": _max_abs(frames[..., 0, 0] + frames[..., 1, 1]),
         "frame_scale": _max_abs(frames),
     }
@@ -335,15 +323,17 @@ def verify_brackets(gens: GeneratorTriple, n_samples: int, seed: int) -> dict:
 
     `ef` is the absolute residual of [E, F] against its projection onto H:
     it certifies that [E, F] is a scalar function times H.  `ef_exact` is
-    the relative residual of [E, F] against H times the exact p; relative,
-    because p's coefficients on small-covolume invariant lattices are
-    large and an absolute target would only measure float granularity.
+    the relative residual of [E, F] against H times the exact p, fe ff of
+    the ring's (wp, wp') the factors of E and F were formed from; relative,
+    because p on small-covolume invariant lattices is large and an
+    absolute target would only measure float granularity.
     `trace` is the worst deviation of the generators from tracelessness,
     and `frame_scale` the largest entry seen (the noise floor of every
     absolute residual is proportional to it).
     """
     z = _probe(gens.emb, n_samples, seed)
-    return _bracket_residuals(gens, _frames(gens, z), _ring_x(gens, z))
+    frames = _frames(gens, z)
+    return _bracket_residuals(gens, frames, None if gens.ring_wp is None else gens.ring_wp(z))
 
 
 def _invariance(gens: GeneratorTriple, frames: np.ndarray, start: int, n: int) -> float:
@@ -388,22 +378,21 @@ def check_triple(gens: GeneratorTriple, n_samples: int = BRACKET_SAMPLES, *, see
     z = np.concatenate([z_br, z_inv, _preimages(gens, z_inv)])
     frames = _frames(gens, z)
     b = len(z_br)
-    brackets = _bracket_residuals(gens, frames[:, :b], _ring_x(gens, z, slice(None, b)))
+    wp = None if gens.ring_wp is None else [v[:b] for v in gens.ring_wp(z)]
+    brackets = _bracket_residuals(gens, frames[:, :b], wp)
     return brackets, _invariance(gens, frames, b, len(z_inv))
 
 
 def exact_structure_polynomial(gens: GeneratorTriple) -> WPoly:
     """p = fe ff in the ring variable, from the exact g2 and g3 of the ring
-    lattice (the p of the case's row); no sampling, no fit.  A repeated
-    root, which only a degenerate ring lattice could give, raises."""
-    coeff, disc, _ = _case(gens.emb).p(invariants(gens.ring.lattice))
-    if disc == 0:
-        raise ValueError("exact structure polynomial has a repeated root")
-    return WPoly(tuple(complex(c) for c in coeff))
+    lattice (the p of the case's row); no sampling, no fit.  Its roots are
+    distinct: its discriminant is a nonzero multiple of the lattice's, or
+    of a power of g2 or g3 where the other vanishes (proven per row)."""
+    return WPoly(tuple(complex(c) for c in _case(gens.emb).p(invariants(gens.ring.lattice))))
 
 
 def abelianization_dim(gens: GeneratorTriple) -> int:
     """Number of distinct roots of the exact structure polynomial, 0 for
-    constants: its degree, as its exact discriminant is nonzero.  Equals
-    the dimension of the abelianisation of the algebra."""
+    constants: its degree, as its roots are distinct.  Equals the
+    dimension of the abelianisation of the algebra."""
     return len(exact_structure_polynomial(gens).a) - 1

@@ -9,6 +9,7 @@ import pytest
 
 from toruslie import intertwine
 from toruslie.classify import BRACKET_TOL, cross_validate
+from toruslie.elliptic import invariants
 from toruslie.funcalg import FitError, fit_lambda_mu, lambda_mu, p_system
 from toruslie.cli import main
 from toruslie.normalform import invariance_residual, verify_brackets
@@ -207,6 +208,15 @@ class TestEval:
         got = np.array([[complex(*v) for v in row] for row in doc["Phi"]])
         expect = phi(cn_translation(Lattice(1j), 3), 1)(complex(*doc["z"]))
         assert got.tobytes() == expect.tobytes()
+
+    def test_tall_rotation_takes_no_invariants(self, capsys):
+        # j of Lattice(130i) overflows float64, so invariants raises there;
+        # eval builds and evaluates the triple without them
+        with pytest.raises(ValueError, match="overflows"):
+            invariants(Lattice(130j))
+        rc, out, err = run(capsys, "eval", "--group", "rot", "--order", "2", "--tau-re", "0", "--tau-im", "130")
+        assert rc == 0 and err == ""
+        assert re.search(r"^E\.0\.1: ", out, re.M)
 
     def test_pole_proximity_rejected(self, capsys):
         rc, _, err = run(

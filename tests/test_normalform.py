@@ -1,12 +1,15 @@
 import dataclasses
+import sys
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from toruslie import normalform
+from toruslie import elliptic, normalform
 from toruslie.elliptic import invariants, wp_both
 from toruslie.classify import BRACKET_TOL, FIT_TOL, INVARIANCE_TOL, cross_validate
-from toruslie.funcalg import FitError, WPoly, _p_stack, c2c2_constants_for, sample_points
+from toruslie.funcalg import FitError, InvariantRing, WPoly, _p_stack, c2c2_constants_for, sample_points
 from toruslie.intertwine import psi
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, transport_torsion
 from toruslie.normalform import (
@@ -29,6 +32,7 @@ from toruslie.torusgroup import (
     cn_translation,
     dn_group,
 )
+from test_elliptic import _oracle
 from test_sl2rep import coeffs, cyclic_labels
 
 GENERIC = complex(0.31, 1.07)
@@ -48,9 +52,9 @@ def fit_residual(gens, poly):
     bracket probes of check_triple(seed=0), as ef_exact reads the exact p."""
     z = normalform._probe(gens.emb, BRACKET_SAMPLES, 1)
     e, f, h = normalform._frames(gens, z)
-    x = normalform._ring_x(gens, z)
     # a p = 1 row reads no ring values, and its fitted p is a constant
-    return normalform._relative_residual(bracket(e, f), poly(0.0 if x is None else x), h)
+    x = 0.0 if gens.ring_wp is None else gens.ring.from_wp(*gens.ring_wp(z))
+    return normalform._relative_residual(bracket(e, f), poly(x), h)
 
 
 class TestConstructions:
@@ -618,12 +622,6 @@ class TestExactStructurePolynomial:
         scale = WPoly(tuple(abs(c) for c in p.a))(np.abs(x)).real
         assert np.max(np.abs(product - p(x)) / scale) < 1e-12
         assert abelianization_dim(gens) == branch_points(emb)[0]
-        # the row's roots form: its leading coefficient times the product
-        # over its roots expands to its coefficients
-        coeff, _, roots = case.p(invariants(ring.lattice))
-        expanded = coeff[-1] * np.atleast_1d(np.poly(roots))[::-1]
-        assert len(expanded) == len(coeff)
-        assert np.max(np.abs(expanded - coeff)) <= 1e-13 * max(abs(c) for c in coeff)
 
     @pytest.mark.parametrize("emb", _catalog_params(THREE_CATALOGS))
     def test_fitted_coefficients_match_at_seed_0(self, emb):
@@ -648,7 +646,6 @@ class TestExactStructurePolynomial:
         is_one = exact.a == (1.0,)
         assert (case.fe is None) == (case.ff is None) == is_one == (gens.ring_wp is None)
         z = normalform._fit_rows(gens, 0)
-        assert (normalform._ring_x(gens, z) is None) == is_one
         assert len(z) == sum(_fit_shape(degree))
         if is_one:
             assert _fit_shape(degree) == (11, 12)
@@ -666,10 +663,179 @@ class TestExactStructurePolynomial:
         assert [c == 0 for c in fit.a] == [c == 0 for c in exact.a]
 
 
-def per_generator_bracket_residuals(gens, frames, x):
+class _Poly:
+    """An exact polynomial in x, y, g2 and g3: exponents (x, y, g2, g3) -> Fraction."""
+
+    def __init__(self, terms=()):
+        self.terms = {k: v for k, v in dict(terms).items() if v != 0}
+
+    @staticmethod
+    def of(v):
+        return v if isinstance(v, _Poly) else _Poly({(0, 0, 0, 0): Fraction(v)})
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for k, v in _Poly.of(other).terms.items():
+            terms[k] = terms.get(k, 0) + v
+        return _Poly(terms)
+
+    def __mul__(self, other):
+        terms = {}
+        for a, u in self.terms.items():
+            for b, v in _Poly.of(other).terms.items():
+                k = tuple(i + j for i, j in zip(a, b))
+                terms[k] = terms.get(k, 0) + u * v
+        return _Poly(terms)
+
+    __radd__, __rmul__ = __add__, __mul__
+    __neg__ = lambda self: self * -1
+    __sub__ = lambda self, other: self + -_Poly.of(other)
+    __truediv__ = lambda self, c: self * (1 / Fraction(c))
+    __pow__ = lambda self, n: _Poly.of(1) if n == 0 else self * self ** (n - 1)
+    __eq__ = lambda self, other: self.terms == _Poly.of(other).terms
+
+    def at(self, vanishing):
+        """self with the invariant at exponent index vanishing (None: none) set to 0."""
+        return _Poly({k: v for k, v in self.terms.items() if vanishing is None or not k[vanishing]})
+
+    def mod_curve(self):
+        """self reduced to degree < 2 in y modulo y^2 = 4x^3 - g2 x - g3."""
+        return sum((_Poly({(a, b % 2, c, d): v}) * CURVE ** (b // 2)
+                    for (a, b, c, d), v in self.terms.items()), _Poly())
+
+
+X, Y, G2, G3 = (_Poly({tuple(int(i == k) for i in range(4)): 1}) for k in range(4))
+CURVE = 4 * X ** 3 - G2 * X - G3
+#: the exponent index of the invariant that every ring lattice of a ring
+#: variable has 0: g2 where an order-3 or order-6 symmetry acts (wp', wp^3),
+#: g3 where an order-4 one does (wp^2)
+VANISHING = {"wp": None, "wp_prime": 2, "wp2": 3, "wp3": 2}
+
+
+def _discriminant(c):
+    """The discriminant of sum c[i] t^i, of degree 2 or 3."""
+    if len(c) == 3:
+        return c[1] ** 2 - 4 * c[2] * c[0]
+    d, c1, b, a = c
+    return b ** 2 * c1 ** 2 - 4 * a * c1 ** 3 - 4 * b ** 3 * d - 27 * a ** 2 * d ** 2 + 18 * a * b * c1 * d
+
+
+def _is_power_multiple(p, base):
+    """p = r base^k for a rational r != 0 and some k in 1..3."""
+    for k in (1, 2, 3):
+        b = base ** k
+        key = next(iter(b.terms))
+        r = p.terms.get(key, 0) / b.terms[key]
+        if r and p == b * r:
+            return True
+    return False
+
+
+def row_defects(row) -> list:
+    """Which exact claims of a _CASES row fail, with g2 and g3 symbolic:
+    p(ring variable) = fe ff modulo the curve, with the row's vanishing
+    invariant set to 0, and p's discriminant a nonzero rational multiple
+    of a power of the lattice discriminant or of the surviving invariant,
+    so that p's roots are distinct on every lattice the row admits."""
+    vanishing = VANISHING[row.var]
+    coeff = [_Poly.of(c) for c in row.p(types.SimpleNamespace(g2=G2, g3=G3))]
+    u = InvariantRing(L_SQ, row.var).from_wp(X, Y)
+    p = sum((c * u ** i for i, c in enumerate(coeff)), _Poly())
+    product = _Poly.of(1) if row.fe is None else row.fe(X, Y) * row.ff(X, Y)
+    defects = []
+    if (product - p).mod_curve().at(vanishing) != 0:
+        defects.append("fe ff != p")
+    if coeff[-1].at(vanishing).terms.keys() != {(0, 0, 0, 0)}:
+        defects.append("leading coefficient not a nonzero constant")
+    elif len(coeff) > 1:
+        # on a lattice with g2 = 0 (g3 = 0), Delta vanishes only with g3 (g2)
+        bases = ((G2 ** 3 - 27 * G3 ** 2).at(vanishing),) + {2: (G3,), 3: (G2,)}.get(vanishing, ())
+        if not any(_is_power_multiple(_discriminant(coeff).at(vanishing), b) for b in bases):
+            defects.append("discriminant may vanish")
+    return defects
+
+
+#: mutations of _CASES rows that the exact proof must reject: (row key, the
+#: fields changed, from the table)
+ROW_MUTATIONS = {
+    "dn-leading-coefficient-doubled": ("DN", lambda rows: {"p": lambda inv: (-inv.g3, -inv.g2, 0.0, 8.0)}),
+    "rot3-given-rot2-cubic": (("Cl_rotation", 3), lambda rows: {"p": rows[("Cl_rotation", 2)].p}),
+    "rot3-spurious-y3": (("Cl_rotation", 3), lambda rows: {"p": lambda inv: (inv.g3 / 4, 0.0, 0.25, 1.0)}),
+    "rot4-ff-x": (("Cl_rotation", 4), lambda rows: {"ff": lambda x, y: x}),
+}
+
+
+class TestExactRows:
+    """Each _CASES row's exact p, proven once on exact polynomials."""
+
+    @pytest.mark.parametrize("key", list(normalform._CASES), ids=str)
+    def test_p_is_fe_ff_with_distinct_roots(self, key):
+        assert row_defects(normalform._CASES[key]) == []
+
+    @pytest.mark.parametrize("name", list(ROW_MUTATIONS))
+    def test_a_mutated_row_fails(self, name):
+        key, change = ROW_MUTATIONS[name]
+        rows = normalform._CASES
+        assert row_defects(rows[key]._replace(**change(rows))) != []
+
+    @pytest.mark.parametrize("tau", [1j, HEX_TAU, GENERIC, 0.2 + 1.3j])
+    def test_the_vanishing_invariant_is_0_on_every_ring_lattice(self, tau):
+        # VANISHING's claim, read off the ring lattices the catalog builds
+        for emb in catalog(Lattice(tau), orders=(1, 2, 3, 4, 5, 6)):
+            vanishing = VANISHING[normalform._case(emb).var]
+            if vanishing is not None:
+                inv = invariants(normal_form(emb).ring.lattice)
+                g, weight = (inv.g2, 3) if vanishing == 2 else (inv.g3, 2)
+                assert abs(g) ** weight < 1e-24 * abs(inv.discriminant), (emb.kind, emb.order_param)
+
+
+class TestExactPAtTheProbes:
+    """The check path reads p as fe ff of the memo's (wp, wp'); it takes
+    no invariant of the ring lattice and evaluates no row's p."""
+
+    @pytest.mark.parametrize("n", [8, 10, 12, 14, 16])
+    def test_dn_on_the_square_lattice_matches_the_oracle(self, n):
+        # the ring lattice is Lattice(n i, 1/n); p at the bracket probes is
+        # wp'^2 there, against 30-digit theta functions
+        pytest.importorskip("mpmath")
+        gens = normal_form(dn_group(L_SQ, n))
+        z = normalform._probe(gens.emb, 8, 1)
+        p = normalform._exact_p(gens, gens.ring_wp(z))
+        ring = gens.ring.lattice
+        s = complex(ring.scale)
+        want = np.array([(_oracle().wp_pair(complex(v) / s, ring.tau)[1] / s ** 3) ** 2 for v in z])
+        assert np.max(np.abs(p - want) / np.abs(want)) < 1e-12
+
+    def test_check_triple_takes_no_invariants(self, monkeypatch):
+        calls = []
+        original = elliptic.invariants
+        for name, module in list(sys.modules.items()):
+            if name.startswith("toruslie") and vars(module).get("invariants") is original:
+                monkeypatch.setattr(module, "invariants", lambda *a: calls.append(a) or original(*a))
+        for emb in CATALOG_CASES:
+            gens = normal_form(emb)
+            check_triple(gens)
+            verify_brackets(gens, 20, 4)
+        assert calls == []
+
+    def test_cross_validate_evaluates_p_once(self, monkeypatch):
+        calls = []
+        rows = normalform._CASES
+        for key, row in list(rows.items()):
+            monkeypatch.setitem(rows, key, row._replace(p=lambda inv, p=row.p: calls.append(1) or p(inv)))
+        for emb in CATALOG_CASES:
+            calls.clear()
+            cross_validate(emb)
+            assert len(calls) == 1, _case_id(emb)
+
+
+def per_generator_bracket_residuals(gens, frames, wp):
     """_bracket_residuals as it ran one relation and one generator at a
-    time: the reference the stacked pass must equal bit for bit."""
+    time, with p the row's fe ff at the ring's (wp, wp') rows wp (1 where
+    wp is None): the reference the stacked pass must equal bit for bit."""
     e, f, h = frames
+    case = normalform._case(gens.emb)
+    p = 1.0 if wp is None else case.fe(*wp) * case.ff(*wp)
     he = bracket(h, e) - 2.0 * e
     hf = bracket(h, f) + 2.0 * f
     comm = bracket(e, f)
@@ -678,7 +844,7 @@ def per_generator_bracket_residuals(gens, frames, x):
         "he": float(np.max(np.abs(he))),
         "hf": float(np.max(np.abs(hf))),
         "ef": float(np.max(np.abs(ef))),
-        "ef_exact": normalform._relative_residual(comm, normalform._exact_p(gens, x), h),
+        "ef_exact": normalform._relative_residual(comm, p, h),
         "trace": max(float(np.max(np.abs(np.trace(m, axis1=-2, axis2=-1)))) for m in frames),
         "frame_scale": max(float(np.max(np.abs(m))) for m in frames),
     }
@@ -714,9 +880,9 @@ class TestStackedChecks:
             z = np.concatenate([z_br, z_inv, normalform._preimages(gens, z_inv)])
             frames = [m.fn(z) for m in (gens.E, gens.F, gens.H)]
             b = len(z_br)
-            x = normalform._ring_x(gens, z, slice(None, b))
+            wp = None if gens.ring_wp is None else [v[:b] for v in gens.ring_wp(z)]
             want = (
-                per_generator_bracket_residuals(gens, [m[:b] for m in frames], x),
+                per_generator_bracket_residuals(gens, [m[:b] for m in frames], wp),
                 per_generator_invariance(gens, frames, b, len(z_inv)),
             )
             assert repr(check_triple(gens, seed=seed)) == repr(want)
