@@ -15,6 +15,7 @@ from .lattice import (
 )
 from .elliptic import (
     EllipticInvariants,
+    half_period_values,
     invariants,
     j_invariant,
     scale_check,

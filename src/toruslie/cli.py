@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from .classify import BRACKET_TOL, FIT_TOL, INVARIANCE_TOL, cross_validate
-from .elliptic import invariants
+from .elliptic import half_period_values, invariants
 from .funcalg import FitError, c2c2_constants_for, fit_lambda_mu, lambda_mu, p_system
 from .funcalg import torus_distance
 from .lattice import Lattice, TorsionPoint, fold_far
@@ -143,6 +143,7 @@ def cmd_constants(args: argparse.Namespace) -> int:
         "command": "constants",
         "config": _config_dict(args),
         **dataclasses.asdict(invariants(emb.lattice)),
+        **dict(zip(("e1", "e2", "e3"), half_period_values(emb.lattice))),
     }
     if args.group == "c2c2":
         cc = dataclasses.asdict(c2c2_constants_for(emb))

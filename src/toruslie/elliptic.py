@@ -17,14 +17,17 @@ together (wp is its first value alone); callers batch every point set
 they need (all shifts of all probes) into one call, since the per-call
 overhead dwarfs the per-point cost at small batches.  Both series
 lengths follow from |q| alone; no caller sets them.  The series runs on
-blocks of at most BLOCK points of a batch.  A lattice's
-scale c enters through the homothety wp(cz | c L) = c^-2 wp(z | L),
-wp'(cz | c L) = c^-3 wp'(z | L) (DLMF 23.10(iv)), skipped at c = 1:
-dividing by 1+0j would flip the sign of an exact zero.
+blocks of at most BLOCK points of a batch.  A far point is folded on the
+caller's basis, whose periods are exact, before it moves to the reduced one.
+A lattice's scale c enters through the homothety wp(cz | c L) =
+c^-2 wp(z | L), wp'(cz | c L) = c^-3 wp'(z | L) (DLMF 23.10(iv)), skipped
+at c = 1: dividing by 1+0j would flip the sign of an exact zero.
 
 Values very close to a lattice point are delegated to the Laurent
 expansion 1/z^2 + (g2/20) z^2 + (g3/28) z^4 + ...; on a lattice point the
-functions return complex infinity rather than raising.
+functions return complex infinity rather than raising.  invariants is
+arithmetic on the cached reduced cell, with no wp call; e1, e2, e3 are
+half_period_values' one wp_both call, made only where they are printed.
 
 The Jacobi theta1 of Z + Z*T has its q-series here too, in the nome
 exp(i pi T) (DLMF 20.2.1), with its series length from |q| as well;
@@ -40,10 +43,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import Lattice, reduce_modular, torus_reduce_centered
+from .lattice import Lattice, _any_far, _centred, _coordinates, _folded_coordinates, fold_far
+from .lattice import reduce_modular
 
 __all__ = [
     "EllipticInvariants",
+    "half_period_values",
     "invariants",
     "j_invariant",
     "scale_check",
@@ -67,9 +72,6 @@ BLOCK = 4096
 class EllipticInvariants:
     g2: complex
     g3: complex
-    e1: complex
-    e2: complex
-    e3: complex
     discriminant: complex
     j: complex
 
@@ -247,7 +249,11 @@ def wp_both(z, lattice: Lattice):
     cell = _cell(lattice.tau)
     zz = np.asarray(z, dtype=complex)
     flat = zz.reshape(-1) if s == 1 else zz.reshape(-1) / s
-    zc = torus_reduce_centered(flat / cell.m, cell.tau_r)
+    u, v = _coordinates(flat / cell.m, cell.tau_r)
+    if _any_far(u, v):
+        u, v = _folded_coordinates(fold_far(flat, Lattice(lattice.tau)) / cell.m, cell.tau_r, 1.0)[1:]
+    zc = _centred(u, v, cell.tau_r)
+    del u, v  # freed before the series runs: kept alive, they slowed 10k-point calls by ~30%
     out = np.empty((2, zc.size), dtype=complex)
     for i in range(0, zc.size, BLOCK):
         _wp_series(zc[i:i + BLOCK], cell, out[:, i:i + BLOCK])
@@ -267,41 +273,28 @@ def wp(z, lattice: Lattice):
     return wp_both(z, lattice)[0]
 
 
-@lru_cache(maxsize=256)
-def _unit_invariants(tau: complex) -> EllipticInvariants:
-    cell = _cell(tau)
+def invariants(lattice: Lattice) -> EllipticInvariants:
+    """g2, g3, discriminant and j of scale * (Z + Z*tau), with no wp call: g2,
+    g3 from the reduced cell's Eisenstein series through the homothety, j its
+    own (a class function).  Past reduced Im tau ~113 j overflows: ValueError."""
+    cell = _cell(lattice.tau)
     j = 1728.0 * cell.g2r ** 3 / cell.discr if cell.discr else math.inf
     if not cmath.isfinite(j):
-        raise ValueError(
-            f"j overflows float64 at reduced Im tau {cell.tau_r.imag:.4g};"
-            " the limit is about 113"
-        )
-    half = np.array([0.5, tau / 2.0, (1.0 + tau) / 2.0])
-    e1, e2, e3 = (complex(v) for v in wp(half, Lattice(tau)))
-    m = cell.m
-    return EllipticInvariants(cell.g2r / m ** 4, cell.g3r / m ** 6, e1, e2, e3, cell.discr / m ** 12, j)
+        raise ValueError(f"j overflows float64 at reduced Im tau {cell.tau_r.imag:.4g};"
+                         " the limit is about 113")
+    m, s = cell.m, lattice.scale
+    g2, g3, discr = cell.g2r / m ** 4, cell.g3r / m ** 6, cell.discr / m ** 12
+    if s != 1:  # the eta-product discriminant rescaled: g2^3 - 27 g3^2 cancels on elongated lattices
+        g2, g3, discr = g2 / s ** 4, g3 / s ** 6, discr / s ** 12
+    return EllipticInvariants(g2, g3, discr, j)
 
 
-def invariants(lattice: Lattice) -> EllipticInvariants:
-    """g2, g3, half-period values, discriminant and j for scale * (Z + Z*tau).
-
-    g2 and g3 come from the Eisenstein q-expansions on the reduced lattice
-    and are pulled back through the homothety; j is the reduced lattice's
-    own, a class function, with no power of the basis change.  e1, e2, e3
-    are wp at the half periods of the basis (scale, scale*tau).  Past a
-    reduced Im tau of about 113, where j overflows float64, a ValueError
-    names the limit.
-    """
-    inv = _unit_invariants(lattice.tau)
-    s = lattice.scale
-    if s == 1:
-        return inv
-    # rescale the eta-product discriminant: g2^3 - 27 g3^2 recomputed here
-    # would cancel catastrophically on elongated lattices
-    return EllipticInvariants(
-        inv.g2 / s ** 4, inv.g3 / s ** 6, inv.e1 / s ** 2, inv.e2 / s ** 2,
-        inv.e3 / s ** 2, inv.discriminant / s ** 12, inv.j,
-    )
+def half_period_values(lattice: Lattice) -> tuple[complex, complex, complex]:
+    """e1, e2, e3: wp at the half periods 1/2, tau/2, (1 + tau)/2 of Z + Z*tau
+    (DLMF 23.3), divided by scale^2; computed only where they are printed."""
+    tau, s = lattice.tau, lattice.scale
+    e = tuple(complex(v) for v in wp(np.array([0.5, tau / 2.0, (1.0 + tau) / 2.0]), Lattice(tau)))
+    return e if s == 1 else tuple(v / s ** 2 for v in e)
 
 
 def j_invariant(tau: complex) -> complex:

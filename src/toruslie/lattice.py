@@ -220,18 +220,22 @@ def _abs_max(x) -> float:
     return np.fmax.reduce(np.abs(x), None, initial=0.0)
 
 
+def _any_far(s, t) -> bool:
+    return _abs_max(s) > FAR_PERIODS or _abs_max(t) > FAR_PERIODS
+
+
 def _folded_coordinates(z, tau: complex, scale: complex):
     """(fold_far of z, and its coordinates s, t over (scale, scale*tau));
     no division at scale 1."""
     z = np.asarray(z, dtype=complex)
     while True:
         s, t = _coordinates(z if scale == 1 else z / scale, tau)
-        # the mask is built only when some point is far; fmax skips a nan
-        # point, which the mask leaves where it is
-        if not (_abs_max(s) > FAR_PERIODS or _abs_max(t) > FAR_PERIODS):
+        # the mask is built only when some point is far (fmax skips nan); a nan point stays put
+        if not _any_far(s, t):
             return z, s, t
         far = np.maximum(np.abs(s), np.abs(t)) > FAR_PERIODS
-        z = np.where(far, z - scale * (np.round(s) + np.round(t) * tau), z)
+        # the s periods first: round(t) tau added to a huge round(s) would lose its digits
+        z = np.where(far, (z - scale * np.round(s)) - scale * (np.round(t) * tau), z)
 
 
 def _hnf_2col(rows: list[tuple[int, int]]) -> tuple[tuple[int, int], tuple[int, int]]:

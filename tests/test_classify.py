@@ -171,13 +171,13 @@ class TestCrossValidate:
             if j is not None:
                 assert np.complex128(j).tobytes() == np.complex128(invariants(emb.quotient).j).tobytes()
 
-    def test_class_and_ring_share_one_invariants_entry(self):
+    def test_class_and_ring_share_one_cell_entry(self):
         # a class taken on a second, reduced lattice would add an entry
         emb = dn_group(L_GEN, 2)
         assert reduce_modular(emb.quotient.tau).tau_reduced != emb.quotient.tau
         _clear_caches()
         cross_validate(emb)
-        assert elliptic._unit_invariants.cache_info().currsize == 1
+        assert elliptic._cell.cache_info().currsize == 1
 
     # a row's p itself is proven exact in test_normalform.TestExactRows,
     # which rejects these mutations too; here the root count reads it

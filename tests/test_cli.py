@@ -16,6 +16,7 @@ from toruslie.normalform import invariance_residual, verify_brackets
 from toruslie.intertwine import phi
 from toruslie.lattice import Lattice, TorsionPoint
 from toruslie.torusgroup import cn_translation, dn_group
+from test_elliptic import invariants_route_e
 
 HEX = math.sqrt(3.0) / 2.0
 #: (--tau-re, --tau-im) of the square, hexagonal and generic lattices
@@ -117,6 +118,18 @@ class TestConstants:
         assert rc == 0
         doc = json.loads(out)
         assert abs(complex(*doc["g3"])) < 1e-10
+
+    @pytest.mark.parametrize("tau", [_SQ, _HX, _GN, ("7.3", "0.2"), ("-2.85", "0.83")],
+                             ids=["square", "hex", "generic", "flat", "skewed"])
+    def test_printed_half_period_values(self, capsys, tau):
+        # e1..e3 as the report prints them, bit for bit those of the route
+        # invariants took while they were its fields
+        rc, out, _ = run(capsys, "constants", "--tau-re", tau[0], "--tau-im", tau[1], "--json")
+        assert rc == 0
+        doc = json.loads(out)
+        got = [complex(*doc[k]) for k in ("e1", "e2", "e3")]
+        want = invariants_route_e(Lattice(complex(float(tau[0]), float(tau[1]))))
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_hexagonal_alpha1(self, capsys):
         rc, out, _ = run(

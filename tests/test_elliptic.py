@@ -8,13 +8,14 @@ import pytest
 
 from toruslie import elliptic
 from toruslie.elliptic import (
+    half_period_values,
     invariants,
     j_invariant,
     scale_check,
     wp,
     wp_both,
 )
-from toruslie.lattice import HEX_TAU, Lattice, reduce_modular, torus_reduce_centered
+from toruslie.lattice import HEX_TAU, Lattice, fold_far, reduce_modular, torus_reduce_centered
 from sweep import SWEEP_TAUS
 
 GENERIC = complex(0.31, 1.07)
@@ -56,6 +57,40 @@ def lattice_sum_g2(tau, cutoff):
     om = (ax + bx * tau).ravel()
     om = om[np.abs(om) > 1e-12]
     return 60.0 * np.sum(om ** -4.0)
+
+
+def invariants_route_e(lat):
+    """e1, e2, e3 by the route invariants took while they were its fields:
+    wp at (1/2, tau/2, (1 + tau)/2) of Lattice(tau), as Python complex
+    numbers, divided by scale^2 off scale 1."""
+    tau = lat.tau
+    half = np.array([0.5, tau / 2.0, (1.0 + tau) / 2.0])
+    e1, e2, e3 = (complex(v) for v in wp(half, Lattice(tau)))
+    s = lat.scale
+    if s == 1:
+        return e1, e2, e3
+    return e1 / s ** 2, e2 / s ** 2, e3 / s ** 2
+
+
+#: bases far from reduced, a flat and a skewed one, and offsets that are
+#: periods of both
+FAR_TAUS = [7.3 + 0.2j, -2.85 + 0.83j]
+FAR_OFFSETS = np.array([1e8, 1e12, 2.0 ** 50, 1e17, -1e17])
+
+
+def check_far_values(f, lattice, z0=0.3j, rtol=1e-13):
+    """f at z0 + FAR_OFFSETS against f at the near point fold_far(z0): bit
+    for bit where a far point folds onto that same float, and within rtol
+    of the near value's largest entry elsewhere.  f maps an array of points
+    to an array with the points on its first axis."""
+    near = fold_far(np.array([z0]), lattice)
+    far = z0 + FAR_OFFSETS
+    exact = fold_far(far, lattice) == near
+    want, got = f(near), f(far)
+    assert np.all(np.isfinite(want))
+    assert got[exact].tobytes() == np.repeat(want, exact.sum(), axis=0).tobytes()
+    err = np.abs(got - want).reshape(len(far), -1).max(axis=1) / np.abs(want).max()
+    assert np.all(err <= rtol), err
 
 
 def sample_cell(tau, n, seed, margin=0.12):
@@ -106,19 +141,40 @@ class TestInvariants:
             }
             ref = {k: (complex(v), w) for k, (v, w) in ref.items()}
         inv = invariants(Lattice(tau))
+        got = dict(zip(("e1", "e2", "e3"), half_period_values(Lattice(tau))),
+                   g2=inv.g2, g3=inv.g3, discriminant=inv.discriminant)
         for name, (want, w) in ref.items():
-            err = abs(getattr(inv, name) - want) / max(abs(want), e_max ** w)
+            err = abs(got[name] - want) / max(abs(want), e_max ** w)
             assert err <= 5e-14, name
+
+    def test_invariants_make_no_wp_call(self, monkeypatch, count_wp_calls):
+        # g2, g3, the discriminant and j are arithmetic on the reduced cell
+        calls = count_wp_calls(monkeypatch)
+        elliptic._cell.cache_clear()
+        for tau in ORACLE_TAUS:
+            for s in (1, 0.6 - 0.8j):
+                invariants(Lattice(tau, s))
+        assert calls == []
+        half_period_values(Lattice(GENERIC))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [1, 2.0, 0.6 - 0.8j, 0.5j])
+    def test_half_period_values_are_the_invariants_route(self, scale):
+        for tau in ORACLE_TAUS + SWEEP_TAUS:
+            lat = Lattice(tau, scale)
+            got = np.array(half_period_values(lat))
+            assert got.tobytes() == np.array(invariants_route_e(lat)).tobytes(), tau
 
     def test_half_period_symmetric_functions(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             tau = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 2.0))
             inv = invariants(Lattice(tau))
-            assert abs(inv.e1 + inv.e2 + inv.e3) < 1e-10
-            s2 = inv.e1 * inv.e2 + inv.e1 * inv.e3 + inv.e2 * inv.e3
+            e1, e2, e3 = half_period_values(Lattice(tau))
+            assert abs(e1 + e2 + e3) < 1e-10
+            s2 = e1 * e2 + e1 * e3 + e2 * e3
             assert abs(s2 + inv.g2 / 4) < 1e-9
-            assert abs(inv.e1 * inv.e2 * inv.e3 - inv.g3 / 4) < 1e-9
+            assert abs(e1 * e2 * e3 - inv.g3 / 4) < 1e-9
             assert abs(inv.discriminant) > 1e-6
 
     def test_discriminant_product_form_matches_subtraction(self):
@@ -224,13 +280,24 @@ class TestWeierstrass:
         w0, wq0 = wp_both(z0, lat)
         assert np.array_equal(w, np.full(w.shape, w0)) and np.array_equal(wq, np.full(wq.shape, wq0))
 
+    @pytest.mark.parametrize("tau", FAR_TAUS, ids=["flat", "skewed"])
+    def test_far_points_on_a_basis_far_from_reduced(self, tau):
+        # the fold subtracts the periods of s before those of t, and wp_both
+        # folds on the caller's basis before it divides by the reduced
+        # basis' first period: a far point keeps its place on the torus
+        lat = Lattice(tau)
+        check_far_values(lambda z: np.stack(wp_both(z, lat), axis=-1), lat)
+        w0 = np.array(wp_both(0.3j, lat))
+        w = np.array(wp_both(0.3j + FAR_OFFSETS, lat))
+        assert np.max(np.abs(w - w0[:, None])) <= 1e-13 * np.max(np.abs(w0))
+
     def test_square_lattice_quarter_turn(self):
         lat = Lattice(1j)
-        inv = invariants(lat)
+        e1, e2, _ = half_period_values(lat)
         # multiplication by i negates wp: e2 = -e1, e3 = 0, wp((1+i)/2) = 0
         assert abs(wp(0.5j, lat) + wp(0.5, lat)) < 1e-10
         assert abs(wp((1 + 1j) / 2, lat)) < 1e-10
-        assert abs(inv.e2 + inv.e1) < 1e-10
+        assert abs(e2 + e1) < 1e-10
         z = sample_cell(1j, 30, 10)
         assert np.max(np.abs(wp(z / 1j, lat) + wp(z, lat))) < 1e-9
 
@@ -437,8 +504,7 @@ class TestSeriesCut:
         # wp' = -8 i pi^3 (head + series): the dropped tail, times 8 pi^3,
         # stays below 2^-53 of the scale wp' is judged on, e_max^1.5
         cell = elliptic._cell(tau)
-        inv = invariants(Lattice(cell.tau_r))
-        e_max = max(abs(inv.e1), abs(inv.e2), abs(inv.e3))
+        e_max = max(abs(e) for e in half_period_values(Lattice(cell.tau_r)))
         tail = _dropped_tail(abs(cell.q), len(cell.coef))
         assert 8 * np.pi ** 3 * tail < 2.0 ** -53 * max(1.0, e_max ** 1.5)
 
@@ -565,8 +631,7 @@ def _unsplit_wp_series(zc, cell):
 def _unsplit_error(got, ref, tau):
     """Worst error of (wp, wp') against ref, relative to max(|ref|, e_max)
     for wp and max(|ref|, e_max^1.5) for wp'; both infinite on poles."""
-    inv = invariants(Lattice(tau))
-    e_max = max(abs(inv.e1), abs(inv.e2), abs(inv.e3))
+    e_max = max(abs(e) for e in half_period_values(Lattice(tau)))
     worst = 0.0
     for g, r, scale in ((got[0], ref[0], e_max), (got[1], ref[1], e_max ** 1.5)):
         finite = np.isfinite(r)

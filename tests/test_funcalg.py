@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from toruslie import funcalg
-from toruslie.elliptic import invariants, wp_both
+from toruslie.elliptic import half_period_values, wp_both
 from toruslie.funcalg import (
     FitError,
     InvariantRing,
@@ -45,6 +45,7 @@ from toruslie.lattice import (
 from sweep import SHIFTS, SWEEP_TAUS
 from toruslie.classify import cross_validate
 from toruslie.intertwine import double_cover, phi
+from test_elliptic import FAR_TAUS, check_far_values
 from test_torusgroup import _sl2z_images
 from toruslie.torusgroup import a4_group, c2c2_translation, cn_translation, dn_group, quotient_scaled
 
@@ -123,6 +124,25 @@ class TestFarPoints:
         want, got = ps.values(self.Z, js), ps.values(self.FAR, js)
         for j in js:
             assert got[j].tobytes() == np.repeat(want[j], len(self.FAR)).tobytes()
+
+    @pytest.mark.parametrize("tau", FAR_TAUS, ids=["flat", "skewed"])
+    @pytest.mark.parametrize(
+        "make",
+        [lambda lat: p_system(cn_translation(lat, 3)),
+         lambda lat: p_system(cn_translation(lat, 5)),
+         lambda lat: PSystem(*double_cover(cn_translation(lat, 4))),
+         lambda lat: p_system(dn_group(lat, 4))],
+        ids=["cn3", "cn5", "cn4-cover", "dn4"],
+    )
+    def test_psystem_values_on_a_basis_far_from_reduced(self, tau, make):
+        ps = make(Lattice(tau))
+        js = range(1, ps.n)
+
+        def values(z):
+            v = ps.values(z, js)
+            return np.stack([v[j] for j in js], axis=-1)
+
+        check_far_values(values, ps.lattice)
 
     def test_p_small(self):
         for p in p_small(c2c2_translation(L_SQ)):
@@ -804,9 +824,9 @@ class TestC2C2Constants:
 
     def test_a1_squared_is_ratio_cubed(self):
         for lat in (L_SQ, L_HEX, L_GEN):
-            inv = invariants(lat)
+            e1, e2, e3 = half_period_values(lat)
             cc = c2c2_constants(lat)
-            assert abs(cc.A1 ** 2 - ((inv.e1 - inv.e3) / (inv.e2 - inv.e3)) ** 3) < 1e-9
+            assert abs(cc.A1 ** 2 - ((e1 - e3) / (e2 - e3)) ** 3) < 1e-9
             assert abs(cc.sqrt_a2b2 ** 2 - cc.alpha2 * cc.beta2) < 1e-12
 
     def test_mixed_identity(self):
@@ -845,9 +865,9 @@ def _numeric_flip(e1, e2, e3, tau) -> bool:
 
 def invariants_route_constants(lat: Lattice):
     """c2c2_constants as formed before it became c2c2_constants_for of the
-    standard Klein generators: from e1, e2, e3 of invariants(lat)."""
-    inv = invariants(lat)
-    return _constants_from_e(inv.e1, inv.e2, inv.e3, _numeric_flip(inv.e1, inv.e2, inv.e3, lat.tau))
+    standard Klein generators: from e1, e2, e3 of half_period_values(lat)."""
+    e = half_period_values(lat)
+    return _constants_from_e(*e, _numeric_flip(*e, lat.tau))
 
 
 class TestC2C2ConstantsRoutes:
@@ -909,13 +929,13 @@ class TestFitWPoly:
         for lat in (L_GEN, L_SQ, L_HEX):
             emb = c2c2_translation(lat)
             p0, _, _ = p_small(emb)
-            inv = invariants(lat)
+            e1, e2, e3 = half_period_values(lat)
             half = Lattice(lat.tau, 0.5)
             w = fit_in_ring(squared(p0), InvariantRing(half), 2)
-            c0 = 1.0 / ((inv.e1 - inv.e3) ** 2 * (inv.e2 - inv.e3) ** 2)
+            c0 = 1.0 / ((e1 - e3) ** 2 * (e2 - e3) ** 2)
             assert len(w.a) == 2
             assert abs(w.a[1] - c0) < 1e-7 * max(1, abs(c0))
-            assert abs(w.a[0] + 4 * inv.e3 * c0) < 1e-7 * max(1, abs(4 * inv.e3 * c0))
+            assert abs(w.a[0] + 4 * e3 * c0) < 1e-7 * max(1, abs(4 * e3 * c0))
 
     def test_not_in_ring_rejected(self):
         # wp' is odd: it cannot be a polynomial in wp alone

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from toruslie import elliptic, normalform
-from toruslie.elliptic import invariants, wp_both
+from toruslie.elliptic import half_period_values, invariants, wp_both
 from toruslie.classify import BRACKET_TOL, FIT_TOL, INVARIANCE_TOL, cross_validate
 from toruslie.funcalg import FitError, InvariantRing, WPoly, _p_stack, c2c2_constants_for, sample_points
 from toruslie.intertwine import psi
@@ -32,7 +32,7 @@ from toruslie.torusgroup import (
     cn_translation,
     dn_group,
 )
-from test_elliptic import _oracle
+from test_elliptic import FAR_TAUS, _oracle, check_far_values
 from test_sl2rep import coeffs, cyclic_labels
 
 GENERIC = complex(0.31, 1.07)
@@ -278,11 +278,11 @@ class TestAbelianization:
         # count of fitted roots could not separate them; the exact cubic's
         # discriminant is nonzero, so the count is exactly 3
         gens = normal_form(dn_group(L_SQ, 6))
-        ring_inv = invariants(gens.ring.lattice)
-        gap = abs(ring_inv.e2 - ring_inv.e3)
-        scale = max(abs(ring_inv.e1), abs(ring_inv.e2), abs(ring_inv.e3))
+        e1, e2, e3 = half_period_values(gens.ring.lattice)
+        gap = abs(e2 - e3)
+        scale = max(abs(e1), abs(e2), abs(e3))
         assert 0 < gap < 1e-6 * scale
-        assert abs(ring_inv.discriminant) > 1.0
+        assert abs(invariants(gens.ring.lattice).discriminant) > 1.0
         assert abelianization_dim(gens) == 3
 
 
@@ -986,3 +986,14 @@ class TestFarPoints:
             want = m(np.array([self.Z]))
             assert np.all(np.isfinite(want))
             assert m(far).tobytes() == np.repeat(want, len(far), axis=0).tobytes()
+
+    @pytest.mark.parametrize(
+        "emb", _catalog_params([(n, Lattice(t)) for n, t in zip(("flat", "skewed"), FAR_TAUS)])
+    )
+    def test_frames_on_a_basis_far_from_reduced(self, emb):
+        gens = normal_form(emb)
+        # on 7.3+0.2i the c2c2 frames' pole tau/2 lies 0.05 from the folded
+        # 0.3i, where a shift of the point by 1e-15 alone moves F by 1.4e-13
+        flat_c2c2 = emb.kind == "C2xC2_translation" and emb.tau == FAR_TAUS[0]
+        for m in (gens.E, gens.F, gens.H):
+            check_far_values(m, m.lattice, rtol=2e-13 if flat_c2c2 else 1e-13)
