@@ -5,15 +5,16 @@ emitted as structured text with a stable key schema (or JSON with
 --json); complex numbers appear as [re, im] pairs.  All sampling is
 seeded, so equal configurations produce byte-identical reports.
 
-Each subcommand accepts only the flags it reads (_COMMANDS), and every
-float flag must be finite; its value may follow it as its own word, a
-negative one in exponent form included.  --order and --char-j default to
-2 and 1; c2c2 and a4 take neither, nor constants --char-j, --tol or
---seed but for cn and dn at --order 2 and up.  Exit status: 0 all checks
-passed, 1 verification failure, 2 usage or domain error, including a fit
-that fails and a group the lattice does not carry; constants instead
-reports a failed lambda/mu fit (FitError), or a fitted pair off the
-closed form by more than --tol, as null lambda and mu.
+Each subcommand accepts only the flags it reads (_COMMANDS), every
+float flag must be finite and --tol above 0; its value may follow it as
+its own word, a negative one in exponent form included.  --order and
+--char-j default to 2 and 1; c2c2 and a4 take neither, nor constants
+--char-j, --tol or --seed but for cn and dn at --order 2 and up.  Exit
+status: 0 all checks passed, 1 verification failure, 2 usage or domain
+error, including a fit that fails, a group the lattice does not carry
+and, for every command, a character index not coprime to the order;
+constants instead reports a failed lambda/mu fit (FitError), or a fitted
+pair off the closed form by more than --tol, as null lambda and mu.
 """
 
 from __future__ import annotations
@@ -255,6 +256,14 @@ def _finite(text: str) -> float:
     return value
 
 
+def _positive(text: str) -> float:
+    """The value of --tol: finite, and above 0."""
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not positive")
+    return value
+
+
 def _parse_torsion(text: str) -> tuple[int, int, int]:
     parts = text.split("/")
     if len(parts) != 3:
@@ -270,7 +279,7 @@ _FLAGS = {
     "--order": dict(type=int, default=None, help="N for cn/dn, l for rot"),
     "--torsion": dict(type=_parse_torsion, default=None, metavar="a/b/n"),
     "--char-j": dict(type=int, default=None),
-    "--tol": dict(type=_finite, default=None),
+    "--tol": dict(type=_positive, default=None),
     "--samples": dict(type=int, default=BRACKET_SAMPLES),
     "--seed": dict(type=int, default=None),
     "--json": dict(action="store_true"),
@@ -281,7 +290,7 @@ _FLAGS = {
         type=_finite, default=0.0, help="scale F by (1 + value) after the checks; negative control"
     ),
 }
-_FLOAT_FLAGS = {flag for flag, spec in _FLAGS.items() if spec.get("type") is _finite}
+_FLOAT_FLAGS = {flag for flag, spec in _FLAGS.items() if spec.get("type") in (_finite, _positive)}
 _COMMON = {"--tau-re", "--tau-im", "--json", "--out"}
 _EMBEDDING = {"--group", "--order", "--torsion", "--char-j"}
 #: the values of flags not given; each is an error where unread: --order and --char-j

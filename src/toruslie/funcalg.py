@@ -1,10 +1,10 @@
 """The function algebra of a punctured torus and its equivariant elements.
 
 The invariant rings of the symmetry cases are one-variable: C[x] with x
-one of wp, wp', wp^2 or wp^3 of a lattice.  WPoly is a polynomial a(x) in
-that variable; TorusFunction is the numeric side: an evaluator, scalar- or
-matrix-valued, together with its declared poles, which every sampling
-routine respects.
+one of wp, wp', wp^2 or wp^3 of a lattice.  WPoly holds the coefficients
+of a polynomial a(x) in that variable; TorusFunction is the numeric side:
+an evaluator, scalar- or matrix-valued, together with its declared poles,
+which every sampling routine respects.
 
 The construction kernels live here as well: the character projections P_j
 of wp'/(wp - wp(alpha)) attached to a cyclic translation group (simple
@@ -12,7 +12,7 @@ poles on the orbit of the origin, residue -2 + 2 cos(2 pi j / N) at the
 origin), evaluated not as that orbit sum but as Kronecker's theta quotient
 on the ring lattice L + Z alpha (D. Zagier, Invent. Math. 104 (1991) 449;
 theta1 from its q-series, DLMF 20.2.1), the linear relation
-P_2j P_-j^2 - P_-2j P_j^2 = lam * P_-k P_k + mu, whose constants lambda_mu
+P_2j P_-j^2 - P_-2j P_j^2 = lam * P_-j P_j + mu, whose constants lambda_mu
 reads off the theta quotients' Laurent series at z = 0 and fit_lambda_mu fits
 from sampled values, the quartet of odd half-period functions built from 1/wp',
 and the half-period constants entering the 3x3 intertwiner.  p0, p1 and p2 are
@@ -84,22 +84,13 @@ def _poly_trim(p):
     return tuple(out)
 
 
-def _poly_eval(p, x):
-    acc = np.zeros_like(np.asarray(x, dtype=complex))
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
 @dataclass(frozen=True)
 class WPoly:
-    """Polynomial a(x) in a ring variable x, the values InvariantRing.from_wp
-    gives; coefficients ascend in degree."""
+    """The coefficients of a polynomial a(x) in a ring variable x, the values
+    InvariantRing.from_wp gives, ascending in degree.  It holds them only:
+    numpy.polynomial.polynomial.polyval(x, poly.a) evaluates it."""
 
     a: tuple = ()
-
-    def __call__(self, x):
-        return _poly_eval(self.a, x)
 
 
 # ---------------------------------------------------------------------------
@@ -322,43 +313,32 @@ def p_system(emb: GroupEmbedding) -> PSystem:
     return PSystem(emb.lattice, emb.cyclic_generator.key[2:])
 
 
-def fit_lambda_mu(
-    emb: GroupEmbedding | PSystem, j: int, k: int | None = None, *, seed: int = 0, tol: float = 1e-7
-):
-    """Constants (lam, mu) with P_2j P_-j^2 - P_-2j P_j^2 = lam P_-k P_k + mu,
+def fit_lambda_mu(emb: GroupEmbedding | PSystem, j: int, *, seed: int = 0, tol: float = 1e-7):
+    """Constants (lam, mu) with P_2j P_-j^2 - P_-2j P_j^2 = lam P_-j P_j + mu,
     fitted from sampled values: the route independent of lambda_mu.
 
     The P_j are those of p_system(emb), or of emb itself when it is a
-    PSystem.  phi takes its constants from lambda_mu on its own PSystem,
-    the index-two cover at even orders; so for even N fit_lambda_mu(emb, j),
-    which the constants command reports, is not the lam, mu of phi(emb, j),
-    and for odd N the two agree within the fit's held-out residual tol.
-    Two-point linear solve plus FIT_HOLDOUT held-out points; ill-conditioned
-    draws are resampled up to FIT_RETRIES draws.  When N >= 3, k = +-j and
-    2j != 0 mod N the constant mu is asserted nonzero.
+    PSystem of order n; j must be coprime to n, as standard_rep requires
+    of a character index.  phi takes its constants from lambda_mu on its
+    own PSystem, the index-two cover at even orders; so for even N
+    fit_lambda_mu(emb, j), which the constants command reports, is not the
+    lam, mu of phi(emb, j), and for odd N the two agree within the fit's
+    held-out residual tol.  Two-point linear solve plus FIT_HOLDOUT
+    held-out points; ill-conditioned draws are resampled up to FIT_RETRIES
+    draws.  When n >= 3 the constant mu is asserted nonzero.
     """
     ps = emb if isinstance(emb, PSystem) else p_system(emb)
     n = ps.n
-    if k is None:
-        k = j
-    if k % n == 0:
-        raise ValueError("k must not vanish mod the group order")
+    if math.gcd(j, n) != 1:
+        raise ValueError(f"character index {j} is not coprime to {n}")
     rng = np.random.default_rng(seed)
-    js = sorted({j % n, (-j) % n, (2 * j) % n, (-2 * j) % n, k % n, (-k) % n})
-
-    def lhs_rhs(z):
-        vals = ps.values(z, js)
-        lhs = (
-            vals[(2 * j) % n] * vals[(-j) % n] ** 2
-            - vals[(-2 * j) % n] * vals[j % n] ** 2
-        )
-        basis = vals[(-k) % n] * vals[k % n]
-        return lhs, basis
-
+    js = sorted({j % n, (-j) % n, (2 * j) % n, (-2 * j) % n})
     last_res = np.inf
     for _ in range(FIT_RETRIES):
         z = sample_points(ps.lattice, 2 + FIT_HOLDOUT, rng, avoid=ps.orbit, margin=0.08)
-        lhs, basis = lhs_rhs(z)
+        v = ps.values(z, js)
+        lhs = v[(2 * j) % n] * v[(-j) % n] ** 2 - v[(-2 * j) % n] * v[j % n] ** 2
+        basis = v[(-j) % n] * v[j % n]
         det = basis[0] - basis[1]
         scale = max(1.0, float(np.max(np.abs(basis[:2]))))
         if abs(det) < 1e-8 * scale:
@@ -368,9 +348,8 @@ def fit_lambda_mu(
         res = np.max(np.abs(lhs[2:] - (lam * basis[2:] + mu)))
         res /= max(1.0, float(np.max(np.abs(lhs[2:]))))
         if res < tol:
-            if n >= 3 and (k - j) % n in (0, (-2 * j) % n) and (2 * j) % n != 0:
-                if abs(mu) <= 1e-9:
-                    raise FitError(f"mu unexpectedly vanishes (N={n}, j={j}, k={k})")
+            if n >= 3 and abs(mu) <= 1e-9:
+                raise FitError(f"mu unexpectedly vanishes (N={n}, j={j})")
             return complex(lam), complex(mu)
         last_res = res
     raise FitError(f"lambda/mu fit failed; final residual {last_res:.3g}")

@@ -130,15 +130,15 @@ def test_criterion_04_p_function_suite():
 def test_criterion_05_lambda_mu():
     ok = True
     details = []
-    for n, j, k in ((5, 1, 1), (5, 2, 2), (4, 1, 1), (3, 1, 1), (6, 1, 1)):
+    for n, j in ((5, 1), (5, 2), (4, 1), (3, 1), (6, 1)):
         emb = cn_translation(GEN, n)
-        lam, mu = fit_lambda_mu(emb, j, k, tol=1e-7)
+        lam, mu = fit_lambda_mu(emb, j, tol=1e-7)
         ps = p_system(emb)
         rng = np.random.default_rng(200 + n)
         z = sample_points(ps.lattice, 20, rng, avoid=ps.orbit, margin=0.1)
-        vals = ps.values(z, sorted({j % n, (-j) % n, (2 * j) % n, (-2 * j) % n, k % n, (-k) % n}))
+        vals = ps.values(z, sorted({j % n, (-j) % n, (2 * j) % n, (-2 * j) % n}))
         lhs = vals[(2 * j) % n] * vals[(-j) % n] ** 2 - vals[(-2 * j) % n] * vals[j % n] ** 2
-        rhs = lam * vals[(-k) % n] * vals[k % n] + mu
+        rhs = lam * vals[(-j) % n] * vals[j % n] + mu
         res = float(np.max(np.abs(lhs - rhs) / np.maximum(1.0, np.abs(lhs))))
         mu_ok = abs(mu) > 1e-9
         ok = ok and res < 1e-7 and mu_ok

@@ -458,12 +458,17 @@ class TestPlumbing:
         config = json.loads(out)["config"]
         assert (config["char_j"], config["tol"], config["seed"]) == (1, BRACKET_TOL, 0)
 
-    @pytest.mark.parametrize("char_j", ["3", "0"])
-    def test_constants_character_vanishing_mod_the_order(self, capsys, char_j):
-        # a domain error of the fit, not a fit that failed: exit 2, no report
-        rc, out, err = run(capsys, "constants", "--group", "cn", "--order", "3", "--char-j", char_j)
+    @pytest.mark.parametrize(
+        "order, char_j", [("3", "3"), ("3", "0"), ("4", "2"), ("4", "6"), ("6", "2"), ("6", "3"), ("6", "4")]
+    )
+    def test_constants_character_not_coprime_to_the_order(self, capsys, order, char_j):
+        # a domain error with classify's message, not a fit that failed or
+        # one of a non-faithful character: exit 2, no report
+        argv = ("--group", "cn", "--order", order, "--char-j", char_j)
+        rc, out, err = run(capsys, "constants", *argv)
         assert (rc, out) == (2, "")
-        assert err == "error: k must not vanish mod the group order\n"
+        assert err == f"error: character index {char_j} is not coprime to {order}\n"
+        assert run(capsys, "classify", *argv) == (rc, out, err)
 
     @pytest.mark.parametrize("command", ["classify", "verify"])
     @pytest.mark.parametrize(
@@ -518,19 +523,37 @@ class TestPlumbing:
         assert out.out == ""
         assert f"argument {flag}: '{value}' is not a finite number" in out.err
 
+    @pytest.mark.parametrize("command", ["constants", "verify"])
+    @pytest.mark.parametrize("value", ["0", "-0", "-1e-3"])
+    def test_non_positive_tol_is_a_usage_error(self, capsys, command, value):
+        # not a fit nulled by it, nor a verification it fails
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--group", "cn", "--order", "3", "--tol", value])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"argument --tol: '{value}' is not positive" in out.err
+
     @pytest.mark.parametrize(
         "command, flag, value, rc",
         [("classify", "--tau-re", "-1e-3", 0), ("classify", "--tau-im", "-1e0", 2),
-         ("verify", "--tol", "-1e-7", 1), ("eval", "--z-re", "-1e17", 0),
+         ("verify", "--tol", "-1e-7", 2), ("eval", "--z-re", "-1e17", 0),
          ("eval", "--z-im", "-3.1e-1", 0), ("verify", "--perturb-f", "-1e-3", 1)],
     )
     def test_negative_exponent_value_as_its_own_word(self, capsys, command, flag, value, rc):
         # argparse reads only -0.001-style words as negative numbers: the
         # value given as its own word must read as flag=value does
         base = (command, "--group", "cn", "--order", "3")
-        joined = run(capsys, *base, f"{flag}={value}")
+
+        def status(*argv):  # argparse's usage errors exit 2 through SystemExit
+            try:
+                return run(capsys, *argv)
+            except SystemExit as exc:
+                return exc.code, *capsys.readouterr()
+
+        joined = status(*base, f"{flag}={value}")
         assert joined[0] == rc
-        assert run(capsys, *base, flag, value) == joined
+        assert status(*base, flag, value) == joined
         if flag == "--z-re":  # -1e17 is a period of the square lattice
             lines = lambda out: [s for s in out.splitlines() if re.match(r"(E|F|H|Phi)\.", s)]
             at_zero = run(capsys, *base, "--z-re", "0")

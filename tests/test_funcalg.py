@@ -357,7 +357,7 @@ class TestPBig:
 class TestLambdaMu:
     def test_identity_holds_on_holdout(self):
         emb = cn_translation(L_GEN, 5)
-        lam, mu = fit_lambda_mu(emb, 1, 1)
+        lam, mu = fit_lambda_mu(emb, 1)
         ps = p_system(emb)
         rng = np.random.default_rng(9)
         z = sample_points(ps.lattice, 20, rng, avoid=ps.orbit, margin=0.1)
@@ -369,12 +369,12 @@ class TestLambdaMu:
     def test_mu_nonzero(self):
         for n, j in ((5, 2), (3, 1), (4, 1), (6, 1)):
             emb = cn_translation(L_GEN, n)
-            _, mu = fit_lambda_mu(emb, j, j)
+            _, mu = fit_lambda_mu(emb, j)
             assert abs(mu) > 1e-9
 
     def test_n4_j1(self):
         emb = cn_translation(L_GEN, 4)
-        lam, mu = fit_lambda_mu(emb, 1, 1)
+        lam, mu = fit_lambda_mu(emb, 1)
         ps = p_system(emb)
         rng = np.random.default_rng(10)
         z = sample_points(ps.lattice, 20, rng, avoid=ps.orbit, margin=0.1)
@@ -384,10 +384,12 @@ class TestLambdaMu:
         rhs = lam * vals[3] * vals[1] + mu
         assert np.max(np.abs(lhs - rhs) / (1 + np.abs(lhs))) < 1e-7
 
-    def test_k_zero_rejected(self):
-        emb = cn_translation(L_GEN, 4)
-        with pytest.raises(ValueError):
-            fit_lambda_mu(emb, 1, 4)
+    def test_index_not_coprime_to_the_order_rejected(self):
+        # standard_rep's rule: a non-faithful character has no normal form
+        ps = p_system(cn_translation(L_GEN, 4))
+        for j in (0, 2, 4, -2):
+            with pytest.raises(ValueError, match=f"character index {j} is not coprime to 4"):
+                fit_lambda_mu(ps, j)
 
 
 def _mp_p_values(ps: PSystem, shift: tuple):
@@ -551,7 +553,7 @@ class TestLambdaMuClosedForm:
         # determinant on the cover Lattice(2i) is 6e-15 to 8e-9
         emb = cn_translation(L_SQ, n, TorsionPoint(0, 1, n))
         with pytest.raises(FitError, match="lambda/mu fit failed"):
-            fit_lambda_mu(_cover_system(emb)[0], 1, 1)
+            fit_lambda_mu(_cover_system(emb)[0], 1)
         assert cross_validate(emb, seed=0).passed
 
     def test_twice_j_zero_rejected(self):

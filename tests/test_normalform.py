@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from toruslie import elliptic, normalform
 from toruslie.elliptic import half_period_values, invariants, wp_both
 from toruslie.classify import BRACKET_TOL, FIT_TOL, INVARIANCE_TOL, cross_validate
-from toruslie.funcalg import FitError, InvariantRing, WPoly, _p_stack, c2c2_constants_for, sample_points
+from toruslie.funcalg import FitError, InvariantRing, _p_stack, c2c2_constants_for, sample_points
 from toruslie.intertwine import psi
 from toruslie.lattice import HEX_TAU, Lattice, TorsionPoint, transport_torsion
 from toruslie.normalform import (
@@ -54,7 +55,7 @@ def fit_residual(gens, poly):
     e, f, h = normalform._frames(gens, z)
     # a p = 1 row reads no ring values, and its fitted p is a constant
     x = 0.0 if gens.ring_wp is None else gens.ring.from_wp(*gens.ring_wp(z))
-    return normalform._relative_residual(bracket(e, f), poly(x), h)
+    return normalform._relative_residual(bracket(e, f), polyval(x, poly.a), h)
 
 
 class TestConstructions:
@@ -619,8 +620,8 @@ class TestExactStructurePolynomial:
         product = 1.0 if case.fe is None else case.fe(wp, wpp) * case.ff(wp, wpp)
         x = ring.from_wp(wp, wpp)
         p = exact_structure_polynomial(gens)
-        scale = WPoly(tuple(abs(c) for c in p.a))(np.abs(x)).real
-        assert np.max(np.abs(product - p(x)) / scale) < 1e-12
+        scale = polyval(np.abs(x), np.abs(p.a))
+        assert np.max(np.abs(product - polyval(x, p.a)) / scale) < 1e-12
         assert abelianization_dim(gens) == branch_points(emb)[0]
 
     @pytest.mark.parametrize("emb", _catalog_params(THREE_CATALOGS))
@@ -787,6 +788,57 @@ class TestExactRows:
                 inv = invariants(normal_form(emb).ring.lattice)
                 g, weight = (inv.g2, 3) if vanishing == 2 else (inv.g3, 2)
                 assert abs(g) ** weight < 1e-24 * abs(inv.discriminant), (emb.kind, emb.order_param)
+
+
+def _column_characters(key) -> tuple:
+    """(l, k_e, k_f) of a _CASES row with factors: its generator g of order l
+    rotates by eps = exp(2 pi i/l) and multiplies the frame's e- and
+    f-columns by eps^k_e and eps^k_f, while wp and wp' of the ring lattice
+    take eps^2 and eps^3 at g^-1 z.  So wp^a wp'^b cancels the character of
+    a column where 2a + 3b + k = 0 mod l."""
+    if key == "DN":  # the flip: Phi(-z) = S Phi(z) diag(-1, 1) negates both columns
+        return 2, 1, 1
+    if key == "A4":  # s: w^2 on the e-column, w on the f-column, w = exp(2 pi i/3)
+        return 3, 2, 1
+    ell = key[1]
+    emb = cl_rotation(L_HEX if ell in (3, 6) else L_SQ, ell)
+    eigen = np.diag(standard_rep(emb, 1)[emb.table[0][0]])[1:]
+    return (ell, *(int(k) % ell for k in np.rint(np.angle(eigen) * ell / (2 * np.pi))))
+
+
+def character_defects(row, key) -> list:
+    """The factors of a _CASES row that do not cancel their frame column's
+    character, read in integers off the factor's single term wp^a wp'^b."""
+    ell, k_e, k_f = _column_characters(key)
+    defects = []
+    for name, factor, k in (("fe", row.fe, k_e), ("ff", row.ff, k_f)):
+        (a, b, _, _), = factor(X, Y).terms
+        if (2 * a + 3 * b + k) % ell:
+            defects.append(name)
+    return defects
+
+
+#: mutations of _CASES rows that the character check must reject: (row key,
+#: the fields changed, from the row)
+CHARACTER_MUTATIONS = {
+    "rot4-fe-ff-swapped": (("Cl_rotation", 4), lambda row: {"fe": row.ff, "ff": row.fe}),
+    "rot3-fe-x2": (("Cl_rotation", 3), lambda row: {"fe": lambda x, y: x ** 2}),
+    "dn-fe-x": ("DN", lambda row: {"fe": lambda x, y: x}),
+}
+
+
+class TestRowCharacters:
+    """Each factor of a _CASES row is invariant against its frame column."""
+
+    @pytest.mark.parametrize("key", [k for k, row in normalform._CASES.items() if row.fe is not None], ids=str)
+    def test_factors_cancel_the_column_characters(self, key):
+        assert character_defects(normalform._CASES[key], key) == []
+
+    @pytest.mark.parametrize("name", list(CHARACTER_MUTATIONS))
+    def test_a_mutated_row_fails(self, name):
+        key, change = CHARACTER_MUTATIONS[name]
+        row = normalform._CASES[key]
+        assert character_defects(row._replace(**change(row)), key) != []
 
 
 class TestExactPAtTheProbes:
